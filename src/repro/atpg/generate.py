@@ -64,7 +64,7 @@ class TestSet:
     n_faults: int                  # collapsed universe size
     n_detected: int
     n_untestable: int
-    n_aborted: int
+    n_aborted: int                 # aborted by PODEM, left undetected
 
     @property
     def fault_coverage(self) -> float:
@@ -169,7 +169,7 @@ def _generate_tests(design: ScanDesign, config: AtpgConfig,
     remaining: list[Fault] = list(universe)
     kept_vectors: list[TestVector] = []
     n_untestable = 0
-    aborted: list[Fault] = []
+    aborted: set[Fault] = set()
 
     # ---- phase 1: random patterns ------------------------------------- #
     rng = make_rng(derive_seed(config.seed, f"atpg:{circuit.name}"))
@@ -203,7 +203,7 @@ def _generate_tests(design: ScanDesign, config: AtpgConfig,
                 proven_untestable.add(fault)
                 n_untestable += 1
             elif outcome.status == "aborted":
-                aborted.append(fault)
+                aborted.add(fault)
             else:
                 values = dict(outcome.assignment)
                 for line in comb_input_lines(circuit):
@@ -224,8 +224,8 @@ def _generate_tests(design: ScanDesign, config: AtpgConfig,
                 _assignment_to_vector(design, values)
                 for values in new_assignments)
         # Batch faults neither proven untestable nor detected by the new
-        # vectors were aborted or collaterally missed; they are dropped
-        # from further generation (counted via `aborted` when applicable).
+        # vectors were aborted; they are dropped from further generation
+        # (a later vector may still detect one collaterally).
 
     # ---- phase 3: reverse-order compaction ----------------------------- #
     matrix: FaultSimResult | None = None
@@ -234,8 +234,9 @@ def _generate_tests(design: ScanDesign, config: AtpgConfig,
         kept_vectors, kept_mask, matrix = _reverse_compact(
             design, universe, kept_vectors, session)
 
-    # final coverage accounting on the kept set
-    n_detected = 0
+    # Final accounting on the kept set: every universe fault is detected,
+    # proven untestable or aborted-and-undetected, exactly once.
+    detected: set[Fault] = set()
     if kept_vectors:
         if session.plan_enabled and matrix is not None:
             # The no-drop compaction matrix already holds, per fault,
@@ -243,23 +244,23 @@ def _generate_tests(design: ScanDesign, config: AtpgConfig,
             # compacted set iff that word hits a kept column (per-
             # pattern detection is independent, so this equals the
             # legacy re-simulation bit for bit).
-            n_detected = sum(1 for word in matrix.detected.values()
-                             if word & kept_mask)
+            detected = {fault for fault, word in matrix.detected.items()
+                        if word & kept_mask}
         else:
             # Legacy pinned reference: one more drop-mode pass over the
             # compacted set.
             assignments = [_vector_to_assignment(design, v)
                            for v in kept_vectors]
             words, n = pack_input_vectors(circuit, assignments)
-            final = session.simulate(universe, words, n, drop=True)
-            n_detected = final.n_detected
+            detected = set(session.simulate(universe, words, n,
+                                            drop=True).detected)
 
     return TestSet(
         vectors=kept_vectors,
         n_faults=len(universe),
-        n_detected=n_detected,
+        n_detected=len(detected),
         n_untestable=n_untestable,
-        n_aborted=len(aborted),
+        n_aborted=sum(1 for fault in aborted if fault not in detected),
     )
 
 

@@ -22,6 +22,7 @@ the two agree exactly.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from repro.cells.library import CellLibrary, default_library
 from repro.errors import ScanError
@@ -31,7 +32,6 @@ from repro.power.dynamic import (
     energy_per_cycle_uw_per_hz,
     switching_energy_fj,
 )
-from repro.power.scanpower import ScanPowerReport, ShiftPolicy
 from repro.scan.chain import ScanCell, ScanChain
 from repro.scan.testview import ScanDesign, TestVector
 from repro.simulation.backends import Backend, resolve_backend
@@ -39,6 +39,9 @@ from repro.simulation.cyclesim import simulate_cycles
 from repro.simulation.episode import EpisodePlan, episode_batching_enabled
 from repro.simulation.eval2 import simulate_comb
 from repro.simulation.values import pack_bits
+
+if TYPE_CHECKING:
+    from repro.power.scanpower import ScanPowerReport, ShiftPolicy
 
 __all__ = ["MultiChainDesign", "evaluate_multichain_power"]
 
@@ -194,6 +197,10 @@ def evaluate_multichain_power(design: MultiChainDesign,
     replays; off, it runs the plain cycle simulation.  Both paths are
     bit-identical.
     """
+    # Deferred: repro.power.scanpower imports repro.scan.testview, and
+    # the repro.scan package imports this module.
+    from repro.power.scanpower import ScanPowerReport, ShiftPolicy
+
     policy = policy or ShiftPolicy()
     library = library or default_library()
     circuit = design.circuit

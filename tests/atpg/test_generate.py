@@ -6,8 +6,11 @@ from repro.atpg.collapse import collapse_faults
 from repro.atpg.faults import all_faults
 from repro.atpg.faultsim import fault_simulate
 from repro.atpg.generate import AtpgConfig, generate_tests
+from repro.benchgen import generate_circuit
+from repro.netlist import builders
 from repro.scan.testview import ScanDesign
 from repro.simulation.bitsim import pack_input_vectors
+from repro.techmap.mapper import technology_map
 
 
 class TestGenerateTests:
@@ -82,6 +85,44 @@ class TestGenerateTests:
             assert set(vector.pi_values) == set(
                 s27_design.circuit.inputs)
             assert len(vector.scan_state) == s27_design.chain.length
+
+
+def _table1_design(name: str) -> ScanDesign:
+    circuit = builders.s27() if name == "s27" else generate_circuit(name, 1)
+    return ScanDesign.full_scan(technology_map(circuit))
+
+
+class TestFaultAccounting:
+    """Every collapsed fault is detected, proven untestable, or aborted
+    by PODEM and left undetected by the final set: exactly one of the
+    three."""
+
+    @pytest.mark.parametrize("name", ["s27", "s344"])
+    def test_outcomes_partition_the_universe(self, name):
+        result = generate_tests(_table1_design(name), AtpgConfig(seed=1))
+        assert (result.n_detected + result.n_untestable
+                + result.n_aborted) == result.n_faults
+
+    def test_collaterally_detected_aborts_count_once(self):
+        # s641 at seed 1: 8 PODEM aborts are detected by later vectors;
+        # they count as detected only.
+        result = generate_tests(_table1_design("s641"), AtpgConfig(seed=1))
+        assert (result.n_detected, result.n_untestable,
+                result.n_aborted) == (546, 54, 103)
+        assert (result.n_detected + result.n_untestable
+                + result.n_aborted) == result.n_faults == 703
+        assert result.summary().endswith("54 untestable, 103 aborted)")
+
+    def test_legacy_final_simulation_agrees(self):
+        design = _table1_design("s344")
+        planned = generate_tests(design, AtpgConfig(seed=1),
+                                 fault_plan=True)
+        legacy = generate_tests(design, AtpgConfig(seed=1),
+                                fault_plan=False)
+        assert planned.n_aborted == legacy.n_aborted
+        assert planned.n_detected == legacy.n_detected
+        assert (legacy.n_detected + legacy.n_untestable
+                + legacy.n_aborted) == legacy.n_faults
 
 
 class TestFaultPlanToggle:

@@ -1,0 +1,31 @@
+"""PODEM behaviour pins: verdicts, effort counts and test sets.
+
+``podem_pins.json`` was recorded with the original (heap, re-propagate)
+implication, before the incremental engine replaced it.  The decision
+procedure is unchanged, so every per-fault verdict, backtrack and
+decision count and assignment, and every compacted test set of the cold
+Table-I campaign must match it bit for bit.  Regenerate with
+``tests/atpg/generate_podem_pins.py`` only for an intentional change of
+the decision procedure.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+import generate_podem_pins as pins_module
+
+PINS = json.loads(pins_module.PINS.read_text())
+
+
+@pytest.mark.parametrize("name", pins_module.PODEM_CIRCUITS)
+def test_podem_universe_pinned(name):
+    records = pins_module.podem_records(pins_module.mapped_circuit(name))
+    assert pins_module.podem_pin(records) == PINS["podem"][name]
+
+
+@pytest.mark.parametrize("name", pins_module.TESTSET_CIRCUITS)
+def test_table1_test_set_pinned(name):
+    assert pins_module.testset_pin(name) == PINS["testsets"][name]
