@@ -452,7 +452,8 @@ def test_perf_fault_simulation(benchmark, s1423_mapped):
 
 
 def test_perf_fault_sim_backend_speedup(benchmark, s1423_mapped):
-    """Fused numpy fault kernel vs scalar cone replay (Table-I workload).
+    """Fused numpy fault kernel vs scalar event-driven replay (Table-I
+    workload).
 
     The ATPG compaction phase's shape: the collapsed fault universe
     against a 256-pattern packed batch (256 rather than 64 keeps the
@@ -461,7 +462,10 @@ def test_perf_fault_sim_backend_speedup(benchmark, s1423_mapped):
     measured speedup in ``extra_info`` (the trajectory lands in the
     bench JSON) and enforces the >= 3x floor the kernel exists for;
     detection words are additionally asserted bit-identical across
-    engines.
+    engines.  The bigint denominator evaluates only the gates a fault
+    effect reaches (not whole fanout cones), so the ratio sits closer
+    to the floor (~4x on a 2-vCPU Xeon VM) than it did against the
+    cone replay (~11x).
     """
     universe = collapse_faults(s1423_mapped, all_faults(s1423_mapped))
     n = 256

@@ -1,15 +1,16 @@
 """Bit-parallel stuck-at fault simulation with fault dropping.
 
 For each fault: force the faulty line's packed waveform to the stuck
-value, re-simulate only the fault's fanout cone, and compare the good and
-faulty words at the observable lines.  With 64-4096 patterns per packed
-word this is the standard parallel-pattern single-fault method.
+value, propagate the difference event by event to the gates it reaches,
+and compare the good and faulty words at the observable lines.  With
+64-4096 patterns per packed word this is the standard parallel-pattern
+single-fault method.
 
 The heavy lifting is delegated to the selected simulation backend via
 :meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`:
 
-* ``bigint`` runs the scalar big-int cone replay below (the bit-exact
-  reference);
+* ``bigint`` runs the scalar big-int event-driven replay below (the
+  bit-exact reference);
 * ``numpy`` replays whole fault batches on the ``uint64`` pattern matrix
   (:mod:`repro.simulation.backends.fault_kernel`);
 * ``sharded`` partitions the fault list over worker processes and merges
@@ -24,16 +25,17 @@ All engines return bit-identical detection words and the same
 from __future__ import annotations
 
 import dataclasses
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 
 from repro.atpg.faults import Fault, observable_lines
+from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.simulation.backends import Backend, resolve_fault_backend
 from repro.simulation.bitsim import eval_gate_packed
 from repro.simulation.values import mask
 
-__all__ = ["FaultSimResult", "detect_word", "fault_simulate",
-           "scalar_fault_simulate", "scalar_replay"]
+__all__ = ["FaultSimResult", "check_fault_lines", "detect_word",
+           "fault_simulate", "scalar_fault_simulate", "scalar_replay"]
 
 
 @dataclasses.dataclass
@@ -60,51 +62,81 @@ class FaultSimResult:
         return len(self.detected) / total
 
 
-def _cone_order(circuit: Circuit, line: str) -> list[str]:
-    """Gate outputs in the fanout cone of ``line``, topologically ordered."""
-    cone = circuit.fanout_cone(line)
-    return [g for g in circuit.topo_order() if g in cone and g != line]
+def check_fault_lines(circuit: Circuit, faults: Sequence[Fault]) -> None:
+    """Raise :class:`~repro.errors.SimulationError` for a fault on a line
+    ``circuit`` does not have (every engine rejects it the same way)."""
+    for fault in faults:
+        if not circuit.has_line(fault.line):
+            raise SimulationError(
+                f"fault {fault} is on unknown line {fault.line!r} "
+                f"of circuit {circuit.name!r}")
+
+
+def _replay(circuit: Circuit, line: str, faulty_value: int,
+            good: Mapping[str, int], full: int) -> dict[str, int]:
+    """Faulty words of every line whose word differs from ``good``.
+
+    Event-driven: starting at the fault line, only the combinational
+    sinks of lines that differ are evaluated, drained in level order
+    (a sink's level exceeds every input's, so its inputs are settled by
+    the time its bucket is drained).  DFF sinks are level 0 and stop the
+    effect at their D pins, like the test view's cone boundary.
+    """
+    fanout = circuit.fanout
+    level_of = circuit.level_of
+    gates = circuit.gates
+    faulty = {line: faulty_value}
+    buckets: dict[int, list[str]] = {}
+    queued: set[str] = set()
+    changed = [line]
+    while True:
+        for src in changed:
+            for sink, _pin in fanout(src):
+                if sink not in queued:
+                    level = level_of(sink)
+                    if level:
+                        queued.add(sink)
+                        buckets.setdefault(level, []).append(sink)
+        if not buckets:
+            return faulty
+        changed = []
+        for out in buckets.pop(min(buckets)):
+            gate = gates[out]
+            value = eval_gate_packed(
+                gate.gtype, [faulty.get(src, good[src])
+                             for src in gate.inputs], full)
+            if value != good[out]:
+                faulty[out] = value
+                changed.append(out)
 
 
 def detect_word(circuit: Circuit, fault: Fault, good: Mapping[str, int],
-                n: int, obs: Sequence[str] | None = None,
-                cone: Sequence[str] | None = None) -> int:
+                n: int, obs: Collection[str] | None = None) -> int:
     """Packed word of patterns on which ``fault`` is detected.
 
     ``good`` must hold the fault-free simulation of all lines for the same
     patterns (from :func:`repro.simulation.bitsim.simulate_packed`).
+    ``obs`` defaults to :func:`~repro.atpg.faults.observable_lines`; it
+    is only tested for membership, so pass a set when replaying many
+    faults.
     """
+    check_fault_lines(circuit, [fault])
     full = mask(n)
     faulty_value = full if fault.stuck_at else 0
-    if good.get(fault.line, None) == faulty_value:
+    if good[fault.line] == faulty_value:
         return 0  # stuck value equals the good value everywhere
-
-    obs = obs if obs is not None else observable_lines(circuit)
-    cone = cone if cone is not None else _cone_order(circuit, fault.line)
-
-    faulty: dict[str, int] = {fault.line: faulty_value}
-    for out in cone:
-        gate = circuit.gates[out]
-        words = [faulty.get(src, good[src]) for src in gate.inputs]
-        value = eval_gate_packed(gate.gtype, words, full)
-        if value == good[out]:
-            # Effect dies here; only record differences.
-            faulty.pop(out, None)
-        else:
-            faulty[out] = value
-
+    obs = set(observable_lines(circuit)) if obs is None else obs
     detected = 0
-    for line in obs:
-        if line in faulty:
-            detected |= faulty[line] ^ good[line]
+    for line, value in _replay(circuit, fault.line, faulty_value, good,
+                               full).items():
+        if line in obs:
+            detected |= value ^ good[line]
     return detected
 
 
 def scalar_replay(circuit: Circuit, faults: Sequence[Fault],
-                  good: Mapping[str, int], n: int,
-                  cone_cache: dict[str, list[str]] | None = None
-                  ) -> FaultSimResult:
-    """Scalar cone replay over an already-settled good machine.
+                  good: Mapping[str, int], n: int) -> FaultSimResult:
+    """Scalar event-driven replay over an already-settled good machine.
 
     ``good`` holds the fault-free interchange words of every line
     (whichever backend produced them — words are backend-agnostic).
@@ -114,17 +146,11 @@ def scalar_replay(circuit: Circuit, faults: Sequence[Fault],
     which reuses one good machine across many calls instead of
     re-simulating it per batch.
     """
-    obs = observable_lines(circuit)
+    obs = set(observable_lines(circuit))
     detected: dict[Fault, int] = {}
     remaining: list[Fault] = []
-    if cone_cache is None:
-        cone_cache = {}
     for fault in faults:
-        cone = cone_cache.get(fault.line)
-        if cone is None:
-            cone = _cone_order(circuit, fault.line)
-            cone_cache[fault.line] = cone
-        word = detect_word(circuit, fault, good, n, obs, cone)
+        word = detect_word(circuit, fault, good, n, obs)
         if word:
             detected[fault] = word
         else:
@@ -135,10 +161,8 @@ def scalar_replay(circuit: Circuit, faults: Sequence[Fault],
 def scalar_fault_simulate(backend: Backend, circuit: Circuit,
                           faults: Sequence[Fault],
                           input_words: Mapping[str, int], n: int,
-                          drop: bool = True,
-                          cone_cache: dict[str, list[str]] | None = None
-                          ) -> FaultSimResult:
-    """Reference fault simulation: scalar big-int cone replay per fault.
+                          drop: bool = True) -> FaultSimResult:
+    """Reference fault simulation: scalar big-int event-driven replay.
 
     ``backend`` supplies the fault-free pass; the per-fault replay works
     on interchange words, so detection words are bit-identical no matter
@@ -148,13 +172,12 @@ def scalar_fault_simulate(backend: Backend, circuit: Circuit,
     reproduce exactly.
     """
     good = backend.simulate_packed(circuit, input_words, n)
-    return scalar_replay(circuit, faults, good, n, cone_cache=cone_cache)
+    return scalar_replay(circuit, faults, good, n)
 
 
 def fault_simulate(circuit: Circuit, faults: Sequence[Fault],
                    input_words: Mapping[str, int], n: int,
                    drop: bool = True,
-                   cone_cache: dict[str, list[str]] | None = None,
                    backend: str | Backend | None = None
                    ) -> FaultSimResult:
     """Simulate ``faults`` against ``n`` packed patterns.
@@ -166,15 +189,13 @@ def fault_simulate(circuit: Circuit, faults: Sequence[Fault],
     the result does not depend on ``drop``.  Dropping *across* batches is
     the caller's job: feed ``result.remaining`` to the next call.
 
-    ``cone_cache`` may be shared across calls on the same (unmodified)
-    circuit to amortise fanout-cone extraction on the scalar path
-    (vectorized engines keep their own per-circuit plans).
-
     ``backend`` selects the fault-simulation engine (name, instance or
     ``None``).  ``None`` resolves to ``$REPRO_FAULT_BACKEND`` when set,
     else the session default.  Detection words and ``remaining`` ordering
-    are bit-identical across all engines.
+    are bit-identical across all engines.  A fault on a line the circuit
+    does not have raises :class:`~repro.errors.SimulationError`.
     """
     engine = resolve_fault_backend(backend)
+    check_fault_lines(circuit, faults)
     return engine.fault_simulate_batch(circuit, faults, input_words, n,
-                                       drop=drop, cone_cache=cone_cache)
+                                       drop=drop)

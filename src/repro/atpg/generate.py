@@ -119,8 +119,7 @@ def generate_tests(design: ScanDesign,
 
     All fault simulations run through one persistent
     :class:`~repro.simulation.fault_episode.FaultSimSession` that
-    carries the fanout-cone cache and good-machine states across the
-    pipeline's batches.  ``fault_plan`` overrides the planned-replay
+    carries good-machine states across the pipeline's batches.  ``fault_plan`` overrides the planned-replay
     toggle for this run (``None`` = session default /
     ``$REPRO_FAULT_PLAN``, default on); the legacy per-batch path is
     the pinned reference and produces the identical test set.

@@ -220,9 +220,7 @@ class Backend(abc.ABC):
     def fault_simulate_batch(self, circuit: Circuit,
                              faults: "Sequence[Fault]",
                              input_words: Mapping[str, int], n: int,
-                             drop: bool = True,
-                             cone_cache: dict[str, list[str]] | None = None
-                             ) -> "FaultSimResult":
+                             drop: bool = True) -> "FaultSimResult":
         """Simulate a stuck-at fault list against ``n`` packed patterns.
 
         The contract mirrors :func:`repro.atpg.faultsim.fault_simulate`:
@@ -230,13 +228,14 @@ class Backend(abc.ABC):
         detecting patterns, ``remaining`` lists the undetected faults in
         input order, and both must be bit-identical across backends.
 
-        The default implementation is the scalar big-int cone replay
-        (fault-free pass on this backend, per-fault replay on interchange
-        words); vectorized engines override it with fused kernels.
+        The default implementation is the scalar big-int event-driven
+        replay (fault-free pass on this backend, per-fault replay on
+        interchange words); vectorized engines override it with fused
+        kernels.
         """
         from repro.atpg.faultsim import scalar_fault_simulate
         return scalar_fault_simulate(self, circuit, faults, input_words,
-                                     n, drop=drop, cone_cache=cone_cache)
+                                     n, drop=drop)
 
     def fault_simulate_plan(self, plan: "FaultEpisodePlan",
                             drop: bool = True,
@@ -252,13 +251,13 @@ class Backend(abc.ABC):
         follows the plan's fault order, and results are bit-identical
         across engines, tile geometries and shard counts.
 
-        The default implementation is the scalar big-int cone replay
-        over the plan's **memoized** good-machine words (one fault-free
-        pass per backend, shared across calls and shards via the plan's
-        state cache) with the plan's shared cone cache — the pinned
-        reference semantics.  The numpy engine overrides this with the
-        2-D-tiled kernel; the sharded meta-backend shards the fault
-        axis (drop mode) or the pattern axis (no-drop matrices).
+        The default implementation is the scalar big-int event-driven
+        replay over the plan's **memoized** good-machine words (one
+        fault-free pass per backend, shared across calls and shards via
+        the plan's state cache) — the pinned reference semantics.  The
+        numpy engine overrides this with the 2-D-tiled kernel; the
+        sharded meta-backend shards the fault axis (drop mode) or the
+        pattern axis (no-drop matrices).
 
         When a ``stream_budget`` resolves and the plan's good-machine
         state would exceed it, evaluation streams word-aligned pattern
@@ -277,8 +276,7 @@ class Backend(abc.ABC):
         with span("sim.fault_plan", backend=self.name,
                   faults=plan.n_faults, patterns=plan.n):
             return scalar_replay(plan.circuit, plan.faults,
-                                 plan.good_words(self), plan.n,
-                                 cone_cache=plan.cone_cache)
+                                 plan.good_words(self), plan.n)
 
     def fault_window_result(self, circuit: Circuit,
                             faults: "Sequence[Fault]",

@@ -1,9 +1,10 @@
 """Fused, batched stuck-at fault simulation on the ``uint64`` matrix.
 
-The scalar reference (:mod:`repro.atpg.faultsim`) replays one fanout cone
-per fault with big-int gate evaluations — one Python-level dispatch per
-(fault, cone gate).  This kernel replays a whole *batch* of faults at
-once on the numpy backend's packed waveform matrix:
+The scalar reference (:mod:`repro.atpg.faultsim`) replays one fault at a
+time, event by event, with big-int gate evaluations — one Python-level
+dispatch per (fault, gate the fault effect reaches).  This kernel
+replays a whole *batch* of faults at once on the numpy backend's packed
+waveform matrix:
 
 1. faults are ordered by the topological position of their fault line, so
    neighbouring faults share most of their fanout cones, then chunked

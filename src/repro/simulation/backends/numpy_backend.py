@@ -257,15 +257,11 @@ class NumpyBackend(Backend):
     def fault_simulate_batch(self, circuit: Circuit,
                              faults: Sequence[Fault],
                              input_words: Mapping[str, int], n: int,
-                             drop: bool = True,
-                             cone_cache: dict[str, list[str]] | None = None
-                             ) -> FaultSimResult:
+                             drop: bool = True) -> FaultSimResult:
         """Fused batched cone replay on the ``uint64`` matrix.
 
         See :mod:`repro.simulation.backends.fault_kernel`; bit-identical
-        to the scalar reference.  ``cone_cache`` (a string-keyed cache of
-        the scalar path) is ignored — the kernel keeps its own
-        per-circuit plan.
+        to the scalar reference.
         """
         from repro.simulation.backends.fault_kernel import (
             fault_simulate_matrix,

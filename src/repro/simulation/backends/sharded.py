@@ -580,15 +580,12 @@ class ShardedBackend(Backend):
     def fault_simulate_batch(self, circuit: Circuit,
                              faults: Sequence[Fault],
                              input_words: Mapping[str, int], n: int,
-                             drop: bool = True,
-                             cone_cache: dict[str, list[str]] | None = None
-                             ) -> FaultSimResult:
+                             drop: bool = True) -> FaultSimResult:
         inner = self._inner()
         n_shards = self.effective_shards(len(faults))
         if n_shards <= 1:
             return inner.fault_simulate_batch(
-                circuit, faults, input_words, n,
-                drop=drop, cone_cache=cone_cache)
+                circuit, faults, input_words, n, drop=drop)
         return self._shard_fault_axis(circuit, list(faults),
                                       dict(input_words), n, drop,
                                       n_shards)

@@ -12,8 +12,8 @@ fault universe and the whole pattern set are packed into **one**
 :class:`FaultEpisodePlan` and handed to
 :meth:`~repro.simulation.backends.base.Backend.fault_simulate_plan`:
 
-* ``bigint`` replays the plan with the scalar cone-replay reference on
-  the plan's memoized good-machine words (the pinned semantics);
+* ``bigint`` replays the plan with the scalar event-driven reference
+  on the plan's memoized good-machine words (the pinned semantics);
 * ``numpy`` evaluates the detection matrix with **2-D tiling** — fault-
   axis chunks x pattern-axis word blocks under the fault kernel's
   element budget — reusing the warmed good-machine state and levelized
@@ -24,10 +24,10 @@ fault universe and the whole pattern set are packed into **one**
   matrices, with an integer-exact OR-merge of detection words
   (:mod:`~repro.simulation.backends.sharded`).
 
-A :class:`FaultSimSession` carries the plan machinery, the good-machine
-state cache and the shared fanout-cone cache across the many batches of
-one ATPG run (or one campaign circuit), so incremental fault dropping
-never recomputes shared state.
+A :class:`FaultSimSession` carries the plan machinery and the
+good-machine state cache across the many batches of one ATPG run (or
+one campaign circuit), so incremental fault dropping never re-simulates
+the good machine.
 
 Everything is bit-identical to the per-batch reference path: detection
 words, ``remaining`` ordering, coverage statistics and compacted test
@@ -109,9 +109,6 @@ class FaultEpisodePlan:
         Packed interchange stimulus for every combinational input.
     n:
         Pattern count.
-    cone_cache:
-        Shared fanout-cone cache for the scalar replay path; a session
-        passes its own so cones are extracted once per circuit line.
 
     The plan memoizes the fault-free ("good machine") simulation per
     backend, so every engine — and every tile and shard within one
@@ -122,7 +119,6 @@ class FaultEpisodePlan:
 
     def __init__(self, circuit: Circuit, faults: "Sequence[Fault]",
                  input_words: Mapping[str, int], n: int,
-                 cone_cache: dict[str, list[str]] | None = None,
                  state_cache: "dict[str, SimState] | None" = None):
         if n < 1:
             raise SimulationError("fault episode plan needs >= 1 pattern")
@@ -130,7 +126,6 @@ class FaultEpisodePlan:
         self.faults: "tuple[Fault, ...]" = tuple(faults)
         self.input_words = dict(input_words)
         self.n = n
-        self.cone_cache = {} if cone_cache is None else cone_cache
         self._states: "dict[str, SimState]" = \
             {} if state_cache is None else state_cache
         self._good_words: dict[str, dict[str, int]] = {}
@@ -183,16 +178,14 @@ class FaultEpisodePlan:
 
 def compile_fault_episode_plan(circuit: Circuit,
                                faults: "Sequence[Fault]",
-                               input_words: Mapping[str, int], n: int,
-                               cone_cache: dict[str, list[str]] | None = None
+                               input_words: Mapping[str, int], n: int
                                ) -> FaultEpisodePlan:
     """Compile one :class:`FaultEpisodePlan` (standalone convenience).
 
     Long-running consumers should prefer a :class:`FaultSimSession`,
-    which shares cone and good-machine caches across plans.
+    which shares good-machine states across plans.
     """
-    return FaultEpisodePlan(circuit, faults, input_words, n,
-                            cone_cache=cone_cache)
+    return FaultEpisodePlan(circuit, faults, input_words, n)
 
 
 #: Good-machine states kept per session: distinct stimuli worth caching
@@ -203,17 +196,16 @@ _SESSION_STATE_SLOTS = 4
 class FaultSimSession:
     """Persistent fault-simulation context for one circuit.
 
-    Carries the resolved engine, the shared fanout-cone cache and a
-    bounded good-machine state pool across *many* fault-simulation
-    calls (ATPG batches, compaction, coverage accounting), so
-    incremental fault dropping never recomputes shared state.  The
-    session resolves the planning toggle **once** at construction —
-    one ATPG run never mixes paths.
+    Carries the resolved engine and a bounded good-machine state pool
+    across *many* fault-simulation calls (ATPG batches, compaction,
+    coverage accounting), so incremental fault dropping never
+    recomputes shared state.  The session resolves the planning toggle
+    **once** at construction — one ATPG run never mixes paths.
 
     Parameters
     ----------
     circuit:
-        The circuit every call simulates (cone/plan caches key on it).
+        The circuit every call simulates (the state pool keys on it).
     backend:
         Fault-simulation engine (name, instance or ``None`` — resolved
         through :func:`~repro.simulation.backends.resolve_fault_backend`).
@@ -223,8 +215,6 @@ class FaultSimSession:
         call through the legacy per-batch
         :meth:`~repro.simulation.backends.base.Backend.
         fault_simulate_batch` path — the pinned reference.
-    cone_cache:
-        Optional externally shared fanout-cone cache.
     stream_budget:
         Out-of-core streaming budget override (``uint64`` elements of
         one window's state matrix); ``None`` defers to the session
@@ -235,14 +225,11 @@ class FaultSimSession:
     def __init__(self, circuit: Circuit,
                  backend: "str | Backend | None" = None,
                  plan: bool | None = None,
-                 cone_cache: dict[str, list[str]] | None = None,
                  stream_budget: int | None = None):
         from repro.simulation.backends import resolve_fault_backend
         from repro.simulation.streaming import resolve_stream_budget
         self.circuit = circuit
         self.engine = resolve_fault_backend(backend)
-        self.cone_cache: dict[str, list[str]] = \
-            {} if cone_cache is None else cone_cache
         self.plan_enabled = fault_planning_enabled(plan)
         self.stream_budget = resolve_stream_budget(stream_budget)
         self._state_pool: \
@@ -268,7 +255,6 @@ class FaultSimSession:
         words = dict(input_words)
         return FaultEpisodePlan(
             self.circuit, faults, words, n,
-            cone_cache=self.cone_cache,
             state_cache=self._states_for(words, n))
 
     def simulate(self, faults: "Sequence[Fault]",
@@ -279,12 +265,15 @@ class FaultSimSession:
         Same contract as :func:`repro.atpg.faultsim.fault_simulate`
         (detection words record all detecting patterns; ``remaining``
         is the undetected faults in input order), bit-identical whether
-        the planned or the legacy per-batch path runs.
+        the planned or the legacy per-batch path runs.  A fault on a
+        line the circuit does not have raises
+        :class:`~repro.errors.SimulationError`.
         """
+        from repro.atpg.faultsim import check_fault_lines
+        check_fault_lines(self.circuit, faults)
         if not self.plan_enabled:
             return self.engine.fault_simulate_batch(
-                self.circuit, faults, input_words, n, drop=drop,
-                cone_cache=self.cone_cache)
+                self.circuit, faults, input_words, n, drop=drop)
         plan = self.compile(faults, input_words, n)
         # The budget was resolved once at construction; 0 pins it off so
         # a later session default cannot flip one run mid-flight.

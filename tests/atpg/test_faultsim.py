@@ -135,6 +135,40 @@ class TestFaultSimulate:
         assert result.remaining == baseline.remaining
 
 
+class TestUnknownFaultLine:
+    """A fault on a line the circuit lacks is rejected the same way by
+    every engine and by a session, never silently left undetected."""
+
+    @pytest.mark.parametrize("engine", [
+        "bigint", "numpy", "sharded", "session-bigint", "session-numpy",
+        "session-legacy"])
+    def test_every_engine_raises_simulation_error(self, s27, engine):
+        from repro.errors import SimulationError
+        from repro.simulation.fault_episode import FaultSimSession
+
+        faults = all_faults(s27)[:3] + [Fault("zz", 0)]
+        words, n = pack_input_vectors(
+            s27, [{line: 0 for line in comb_input_lines(s27)}])
+        with pytest.raises(SimulationError, match="'zz'"):
+            if engine.startswith("session-"):
+                kind = engine.split("-")[1]
+                session = FaultSimSession(
+                    s27, "bigint" if kind == "legacy" else kind,
+                    plan=kind != "legacy")
+                session.simulate(faults, words, n)
+            else:
+                fault_simulate(s27, faults, words, n, backend=engine)
+
+    def test_detect_word_raises_simulation_error(self, s27):
+        from repro.errors import SimulationError
+
+        words, n = pack_input_vectors(
+            s27, [{line: 0 for line in comb_input_lines(s27)}])
+        good = simulate_packed(s27, words, n)
+        with pytest.raises(SimulationError, match="'zz'"):
+            detect_word(s27, Fault("zz", 1), good, n)
+
+
 def _simulate_with_fault(circuit, inputs, fault):
     """Scalar faulty-machine simulation (reference implementation)."""
     from repro.netlist.gates import eval_gate

@@ -11,11 +11,10 @@ original implication.
 
 from __future__ import annotations
 
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gate_mix import sprinkle_gates
 from podem_reference import ReferencePodemEngine, reference_values
 from repro.atpg.collapse import collapse_faults
 from repro.atpg.faults import Fault, all_faults
@@ -137,33 +136,6 @@ class TestAgainstReference:
             assert result.decisions == assigns[0] - result.backtracks
 
 
-def _sprinkle_gates(circuit: Circuit, seed: int) -> Circuit:
-    """Rewrite some gates of ``circuit`` into XOR/XNOR/MUX2 and tie some
-    inputs to CONST0/CONST1 lines; inputs are only drawn from earlier
-    lines, so the result stays acyclic."""
-    rng = random.Random(seed)
-    out = circuit.copy()
-    out.add_gate("tie0", GateType.CONST0, ())
-    out.add_gate("tie1", GateType.CONST1, ())
-    earlier = list(out.inputs) + list(out.dff_outputs)
-    for line in circuit.topo_order():
-        gate = out.gates[line]
-        inputs = list(gate.inputs)
-        roll = rng.random()
-        if roll < 0.15:
-            out.replace_gate(line, GateType.MUX2,
-                             (rng.choice(earlier), inputs[0],
-                              rng.choice(earlier)))
-        elif roll < 0.25 and len(inputs) >= 2:
-            out.replace_gate(line, rng.choice([GateType.XOR,
-                                               GateType.XNOR]), inputs)
-        elif roll < 0.35 and len(inputs) >= 2:
-            inputs[rng.randrange(len(inputs))] = rng.choice(["tie0", "tie1"])
-            out.replace_gate(line, gate.gtype, inputs)
-        earlier.append(line)
-    return out
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10_000),
        n_inputs=st.integers(2, 5),
@@ -172,7 +144,7 @@ def _sprinkle_gates(circuit: Circuit, seed: int) -> Circuit:
 def test_generated_netlists_match_reference(seed, n_inputs, n_dffs,
                                             n_gates):
     stats = Iscas89Stats("hyp", n_inputs, 2, n_dffs, n_gates)
-    circuit = _sprinkle_gates(generate_from_stats(stats, seed), seed)
+    circuit = sprinkle_gates(generate_from_stats(stats, seed), seed)
     _assert_equivalent(circuit, all_faults(circuit), max_backtracks=20)
 
 
@@ -180,7 +152,7 @@ def test_generated_netlists_cover_every_gate_kind():
     seen: set[GateType] = set()
     for seed in range(10):
         stats = Iscas89Stats("hyp", 4, 2, 2, 24)
-        circuit = _sprinkle_gates(generate_from_stats(stats, seed), seed)
+        circuit = sprinkle_gates(generate_from_stats(stats, seed), seed)
         seen |= {gate.gtype for gate in circuit.gates.values()}
     assert {GateType.XOR, GateType.XNOR, GateType.MUX2, GateType.CONST0,
             GateType.CONST1} <= seen

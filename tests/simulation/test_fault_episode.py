@@ -199,14 +199,6 @@ class TestSession:
             session.simulate(faults, words, 8)
         assert len(session._state_pool) <= 4
 
-    def test_cone_cache_shared_with_legacy_path(self, mapped, stimulus):
-        """The session's cone cache fills on the scalar path — including
-        the no-drop matrix call that used to rebuild every cone."""
-        words, n = stimulus
-        session = FaultSimSession(mapped, "bigint", plan=False)
-        session.simulate(all_faults(mapped), words, n, drop=False)
-        assert session.cone_cache  # populated once, reused afterwards
-
     def test_session_resolves_toggle_once(self, mapped):
         set_default_fault_planning(False)
         try:
