@@ -14,6 +14,7 @@ import pytest
 from repro.atpg.collapse import collapse_faults
 from repro.atpg.faults import all_faults
 from repro.atpg.faultsim import fault_simulate
+from repro.atpg.podem import PodemEngine, generate_test
 from repro.benchgen.loader import load_circuit
 from repro.cells.library import default_library
 from repro.leakage.estimator import per_sample_leakage
@@ -449,6 +450,46 @@ def test_perf_fault_simulation(benchmark, s1423_mapped):
     benchmark.extra_info["n_faults"] = len(universe)
     benchmark.extra_info["detected_by_64_random"] = result.n_detected
     assert result.n_detected > 0
+
+
+#: The six Table-I rows of the cold campaign benchmark.
+TABLE1_COLD_CIRCUITS = ("s344", "s382", "s444", "s510", "s641", "s713")
+
+
+def test_perf_podem_universe(benchmark):
+    """PODEM over the collapsed universes of the six cold Table-I rows.
+
+    PODEM is most of a Table-I flow's wall time; this times the engine
+    alone: one :class:`PodemEngine` per circuit (netlist indexing and
+    SCOAP included) and every collapsed fault at the default
+    100-backtrack budget.  Records ``podem_ms``, ``faults_per_s`` and the
+    total ``backtracks``, which only moves when the decision procedure
+    does.  No floor: the figures are a trajectory, not a gate.
+    """
+    circuits = [technology_map(load_circuit(name, seed=1))
+                for name in TABLE1_COLD_CIRCUITS]
+    universes = [collapse_faults(c, all_faults(c)) for c in circuits]
+    n_faults = sum(len(universe) for universe in universes)
+
+    def run() -> int:
+        backtracks = 0
+        for circuit, universe in zip(circuits, universes):
+            engine = PodemEngine(circuit)
+            for fault in universe:
+                backtracks += generate_test(circuit, fault,
+                                            engine=engine).backtracks
+        return backtracks
+
+    backtracks = run()
+    podem_s = best_of(2, run)
+    assert benchmark.pedantic(run, rounds=1, iterations=1,
+                              warmup_rounds=0) == backtracks
+
+    benchmark.extra_info["circuits"] = len(circuits)
+    benchmark.extra_info["n_faults"] = n_faults
+    benchmark.extra_info["podem_ms"] = round(podem_s * 1e3, 3)
+    benchmark.extra_info["faults_per_s"] = round(n_faults / podem_s, 1)
+    benchmark.extra_info["backtracks"] = backtracks
 
 
 def test_perf_fault_sim_backend_speedup(benchmark, s1423_mapped):

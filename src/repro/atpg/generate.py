@@ -165,6 +165,7 @@ def _generate_tests(design: ScanDesign, config: AtpgConfig,
                     session: FaultSimSession) -> TestSet:
     """The generation pipeline proper (fault session fully resolved)."""
     circuit = design.circuit
+    input_lines = comb_input_lines(circuit)
     remaining: list[Fault] = list(universe)
     kept_vectors: list[TestVector] = []
     n_untestable = 0
@@ -184,8 +185,7 @@ def _generate_tests(design: ScanDesign, config: AtpgConfig,
         for word in result.detected.values():
             first_detectors.add((word & -word).bit_length() - 1)
         for t in sorted(first_detectors):
-            values = {line: bit_at(words[line], t)
-                      for line in comb_input_lines(circuit)}
+            values = {line: bit_at(words[line], t) for line in input_lines}
             kept_vectors.append(_assignment_to_vector(design, values))
         remaining = result.remaining
 
@@ -205,7 +205,7 @@ def _generate_tests(design: ScanDesign, config: AtpgConfig,
                 aborted.add(fault)
             else:
                 values = dict(outcome.assignment)
-                for line in comb_input_lines(circuit):
+                for line in input_lines:
                     if line not in values:
                         values[line] = int(rng.integers(2))
                 new_assignments.append(values)

@@ -237,8 +237,12 @@ class FaultSimSession:
 
     def _states_for(self, input_words: Mapping[str, int], n: int
                     ) -> "dict[str, SimState]":
-        """The per-stimulus good-machine cache slot (bounded LRU)."""
-        key = (n, tuple(sorted(input_words.items())))
+        """The per-stimulus good-machine cache slot (bounded LRU).
+
+        Keyed on the circuit's structure version too, so a mutated
+        circuit never reuses a good machine settled on its old netlist.
+        """
+        key = (self.circuit.version, n, tuple(sorted(input_words.items())))
         states = self._state_pool.get(key)
         if states is None:
             self._state_pool[key] = states = {}

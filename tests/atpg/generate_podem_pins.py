@@ -6,10 +6,11 @@ Run from the repo root::
 
 The file pins PODEM's observable behaviour: per-fault verdict,
 backtrack and decision counts and the partial assignment over the full
-collapsed universe of three small circuits, plus the compacted test set
-of the six-circuit Table-I campaign at seed 1.  The implication core
-may be rewritten freely; these pins must not move.  Only commit a
-regenerated file for an *intentional* change of the decision procedure.
+collapsed universe of s27 and the six circuits of the cold Table-I
+campaign, plus the compacted test set of that campaign at seed 1.  The
+implication core may be rewritten freely; these pins must not move.
+Only commit a regenerated file for an *intentional* change of the
+decision procedure.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from repro.techmap.mapper import technology_map
 PINS = Path(__file__).parent / "podem_pins.json"
 
 #: Circuits whose whole collapsed universe goes through PODEM.
-PODEM_CIRCUITS = ("s27", "s344", "s382")
+PODEM_CIRCUITS = ("s27", "s344", "s382", "s444", "s510", "s641",
+                  "s713")
 #: The six Table-I rows of the cold campaign benchmark.
 TESTSET_CIRCUITS = ("s344", "s382", "s444", "s510", "s641", "s713")
 SEED = 1

@@ -115,7 +115,12 @@ def reference_values(engine: PodemEngine) -> tuple[list[int], list[int]]:
 
 
 class ReferencePodemEngine(PodemEngine):
-    """PODEM engine running the original, non-incremental implication."""
+    """PODEM engine running the original, non-incremental implication.
+
+    The two machines live in their own ``ref_good``/``ref_bad`` lists;
+    every change is mirrored into the engine's pair-code ``val`` list,
+    which the shared decision procedure reads.
+    """
 
     def _retarget(self, fault: Fault) -> None:
         try:
@@ -124,20 +129,22 @@ class ReferencePodemEngine(PodemEngine):
             raise AtpgError(
                 f"fault line {fault.line!r} not in circuit") from None
         self.stuck = fault.stuck_at
-        cone_names = self.circuit.fanout_cone(fault.line)
-        self.cone_idx = [li for li in self.topo_idx
-                         if self.names[li] in cone_names]
         self.assignment = {}
-        good, bad = self.good, self.bad
-        for i in range(len(good)):
-            good[i] = X
-            bad[i] = X
+        n = len(self.names)
+        self.ref_good = good = [X] * n
+        self.ref_bad = bad = [X] * n
         if self.op[self.fault_idx] == -1:
             bad[self.fault_idx] = self.stuck
         _full_imply(self, good, bad)
+        self.val[:] = [3 * g + b for g, b in zip(good, bad)]
+
+    def _set(self, li: int, g: int, b: int) -> None:
+        self.ref_good[li] = g
+        self.ref_bad[li] = b
+        self.val[li] = 3 * g + b
 
     def _propagate(self, seed: int) -> None:
-        good, bad = self.good, self.bad
+        good, bad = self.ref_good, self.ref_bad
         level = self.level
         pending: list[tuple[int, int]] = []
         queued: set[int] = set()
@@ -153,16 +160,15 @@ class ReferencePodemEngine(PodemEngine):
             else:
                 b = _eval_op(self.op[li], bad, self.fanin[li])
             if g != good[li] or b != bad[li]:
-                good[li] = g
-                bad[li] = b
+                self._set(li, g, b)
                 for si in self.fanout[li]:
                     if si not in queued:
                         queued.add(si)
                         heapq.heappush(pending, (level[si], si))
 
     def set_input(self, li: int, value: int) -> None:
-        self.good[li] = value
-        self.bad[li] = self.stuck if li == self.fault_idx else value
+        self._set(li, value,
+                  self.stuck if li == self.fault_idx else value)
         self._propagate(li)
 
     def assign(self, li: int, value: int) -> None:
@@ -177,9 +183,11 @@ class ReferencePodemEngine(PodemEngine):
         return any(self.is_d(o) for o in self.obs_idx)
 
     def d_frontier(self) -> list[int]:
+        # D lives only in the fault's fanout cone, so scanning every
+        # gate finds the same frontier as scanning the cone.
         frontier = []
         good, bad = self.good, self.bad
-        for li in self.cone_idx:
+        for li in self.topo_idx:
             if good[li] != X and bad[li] != X:
                 continue
             for si in self.fanin[li]:

@@ -5,6 +5,8 @@ import pytest
 from repro.atpg.faults import Fault, all_faults
 from repro.atpg.podem import PodemEngine, generate_test
 from repro.errors import AtpgError
+from repro.netlist import builders
+from repro.netlist.gates import GateType
 
 
 class TestEngineReuse:
@@ -36,12 +38,48 @@ class TestEngineReuse:
         with pytest.raises(AtpgError, match="not in circuit"):
             generate_test(s27_mapped, Fault("ghost", 0), engine=engine)
 
-    def test_cone_cache_grows_once(self, s27_mapped):
+    def test_fault_site_forcing_undone_on_retarget(self, s27_mapped):
+        """Only the current fault site evaluates with a forced faulty
+        half; retargeting restores the previous site's gate."""
         engine = PodemEngine(s27_mapped)
+        gates = list(engine._gate)
         generate_test(s27_mapped, Fault("G17", 0), engine=engine)
-        size_after_first = len(engine._cone_cache)
-        generate_test(s27_mapped, Fault("G17", 1), engine=engine)
-        assert len(engine._cone_cache) == size_after_first
+        generate_test(s27_mapped, Fault("G10", 1), engine=engine)
+        site = engine.index["G10"]
+        assert engine._gate[:site] == gates[:site]
+        assert engine._gate[site + 1:] == gates[site + 1:]
+        assert engine._gate[site] != gates[site]
+
+
+class TestStaleEngine:
+    """An engine is a snapshot of its circuit's structure."""
+
+    def test_replaced_gate_rejected(self):
+        circuit = builders.s27()
+        engine = PodemEngine(circuit)
+        circuit.replace_gate("G13", GateType.NAND,
+                             circuit.gates["G13"].inputs)
+        with pytest.raises(AtpgError, match="stale"):
+            generate_test(circuit, Fault("G13", 0), engine=engine)
+        # a fresh engine answers for the mutated netlist
+        fresh = generate_test(circuit, Fault("G13", 0))
+        assert fresh.assignment == {"G2": 0}
+
+    def test_added_gate_rejected(self):
+        circuit = builders.s27()
+        engine = PodemEngine(circuit)
+        circuit.add_gate("newline", GateType.NOT, ("G13",))
+        with pytest.raises(AtpgError, match="stale"):
+            generate_test(circuit, Fault("newline", 0), engine=engine)
+        assert generate_test(circuit, Fault("newline", 0)).status in (
+            "detected", "untestable")
+
+    def test_unmutated_circuit_accepted(self):
+        circuit = builders.s27()
+        engine = PodemEngine(circuit)
+        circuit.copy().add_gate("newline", GateType.NOT, ("G13",))
+        assert generate_test(circuit, Fault("G13", 0),
+                             engine=engine).detected
 
 
 class TestScoapIntegration:

@@ -1,10 +1,12 @@
 """PODEM behaviour pins: verdicts, effort counts and test sets.
 
-``podem_pins.json`` was recorded with the original (heap, re-propagate)
-implication, before the incremental engine replaced it.  The decision
-procedure is unchanged, so every per-fault verdict, backtrack and
-decision count and assignment, and every compacted test set of the cold
-Table-I campaign must match it bit for bit.  Regenerate with
+``podem_pins.json`` was recorded before each rewrite of the implication
+core: the s27/s344/s382 universes and the test sets with the original
+(heap, re-propagate) implication, the s444/s510/s641/s713 universes with
+the incremental two-list engine that preceded the pair-code engine.  The
+decision procedure is unchanged, so every per-fault verdict, backtrack
+and decision count and assignment, and every compacted test set of the
+cold Table-I campaign must match it bit for bit.  Regenerate with
 ``tests/atpg/generate_podem_pins.py`` only for an intentional change of
 the decision procedure.
 """

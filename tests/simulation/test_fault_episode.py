@@ -7,6 +7,7 @@ from repro.atpg.faults import all_faults
 from repro.atpg.faultsim import fault_simulate
 from repro.errors import SimulationError
 from repro.netlist import builders
+from repro.netlist.gates import GateType
 from repro.simulation.backends import ShardedBackend, get_backend
 from repro.simulation.backends.fault_kernel import (
     _BATCH_ELEMENT_BUDGET,
@@ -189,6 +190,22 @@ class TestSession:
         session.simulate(faults, words, n, drop=True)
         session.simulate(faults[: len(faults) // 2], words, n, drop=False)
         assert CountingBackend.runs == 1
+
+    @pytest.mark.parametrize("backend", ["bigint", "numpy"])
+    @pytest.mark.parametrize("plan", [True, False])
+    def test_mutated_circuit_not_served_stale_state(self, backend, plan):
+        """A gate replaced between two calls on the same stimulus must
+        re-settle the good machine, not reuse the old netlist's."""
+        circuit = builders.s27()
+        words = random_input_words(circuit, 64, make_rng(0))
+        faults = all_faults(circuit)
+        session = FaultSimSession(circuit, backend, plan=plan)
+        session.simulate(faults, words, 64, drop=False)
+        circuit.replace_gate("G13", GateType.NAND,
+                             circuit.gates["G13"].inputs)
+        got = session.simulate(faults, words, 64, drop=False)
+        want = fault_simulate(circuit, faults, words, 64, drop=False)
+        assert got.detected == want.detected
 
     def test_state_pool_is_bounded(self, mapped):
         session = FaultSimSession(mapped, "numpy", plan=True)
