@@ -15,6 +15,7 @@ from repro.atpg.collapse import collapse_faults
 from repro.atpg.faults import all_faults
 from repro.atpg.faultsim import fault_simulate
 from repro.atpg.podem import PodemEngine, generate_test
+from repro.atpg.sat import REDUNDANT, TESTABLE, RedundancyProver
 from repro.benchgen.loader import load_circuit
 from repro.cells.library import default_library
 from repro.leakage.estimator import per_sample_leakage
@@ -464,20 +465,28 @@ def test_perf_podem_universe(benchmark):
     SCOAP included) and every collapsed fault at the default
     100-backtrack budget.  Records ``podem_ms``, ``faults_per_s`` and the
     total ``backtracks``, which only moves when the decision procedure
-    does.  No floor: the figures are a trajectory, not a gate.
+    does.  Then times the SAT redundancy prover over the faults PODEM
+    aborted (one prover per circuit, as ``generate_tests`` builds it):
+    ``sat_ms`` and the ``sat_redundant``/``sat_testable`` split of the
+    ``aborted`` faults.  No floor: the figures are a trajectory, not a
+    gate.
     """
     circuits = [technology_map(load_circuit(name, seed=1))
                 for name in TABLE1_COLD_CIRCUITS]
     universes = [collapse_faults(c, all_faults(c)) for c in circuits]
     n_faults = sum(len(universe) for universe in universes)
+    aborted: list[list] = [[] for _ in circuits]
 
     def run() -> int:
         backtracks = 0
-        for circuit, universe in zip(circuits, universes):
+        for k, (circuit, universe) in enumerate(zip(circuits, universes)):
             engine = PodemEngine(circuit)
+            aborted[k] = []
             for fault in universe:
-                backtracks += generate_test(circuit, fault,
-                                            engine=engine).backtracks
+                result = generate_test(circuit, fault, engine=engine)
+                backtracks += result.backtracks
+                if result.status == "aborted":
+                    aborted[k].append(fault)
         return backtracks
 
     backtracks = run()
@@ -485,11 +494,25 @@ def test_perf_podem_universe(benchmark):
     assert benchmark.pedantic(run, rounds=1, iterations=1,
                               warmup_rounds=0) == backtracks
 
+    def prove_aborts() -> list[str]:
+        statuses = []
+        for circuit, faults in zip(circuits, aborted):
+            prover = RedundancyProver(PodemEngine(circuit))
+            statuses += [prover.prove(fault).status for fault in faults]
+        return statuses
+
+    statuses = prove_aborts()
+    sat_s = best_of(2, prove_aborts)
+
     benchmark.extra_info["circuits"] = len(circuits)
     benchmark.extra_info["n_faults"] = n_faults
     benchmark.extra_info["podem_ms"] = round(podem_s * 1e3, 3)
     benchmark.extra_info["faults_per_s"] = round(n_faults / podem_s, 1)
     benchmark.extra_info["backtracks"] = backtracks
+    benchmark.extra_info["aborted"] = len(statuses)
+    benchmark.extra_info["sat_ms"] = round(sat_s * 1e3, 3)
+    benchmark.extra_info["sat_redundant"] = statuses.count(REDUNDANT)
+    benchmark.extra_info["sat_testable"] = statuses.count(TESTABLE)
 
 
 def test_perf_fault_sim_backend_speedup(benchmark, s1423_mapped):

@@ -8,7 +8,15 @@ Pipeline:
 2. **Deterministic phase** — PODEM per remaining fault, in batches:
    don't-cares are random-filled and the whole batch of new vectors is
    fault-simulated at once against the remaining list (collateral
-   detections drop out cheaply).
+   detections drop out cheaply).  Each fault first gets a short PODEM
+   screen of :data:`SCREEN_BACKTRACKS` backtracks; PODEM is
+   deterministic, so a verdict reached there is the full-budget verdict.
+   A screen abort goes to the incremental SAT prover
+   (:mod:`repro.atpg.sat`): a redundancy proof makes the fault
+   untestable, and otherwise (testable, or unknown at the conflict cap)
+   PODEM re-runs at ``max_backtracks`` and its outcome stands.  Aborted
+   and untestable faults are excluded from the same targets and neither
+   draws from the RNG, so the proofs leave the test set unchanged.
 3. **Reverse-order compaction** — one packed no-drop fault simulation of
    the kept set produces a detection matrix; a reverse greedy pass keeps a
    vector only if it detects some fault no later-kept vector detects.
@@ -28,7 +36,9 @@ import numpy as np
 from repro.atpg.collapse import collapse_faults
 from repro.atpg.faults import Fault, all_faults
 from repro.atpg.faultsim import FaultSimResult
-from repro.atpg.podem import PodemEngine, generate_test
+from repro.atpg.podem import PodemEngine, PodemResult, generate_test
+from repro.atpg.sat import REDUNDANT, RedundancyProver
+from repro.errors import ConfigError
 from repro.scan.testview import ScanDesign, TestVector
 from repro.simulation.backends import Backend
 from repro.simulation.bitsim import pack_input_vectors, random_input_words
@@ -37,7 +47,10 @@ from repro.simulation.fault_episode import FaultSimSession
 from repro.simulation.values import bit_at
 from repro.utils.rng import derive_seed, make_rng
 
-__all__ = ["TestSet", "AtpgConfig", "generate_tests"]
+__all__ = ["TestSet", "AtpgConfig", "generate_tests", "SCREEN_BACKTRACKS"]
+
+#: PODEM backtrack budget before an abort is handed to the SAT prover
+SCREEN_BACKTRACKS = 5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,6 +65,16 @@ class AtpgConfig:
     podem_batch: int = 32
     compaction: bool = True
 
+    def __post_init__(self) -> None:
+        minimum = {"random_batch": 1, "podem_batch": 1,
+                   "max_random_batches": 0, "min_batch_yield": 0,
+                   "max_backtracks": 0}
+        for name, low in minimum.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ConfigError(
+                    f"AtpgConfig.{name} must be >= {low}, got {value!r}")
+
 
 @dataclasses.dataclass
 class TestSet:
@@ -63,6 +86,8 @@ class TestSet:
     vectors: list[TestVector]
     n_faults: int                  # collapsed universe size
     n_detected: int
+    #: proven redundant: PODEM exhausted its search or the SAT prover
+    #: found the fault's miter unsatisfiable
     n_untestable: int
     n_aborted: int                 # aborted by PODEM, left undetected
 
@@ -75,7 +100,12 @@ class TestSet:
 
     @property
     def testable_coverage(self) -> float:
-        """Detected / (total - proven untestable)."""
+        """Detected / (total - proven untestable).
+
+        Untestable faults carry a proof (an exhausted PODEM search or a
+        SAT redundancy proof), so only aborted faults can still sit in
+        the denominator without being testable.
+        """
         denom = self.n_faults - self.n_untestable
         if denom <= 0:
             return 1.0
@@ -119,10 +149,11 @@ def generate_tests(design: ScanDesign,
 
     All fault simulations run through one persistent
     :class:`~repro.simulation.fault_episode.FaultSimSession` that
-    carries good-machine states across the pipeline's batches.  ``fault_plan`` overrides the planned-replay
-    toggle for this run (``None`` = session default /
-    ``$REPRO_FAULT_PLAN``, default on); the legacy per-batch path is
-    the pinned reference and produces the identical test set.
+    carries good-machine states across the pipeline's batches.
+    ``fault_plan`` overrides the planned-replay toggle for this run
+    (``None`` = session default / ``$REPRO_FAULT_PLAN``, default on);
+    the legacy per-batch path is the pinned reference and produces the
+    identical test set.
     ``stream_budget`` bounds the session's planned replays out of core
     (``None`` = session default / ``$REPRO_STREAM_BUDGET``, ``0`` off);
     streaming is bit-identical, so the test set never depends on it.
@@ -190,14 +221,15 @@ def _generate_tests(design: ScanDesign, config: AtpgConfig,
         remaining = result.remaining
 
     # ---- phase 2: PODEM in batches ------------------------------------- #
-    engine = PodemEngine(circuit) if remaining else None
+    prover: RedundancyProver | None = None
     while remaining:
+        if prover is None:
+            prover = RedundancyProver(PodemEngine(circuit))
         batch = remaining[:config.podem_batch]
         new_assignments: list[dict[str, int]] = []
         proven_untestable: set[Fault] = set()
         for fault in batch:
-            outcome = generate_test(circuit, fault, config.max_backtracks,
-                                    engine=engine)
+            outcome = _podem_verdict(prover, fault, config.max_backtracks)
             if outcome.status == "untestable":
                 proven_untestable.add(fault)
                 n_untestable += 1
@@ -261,6 +293,27 @@ def _generate_tests(design: ScanDesign, config: AtpgConfig,
         n_untestable=n_untestable,
         n_aborted=sum(1 for fault in aborted if fault not in detected),
     )
+
+
+def _podem_verdict(prover: RedundancyProver, fault: Fault,
+                   max_backtracks: int) -> PodemResult:
+    """PODEM at ``max_backtracks``, with SAT settling hopeless aborts.
+
+    A short screen of :data:`SCREEN_BACKTRACKS` backtracks runs first;
+    its verdict equals the full-budget one whenever it reaches one.  On
+    a screen abort a SAT redundancy proof turns the fault "untestable";
+    otherwise the full-budget run decides.
+    """
+    circuit, engine = prover.circuit, prover.engine
+    screen = min(SCREEN_BACKTRACKS, max_backtracks)
+    outcome = generate_test(circuit, fault, screen, engine=engine)
+    if outcome.status != "aborted":
+        return outcome
+    if prover.prove(fault).status == REDUNDANT:
+        return dataclasses.replace(outcome, status="untestable")
+    if screen < max_backtracks:
+        return generate_test(circuit, fault, max_backtracks, engine=engine)
+    return outcome
 
 
 def _reverse_compact(design: ScanDesign, universe: list[Fault],

@@ -11,10 +11,16 @@ campaign, plus the compacted test set of that campaign at seed 1.  The
 implication core may be rewritten freely; these pins must not move.
 Only commit a regenerated file for an *intentional* change of the
 decision procedure.
+
+The ``sat`` section pins the SAT redundancy prover's classification of
+every fault PODEM aborts in those universes: how many it proves
+redundant, finds testable or leaves unknown, and a digest of the sorted
+redundant faults.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -23,6 +29,7 @@ from repro.atpg.collapse import collapse_faults
 from repro.atpg.faults import all_faults
 from repro.atpg.generate import generate_tests
 from repro.atpg.podem import PodemEngine, generate_test
+from repro.atpg.sat import REDUNDANT, TESTABLE, UNKNOWN, RedundancyProver
 from repro.benchgen import generate_circuit
 from repro.core.config import FlowConfig
 from repro.netlist import builders
@@ -55,11 +62,23 @@ def _digest(lines: list[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def universe(circuit) -> list:
+    """The collapsed fault universe, in PODEM order."""
+    return collapse_faults(circuit, all_faults(circuit))
+
+
+@functools.lru_cache(maxsize=None)
+def cached_records(name: str) -> list[dict]:
+    """:func:`podem_records` of the mapped circuit ``name``, computed
+    once per process (several test modules read them)."""
+    return podem_records(mapped_circuit(name))
+
+
 def podem_records(circuit) -> list[dict]:
     """Per-fault PODEM outcome over the collapsed universe, in order."""
     engine = PodemEngine(circuit)
     records = []
-    for fault in collapse_faults(circuit, all_faults(circuit)):
+    for fault in universe(circuit):
         result = generate_test(circuit, fault, MAX_BACKTRACKS,
                                engine=engine)
         records.append({
@@ -91,6 +110,24 @@ def podem_pin(records: list[dict]) -> dict:
     }
 
 
+def sat_pin(circuit, records: list[dict]) -> dict:
+    """SAT classification of the faults PODEM aborted (``records``)."""
+    prover = RedundancyProver(PodemEngine(circuit))
+    verdicts = {record["fault"]: prover.prove(fault).status
+                for fault, record in zip(universe(circuit), records)
+                if record["status"] == "aborted"}
+    statuses = list(verdicts.values())
+    return {
+        "aborted": len(verdicts),
+        "redundant": statuses.count(REDUNDANT),
+        "testable": statuses.count(TESTABLE),
+        "unknown": statuses.count(UNKNOWN),
+        "redundant_digest": _digest(sorted(
+            fault for fault, status in verdicts.items()
+            if status == REDUNDANT)),
+    }
+
+
 def testset_pin(name: str) -> dict:
     design = ScanDesign.full_scan(mapped_circuit(name))
     test_set = generate_tests(design, FlowConfig(seed=SEED).atpg_config())
@@ -107,8 +144,10 @@ def testset_pin(name: str) -> dict:
 
 def build_pins() -> dict:
     return {
-        "podem": {name: podem_pin(podem_records(mapped_circuit(name)))
+        "podem": {name: podem_pin(cached_records(name))
                   for name in PODEM_CIRCUITS},
+        "sat": {name: sat_pin(mapped_circuit(name), cached_records(name))
+                for name in PODEM_CIRCUITS},
         "testsets": {name: testset_pin(name) for name in TESTSET_CIRCUITS},
     }
 

@@ -7,6 +7,7 @@ from repro.atpg.faults import all_faults
 from repro.atpg.faultsim import fault_simulate
 from repro.atpg.generate import AtpgConfig, generate_tests
 from repro.benchgen import generate_circuit
+from repro.errors import ConfigError
 from repro.netlist import builders
 from repro.scan.testview import ScanDesign
 from repro.simulation.bitsim import pack_input_vectors
@@ -87,6 +88,31 @@ class TestGenerateTests:
             assert len(vector.scan_state) == s27_design.chain.length
 
 
+class TestAtpgConfigValidation:
+    """Values that used to hang (``podem_batch=0``) or crash deep in
+    the pipeline are refused up front."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("podem_batch", 0),
+        ("random_batch", 0),
+        ("random_batch", -3),
+        ("max_random_batches", -1),
+        ("min_batch_yield", -1),
+        ("max_backtracks", -1),
+    ])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"AtpgConfig.{field}"):
+            AtpgConfig(**{field: value})
+
+    def test_boundary_values_accepted(self, s27_design):
+        config = AtpgConfig(seed=1, podem_batch=1, random_batch=1,
+                            max_random_batches=0, min_batch_yield=0,
+                            max_backtracks=0)
+        result = generate_tests(s27_design, config)
+        assert (result.n_detected + result.n_untestable
+                + result.n_aborted) == result.n_faults
+
+
 def _table1_design(name: str) -> ScanDesign:
     circuit = builders.s27() if name == "s27" else generate_circuit(name, 1)
     return ScanDesign.full_scan(technology_map(circuit))
@@ -105,13 +131,14 @@ class TestFaultAccounting:
 
     def test_collaterally_detected_aborts_count_once(self):
         # s641 at seed 1: 8 PODEM aborts are detected by later vectors;
-        # they count as detected only.
+        # they count as detected only.  The SAT screen proves 95 more
+        # aborts redundant, which leaves 8 aborted and undetected.
         result = generate_tests(_table1_design("s641"), AtpgConfig(seed=1))
         assert (result.n_detected, result.n_untestable,
-                result.n_aborted) == (546, 54, 103)
+                result.n_aborted) == (546, 149, 8)
         assert (result.n_detected + result.n_untestable
                 + result.n_aborted) == result.n_faults == 703
-        assert result.summary().endswith("54 untestable, 103 aborted)")
+        assert result.summary().endswith("149 untestable, 8 aborted)")
 
     def test_legacy_final_simulation_agrees(self):
         design = _table1_design("s344")

@@ -6,7 +6,11 @@ core: the s27/s344/s382 universes and the test sets with the original
 the incremental two-list engine that preceded the pair-code engine.  The
 decision procedure is unchanged, so every per-fault verdict, backtrack
 and decision count and assignment, and every compacted test set of the
-cold Table-I campaign must match it bit for bit.  Regenerate with
+cold Table-I campaign must match it bit for bit.  The SAT screen of
+PODEM's aborts only turns proven-redundant aborts into "untestable", so
+the test sets kept their vectors and only their ``n_untestable`` counts
+were re-recorded.  The ``sat`` pins hold the redundancy prover's
+classification of every PODEM abort.  Regenerate with
 ``tests/atpg/generate_podem_pins.py`` only for an intentional change of
 the decision procedure.
 """
@@ -24,8 +28,15 @@ PINS = json.loads(pins_module.PINS.read_text())
 
 @pytest.mark.parametrize("name", pins_module.PODEM_CIRCUITS)
 def test_podem_universe_pinned(name):
-    records = pins_module.podem_records(pins_module.mapped_circuit(name))
+    records = pins_module.cached_records(name)
     assert pins_module.podem_pin(records) == PINS["podem"][name]
+
+
+@pytest.mark.parametrize("name", pins_module.PODEM_CIRCUITS)
+def test_sat_classification_of_aborts_pinned(name):
+    records = pins_module.cached_records(name)
+    pin = pins_module.sat_pin(pins_module.mapped_circuit(name), records)
+    assert pin == PINS["sat"][name]
 
 
 @pytest.mark.parametrize("name", pins_module.TESTSET_CIRCUITS)

@@ -1,0 +1,236 @@
+"""Oracles for the SAT redundancy prover.
+
+The prover (:mod:`repro.atpg.sat`) turns PODEM aborts into "untestable"
+verdicts, so a wrong UNSAT would silently shrink the coverage
+denominator.  It is pinned from three sides:
+
+1. on the full collapsed universes of s27 and the six cold Table-I
+   circuits, every verdict PODEM (limit 100) reaches agrees with it:
+   redundant iff untestable, testable iff detected;
+2. every "testable" model, its don't-cares filled, detects its fault
+   under fault simulation;
+3. on small generated netlists with every gate kind, it matches
+   exhaustive simulation fault by fault.
+
+One prover answers a whole universe, so these also check that nothing a
+fault leaves behind (learned clauses, reused variable slots) changes a
+later verdict.
+"""
+
+from __future__ import annotations
+
+import functools
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import generate_podem_pins as pins
+import repro.atpg.generate as generate_module
+from gate_mix import sprinkle_gates
+from repro.atpg.faults import Fault, all_faults
+from repro.atpg.faultsim import fault_simulate
+from repro.atpg.generate import AtpgConfig, generate_tests
+from repro.atpg.podem import PodemEngine
+from repro.atpg.sat import (
+    REDUNDANT,
+    TESTABLE,
+    UNKNOWN,
+    RedundancyProver,
+    SatResult,
+)
+from repro.benchgen.generator import generate_from_stats
+from repro.benchgen.iscas89 import Iscas89Stats
+from repro.errors import AtpgError
+from repro.netlist.gates import GateType
+from repro.scan.testview import ScanDesign
+from repro.simulation.bitsim import pack_input_vectors
+from repro.simulation.eval2 import comb_input_lines
+
+
+@functools.lru_cache(maxsize=None)
+def _sat_results(name: str):
+    """(circuit, universe, SAT results, prover) with one prover per
+    circuit."""
+    circuit = pins.mapped_circuit(name)
+    prover = RedundancyProver(PodemEngine(circuit))
+    faults = pins.universe(circuit)
+    results = [prover.prove(fault) for fault in faults]
+    return circuit, faults, results, prover
+
+
+def _assert_only_good_machine_clauses_kept(prover: RedundancyProver):
+    """Every clause a fault's search learns from its guarded clauses
+    carries the guard and is dropped with the fault; what stays speaks
+    of good-machine variables only, so reused faulty and D slots start
+    clean for the next fault."""
+    kept = [clause for clauses in prover.watches.values()
+            for clause in clauses]
+    kept += [[lit, implied] for lit, lits in enumerate(prover.imp)
+             for implied in lits]
+    assert all(lit >> 1 < prover.n for clause in kept for lit in clause)
+    assert not prover.fwatches and not prover.fimp
+
+
+@pytest.mark.parametrize("name", pins.PODEM_CIRCUITS)
+def test_sat_agrees_with_every_podem_verdict(name):
+    _circuit, faults, results, _prover = _sat_results(name)
+    records = pins.cached_records(name)
+    assert [r["fault"] for r in records] == [
+        f"{f.line}/{f.stuck_at}" for f in faults]
+    expected = {"detected": TESTABLE, "untestable": REDUNDANT}
+    mismatches = [(str(fault), record["status"], result.status)
+                  for fault, record, result in zip(faults, records, results)
+                  if record["status"] in expected
+                  and result.status != expected[record["status"]]]
+    assert not mismatches
+    assert all(result.status != UNKNOWN for result in results)
+
+
+@pytest.mark.parametrize("name", pins.PODEM_CIRCUITS)
+def test_testable_models_detect_their_fault(name):
+    circuit, faults, results, _prover = _sat_results(name)
+    rng = random.Random(name)
+    tested = [(fault, result.assignment)
+              for fault, result in zip(faults, results)
+              if result.status == TESTABLE]
+    vectors = [{line: assignment.get(line, rng.randrange(2))
+                for line in comb_input_lines(circuit)}
+               for _fault, assignment in tested]
+    words, n = pack_input_vectors(circuit, vectors)
+    detected = fault_simulate(circuit, [fault for fault, _ in tested],
+                              words, n, drop=False).detected
+    missed = [str(fault) for k, (fault, _) in enumerate(tested)
+              if not detected.get(fault, 0) >> k & 1]
+    assert not missed
+
+
+def test_verdicts_do_not_depend_on_history():
+    """A prover that saw the universe backwards answers as the one
+    that saw it forwards."""
+    circuit, faults, forward, _prover = _sat_results("s444")
+    prover = RedundancyProver(PodemEngine(circuit))
+    backward = [prover.prove(fault).status for fault in reversed(faults)]
+    assert backward[::-1] == [result.status for result in forward]
+
+
+@pytest.mark.parametrize("name", pins.PODEM_CIRCUITS)
+def test_only_good_machine_clauses_outlive_a_fault(name):
+    _assert_only_good_machine_clauses_kept(_sat_results(name)[3])
+
+
+def _exhaustive_word(j: int, n: int) -> int:
+    """Packed word of input ``j`` over all ``n`` patterns: pattern ``k``
+    sets input ``j`` to bit ``j`` of ``k``."""
+    half = 1 << j
+    block = ((1 << half) - 1) << half
+    return block * ((1 << n) - 1) // ((1 << 2 * half) - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       n_inputs=st.integers(2, 6),
+       n_dffs=st.integers(1, 6),
+       n_gates=st.integers(14, 40))
+def test_generated_netlists_match_exhaustive_simulation(seed, n_inputs,
+                                                        n_dffs, n_gates):
+    stats = Iscas89Stats("hyp", n_inputs, 2, n_dffs, n_gates)
+    circuit = sprinkle_gates(generate_from_stats(stats, seed), seed)
+    lines = comb_input_lines(circuit)
+    n = 1 << len(lines)
+    words = {line: _exhaustive_word(j, n) for j, line in enumerate(lines)}
+    faults = all_faults(circuit)
+    detected = fault_simulate(circuit, faults, words, n,
+                              drop=False).detected
+    prover = RedundancyProver(PodemEngine(circuit))
+    for fault in faults:
+        result = prover.prove(fault)
+        word = detected.get(fault, 0)
+        assert result.status == (TESTABLE if word else REDUNDANT), str(fault)
+        for fill in (0, 1):
+            k = sum(result.assignment.get(line, fill) << j
+                    for j, line in enumerate(lines))
+            assert not word or word >> k & 1, str(fault)
+    _assert_only_good_machine_clauses_kept(prover)
+
+
+def test_generated_netlists_cover_every_gate_kind():
+    seen: set[GateType] = set()
+    for seed in range(10):
+        stats = Iscas89Stats("hyp", 4, 2, 4, 24)
+        circuit = sprinkle_gates(generate_from_stats(stats, seed), seed)
+        assert len(comb_input_lines(circuit)) <= 12
+        seen |= {gate.gtype for gate in circuit.gates.values()}
+    assert {GateType.XOR, GateType.XNOR, GateType.MUX2, GateType.CONST0,
+            GateType.CONST1, GateType.NAND, GateType.NOR} <= seen
+
+
+class TestProverInterface:
+    def test_models_leave_unsupported_inputs_open(self, s27_mapped):
+        prover = RedundancyProver(PodemEngine(s27_mapped))
+        sizes = {len(prover.prove(fault).assignment)
+                 for fault in pins.universe(s27_mapped)}
+        assert min(sizes) < len(comb_input_lines(s27_mapped))
+
+    def test_unobservable_line_is_redundant(self, s27_mapped):
+        circuit = s27_mapped.copy()
+        circuit.add_gate("dangling", GateType.NOT,
+                         (comb_input_lines(circuit)[0],))
+        prover = RedundancyProver(PodemEngine(circuit))
+        for stuck in (0, 1):
+            result = prover.prove(Fault("dangling", stuck))
+            assert result == SatResult(REDUNDANT, {}, 0)
+
+    def test_unknown_line_rejected(self, s27_mapped):
+        prover = RedundancyProver(PodemEngine(s27_mapped))
+        with pytest.raises(AtpgError, match="not in circuit"):
+            prover.prove(Fault("nope", 0))
+
+    def test_stale_prover_rejected(self, s27_mapped):
+        circuit = s27_mapped.copy()
+        prover = RedundancyProver(PodemEngine(circuit))
+        circuit.add_gate("extra", GateType.NOT,
+                         (comb_input_lines(circuit)[0],))
+        with pytest.raises(AtpgError, match="stale"):
+            prover.prove(pins.universe(circuit)[0])
+
+
+class TestScreenInTheFlow:
+    """``generate_tests`` asks SAT only about PODEM screen aborts, and
+    every non-redundant answer falls back to the full PODEM run."""
+
+    @pytest.mark.parametrize("status", [TESTABLE, UNKNOWN])
+    def test_non_redundant_answers_give_the_podem_only_test_set(
+            self, monkeypatch, status):
+        design = ScanDesign.full_scan(pins.mapped_circuit("s344"))
+        config = AtpgConfig(seed=pins.SEED)
+        with_sat = generate_tests(design, config)
+        monkeypatch.setattr(
+            generate_module.RedundancyProver, "prove",
+            lambda self, fault: SatResult(status, {}, 0))
+        podem_only = generate_tests(design, config)
+        assert podem_only.vectors == with_sat.vectors
+        assert podem_only.n_detected == with_sat.n_detected
+        # the parent's PODEM-only count, before SAT proofs
+        assert podem_only.n_untestable == 17
+        assert with_sat.n_untestable == 66
+        for result in (with_sat, podem_only):
+            assert (result.n_detected + result.n_untestable
+                    + result.n_aborted) == result.n_faults
+
+    def test_only_screen_aborts_reach_the_prover(self, monkeypatch):
+        design = ScanDesign.full_scan(pins.mapped_circuit("s382"))
+        asked: list[Fault] = []
+        prove = RedundancyProver.prove
+
+        def spy(self, fault):
+            asked.append(fault)
+            return prove(self, fault)
+
+        monkeypatch.setattr(RedundancyProver, "prove", spy)
+        generate_tests(design, AtpgConfig(seed=pins.SEED))
+        engine = PodemEngine(design.circuit)
+        screens = [generate_module.generate_test(
+            design.circuit, fault, generate_module.SCREEN_BACKTRACKS,
+            engine=engine).status for fault in asked]
+        assert asked and set(screens) == {"aborted"}
