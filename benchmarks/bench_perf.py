@@ -165,17 +165,21 @@ def test_perf_episode_batch_speedup(benchmark, s1423_mapped):
 
     The Table-I measurement's shape: one scan episode per vector (74
     shift cycles + capture on s1423), evaluated over a full test set.
-    The legacy path builds waveforms with per-vector/cycle/line Python
-    loops plus one scalar capture simulation per vector; the batched
-    engine compiles one :class:`EpisodePlan` (single packed capture
-    pass + numpy shift tensor) and evaluates the whole replay in one
-    ``uint64``-matrix pass.  Reports are asserted equal (bit-identical
-    by contract) and the speedup is recorded as
-    ``episode_batch_speedup`` and enforced >= 2x on the numpy backend
-    (the regression gate diffs it across runs).
+    The serial oracle (``tests/power/episode_reference.py``) builds
+    waveforms with per-vector/cycle/line Python loops plus one scalar
+    capture simulation per vector; the batched engine compiles one
+    :class:`EpisodePlan` (single packed capture pass + numpy shift
+    tensor) and evaluates the whole replay in one ``uint64``-matrix
+    pass.  Reports are asserted equal (bit-identical by contract) and
+    the speedup is recorded as ``episode_batch_speedup`` and enforced
+    >= 2x on the numpy backend (the regression gate diffs it across
+    runs).
     """
     from repro.power.scanpower import evaluate_scan_power
     from repro.scan.testview import ScanDesign, TestVector
+    from tests.power.episode_reference import (
+        evaluate_scan_power as serial_scan_power,
+    )
 
     design = ScanDesign.full_scan(s1423_mapped)
     gen = make_rng(7)
@@ -189,8 +193,8 @@ def test_perf_episode_batch_speedup(benchmark, s1423_mapped):
     ]
 
     def run(batch):
-        return evaluate_scan_power(design, vectors, backend="numpy",
-                                   episode_batch=batch)
+        evaluate = evaluate_scan_power if batch else serial_scan_power
+        return evaluate(design, vectors, backend="numpy")
 
     batched = run(True)  # warms the schedule cache
     serial = run(False)
@@ -256,8 +260,7 @@ def test_perf_tracing_disabled_overhead(benchmark, s1423_mapped,
     ]
 
     def run():
-        return evaluate_scan_power(design, vectors, backend="numpy",
-                                   episode_batch=True)
+        return evaluate_scan_power(design, vectors, backend="numpy")
 
     assert not obs_trace.tracing_enabled()
     reference = run()  # warms the schedule cache

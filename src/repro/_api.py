@@ -118,14 +118,10 @@ from repro.simulation import (
     available_backends,
     compile_episode_plan,
     compile_fault_episode_plan,
-    episode_batching_enabled,
-    fault_planning_enabled,
     get_backend,
     register_backend,
     resolve_backend,
     set_default_backend,
-    set_default_episode_batching,
-    set_default_fault_planning,
     simulate_comb,
     simulate_comb3,
     simulate_cycles,
@@ -158,9 +154,7 @@ __all__ = [
     "Backend", "SimState", "available_backends", "get_backend",
     "register_backend", "resolve_backend", "set_default_backend",
     "EpisodePlan", "EpisodeBatchResult", "compile_episode_plan",
-    "episode_batching_enabled", "set_default_episode_batching",
     "FaultEpisodePlan", "FaultSimSession", "compile_fault_episode_plan",
-    "fault_planning_enabled", "set_default_fault_planning",
     # scan / power
     "ScanCell", "ScanChain", "ScanDesign", "TestVector",
     "MuxPlan", "insert_muxes",
@@ -184,7 +178,7 @@ __all__ = [
     "load_circuit", "generate_circuit", "available_circuits",
     "circuit_provenance", "ISCAS89_STATS", "TABLE1_CIRCUITS",
     "run_table1", "run_figure2", "PAPER_TABLE1",
-    # runtime options (session defaults for every engine toggle)
+    # runtime options (session defaults for every runtime knob)
     "RuntimeOptions", "session_defaults", "set_session_defaults",
     "using",
     # campaigns / distributed workers / artifact service

@@ -20,6 +20,7 @@ Pipeline:
 3. **Reverse-order compaction** — one packed no-drop fault simulation of
    the kept set produces a detection matrix; a reverse greedy pass keeps a
    vector only if it detects some fault no later-kept vector detects.
+   The final coverage accounting reads the same matrix.
 
 The output is a :class:`TestSet` of :class:`~repro.scan.TestVector`
 objects in application order, plus coverage statistics.  Seeded and fully
@@ -137,7 +138,6 @@ def generate_tests(design: ScanDesign,
                    config: AtpgConfig | None = None,
                    backend: str | Backend | None = None,
                    fault_backend: str | Backend | None = None,
-                   fault_plan: bool | None = None,
                    stream_budget: int | None = None) -> TestSet:
     """Generate a compacted stuck-at test set for a full-scan design.
 
@@ -150,10 +150,6 @@ def generate_tests(design: ScanDesign,
     All fault simulations run through one persistent
     :class:`~repro.simulation.fault_episode.FaultSimSession` that
     carries good-machine states across the pipeline's batches.
-    ``fault_plan`` overrides the planned-replay toggle for this run
-    (``None`` = session default / ``$REPRO_FAULT_PLAN``, default on);
-    the legacy per-batch path is the pinned reference and produces the
-    identical test set.
     ``stream_budget`` bounds the session's planned replays out of core
     (``None`` = session default / ``$REPRO_STREAM_BUDGET``, ``0`` off);
     streaming is bit-identical, so the test set never depends on it.
@@ -186,8 +182,7 @@ def generate_tests(design: ScanDesign,
         if active_shared_pool() is None:
             pool_ctx = engine.using_pool(ensure_shared_pool())
     with pool_ctx:
-        session = FaultSimSession(circuit, engine, plan=fault_plan,
-                                  stream_budget=stream_budget)
+        session = FaultSimSession(circuit, engine, stream_budget=stream_budget)
         return _generate_tests(design, config, universe, session)
 
 
@@ -195,6 +190,46 @@ def _generate_tests(design: ScanDesign, config: AtpgConfig,
                     universe: list[Fault],
                     session: FaultSimSession) -> TestSet:
     """The generation pipeline proper (fault session fully resolved)."""
+    vectors, n_untestable, aborted = _generate_vectors(
+        design, config, universe, session)
+
+    # ---- phase 3: compaction and coverage accounting ------------------ #
+    # One no-drop detection matrix of the generated set serves both: the
+    # reverse greedy pass picks the kept columns, and a fault is detected
+    # by the kept set iff its word hits a kept column (per-pattern
+    # detection is independent of the other patterns).
+    detected: set[Fault] = set()
+    if vectors:
+        assignments = [_vector_to_assignment(design, v) for v in vectors]
+        words, n = pack_input_vectors(design.circuit, assignments)
+        matrix = session.simulate(universe, words, n, drop=False)
+        keep = _greedy_keep(matrix, n) if config.compaction \
+            else [True] * n
+        kept_mask = sum(1 << t for t, k in enumerate(keep) if k)
+        vectors = [v for v, k in zip(vectors, keep) if k]
+        detected = {fault for fault, word in matrix.detected.items()
+                    if word & kept_mask}
+
+    # Every universe fault is detected, proven untestable or
+    # aborted-and-undetected, exactly once.
+    return TestSet(
+        vectors=vectors,
+        n_faults=len(universe),
+        n_detected=len(detected),
+        n_untestable=n_untestable,
+        n_aborted=sum(1 for fault in aborted if fault not in detected),
+    )
+
+
+def _generate_vectors(design: ScanDesign, config: AtpgConfig,
+                      universe: list[Fault], session: FaultSimSession
+                      ) -> tuple[list[TestVector], int, set[Fault]]:
+    """Phases 1 and 2: random patterns, then PODEM in batches.
+
+    Returns ``(vectors in generation order, proven-untestable count,
+    aborted faults)``; ``session`` may be any object with
+    :meth:`FaultSimSession.simulate`'s signature.
+    """
     circuit = design.circuit
     input_lines = comb_input_lines(circuit)
     remaining: list[Fault] = list(universe)
@@ -258,41 +293,7 @@ def _generate_tests(design: ScanDesign, config: AtpgConfig,
         # vectors were aborted; they are dropped from further generation
         # (a later vector may still detect one collaterally).
 
-    # ---- phase 3: reverse-order compaction ----------------------------- #
-    matrix: FaultSimResult | None = None
-    kept_mask = 0
-    if config.compaction and kept_vectors:
-        kept_vectors, kept_mask, matrix = _reverse_compact(
-            design, universe, kept_vectors, session)
-
-    # Final accounting on the kept set: every universe fault is detected,
-    # proven untestable or aborted-and-undetected, exactly once.
-    detected: set[Fault] = set()
-    if kept_vectors:
-        if session.plan_enabled and matrix is not None:
-            # The no-drop compaction matrix already holds, per fault,
-            # the word of detecting vectors; a fault is detected by the
-            # compacted set iff that word hits a kept column (per-
-            # pattern detection is independent, so this equals the
-            # legacy re-simulation bit for bit).
-            detected = {fault for fault, word in matrix.detected.items()
-                        if word & kept_mask}
-        else:
-            # Legacy pinned reference: one more drop-mode pass over the
-            # compacted set.
-            assignments = [_vector_to_assignment(design, v)
-                           for v in kept_vectors]
-            words, n = pack_input_vectors(circuit, assignments)
-            detected = set(session.simulate(universe, words, n,
-                                            drop=True).detected)
-
-    return TestSet(
-        vectors=kept_vectors,
-        n_faults=len(universe),
-        n_detected=len(detected),
-        n_untestable=n_untestable,
-        n_aborted=sum(1 for fault in aborted if fault not in detected),
-    )
+    return kept_vectors, n_untestable, aborted
 
 
 def _podem_verdict(prover: RedundancyProver, fault: Fault,
@@ -316,61 +317,13 @@ def _podem_verdict(prover: RedundancyProver, fault: Fault,
     return outcome
 
 
-def _reverse_compact(design: ScanDesign, universe: list[Fault],
-                     vectors: list[TestVector],
-                     session: FaultSimSession
-                     ) -> tuple[list[TestVector], int, FaultSimResult]:
-    """Reverse-order compaction via one no-drop detection matrix.
+def _greedy_keep(matrix: FaultSimResult, n_vectors: int) -> list[bool]:
+    """Reverse-greedy keep-set over a no-drop detection matrix.
 
-    One packed fault simulation of all kept vectors yields, per fault, the
-    word of detecting vectors; the reverse greedy pass is then pure bit
-    arithmetic.  Returns ``(kept vectors, packed keep mask, matrix)`` so
-    the final coverage accounting can be read off the matrix instead of
-    re-simulating (plan path).
-
-    The greedy pass itself runs vectorized (numpy bool matrix + column
-    reductions) on the planned path and as the original big-int scan on
-    the legacy path; both produce the identical keep-set (pinned by
-    tests).
-    """
-    circuit = design.circuit
-    assignments = [_vector_to_assignment(design, v) for v in vectors]
-    words, n = pack_input_vectors(circuit, assignments)
-    matrix = session.simulate(universe, words, n, drop=False)
-
-    if session.plan_enabled:
-        keep = _greedy_keep_vectorized(matrix, len(vectors))
-    else:
-        keep = _greedy_keep_bigint(matrix, len(vectors))
-    kept_mask = sum(1 << t for t, k in enumerate(keep) if k)
-    return [v for v, k in zip(vectors, keep) if k], kept_mask, matrix
-
-
-def _greedy_keep_bigint(matrix: FaultSimResult,
-                        n_vectors: int) -> list[bool]:
-    """Reference reverse-greedy keep-set: big-int column scans."""
-    still_uncovered = [word for word in matrix.detected.values() if word]
-    keep: list[bool] = [False] * n_vectors
-    for t in range(n_vectors - 1, -1, -1):
-        bit = 1 << t
-        hits = [w for w in still_uncovered if w & bit]
-        if hits:
-            keep[t] = True
-            still_uncovered = [w for w in still_uncovered if not (w & bit)]
-        if not still_uncovered:
-            break
-    return keep
-
-
-def _greedy_keep_vectorized(matrix: FaultSimResult,
-                            n_vectors: int) -> list[bool]:
-    """Vectorized reverse-greedy keep-set (numpy bool matrix).
-
-    The detection words become a ``(faults, vectors)`` bool matrix once;
-    each reverse step is then one column AND / row update instead of an
-    O(faults) Python list scan per vector.  Identical keep-set to
-    :func:`_greedy_keep_bigint` by construction (the same faults are
-    covered and removed at every step).
+    Vector ``t`` is kept iff it detects a fault that no later-kept
+    vector detects.  The detection words become a ``(faults, vectors)``
+    bool matrix once; each reverse step is then one column AND / row
+    update instead of an O(faults) Python list scan per vector.
     """
     words = [word for word in matrix.detected.values() if word]
     keep = [False] * n_vectors

@@ -71,18 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=("worker processes for the 'sharded' fault "
                               "backend (implies --fault-backend sharded; "
                               "default: $REPRO_SIM_SHARDS or cpu count)"))
-    parser.add_argument("--episode-batch", choices=("on", "off"),
-                        default=None,
-                        help=("batched whole-test-set episode engine for "
-                              "scan-power replays (bit-identical to the "
-                              "per-episode path; default: "
-                              "$REPRO_EPISODE_BATCH or on)"))
-    parser.add_argument("--fault-plan", choices=("on", "off"),
-                        default=None,
-                        help=("planned fault x pattern replay for fault "
-                              "simulations (bit-identical to the "
-                              "per-batch loop; default: "
-                              "$REPRO_FAULT_PLAN or on)"))
     parser.add_argument("--stream-budget", type=int, default=None,
                         metavar="N",
                         help=("out-of-core streaming budget in uint64 "
@@ -305,12 +293,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         resolve_backend,
         resolve_fault_backend,
     )
-    from repro.simulation.episode import episode_batching_enabled
-    from repro.simulation.fault_episode import fault_planning_enabled
     from repro.simulation.streaming import resolve_stream_budget
-    episode_batch = {"on": True, "off": False, None: None}[
-        args.episode_batch]
-    fault_plan = {"on": True, "off": False, None: None}[args.fault_plan]
     if args.stream_budget is not None and args.stream_budget < 0:
         print("repro-power: error: --stream-budget must be >= 0",
               file=sys.stderr)
@@ -330,8 +313,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             backend=args.backend,
             fault_backend=args.fault_backend,
             shards=args.shards,
-            episode_batch=episode_batch,
-            fault_plan=fault_plan,
             stream_budget=args.stream_budget,
             trace=args.trace,
             array_namespace=args.array_namespace,
@@ -343,10 +324,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.simulation.backends import ShardedBackend
         if isinstance(engine, ShardedBackend) and args.shards is None:
             engine.effective_shards(0)  # and on a bad $REPRO_SIM_SHARDS
-        if episode_batch is None:
-            episode_batching_enabled(None)  # bad $REPRO_EPISODE_BATCH
-        if fault_plan is None:
-            fault_planning_enabled(None)  # bad $REPRO_FAULT_PLAN
         resolve_stream_budget(None)  # bad $REPRO_STREAM_BUDGET
         if args.array_namespace is None:
             from repro.simulation.backends.array_api import (
@@ -386,7 +363,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     if args.command == "campaign":
-        return _run_campaign_command(args, episode_batch, fault_plan)
+        return _run_campaign_command(args)
 
     if args.command == "worker":
         return _run_worker_command(args)
@@ -398,8 +375,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = FlowConfig(seed=args.seed, backend=args.backend,
                             fault_backend=args.fault_backend,
                             shards=args.shards,
-                            episode_batch=episode_batch,
-                            fault_plan=fault_plan,
                             stream_budget=args.stream_budget,
                             array_namespace=args.array_namespace)
         circuits = args.circuits or None
@@ -424,8 +399,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             backend=args.backend,
             fault_backend=args.fault_backend,
             shards=args.shards,
-            episode_batch=episode_batch,
-            fault_plan=fault_plan,
             stream_budget=args.stream_budget,
             array_namespace=args.array_namespace,
             reorder_inputs=not args.no_reorder,
@@ -652,8 +625,7 @@ def _run_serve_command(args) -> int:
     return 0
 
 
-def _run_campaign_command(args, episode_batch: bool | None,
-                          fault_plan: bool | None) -> int:
+def _run_campaign_command(args) -> int:
     """The ``campaign`` subcommand (spec -> runner -> status report)."""
     from pathlib import Path
 
@@ -686,10 +658,6 @@ def _run_campaign_command(args, episode_batch: bool | None,
         runtime_base["fault_backend"] = args.fault_backend
     if args.shards is not None:
         runtime_base["shards"] = args.shards
-    if episode_batch is not None:
-        runtime_base["episode_batch"] = episode_batch
-    if fault_plan is not None:
-        runtime_base["fault_plan"] = fault_plan
     if args.stream_budget is not None:
         runtime_base["stream_budget"] = args.stream_budget
     if args.array_namespace is not None:

@@ -57,18 +57,6 @@ class FlowConfig:
     shards:
         Worker-process count for the ``sharded`` fault backend; setting
         it implies ``fault_backend="sharded"`` when that is unset.
-    episode_batch:
-        Batched episode engine for the flow's scan-power replays:
-        ``True``/``False`` force it on/off, ``None`` defers to
-        ``$REPRO_EPISODE_BATCH`` (default on).  Bit-identical either
-        way; only speed changes.
-    fault_plan:
-        Planned fault x pattern replay for the flow's fault
-        simulations (ATPG batches, compaction matrices, coverage
-        accounting): ``True``/``False`` force it on/off, ``None``
-        defers to ``$REPRO_FAULT_PLAN`` (default on).  The legacy
-        per-batch loop is the pinned reference; results are
-        bit-identical either way.
     stream_budget:
         Out-of-core streaming budget for the flow's plan evaluations
         (``uint64`` elements of one window's state matrix): a positive
@@ -95,8 +83,8 @@ class FlowConfig:
     #: backend is bit-identical by contract); excluded from
     #: :meth:`config_hash` so cache keys are engine-independent.
     RUNTIME_FIELDS: ClassVar[tuple[str, ...]] = (
-        "backend", "fault_backend", "shards", "episode_batch",
-        "fault_plan", "stream_budget", "trace", "array_namespace")
+        "backend", "fault_backend", "shards", "stream_budget", "trace",
+        "array_namespace")
 
     seed: int = 0
     observability_samples: int = 512
@@ -111,8 +99,6 @@ class FlowConfig:
     backend: str | None = None
     fault_backend: str | None = None
     shards: int | None = None
-    episode_batch: bool | None = None
-    fault_plan: bool | None = None
     stream_budget: int | None = None
     trace: str | None = None
     array_namespace: str | None = None

@@ -137,7 +137,6 @@ class ProposedFlow:
         test_set = generate_tests(
             design, config.atpg_config(), backend=config.backend,
             fault_backend=config.fault_simulation_backend(),
-            fault_plan=config.fault_plan,
             stream_budget=config.stream_budget)
 
         addmux = add_mux(mapped, library,
@@ -201,19 +200,16 @@ class ProposedFlow:
                 design, test_set.vectors, policies["traditional"],
                 library, config.include_capture_cycles,
                 backend=config.backend,
-                episode_batch=config.episode_batch,
                 stream_budget=config.stream_budget),
             "input_control": evaluate_scan_power(
                 design, test_set.vectors, policies["input_control"],
                 library, config.include_capture_cycles,
                 backend=config.backend,
-                episode_batch=config.episode_batch,
                 stream_budget=config.stream_budget),
             "proposed": evaluate_scan_power(
                 proposed_design, test_set.vectors, policies["proposed"],
                 library, config.include_capture_cycles,
                 backend=config.backend,
-                episode_batch=config.episode_batch,
                 stream_budget=config.stream_budget),
         }
 

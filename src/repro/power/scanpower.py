@@ -21,28 +21,28 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Mapping, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cells.capacitance import switched_caps_ff
 from repro.cells.library import CellLibrary, default_library
-from repro.errors import ScanError
 from repro.leakage.estimator import _word_to_bool_array, leakage_power_uw
+from repro.netlist.circuit import Circuit
 from repro.power.dynamic import (
     energy_per_cycle_uw_per_hz,
     switching_energy_fj,
 )
 from repro.scan.testview import ScanDesign, TestVector
 from repro.simulation.backends import Backend, resolve_backend
-from repro.simulation.cyclesim import simulate_cycles
-from repro.simulation.episode import (
-    compile_episode_plan,
-    episode_batching_enabled,
-)
-from repro.simulation.values import pack_bits
+from repro.simulation.episode import compile_episode_plan
+
+if TYPE_CHECKING:
+    from repro.simulation.cyclesim import CycleSimResult
+    from repro.simulation.episode import EpisodeBatchResult
 
 __all__ = ["ShiftPolicy", "ScanPowerReport", "evaluate_scan_power",
-           "per_cycle_energy_fj", "episode_waveforms"]
+           "per_cycle_energy_fj", "energy_profile_fj", "episode_waveforms"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,6 +80,27 @@ class ScanPowerReport:
     total_transitions: int
     mean_leakage_na: float
 
+    @classmethod
+    def from_replay(cls, circuit: Circuit, policy_name: str,
+                    n_vectors: int,
+                    replay: "EpisodeBatchResult | CycleSimResult",
+                    library: CellLibrary) -> "ScanPowerReport":
+        """Price one replay's transitions and mean leakage (eq. 1, 5)."""
+        energy_fj = switching_energy_fj(circuit, replay.transitions,
+                                        library)
+        return cls(
+            circuit_name=circuit.name,
+            policy_name=policy_name,
+            n_vectors=n_vectors,
+            n_cycles=replay.n_cycles,
+            dynamic_uw_per_hz=energy_per_cycle_uw_per_hz(
+                energy_fj, replay.n_cycles),
+            static_uw=leakage_power_uw(replay.mean_leakage_na,
+                                       library.vdd),
+            total_transitions=replay.total_transitions,
+            mean_leakage_na=replay.mean_leakage_na,
+        )
+
     def improvement_vs(self, baseline: "ScanPowerReport"
                        ) -> tuple[float, float]:
         """(dynamic %, static %) improvement relative to ``baseline``."""
@@ -91,74 +112,11 @@ class ScanPowerReport:
                 pct(baseline.static_uw, self.static_uw))
 
 
-def _policy_pi_bit(policy: ShiftPolicy, pi: str, vector: TestVector) -> int:
-    if policy.pi_values is not None and pi in policy.pi_values:
-        return policy.pi_values[pi]
-    return vector.pi_values[pi]
-
-
-def _episode_waveforms(design: ScanDesign, vectors: Sequence[TestVector],
-                       policy: ShiftPolicy, include_capture: bool,
-                       initial_state: Sequence[int] | None
-                       ) -> tuple[dict[str, int], int]:
-    """Per-line packed waveforms of the whole scan episode (serial path).
-
-    Shift cycles present the policy's constants (PIs, MUX ties) and the
-    live chain state on non-muxed pseudo-inputs; capture cycles present
-    the test vector itself (MUXes transparent in normal mode).
-
-    This is the legacy per-vector, per-cycle, per-line loop, kept as
-    the reference the batched episode compiler
-    (:func:`repro.simulation.episode.compile_episode_plan`) is pinned
-    against (same words, bit for bit) and as the fallback when episode
-    batching is switched off.
-    """
-    circuit = design.circuit
-    chain = design.chain
-    if not vectors:
-        raise ScanError("empty test set")
-    unknown_mux = set(policy.mux_ties) - set(chain.q_lines)
-    if unknown_mux:
-        raise ScanError(f"mux ties on unknown cells: {sorted(unknown_mux)}")
-
-    state = tuple(initial_state) if initial_state is not None \
-        else (0,) * chain.length
-    if len(state) != chain.length:
-        raise ScanError("initial state length mismatch")
-
-    pi_bits: dict[str, list[int]] = {pi: [] for pi in circuit.inputs}
-    q_bits: dict[str, list[int]] = {q: [] for q in chain.q_lines}
-    for vector in vectors:
-        if len(vector.scan_state) != chain.length:
-            raise ScanError("test vector scan state length mismatch")
-        shift_states = chain.load_states(state, vector.scan_state)
-        for cycle_state in shift_states:
-            for pi in circuit.inputs:
-                pi_bits[pi].append(_policy_pi_bit(policy, pi, vector))
-            for cell, bit in zip(chain.cells, cycle_state):
-                tie = policy.mux_ties.get(cell.q)
-                q_bits[cell.q].append(bit if tie is None else tie)
-        if shift_states[-1] != vector.scan_state:
-            raise ScanError("shift protocol failed to load the vector")
-        if include_capture:
-            for pi in circuit.inputs:
-                pi_bits[pi].append(vector.pi_values[pi])
-            for cell, bit in zip(chain.cells, vector.scan_state):
-                q_bits[cell.q].append(bit)
-        state, _po_values = design.capture(vector)
-
-    all_bits = {**pi_bits, **q_bits}
-    n_cycles = len(next(iter(all_bits.values())))
-    waveforms = {line: pack_bits(bits) for line, bits in all_bits.items()}
-    return waveforms, n_cycles
-
-
 def episode_waveforms(design: ScanDesign, vectors: Sequence[TestVector],
                       policy: ShiftPolicy | None = None,
                       include_capture: bool = True,
                       initial_state: Sequence[int] | None = None,
-                      backend: str | Backend | None = None,
-                      episode_batch: bool | None = None
+                      backend: str | Backend | None = None
                       ) -> tuple[dict[str, int], int]:
     """Public wrapper over the episode waveform builder.
 
@@ -171,19 +129,13 @@ def episode_waveforms(design: ScanDesign, vectors: Sequence[TestVector],
     (e.g. ``sharded``) resolves here to one engine instance whose inner
     delegation applies uniformly, never re-resolved per vector — the
     resolve-once convention every public entry point follows.
-    ``episode_batch`` (default: ``$REPRO_EPISODE_BATCH``, on) picks the
-    batched compiler or the legacy serial loop; both return the same
-    words bit for bit.
     """
     policy = policy or ShiftPolicy()
-    if episode_batching_enabled(episode_batch):
-        plan = compile_episode_plan(
-            design, vectors, pi_values=policy.pi_values,
-            mux_ties=policy.mux_ties, include_capture=include_capture,
-            initial_state=initial_state, backend=resolve_backend(backend))
-        return plan.waveforms, plan.n_cycles
-    return _episode_waveforms(design, vectors, policy,
-                              include_capture, initial_state)
+    plan = compile_episode_plan(
+        design, vectors, pi_values=policy.pi_values,
+        mux_ties=policy.mux_ties, include_capture=include_capture,
+        initial_state=initial_state, backend=resolve_backend(backend))
+    return plan.waveforms, plan.n_cycles
 
 
 def evaluate_scan_power(design: ScanDesign,
@@ -193,7 +145,6 @@ def evaluate_scan_power(design: ScanDesign,
                         include_capture: bool = True,
                         initial_state: Sequence[int] | None = None,
                         backend: str | Backend | None = None,
-                        episode_batch: bool | None = None,
                         stream_budget: int | None = None
                         ) -> ScanPowerReport:
     """Replay a scan test set and measure combinational power.
@@ -220,10 +171,6 @@ def evaluate_scan_power(design: ScanDesign,
         simulation to their inner engine, so any registered name works
         here.  Resolved exactly once per call and reused for the
         capture pre-pass and the batch evaluation.
-    episode_batch:
-        ``True``/``False`` force the batched episode engine on/off;
-        ``None`` defers to ``$REPRO_EPISODE_BATCH`` (default on).  The
-        two paths are bit-identical; only speed changes.
     stream_budget:
         Out-of-core streaming budget for the batch evaluation
         (``uint64`` elements of one window's state matrix); ``None``
@@ -232,40 +179,16 @@ def evaluate_scan_power(design: ScanDesign,
     """
     policy = policy or ShiftPolicy()
     library = library or default_library()
-    circuit = design.circuit
     engine = resolve_backend(backend)
-
-    if episode_batching_enabled(episode_batch):
-        plan = compile_episode_plan(
-            design, vectors, pi_values=policy.pi_values,
-            mux_ties=policy.mux_ties, include_capture=include_capture,
-            initial_state=initial_state, backend=engine)
-        batch = engine.simulate_episode_batch(plan, library,
-                                              collect_leakage=True,
-                                              stream_budget=stream_budget)
-        n_cycles = batch.n_cycles
-        transitions = batch.transitions
-        total_transitions = batch.total_transitions
-        mean_leak_na = batch.mean_leakage_na
-    else:
-        waveforms, n_cycles = _episode_waveforms(
-            design, vectors, policy, include_capture, initial_state)
-        result = simulate_cycles(circuit, waveforms, n_cycles, library,
-                                 collect_leakage=True, backend=engine)
-        transitions = result.transitions
-        total_transitions = result.total_transitions
-        mean_leak_na = result.mean_leakage_na
-    energy_fj = switching_energy_fj(circuit, transitions, library)
-    return ScanPowerReport(
-        circuit_name=circuit.name,
-        policy_name=policy.name,
-        n_vectors=len(vectors),
-        n_cycles=n_cycles,
-        dynamic_uw_per_hz=energy_per_cycle_uw_per_hz(energy_fj, n_cycles),
-        static_uw=leakage_power_uw(mean_leak_na, library.vdd),
-        total_transitions=total_transitions,
-        mean_leakage_na=mean_leak_na,
-    )
+    plan = compile_episode_plan(
+        design, vectors, pi_values=policy.pi_values,
+        mux_ties=policy.mux_ties, include_capture=include_capture,
+        initial_state=initial_state, backend=engine)
+    batch = engine.simulate_episode_batch(plan, library,
+                                          collect_leakage=True,
+                                          stream_budget=stream_budget)
+    return ScanPowerReport.from_replay(design.circuit, policy.name,
+                                       len(vectors), batch, library)
 
 
 def per_cycle_energy_fj(design: ScanDesign,
@@ -274,40 +197,41 @@ def per_cycle_energy_fj(design: ScanDesign,
                         library: CellLibrary | None = None,
                         include_capture: bool = True,
                         backend: str | Backend | None = None,
-                        episode_batch: bool | None = None,
                         stream_budget: int | None = None
                         ) -> np.ndarray:
     """Per-cycle-boundary switching energy profile (peak-power studies).
 
     Memory/time scale with lines x cycles; intended for the smaller
     circuits (ablation benches use it, Table I does not need it).  The
-    backend is resolved once per call; ``episode_batch`` and
-    ``stream_budget`` follow :func:`evaluate_scan_power` (the profile
-    itself still materializes every line's waveform).
+    backend is resolved once per call; ``stream_budget`` follows
+    :func:`evaluate_scan_power` (the profile itself still materializes
+    every line's waveform).
     """
     policy = policy or ShiftPolicy()
     library = library or default_library()
-    circuit = design.circuit
     engine = resolve_backend(backend)
-    if episode_batching_enabled(episode_batch):
-        plan = compile_episode_plan(
-            design, vectors, pi_values=policy.pi_values,
-            mux_ties=policy.mux_ties, include_capture=include_capture,
-            initial_state=None, backend=engine)
-        batch = engine.simulate_episode_batch(
-            plan, library, collect_leakage=False, keep_waveforms=True,
-            stream_budget=stream_budget)
-        n_cycles, line_waveforms = batch.n_cycles, batch.waveforms
-    else:
-        waveforms, n_cycles = _episode_waveforms(
-            design, vectors, policy, include_capture, None)
-        sim = simulate_cycles(circuit, waveforms, n_cycles, library,
-                              collect_leakage=False, keep_waveforms=True,
-                              backend=engine)
-        line_waveforms = sim.waveforms
+    plan = compile_episode_plan(
+        design, vectors, pi_values=policy.pi_values,
+        mux_ties=policy.mux_ties, include_capture=include_capture,
+        initial_state=None, backend=engine)
+    batch = engine.simulate_episode_batch(
+        plan, library, collect_leakage=False, keep_waveforms=True,
+        stream_budget=stream_budget)
+    assert batch.waveforms is not None
+    return energy_profile_fj(design.circuit, batch.waveforms,
+                             batch.n_cycles, library)
+
+
+def energy_profile_fj(circuit: Circuit, line_waveforms: Mapping[str, int],
+                      n_cycles: int, library: CellLibrary) -> np.ndarray:
+    """Switching energy (fJ) at each of the ``n_cycles - 1`` boundaries.
+
+    ``line_waveforms`` holds every line's packed value over the replay
+    (bit ``t`` = cycle ``t``); each toggle is priced by the line's
+    switched capacitance.
+    """
     caps = switched_caps_ff(circuit, library)
     profile = np.zeros(max(n_cycles - 1, 0), dtype=np.float64)
-    assert line_waveforms is not None
     boundary_mask = (1 << max(n_cycles - 1, 0)) - 1
     for line, word in line_waveforms.items():
         toggles = (word ^ (word >> 1)) & boundary_mask

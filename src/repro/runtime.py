@@ -1,17 +1,14 @@
 """Unified runtime-options surface: one session-default store.
 
-Six PRs grew six runtime knobs — simulation backend, fault backend,
-shard count, episode batching, fault planning and the streaming
-budget — each with its own session setter
-(``set_default_backend``, ``set_default_episode_batching``,
-``set_default_fault_planning``, ``set_default_stream_budget``) plus an
-environment variable.  Every knob is *runtime-only*: it changes speed
-or peak memory, never results (all engines are bit-identical by
-contract), so none participates in
+The runtime knobs — simulation backend, fault backend, shard count,
+streaming budget, tracing, array namespace and chaos injection — each
+have an environment variable and live in one frozen
+:class:`RuntimeOptions` session record.  Every knob is *runtime-only*:
+it changes speed, peak memory or observability, never results (all
+engines are bit-identical by contract), so none participates in
 :meth:`~repro.core.config.FlowConfig.config_hash`.
 
-This module consolidates them into a single frozen
-:class:`RuntimeOptions` record and three entry points:
+Three entry points manage the record:
 
 * :func:`set_session_defaults` — install session defaults (wholesale
   via a :class:`RuntimeOptions`, or patch single fields via kwargs);
@@ -20,11 +17,9 @@ This module consolidates them into a single frozen
 
 The per-knob resolvers keep their documented precedence — explicit
 per-call argument > session default > environment variable > built-in
-default (:func:`repro.simulation.toggles.resolve_toggle` semantics) —
-but all read the *session* level from the one store here, so a server
-resolving per-request options, the CLI and library callers share one
-surface.  The legacy per-knob setters remain as thin deprecated shims
-delegating to :func:`set_session_defaults`.
+default — and all read the *session* level from the one store here, so
+a server resolving per-request options, the CLI and library callers
+share one surface.
 
 Session defaults are process-global and do **not** cross process
 boundaries (pool/shard workers re-resolve from their own environment,
@@ -35,7 +30,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import warnings
 from collections.abc import Iterator
 
 from repro.errors import ConfigError
@@ -67,12 +61,6 @@ class RuntimeOptions:
     shards:
         Worker-process count for the ``sharded`` backend
         (``$REPRO_SIM_SHARDS``, else CPU count).
-    episode_batch:
-        Batched whole-test-set episode engine
-        (``$REPRO_EPISODE_BATCH``, default on).
-    fault_plan:
-        Planned fault x pattern replay (``$REPRO_FAULT_PLAN``,
-        default on).
     stream_budget:
         Out-of-core streaming budget in ``uint64`` elements
         (``$REPRO_STREAM_BUDGET``, default off; ``0`` pins off).
@@ -101,8 +89,6 @@ class RuntimeOptions:
     backend: str | None = None
     fault_backend: str | None = None
     shards: int | None = None
-    episode_batch: bool | None = None
-    fault_plan: bool | None = None
     stream_budget: int | None = None
     trace: str | None = None
     array_namespace: str | None = None
@@ -122,6 +108,11 @@ class RuntimeOptions:
                     raise ConfigError(
                         f"unknown {which} backend {name!r}; "
                         f"available: {', '.join(available_backends())}")
+        for name in ("shards", "stream_budget"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, int)):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
         if self.shards is not None:
             if self.shards < 1:
                 raise ConfigError("shards must be >= 1")
@@ -151,7 +142,17 @@ class RuntimeOptions:
             ChaosPolicy.parse(self.chaos)
 
     def replace(self, **changes) -> "RuntimeOptions":
-        """A copy with ``changes`` applied (validated)."""
+        """A copy with ``changes`` applied (validated).
+
+        A name that is not a field raises :class:`ConfigError` listing
+        the valid ones.
+        """
+        names = [field.name for field in dataclasses.fields(self)]
+        unknown = sorted(set(changes) - set(names))
+        if unknown:
+            raise ConfigError(
+                f"unknown runtime option(s): {', '.join(unknown)}; "
+                f"valid: {', '.join(names)}")
         return dataclasses.replace(self, **changes)
 
     def to_flow_kwargs(self) -> dict:
@@ -186,9 +187,10 @@ def set_session_defaults(options: RuntimeOptions | None = None,
     ``set_session_defaults(options)`` installs ``options`` wholesale
     (an all-``None`` :class:`RuntimeOptions` — or plain
     ``set_session_defaults()`` — resets the session).  Keyword form
-    ``set_session_defaults(episode_batch=False)`` patches only the
+    ``set_session_defaults(stream_budget=0)`` patches only the
     named fields of the current session.  Mixing both applies the
-    kwargs on top of ``options``.
+    kwargs on top of ``options``.  An unknown field name raises
+    :class:`~repro.errors.ConfigError`.
     """
     global _session
     base = options if options is not None else \
@@ -221,11 +223,3 @@ def using(options: RuntimeOptions | None = None,
     finally:
         set_session_defaults(previous)
 
-
-def _deprecated_setter(name: str, field: str, value) -> None:
-    """Shared body of the legacy per-knob session setters."""
-    warnings.warn(
-        f"{name}() is deprecated; use repro.runtime."
-        f"set_session_defaults({field}=...)",
-        DeprecationWarning, stacklevel=3)
-    set_session_defaults(**{field: value})

@@ -26,24 +26,19 @@ from typing import TYPE_CHECKING
 
 from repro.cells.library import CellLibrary, default_library
 from repro.errors import ScanError
-from repro.leakage.estimator import leakage_power_uw
 from repro.netlist.circuit import Circuit
-from repro.power.dynamic import (
-    energy_per_cycle_uw_per_hz,
-    switching_energy_fj,
-)
 from repro.scan.chain import ScanCell, ScanChain
 from repro.scan.testview import ScanDesign, TestVector
 from repro.simulation.backends import Backend, resolve_backend
-from repro.simulation.cyclesim import simulate_cycles
-from repro.simulation.episode import EpisodePlan, episode_batching_enabled
+from repro.simulation.episode import EpisodePlan, check_pi_values
 from repro.simulation.eval2 import simulate_comb
 from repro.simulation.values import pack_bits
 
 if TYPE_CHECKING:
     from repro.power.scanpower import ScanPowerReport, ShiftPolicy
 
-__all__ = ["MultiChainDesign", "evaluate_multichain_power"]
+__all__ = ["MultiChainDesign", "evaluate_multichain_power",
+           "multichain_waveforms"]
 
 
 class MultiChainDesign:
@@ -175,41 +170,24 @@ def _chain_shift_bits(chain: ScanChain, initial: tuple[int, ...],
     return states
 
 
-def evaluate_multichain_power(design: MultiChainDesign,
-                              vectors: Sequence[TestVector],
-                              policy: ShiftPolicy | None = None,
-                              library: CellLibrary | None = None,
-                              include_capture: bool = True,
-                              backend: str | Backend | None = None,
-                              episode_batch: bool | None = None
-                              ) -> ScanPowerReport:
-    """Replay a scan test set with all chains shifting in parallel.
+def multichain_waveforms(design: MultiChainDesign,
+                         vectors: Sequence[TestVector],
+                         policy: ShiftPolicy,
+                         include_capture: bool = True
+                         ) -> tuple[dict[str, int], int]:
+    """Per-line packed waveforms of a parallel-shift replay.
 
-    Semantics mirror the single-chain evaluator; only the schedule
-    differs: every vector costs ``max_length`` shift cycles (plus the
-    capture cycle), during which each chain walks its own contents.
-    ``backend`` accepts any registered engine, including meta-backends
-    like ``sharded``; it is resolved exactly once per call and affects
-    speed only.  With episode batching on (``episode_batch`` following
-    :func:`~repro.power.scanpower.evaluate_scan_power`'s resolution),
-    evaluation goes through ``Backend.simulate_episode_batch`` so
-    sharding meta-backends may chunk the cycle axis of oversized
-    replays; off, it runs the plain cycle simulation.  Both paths are
-    bit-identical.
+    Returns ``(waveforms, n_cycles)``: per vector ``max_length`` shift
+    cycles (each chain walking its own padded segment) plus, with
+    ``include_capture``, the capture cycle.
     """
-    # Deferred: repro.power.scanpower imports repro.scan.testview, and
-    # the repro.scan package imports this module.
-    from repro.power.scanpower import ScanPowerReport, ShiftPolicy
-
-    policy = policy or ShiftPolicy()
-    library = library or default_library()
     circuit = design.circuit
-    engine = resolve_backend(backend)
     if not vectors:
         raise ScanError("empty test set")
     unknown_mux = set(policy.mux_ties) - set(design.global_q_lines)
     if unknown_mux:
         raise ScanError(f"mux ties on unknown cells: {sorted(unknown_mux)}")
+    check_pi_values(circuit.inputs, vectors, policy.pi_values)
 
     segment = design.max_length
     pi_bits: dict[str, list[int]] = {pi: [] for pi in circuit.inputs}
@@ -247,29 +225,47 @@ def evaluate_multichain_power(design: MultiChainDesign,
 
     all_bits = {**pi_bits, **q_bits}
     n_cycles = len(next(iter(all_bits.values())))
-    waveforms = {line: pack_bits(bits) for line, bits in all_bits.items()}
-    if episode_batching_enabled(episode_batch):
-        per_episode = segment + (1 if include_capture else 0)
-        plan = EpisodePlan(
-            circuit=circuit, waveforms=waveforms, n_cycles=n_cycles,
-            offsets=tuple(range(0, n_cycles, per_episode)),
-            lengths=(per_episode,) * len(vectors))
-        result = engine.simulate_episode_batch(plan, library,
-                                               collect_leakage=True)
-    else:
-        result = simulate_cycles(circuit, waveforms, n_cycles, library,
-                                 collect_leakage=True, backend=engine)
-    energy_fj = switching_energy_fj(circuit, result.transitions, library)
-    return ScanPowerReport(
-        circuit_name=circuit.name,
-        policy_name=f"{policy.name}@{design.n_chains}chains",
-        n_vectors=len(vectors),
-        n_cycles=n_cycles,
-        dynamic_uw_per_hz=energy_per_cycle_uw_per_hz(energy_fj, n_cycles),
-        static_uw=leakage_power_uw(result.mean_leakage_na, library.vdd),
-        total_transitions=result.total_transitions,
-        mean_leakage_na=result.mean_leakage_na,
-    )
+    return {line: pack_bits(bits) for line, bits in all_bits.items()}, \
+        n_cycles
+
+
+def evaluate_multichain_power(design: MultiChainDesign,
+                              vectors: Sequence[TestVector],
+                              policy: ShiftPolicy | None = None,
+                              library: CellLibrary | None = None,
+                              include_capture: bool = True,
+                              backend: str | Backend | None = None
+                              ) -> ScanPowerReport:
+    """Replay a scan test set with all chains shifting in parallel.
+
+    Semantics mirror the single-chain evaluator; only the schedule
+    differs: every vector costs ``max_length`` shift cycles (plus the
+    capture cycle), during which each chain walks its own contents.
+    ``backend`` accepts any registered engine, including meta-backends
+    like ``sharded``; it is resolved exactly once per call and affects
+    speed only.  Evaluation goes through
+    ``Backend.simulate_episode_batch`` so sharding meta-backends may
+    chunk the cycle axis of oversized replays.
+    """
+    # Deferred: repro.power.scanpower imports repro.scan.testview, and
+    # the repro.scan package imports this module.
+    from repro.power.scanpower import ScanPowerReport, ShiftPolicy
+
+    policy = policy or ShiftPolicy()
+    library = library or default_library()
+    engine = resolve_backend(backend)
+    waveforms, n_cycles = multichain_waveforms(design, vectors, policy,
+                                               include_capture)
+    per_episode = design.max_length + (1 if include_capture else 0)
+    plan = EpisodePlan(
+        circuit=design.circuit, waveforms=waveforms, n_cycles=n_cycles,
+        offsets=tuple(range(0, n_cycles, per_episode)),
+        lengths=(per_episode,) * len(vectors))
+    result = engine.simulate_episode_batch(plan, library,
+                                           collect_leakage=True)
+    return ScanPowerReport.from_replay(
+        design.circuit, f"{policy.name}@{design.n_chains}chains",
+        len(vectors), result, library)
 
 
 def total_test_cycles(design: MultiChainDesign, n_vectors: int,

@@ -20,16 +20,12 @@ from repro.simulation.episode import (
     EpisodeBatchResult,
     EpisodePlan,
     compile_episode_plan,
-    episode_batching_enabled,
-    set_default_episode_batching,
 )
 from repro.simulation.eval2 import comb_input_lines, simulate_comb
 from repro.simulation.fault_episode import (
     FaultEpisodePlan,
     FaultSimSession,
     compile_fault_episode_plan,
-    fault_planning_enabled,
-    set_default_fault_planning,
 )
 from repro.simulation.eval3 import imply_from, simulate_comb3
 from repro.simulation.eventsim import EventSimulator
@@ -65,13 +61,9 @@ __all__ = [
     "EpisodePlan",
     "EpisodeBatchResult",
     "compile_episode_plan",
-    "episode_batching_enabled",
-    "set_default_episode_batching",
     "FaultEpisodePlan",
     "FaultSimSession",
     "compile_fault_episode_plan",
-    "fault_planning_enabled",
-    "set_default_fault_planning",
     "EventSimulator",
     "SequentialSimulator",
     "render_vcd",

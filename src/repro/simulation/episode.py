@@ -2,12 +2,11 @@
 
 The paper's Table I / Figure 2 measurements replay scan *episodes*: per
 test vector, ``L`` shift cycles (the previous response shifts out while
-the next vector shifts in) followed by one capture cycle.  The legacy
-builder in :mod:`repro.power.scanpower` assembled those waveforms with
-per-vector, per-cycle, per-line Python loops and one
-:func:`~repro.scan.testview.ScanDesign.capture` simulation per vector —
-so a vectorized backend only ever accelerated the innermost simulation
-step.
+the next vector shifts in) followed by one capture cycle.  Assembling
+those waveforms with per-vector, per-cycle, per-line Python loops and
+one :func:`~repro.scan.testview.ScanDesign.capture` simulation per
+vector would let a vectorized backend accelerate only the innermost
+simulation step.
 
 This module compiles a :class:`~repro.scan.testview.ScanDesign` plus a
 full test set into a single :class:`EpisodePlan`:
@@ -26,15 +25,12 @@ numpy engine) and returns an :class:`EpisodeBatchResult`; the ``sharded``
 meta-backend splits the *pattern/cycle axis* of oversized plans under a
 memory budget and merges chunk results with integer-exact arithmetic.
 
-Everything stays bit-identical to the legacy per-episode path: the plan's
-packed words equal the loop-built waveforms bit for bit, so transitions,
-leakage sums and every derived power metric follow.  The differential
-property tests in ``tests/properties`` pin this across backends and
-shard counts.
-
-The batched path is on by default; ``$REPRO_EPISODE_BATCH`` (``0``/``1``)
-or the per-call ``episode_batch=`` argument override it (the CLI's
-``--episode-batch on|off`` flag sets the same knob per run).
+Everything is bit-identical to that serial per-episode loop, which is
+kept as a test oracle (``tests/power/episode_reference.py``): the
+plan's packed words equal the loop-built waveforms bit for bit, so
+transitions, leakage sums and every derived power metric follow.  The
+differential property tests in ``tests/properties`` pin this across
+backends and shard counts.
 """
 
 from __future__ import annotations
@@ -56,42 +52,45 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 __all__ = [
     "EpisodePlan",
     "EpisodeBatchResult",
+    "check_pi_values",
     "compile_episode_plan",
-    "episode_batching_enabled",
-    "set_default_episode_batching",
-    "DEFAULT_EPISODE_BATCH_ENV",
 ]
-
-#: Environment variable toggling the batched episode engine (``1`` on,
-#: ``0`` off; unset = on).
-DEFAULT_EPISODE_BATCH_ENV = "REPRO_EPISODE_BATCH"
-
-
-def set_default_episode_batching(flag: bool | None) -> None:
-    """Deprecated: install the session-default episode-batching switch.
-
-    Thin shim over the unified runtime-options surface — use
-    ``repro.runtime.set_session_defaults(episode_batch=flag)`` (or the
-    :func:`repro.runtime.using` context manager) instead.  ``None``
-    resets to the environment/built-in default.
-    """
-    from repro.runtime import _deprecated_setter
-    _deprecated_setter("set_default_episode_batching", "episode_batch",
-                       flag)
 
 
 def episode_batching_enabled(flag: bool | None = None) -> bool:
-    """Resolve the episode-batching switch.
+    """Always ``True``: the batched engine is the only replay path.
 
-    An explicit ``flag`` wins, then the session default
-    (:attr:`repro.runtime.RuntimeOptions.episode_batch`), then
-    ``$REPRO_EPISODE_BATCH``, defaulting to **on** (the batched path is
-    bit-identical to the legacy loop, so only speed changes).
+    Kept only because ``perfbench/workloads.py`` (``resolved_runtime``)
+    imports it to record the resolved engines; it reads neither the
+    environment nor the session.
     """
-    from repro.runtime import session_defaults
-    from repro.simulation.toggles import resolve_toggle
-    return resolve_toggle(DEFAULT_EPISODE_BATCH_ENV, flag,
-                          session_defaults().episode_batch)
+    return True
+
+
+def check_pi_values(inputs: Sequence[str],
+                    vectors: "Sequence[TestVector]",
+                    pi_values: Mapping[str, int] | None) -> None:
+    """Reject PI drive a waveform builder cannot honour.
+
+    Raises :class:`~repro.errors.ScanError` for shift-policy PI values
+    on lines that are not primary inputs (mirroring the mux-tie check),
+    for policy values other than 0/1, and for a test vector that has no
+    value for one of the primary ``inputs``.
+    """
+    if pi_values:
+        unknown = set(pi_values) - set(inputs)
+        if unknown:
+            raise ScanError(
+                f"policy PI values on unknown inputs: {sorted(unknown)}")
+        for name, value in pi_values.items():
+            if value not in (0, 1):
+                raise ScanError(f"policy PI value for {name!r} must be 0/1")
+    for index, vector in enumerate(vectors):
+        for pi in inputs:
+            if pi not in vector.pi_values:
+                raise ScanError(
+                    f"test vector {index} has no value for primary "
+                    f"input {pi!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -104,7 +103,7 @@ class EpisodePlan:
         The circuit the stimulus drives (combinational part).
     waveforms:
         Per-line packed interchange words covering every episode's
-        cycles back to back — bit-identical to the legacy per-episode
+        cycles back to back — bit-identical to the serial per-episode
         waveform builder's output.
     n_cycles:
         Total cycle count over all episodes.
@@ -205,7 +204,7 @@ def compile_episode_plan(design: "ScanDesign",
     packed simulation on ``backend`` (resolved once; a meta backend
     delegates to its inner engine).
 
-    The packed words are bit-identical to the legacy per-episode
+    The packed words are bit-identical to the serial per-episode
     builder for every input; the shift protocol itself is generated
     from the chain's index mapping, whose "last state equals the
     vector" invariant holds by construction.
@@ -223,10 +222,7 @@ def compile_episode_plan(design: "ScanDesign",
     for name, value in mux_ties.items():
         if value not in (0, 1):
             raise ScanError(f"mux tie for {name!r} must be 0/1")
-    if pi_values:
-        for name, value in pi_values.items():
-            if value not in (0, 1):
-                raise ScanError(f"policy PI value for {name!r} must be 0/1")
+    check_pi_values(circuit.inputs, vectors, pi_values)
 
     n_vec = len(vectors)
     length = chain.length

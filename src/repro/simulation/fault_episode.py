@@ -29,15 +29,12 @@ good-machine state cache across the many batches of one ATPG run (or
 one campaign circuit), so incremental fault dropping never re-simulates
 the good machine.
 
-Everything is bit-identical to the per-batch reference path: detection
-words, ``remaining`` ordering, coverage statistics and compacted test
-sets never depend on the engine, the tile geometry or the shard count —
-the differential property tests in ``tests/properties`` pin this.  The
-planned path is on by default; ``$REPRO_FAULT_PLAN`` (``0``/``1``), a
-session default installed via :func:`set_default_fault_planning` (the
-CLI's ``--fault-plan on|off`` flag) or a per-call flag override it.
-The toggle is runtime-only and excluded from
-:meth:`~repro.core.config.FlowConfig.config_hash`.
+Everything is bit-identical to the per-batch reference
+(:meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`):
+detection words, ``remaining`` ordering, coverage statistics and
+compacted test sets never depend on the engine, the tile geometry or
+the shard count — the differential property tests in
+``tests/properties`` pin this.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ from typing import TYPE_CHECKING
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.obs.trace import span
-from repro.simulation.toggles import resolve_toggle
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.atpg.faults import Fault
@@ -60,39 +56,17 @@ __all__ = [
     "FaultEpisodePlan",
     "FaultSimSession",
     "compile_fault_episode_plan",
-    "fault_planning_enabled",
-    "set_default_fault_planning",
-    "DEFAULT_FAULT_PLAN_ENV",
 ]
-
-#: Environment variable toggling the planned fault-replay engine
-#: (``1`` on, ``0`` off; unset = on).
-DEFAULT_FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
-
-
-def set_default_fault_planning(flag: bool | None) -> None:
-    """Deprecated: install the session-default fault-planning switch.
-
-    Thin shim over the unified runtime-options surface — use
-    ``repro.runtime.set_session_defaults(fault_plan=flag)`` (or the
-    :func:`repro.runtime.using` context manager) instead.  ``None``
-    resets to the environment/built-in default.
-    """
-    from repro.runtime import _deprecated_setter
-    _deprecated_setter("set_default_fault_planning", "fault_plan", flag)
 
 
 def fault_planning_enabled(flag: bool | None = None) -> bool:
-    """Resolve the fault-planning switch.
+    """Always ``True``: the planned replay is the only product path.
 
-    An explicit ``flag`` wins, then the session default
-    (:attr:`repro.runtime.RuntimeOptions.fault_plan`), then
-    ``$REPRO_FAULT_PLAN``, defaulting to **on** (the planned path is
-    bit-identical to the per-batch loop, so only speed changes).
+    Kept only because ``perfbench/workloads.py`` (``resolved_runtime``)
+    imports it to record the resolved engines; it reads neither the
+    environment nor the session.
     """
-    from repro.runtime import session_defaults
-    return resolve_toggle(DEFAULT_FAULT_PLAN_ENV, flag,
-                          session_defaults().fault_plan)
+    return True
 
 
 class FaultEpisodePlan:
@@ -199,8 +173,7 @@ class FaultSimSession:
     Carries the resolved engine and a bounded good-machine state pool
     across *many* fault-simulation calls (ATPG batches, compaction,
     coverage accounting), so incremental fault dropping never
-    recomputes shared state.  The session resolves the planning toggle
-    **once** at construction — one ATPG run never mixes paths.
+    recomputes shared state.
 
     Parameters
     ----------
@@ -209,28 +182,20 @@ class FaultSimSession:
     backend:
         Fault-simulation engine (name, instance or ``None`` — resolved
         through :func:`~repro.simulation.backends.resolve_fault_backend`).
-    plan:
-        Planning toggle override; ``None`` defers to the session
-        default / ``$REPRO_FAULT_PLAN`` (default on).  Off routes every
-        call through the legacy per-batch
-        :meth:`~repro.simulation.backends.base.Backend.
-        fault_simulate_batch` path — the pinned reference.
     stream_budget:
         Out-of-core streaming budget override (``uint64`` elements of
         one window's state matrix); ``None`` defers to the session
         default / ``$REPRO_STREAM_BUDGET``, ``0`` forces streaming off.
-        Resolved once at construction, like the planning toggle.
+        Resolved once at construction.
     """
 
     def __init__(self, circuit: Circuit,
                  backend: "str | Backend | None" = None,
-                 plan: bool | None = None,
                  stream_budget: int | None = None):
         from repro.simulation.backends import resolve_fault_backend
         from repro.simulation.streaming import resolve_stream_budget
         self.circuit = circuit
         self.engine = resolve_fault_backend(backend)
-        self.plan_enabled = fault_planning_enabled(plan)
         self.stream_budget = resolve_stream_budget(stream_budget)
         self._state_pool: \
             "OrderedDict[tuple, dict[str, SimState]]" = OrderedDict()
@@ -268,16 +233,13 @@ class FaultSimSession:
 
         Same contract as :func:`repro.atpg.faultsim.fault_simulate`
         (detection words record all detecting patterns; ``remaining``
-        is the undetected faults in input order), bit-identical whether
-        the planned or the legacy per-batch path runs.  A fault on a
+        is the undetected faults in input order), bit-identical to the
+        per-batch reference.  A fault on a
         line the circuit does not have raises
         :class:`~repro.errors.SimulationError`.
         """
         from repro.atpg.faultsim import check_fault_lines
         check_fault_lines(self.circuit, faults)
-        if not self.plan_enabled:
-            return self.engine.fault_simulate_batch(
-                self.circuit, faults, input_words, n, drop=drop)
         plan = self.compile(faults, input_words, n)
         # The budget was resolved once at construction; 0 pins it off so
         # a later session default cannot flip one run mid-flight.
@@ -286,5 +248,4 @@ class FaultSimSession:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<FaultSimSession {self.circuit.name!r} "
-                f"engine={self.engine.name!r} "
-                f"plan={self.plan_enabled}>")
+                f"engine={self.engine.name!r}>")

@@ -35,8 +35,8 @@ faults a *caller* re-submits later.
 Streaming engages when a budget is configured and the plan's resident
 state matrix would exceed it.  Resolution order matches every other
 runtime knob: per-call argument > session default
-(:func:`set_default_stream_budget`, installed by the CLI's
-``--stream-budget``) > ``$REPRO_STREAM_BUDGET`` > off.  The knob is
+(:attr:`repro.runtime.RuntimeOptions.stream_budget`, installed by the
+CLI's ``--stream-budget``) > ``$REPRO_STREAM_BUDGET`` > off.  The knob is
 runtime-only: it never changes results, so it is excluded from
 :meth:`~repro.core.config.FlowConfig.config_hash`.
 """
@@ -72,7 +72,6 @@ __all__ = [
     "episode_window_ingredients",
     "fault_stream_windows",
     "resolve_stream_budget",
-    "set_default_stream_budget",
     "shard_bounds",
     "state_elements",
     "stream_episode_batch",
@@ -89,21 +88,6 @@ DEFAULT_STREAM_BUDGET_ENV = "REPRO_STREAM_BUDGET"
 #: Stimulus byte maps above this size spill to a memory-mapped temp
 #: file instead of staying resident (see :class:`PlanByteStore`).
 _SPILL_THRESHOLD_BYTES = 256 * 1024 * 1024
-
-def set_default_stream_budget(budget: int | None) -> None:
-    """Deprecated: install the session-default stream budget.
-
-    Thin shim over the unified runtime-options surface — use
-    ``repro.runtime.set_session_defaults(stream_budget=budget)`` (or
-    the :func:`repro.runtime.using` context manager) instead.  ``None``
-    resets to the environment/built-in default; ``0`` forces streaming
-    off for the session.
-    """
-    if budget is not None and budget < 0:
-        raise SimulationError("stream budget must be >= 0")
-    from repro.runtime import _deprecated_setter
-    _deprecated_setter("set_default_stream_budget", "stream_budget",
-                       budget)
 
 
 def resolve_stream_budget(budget: int | None = None) -> int | None:

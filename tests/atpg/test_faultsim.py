@@ -140,8 +140,7 @@ class TestUnknownFaultLine:
     every engine and by a session, never silently left undetected."""
 
     @pytest.mark.parametrize("engine", [
-        "bigint", "numpy", "sharded", "session-bigint", "session-numpy",
-        "session-legacy"])
+        "bigint", "numpy", "sharded", "session-bigint", "session-numpy"])
     def test_every_engine_raises_simulation_error(self, s27, engine):
         from repro.errors import SimulationError
         from repro.simulation.fault_episode import FaultSimSession
@@ -151,10 +150,7 @@ class TestUnknownFaultLine:
             s27, [{line: 0 for line in comb_input_lines(s27)}])
         with pytest.raises(SimulationError, match="'zz'"):
             if engine.startswith("session-"):
-                kind = engine.split("-")[1]
-                session = FaultSimSession(
-                    s27, "bigint" if kind == "legacy" else kind,
-                    plan=kind != "legacy")
+                session = FaultSimSession(s27, engine.split("-")[1])
                 session.simulate(faults, words, n)
             else:
                 fault_simulate(s27, faults, words, n, backend=engine)

@@ -1,5 +1,6 @@
 """Tests for the full ATPG pipeline (ATOM substitute)."""
 
+import compaction_reference as reference
 import pytest
 
 from repro.atpg.collapse import collapse_faults
@@ -141,11 +142,11 @@ class TestFaultAccounting:
         assert result.summary().endswith("149 untestable, 8 aborted)")
 
     def test_legacy_final_simulation_agrees(self):
+        """Coverage read off the compaction matrix equals the oracle's
+        final drop-mode re-simulation of the kept set."""
         design = _table1_design("s344")
-        planned = generate_tests(design, AtpgConfig(seed=1),
-                                 fault_plan=True)
-        legacy = generate_tests(design, AtpgConfig(seed=1),
-                                fault_plan=False)
+        planned = generate_tests(design, AtpgConfig(seed=1))
+        legacy = reference.generate_tests(design, AtpgConfig(seed=1))
         assert planned.n_aborted == legacy.n_aborted
         assert planned.n_detected == legacy.n_detected
         assert (legacy.n_detected + legacy.n_untestable
@@ -154,33 +155,31 @@ class TestFaultAccounting:
 
 class TestFaultPlanToggle:
     """The planned fault x pattern replay must never change the
-    generated test set — the legacy per-batch loop is the pinned
-    reference."""
+    generated test set — the per-batch oracle
+    (``compaction_reference``) is the pinned reference."""
 
     def test_plan_on_equals_legacy(self, s27_design):
-        legacy = generate_tests(s27_design, AtpgConfig(seed=1),
-                                fault_plan=False)
-        planned = generate_tests(s27_design, AtpgConfig(seed=1),
-                                 fault_plan=True)
+        legacy = reference.generate_tests(s27_design, AtpgConfig(seed=1))
+        planned = generate_tests(s27_design, AtpgConfig(seed=1))
         assert planned.vectors == legacy.vectors
         assert planned.n_detected == legacy.n_detected
         assert planned.n_untestable == legacy.n_untestable
         assert planned.n_aborted == legacy.n_aborted
 
     def test_plan_on_equals_legacy_without_compaction(self, s27_design):
-        """With compaction off there is no detection matrix to reuse;
-        the plan path must fall back to the final drop-mode pass."""
+        """With compaction off the matrix keeps every vector; its
+        coverage must equal the oracle's drop-mode pass."""
         config = AtpgConfig(seed=2, compaction=False)
-        legacy = generate_tests(s27_design, config, fault_plan=False)
-        planned = generate_tests(s27_design, config, fault_plan=True)
+        legacy = reference.generate_tests(s27_design, config)
+        planned = generate_tests(s27_design, config)
         assert planned.vectors == legacy.vectors
         assert planned.n_detected == legacy.n_detected
 
     def test_matrix_reuse_skips_final_simulation(self, s27_design,
                                                  monkeypatch):
-        """On the plan path the final coverage accounting reads the
-        compaction matrix: exactly one no-drop call, no trailing
-        drop-mode call on the compacted set."""
+        """The final coverage accounting reads the compaction matrix:
+        exactly one no-drop call, no trailing drop-mode call on the
+        compacted set."""
         from repro.simulation.fault_episode import FaultSimSession
 
         calls = []
@@ -191,18 +190,20 @@ class TestFaultPlanToggle:
             return original(self, faults, words, n, drop=drop)
 
         monkeypatch.setattr(FaultSimSession, "simulate", spy)
-        generate_tests(s27_design, AtpgConfig(seed=1), fault_plan=True)
+        generate_tests(s27_design, AtpgConfig(seed=1))
         assert calls.count(False) == 1  # the compaction matrix
-        planned_calls = list(calls)
-        calls.clear()
-        generate_tests(s27_design, AtpgConfig(seed=1), fault_plan=False)
-        # legacy runs one extra drop-mode pass after the matrix
-        assert len(calls) == len(planned_calls) + 1
+        assert calls[-1] is False
+        session = reference.BatchSession(s27_design.circuit)
+        reference.generate_tests(s27_design, AtpgConfig(seed=1),
+                                 session=session)
+        # the oracle runs one extra drop-mode pass after the matrix
+        assert session.drops == calls + [True]
 
     def test_coverage_on_env_toggle(self, s27_design, monkeypatch):
+        """The retired ``$REPRO_FAULT_PLAN`` switches nothing: the test
+        set under it still equals the oracle's."""
         monkeypatch.setenv("REPRO_FAULT_PLAN", "0")
-        legacy = generate_tests(s27_design, AtpgConfig(seed=3))
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "1")
+        legacy = reference.generate_tests(s27_design, AtpgConfig(seed=3))
         planned = generate_tests(s27_design, AtpgConfig(seed=3))
         assert planned.vectors == legacy.vectors
         assert planned.n_detected == legacy.n_detected

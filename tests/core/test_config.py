@@ -99,12 +99,12 @@ class TestConfigHash:
         assert FlowConfig(backend="numpy").config_hash() == base
         assert FlowConfig(fault_backend="numpy").config_hash() == base
         assert FlowConfig(shards=4).config_hash() == base
-        # episode batching / fault planning are bit-identical by
-        # contract -> never cache-key ingredients
-        assert FlowConfig(episode_batch=True).config_hash() == base
-        assert FlowConfig(episode_batch=False).config_hash() == base
-        assert FlowConfig(fault_plan=True).config_hash() == base
-        assert FlowConfig(fault_plan=False).config_hash() == base
+        # streaming, tracing and the array namespace never change
+        # results -> never cache-key ingredients
+        assert FlowConfig(stream_budget=0).config_hash() == base
+        assert FlowConfig(stream_budget=1 << 20).config_hash() == base
+        assert FlowConfig(trace="").config_hash() == base
+        assert FlowConfig(array_namespace="numpy").config_hash() == base
 
     def test_result_relevant_fields_included(self):
         base = FlowConfig().config_hash()

@@ -100,9 +100,9 @@ class TestShiftModeInvariant:
             s27_result.policies["proposed"], include_capture=False)
         # Rebuild per-line transition counts with capture excluded: any
         # line with a binary settled value must be silent.
-        from repro.power.scanpower import _episode_waveforms
+        from repro.power.scanpower import episode_waveforms
         from repro.simulation.cyclesim import simulate_cycles
-        waveforms, n = _episode_waveforms(
+        waveforms, n = episode_waveforms(
             design, s27_result.test_set.vectors,
             s27_result.policies["proposed"], False, None)
         sim = simulate_cycles(design.circuit, waveforms, n,

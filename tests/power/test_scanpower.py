@@ -1,6 +1,10 @@
 """Tests for the scan-shift power evaluator (Table I semantics)."""
 
 import pytest
+from episode_reference import (
+    evaluate_scan_power as serial_scan_power,
+    per_cycle_energy_fj as serial_energy_profile,
+)
 
 from repro.errors import ScanError
 from repro.power.scanpower import (
@@ -9,6 +13,7 @@ from repro.power.scanpower import (
     evaluate_scan_power,
     per_cycle_energy_fj,
 )
+from repro.scan.multichain import MultiChainDesign, evaluate_multichain_power
 from repro.scan.testview import ScanDesign, TestVector
 
 
@@ -42,6 +47,69 @@ class TestEpisodeStructure:
             scan_state=(0,))
         with pytest.raises(ScanError):
             evaluate_scan_power(s27_design, [bad])
+
+
+def _single_chain(design, vectors, policy):
+    return evaluate_scan_power(design, vectors, policy)
+
+
+def _two_chains(design, vectors, policy):
+    return evaluate_multichain_power(
+        MultiChainDesign.partition(design.circuit, 2), vectors, policy)
+
+
+def _energy_profile(design, vectors, policy):
+    return per_cycle_energy_fj(design, vectors, policy)
+
+
+def _waveforms(design, vectors, policy):
+    from repro.power.scanpower import episode_waveforms
+    return episode_waveforms(design, vectors, policy)
+
+
+BOTH_BUILDERS = pytest.mark.parametrize(
+    "evaluate", [_single_chain, _two_chains, _energy_profile, _waveforms],
+    ids=["single-chain", "multichain", "energy-profile", "waveforms"])
+
+
+class TestPrimaryInputValidation:
+    """Both waveform builders reject PI drive they cannot honour with a
+    ScanError naming the line, never a KeyError or a silent skip."""
+
+    @BOTH_BUILDERS
+    def test_vector_missing_a_pi_rejected(self, s27_design, evaluate):
+        bad = TestVector(pi_values={}, scan_state=(0, 0, 0))
+        with pytest.raises(ScanError, match="primary input 'G0'"):
+            evaluate(s27_design, [bad], ShiftPolicy())
+
+    @BOTH_BUILDERS
+    def test_unknown_policy_pi_rejected(self, s27_design, make_vectors,
+                                        evaluate):
+        policy = ShiftPolicy(pi_values={"nope": 1})
+        with pytest.raises(ScanError, match=r"unknown inputs: \['nope'\]"):
+            evaluate(s27_design, make_vectors(s27_design, 2), policy)
+
+    @BOTH_BUILDERS
+    def test_names_the_one_missing_pi(self, s27_design, make_vectors,
+                                      evaluate):
+        vectors = make_vectors(s27_design, 3)
+        last = s27_design.circuit.inputs[-1]
+        pis = {pi: 0 for pi in s27_design.circuit.inputs if pi != last}
+        vectors[2] = TestVector(pi_values=pis,
+                                scan_state=vectors[2].scan_state)
+        with pytest.raises(ScanError,
+                           match=f"vector 2 has no value for primary "
+                                 f"input '{last}'"):
+            evaluate(s27_design, vectors, ShiftPolicy())
+
+    @pytest.mark.parametrize("evaluate", [_single_chain, _two_chains],
+                             ids=["single-chain", "multichain"])
+    def test_non_binary_policy_pi_rejected(self, s27_design, make_vectors,
+                                           evaluate):
+        first = s27_design.circuit.inputs[0]
+        policy = ShiftPolicy(pi_values={first: 2})
+        with pytest.raises(ScanError, match="must be 0/1"):
+            evaluate(s27_design, make_vectors(s27_design, 2), policy)
 
 
 class TestBlockingEverything:
@@ -152,9 +220,9 @@ class TestPerCycleProfile:
 
 
 class TestEpisodeBatchPath:
-    """The batched engine is the default; it must match the serial
-    loop exactly (the property suite covers random circuits, this
-    pins the real s27 design and the report object)."""
+    """The batched engine must match the serial oracle exactly (the
+    property suite covers random circuits, this pins the real s27
+    design and the report object)."""
 
     def test_report_identical_to_serial(self, s27_design, make_vectors):
         vectors = make_vectors(s27_design, 8)
@@ -162,27 +230,23 @@ class TestEpisodeBatchPath:
             name="proposed",
             pi_values={pi: 0 for pi in s27_design.circuit.inputs},
             mux_ties={s27_design.chain.q_lines[0]: 1})
-        serial = evaluate_scan_power(s27_design, vectors, policy,
-                                     episode_batch=False)
+        serial = serial_scan_power(s27_design, vectors, policy)
         for backend in ("bigint", "numpy", "sharded"):
             batched = evaluate_scan_power(s27_design, vectors, policy,
-                                          backend=backend,
-                                          episode_batch=True)
+                                          backend=backend)
             assert batched == serial, backend
 
     def test_profile_identical_to_serial(self, s27_design, make_vectors):
         import numpy as np
         vectors = make_vectors(s27_design, 4)
-        serial = per_cycle_energy_fj(s27_design, vectors,
-                                     episode_batch=False)
-        batched = per_cycle_energy_fj(s27_design, vectors,
-                                      episode_batch=True)
+        serial = serial_energy_profile(s27_design, vectors)
+        batched = per_cycle_energy_fj(s27_design, vectors)
         assert np.array_equal(serial, batched)
 
-    def test_env_toggle_controls_default(self, s27_design, make_vectors,
-                                         monkeypatch):
-        """The env var must actually switch the *path* taken — outputs
-        are bit-identical by contract, so count compiler calls."""
+    def test_compiles_exactly_one_plan(self, s27_design, make_vectors,
+                                       monkeypatch):
+        """One plan per call, whatever the retired
+        ``$REPRO_EPISODE_BATCH`` says."""
         import repro.power.scanpower as scanpower
         from repro.simulation.episode import compile_episode_plan
 
@@ -194,11 +258,6 @@ class TestEpisodeBatchPath:
 
         monkeypatch.setattr(scanpower, "compile_episode_plan",
                             counting_compile)
-        vectors = make_vectors(s27_design, 3)
         monkeypatch.setenv("REPRO_EPISODE_BATCH", "0")
-        off = evaluate_scan_power(s27_design, vectors)
-        assert calls == []  # serial loop, compiler untouched
-        monkeypatch.setenv("REPRO_EPISODE_BATCH", "1")
-        on = evaluate_scan_power(s27_design, vectors)
-        assert calls == [1]  # batched path compiled exactly one plan
-        assert on == off
+        evaluate_scan_power(s27_design, make_vectors(s27_design, 3))
+        assert calls == [1]

@@ -1,14 +1,16 @@
 """Differential properties of the batched episode engine.
 
 The batched whole-test-set replay must be observationally identical to
-the legacy per-episode path — packed waveforms bit for bit, transition
-counts exactly, leakage floats IEEE-equal — on every registered backend,
-on mapped and unmapped circuits, and under forced pattern/cycle-axis
-sharding with real worker processes.
+the serial per-episode oracle (``tests/power/episode_reference.py``) —
+packed waveforms bit for bit, transition counts exactly, leakage floats
+IEEE-equal — on every registered backend, on mapped and unmapped
+circuits, and under forced pattern/cycle-axis sharding with real worker
+processes.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from power import episode_reference as serial
 
 from repro.benchgen.generator import generate_from_stats
 from repro.benchgen.iscas89 import Iscas89Stats
@@ -74,13 +76,12 @@ class TestBatchedEqualsSerial:
         design = _random_design(seed, mapped)
         vectors = _random_vectors(design, n_vectors, seed)
         policy = _blocking_policy(design, seed)
-        serial = episode_waveforms(design, vectors, policy,
-                                   include_capture, episode_batch=False)
+        reference = serial.episode_waveforms(design, vectors, policy,
+                                             include_capture)
         for name in BACKENDS:
             batched = episode_waveforms(design, vectors, policy,
-                                        include_capture, backend=name,
-                                        episode_batch=True)
-            assert batched == serial, name
+                                        include_capture, backend=name)
+            assert batched == reference, name
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 5), st.booleans())
@@ -88,13 +89,11 @@ class TestBatchedEqualsSerial:
         design = _random_design(seed, mapped)
         vectors = _random_vectors(design, n_vectors, seed)
         policy = _blocking_policy(design, seed)
-        reference = evaluate_scan_power(design, vectors, policy,
-                                        backend="bigint",
-                                        episode_batch=False)
+        reference = serial.evaluate_scan_power(design, vectors, policy,
+                                               backend="bigint")
         for name in BACKENDS:
             batched = evaluate_scan_power(design, vectors, policy,
-                                          backend=name,
-                                          episode_batch=True)
+                                          backend=name)
             assert batched == reference, name
 
     @settings(max_examples=4, deadline=None)
@@ -102,12 +101,10 @@ class TestBatchedEqualsSerial:
     def test_energy_profile_identical(self, seed, n_vectors):
         design = _random_design(seed, mapped=True)
         vectors = _random_vectors(design, n_vectors, seed)
-        serial = per_cycle_energy_fj(design, vectors,
-                                     episode_batch=False)
+        reference = serial.per_cycle_energy_fj(design, vectors)
         for name in BACKENDS:
-            batched = per_cycle_energy_fj(design, vectors, backend=name,
-                                          episode_batch=True)
-            assert np.array_equal(batched, serial), name
+            batched = per_cycle_energy_fj(design, vectors, backend=name)
+            assert np.array_equal(batched, reference), name
 
 
 class TestPatternAxisSharding:
@@ -143,12 +140,10 @@ class TestPatternAxisSharding:
     def test_sharded_report_via_public_entry(self):
         design = _random_design(11, mapped=True)
         vectors = _random_vectors(design, 4, 11)
-        reference = evaluate_scan_power(design, vectors,
-                                        backend="bigint",
-                                        episode_batch=False)
+        reference = serial.evaluate_scan_power(design, vectors,
+                                               backend="bigint")
         backend = ShardedBackend(shards=2, episode_budget=4)
-        batched = evaluate_scan_power(design, vectors, backend=backend,
-                                      episode_batch=True)
+        batched = evaluate_scan_power(design, vectors, backend=backend)
         assert batched == reference
 
     def test_small_plan_runs_inline(self, s27_design, make_vectors):

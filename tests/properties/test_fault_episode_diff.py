@@ -5,10 +5,12 @@ scalar big-int reference — detection words bit for bit, ``remaining`` in
 exact input order — on every registered backend, in both drop modes, on
 mapped and unmapped circuits, for every tile geometry, and under forced
 multi-process sharding of **either** axis (fault-major and
-pattern-major) with real worker processes.  The generated test sets of
-the planned and legacy ATPG paths must be equal too.
+pattern-major) with real worker processes.  The generated test sets
+must equal those of the per-batch ATPG oracle
+(``tests/atpg/compaction_reference.py``) too.
 """
 
+from atpg import compaction_reference
 from hypothesis import given, settings, strategies as st
 
 from repro.atpg.faults import all_faults
@@ -68,18 +70,20 @@ class TestPlanEqualsScalarReference:
            st.booleans())
     def test_session_matches_per_batch_path(self, seed, n_patterns,
                                             mapped, drop):
-        """One session, plan on vs off: both equal ``fault_simulate``."""
+        """A planned session equals the engine's per-batch reference
+        (``fault_simulate_batch``) and ``fault_simulate``."""
         circuit = _random_circuit(seed, mapped=mapped, n_gates=30)
         faults = all_faults(circuit)
         words = random_input_words(circuit, n_patterns, make_rng(seed))
         reference = fault_simulate(circuit, faults, words, n_patterns,
                                    drop=drop, backend="bigint")
         for name in ("bigint", "numpy"):
-            for flag in (True, False):
-                session = FaultSimSession(circuit, name, plan=flag)
-                got = session.simulate(faults, words, n_patterns,
-                                       drop=drop)
-                _assert_same(got, reference, (name, flag, drop))
+            session = FaultSimSession(circuit, name)
+            got = session.simulate(faults, words, n_patterns, drop=drop)
+            per_batch = get_backend(name).fault_simulate_batch(
+                circuit, faults, words, n_patterns, drop=drop)
+            _assert_same(got, reference, (name, drop))
+            _assert_same(per_batch, reference, (name, "per-batch", drop))
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 170), st.booleans())
@@ -150,11 +154,10 @@ class TestGeneratedTestSetsIdentical:
         circuit = _random_circuit(seed, mapped=mapped, n_gates=25)
         design = ScanDesign.full_scan(circuit)
         config = AtpgConfig(seed=seed, max_random_batches=4)
-        legacy = generate_tests(design, config, fault_backend="bigint",
-                                fault_plan=False)
+        legacy = compaction_reference.generate_tests(design, config,
+                                                     backend="bigint")
         for name in ("bigint", "numpy"):
-            planned = generate_tests(design, config, fault_backend=name,
-                                     fault_plan=True)
+            planned = generate_tests(design, config, fault_backend=name)
             assert planned.vectors == legacy.vectors, name
             assert planned.n_detected == legacy.n_detected, name
             assert planned.n_faults == legacy.n_faults, name

@@ -14,7 +14,7 @@ from repro.benchgen.generator import generate_from_stats
 from repro.benchgen.iscas89 import Iscas89Stats
 from repro.core.find_pattern import find_controlled_input_pattern
 from repro.netlist.gates import X
-from repro.power.scanpower import ShiftPolicy, _episode_waveforms
+from repro.power.scanpower import ShiftPolicy, episode_waveforms
 from repro.scan.testview import ScanDesign, TestVector
 from repro.simulation.bitsim import simulate_packed
 from repro.simulation.cyclesim import simulate_cycles
@@ -127,8 +127,8 @@ class TestBlockingSoundness:
             pi_values={pi: pattern.assignment.get(pi, 0)
                        for pi in circuit.inputs},
             mux_ties={})
-        waveforms, n = _episode_waveforms(design, vectors, policy,
-                                          False, None)
+        waveforms, n = episode_waveforms(design, vectors, policy,
+                                         False, None)
         sim = simulate_cycles(circuit, waveforms, n,
                               collect_leakage=False)
         for line, value in pattern.values.items():
@@ -166,7 +166,7 @@ class TestScanProtocolProperties:
                           for _ in range(design.chain.length))
             vectors.append(TestVector(pi_values=pi_values,
                                       scan_state=state))
-        waveforms, n = _episode_waveforms(
+        waveforms, n = episode_waveforms(
             design, vectors, ShiftPolicy(), True, None)
         length = design.chain.length
         # The first shift cycle of segment k shows the captured response

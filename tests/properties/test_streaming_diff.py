@@ -20,9 +20,10 @@ from hypothesis import given, settings, strategies as st
 from repro.atpg.faults import all_faults
 from repro.benchgen.generator import generate_from_stats
 from repro.benchgen.iscas89 import Iscas89Stats
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 from repro.netlist.circuit import Circuit
 from repro.power.scanpower import evaluate_scan_power
+from repro.runtime import set_session_defaults
 from repro.scan.testview import ScanDesign, TestVector
 from repro.simulation.backends import (
     ShardedBackend,
@@ -41,7 +42,6 @@ from repro.simulation.streaming import (
     episode_stream_windows,
     fault_stream_windows,
     resolve_stream_budget,
-    set_default_stream_budget,
     state_elements,
     window_word,
 )
@@ -54,9 +54,9 @@ BACKENDS = sorted(available_backends())
 @pytest.fixture(autouse=True)
 def _no_session_budget():
     """Streaming stays opt-in per test; never leak a session default."""
-    set_default_stream_budget(None)
+    set_session_defaults(stream_budget=None)
     yield
-    set_default_stream_budget(None)
+    set_session_defaults(stream_budget=None)
 
 
 def _random_design(seed: int, mapped: bool = False, n_gates: int = 30
@@ -97,12 +97,12 @@ def _assert_same_faults(got, reference, context) -> None:
 class TestBudgetResolution:
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv(DEFAULT_STREAM_BUDGET_ENV, "111")
-        set_default_stream_budget(222)
+        set_session_defaults(stream_budget=222)
         assert resolve_stream_budget(333) == 333
 
     def test_session_default_beats_env(self, monkeypatch):
         monkeypatch.setenv(DEFAULT_STREAM_BUDGET_ENV, "111")
-        set_default_stream_budget(222)
+        set_session_defaults(stream_budget=222)
         assert resolve_stream_budget(None) == 222
 
     def test_env_is_the_fallback(self, monkeypatch):
@@ -114,14 +114,14 @@ class TestBudgetResolution:
     def test_zero_means_explicitly_off(self, monkeypatch):
         monkeypatch.setenv(DEFAULT_STREAM_BUDGET_ENV, "111")
         assert resolve_stream_budget(0) is None
-        set_default_stream_budget(0)
+        set_session_defaults(stream_budget=0)
         assert resolve_stream_budget(None) is None
 
     def test_negative_rejected(self):
         with pytest.raises(SimulationError):
             resolve_stream_budget(-1)
-        with pytest.raises(SimulationError):
-            set_default_stream_budget(-5)
+        with pytest.raises(ConfigError, match="stream_budget"):
+            set_session_defaults(stream_budget=-5)
 
     def test_garbage_env_rejected(self, monkeypatch):
         monkeypatch.setenv(DEFAULT_STREAM_BUDGET_ENV, "lots")

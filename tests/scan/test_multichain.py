@@ -1,6 +1,9 @@
 """Tests for multiple parallel scan chains."""
 
 import pytest
+from power.episode_reference import (
+    evaluate_multichain_power as serial_multichain_power,
+)
 
 from repro.errors import ScanError
 from repro.power.scanpower import ShiftPolicy, evaluate_scan_power
@@ -158,10 +161,10 @@ class TestEpisodeBatchRouting:
         assert sharded == reference
 
     def test_serial_escape_hatch_matches(self, toy_mapped, toy_multi):
+        """The plain cycle-simulation replay (the old serial escape
+        hatch, now the test oracle) gives the same report."""
         vectors = _vectors(toy_multi.global_q_lines, toy_mapped, 3,
                            seed=4)
-        batched = evaluate_multichain_power(toy_multi, vectors,
-                                            episode_batch=True)
-        serial = evaluate_multichain_power(toy_multi, vectors,
-                                           episode_batch=False)
+        batched = evaluate_multichain_power(toy_multi, vectors)
+        serial = serial_multichain_power(toy_multi, vectors)
         assert batched == serial

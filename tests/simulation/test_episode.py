@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from power.episode_reference import (
+    episode_waveforms as serial_waveforms,
+    evaluate_scan_power as serial_scan_power,
+)
 
-from repro.errors import ScanError, SimulationError
-from repro.power.scanpower import ShiftPolicy, _episode_waveforms
+from repro.errors import ScanError
+from repro.power.scanpower import ShiftPolicy, evaluate_scan_power
 from repro.scan.testview import TestVector
 from repro.simulation.backends import get_backend
 from repro.simulation.episode import (
-    DEFAULT_EPISODE_BATCH_ENV,
     EpisodeBatchResult,
     compile_episode_plan,
     episode_batching_enabled,
@@ -16,28 +19,28 @@ from repro.simulation.episode import (
 
 
 class TestEpisodeBatchToggle:
-    def test_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_EPISODE_BATCH_ENV, "0")
-        assert episode_batching_enabled(True) is True
-        monkeypatch.setenv(DEFAULT_EPISODE_BATCH_ENV, "1")
-        assert episode_batching_enabled(False) is False
+    """The batched engine is the only path; the resolver that used to
+    pick it survives as a constant."""
 
     def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv(DEFAULT_EPISODE_BATCH_ENV, raising=False)
+        monkeypatch.setenv("REPRO_EPISODE_BATCH", "0")
         assert episode_batching_enabled(None) is True
 
     @pytest.mark.parametrize("value,expected", [
         ("1", True), ("on", True), ("TRUE", True), ("yes", True),
         ("0", False), ("off", False), ("False", False), ("no", False),
     ])
-    def test_env_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv(DEFAULT_EPISODE_BATCH_ENV, value)
-        assert episode_batching_enabled(None) is expected
-
-    def test_garbage_env_rejected(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_EPISODE_BATCH_ENV, "maybe")
-        with pytest.raises(SimulationError):
-            episode_batching_enabled(None)
+    def test_env_values(self, monkeypatch, s27_design, make_vectors,
+                        value, expected):
+        """No spelling of the retired ``$REPRO_EPISODE_BATCH`` changes
+        the report: it equals that of the path the value used to select
+        (``expected``: batched if true, the serial oracle if false)."""
+        vectors = make_vectors(s27_design, 3)
+        monkeypatch.setenv("REPRO_EPISODE_BATCH", value)
+        report = evaluate_scan_power(s27_design, vectors)
+        monkeypatch.delenv("REPRO_EPISODE_BATCH")
+        selected = evaluate_scan_power if expected else serial_scan_power
+        assert report == selected(s27_design, vectors)
 
 
 class TestPlanGeometry:
@@ -68,14 +71,14 @@ class TestPlanGeometry:
 
 
 class TestPlanMatchesSerialBuilder:
-    """The compiled words must equal the legacy loop bit for bit."""
+    """The compiled words must equal the serial oracle bit for bit."""
 
     @pytest.mark.parametrize("include_capture", [True, False])
     @pytest.mark.parametrize("n_vectors", [1, 2, 7])
     def test_traditional_policy(self, s27_design, make_vectors,
                                 include_capture, n_vectors):
         vectors = make_vectors(s27_design, n_vectors)
-        serial, n_serial = _episode_waveforms(
+        serial, n_serial = serial_waveforms(
             s27_design, vectors, ShiftPolicy(), include_capture, None)
         plan = compile_episode_plan(s27_design, vectors,
                                     include_capture=include_capture)
@@ -90,8 +93,8 @@ class TestPlanMatchesSerialBuilder:
                        list(s27_design.circuit.inputs)[:2]},
             mux_ties={s27_design.chain.q_lines[0]: 0,
                       s27_design.chain.q_lines[-1]: 1})
-        serial, _ = _episode_waveforms(s27_design, vectors, policy,
-                                       True, None)
+        serial, _ = serial_waveforms(s27_design, vectors, policy,
+                                     True, None)
         plan = compile_episode_plan(
             s27_design, vectors, pi_values=policy.pi_values,
             mux_ties=policy.mux_ties)
@@ -100,8 +103,8 @@ class TestPlanMatchesSerialBuilder:
     def test_initial_state(self, s27_design, make_vectors):
         vectors = make_vectors(s27_design, 3, seed=9)
         initial = (1,) * s27_design.chain.length
-        serial, _ = _episode_waveforms(s27_design, vectors, ShiftPolicy(),
-                                       True, initial)
+        serial, _ = serial_waveforms(s27_design, vectors, ShiftPolicy(),
+                                     True, initial)
         plan = compile_episode_plan(s27_design, vectors,
                                     initial_state=initial)
         assert plan.waveforms == serial
@@ -110,8 +113,8 @@ class TestPlanMatchesSerialBuilder:
         from repro.scan.testview import ScanDesign
         design = ScanDesign.full_scan(toy)
         vectors = make_vectors(design, 4, seed=5)
-        serial, _ = _episode_waveforms(design, vectors, ShiftPolicy(),
-                                       True, None)
+        serial, _ = serial_waveforms(design, vectors, ShiftPolicy(),
+                                     True, None)
         plan = compile_episode_plan(design, vectors)
         assert plan.waveforms == serial
 
@@ -210,21 +213,3 @@ class TestPatternCounts:
                 s27_mapped, state.pattern_counts(), library)
             assert priced == state.leakage_sum(library), name
 
-
-class TestSessionDefault:
-    def test_session_default_beats_env(self, monkeypatch):
-        from repro.simulation.episode import set_default_episode_batching
-        monkeypatch.setenv(DEFAULT_EPISODE_BATCH_ENV, "1")
-        set_default_episode_batching(False)
-        try:
-            assert episode_batching_enabled(None) is False
-            assert episode_batching_enabled(True) is True  # flag wins
-        finally:
-            set_default_episode_batching(None)
-        assert episode_batching_enabled(None) is True
-
-    def test_reset_restores_env_chain(self, monkeypatch):
-        from repro.simulation.episode import set_default_episode_batching
-        monkeypatch.setenv(DEFAULT_EPISODE_BATCH_ENV, "0")
-        set_default_episode_batching(None)
-        assert episode_batching_enabled(None) is False

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from atpg.compaction_reference import greedy_keep_bigint
 
 from repro.atpg.faults import all_faults
 from repro.atpg.faultsim import fault_simulate
@@ -19,12 +20,10 @@ from repro.simulation.backends.fault_kernel import (
 )
 from repro.simulation.bitsim import random_input_words
 from repro.simulation.fault_episode import (
-    DEFAULT_FAULT_PLAN_ENV,
     FaultEpisodePlan,
     FaultSimSession,
     compile_fault_episode_plan,
     fault_planning_enabled,
-    set_default_fault_planning,
 )
 from repro.techmap.mapper import technology_map
 from repro.utils.rng import make_rng
@@ -42,34 +41,36 @@ def stimulus(mapped):
 
 
 class TestToggle:
+    """The planned replay is the only path; the resolver that used to
+    pick it survives as a constant."""
+
     def test_default_on(self, monkeypatch):
-        monkeypatch.delenv(DEFAULT_FAULT_PLAN_ENV, raising=False)
+        monkeypatch.setenv("REPRO_FAULT_PLAN", "0")
         assert fault_planning_enabled() is True
 
     @pytest.mark.parametrize("value,expected", [
         ("1", True), ("on", True), ("true", True),
         ("0", False), ("off", False), ("no", False),
     ])
-    def test_env_values(self, monkeypatch, value, expected):
-        monkeypatch.setenv(DEFAULT_FAULT_PLAN_ENV, value)
-        assert fault_planning_enabled() is expected
-
-    def test_bad_env_raises(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_FAULT_PLAN_ENV, "maybe")
-        with pytest.raises(SimulationError, match="REPRO_FAULT_PLAN"):
-            fault_planning_enabled()
-
-    def test_explicit_flag_wins(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_FAULT_PLAN_ENV, "0")
-        assert fault_planning_enabled(True) is True
-
-    def test_session_default_beats_env(self, monkeypatch):
-        monkeypatch.setenv(DEFAULT_FAULT_PLAN_ENV, "1")
-        set_default_fault_planning(False)
-        try:
-            assert fault_planning_enabled() is False
-        finally:
-            set_default_fault_planning(None)
+    def test_env_values(self, monkeypatch, mapped, stimulus, value,
+                        expected):
+        """No spelling of the retired ``$REPRO_FAULT_PLAN`` changes the
+        result: it equals that of the path the value used to select
+        (``expected``: the planned replay if true, the per-batch
+        reference ``fault_simulate_batch`` if false)."""
+        words, n = stimulus
+        faults = all_faults(mapped)
+        monkeypatch.setenv("REPRO_FAULT_PLAN", value)
+        got = FaultSimSession(mapped, "numpy").simulate(faults, words, n)
+        engine = get_backend("numpy")
+        if expected:
+            want = engine.fault_simulate_plan(
+                compile_fault_episode_plan(mapped, faults, words, n))
+        else:
+            want = engine.fault_simulate_batch(mapped, faults, words, n)
+        assert got.detected == want.detected
+        assert list(got.detected) == list(want.detected)
+        assert got.remaining == want.remaining
 
 
 class TestPlan:
@@ -158,14 +159,16 @@ class TestTileGeometry:
 
 class TestSession:
     def test_plan_and_legacy_paths_identical(self, mapped, stimulus):
+        """The planned session equals the engine's per-batch
+        reference, ``fault_simulate_batch``."""
         words, n = stimulus
         faults = all_faults(mapped)
         for backend in ("bigint", "numpy"):
-            on = FaultSimSession(mapped, backend, plan=True)
-            off = FaultSimSession(mapped, backend, plan=False)
+            session = FaultSimSession(mapped, backend)
             for drop in (True, False):
-                a = on.simulate(faults, words, n, drop=drop)
-                b = off.simulate(faults, words, n, drop=drop)
+                a = session.simulate(faults, words, n, drop=drop)
+                b = get_backend(backend).fault_simulate_batch(
+                    mapped, faults, words, n, drop=drop)
                 assert a.detected == b.detected, (backend, drop)
                 assert list(a.detected) == list(b.detected), \
                     (backend, drop)
@@ -186,20 +189,19 @@ class TestSession:
                 CountingBackend.runs += 1
                 return super().run(circuit, input_words, n)
 
-        session = FaultSimSession(mapped, CountingBackend(), plan=True)
+        session = FaultSimSession(mapped, CountingBackend())
         session.simulate(faults, words, n, drop=True)
         session.simulate(faults[: len(faults) // 2], words, n, drop=False)
         assert CountingBackend.runs == 1
 
     @pytest.mark.parametrize("backend", ["bigint", "numpy"])
-    @pytest.mark.parametrize("plan", [True, False])
-    def test_mutated_circuit_not_served_stale_state(self, backend, plan):
+    def test_mutated_circuit_not_served_stale_state(self, backend):
         """A gate replaced between two calls on the same stimulus must
         re-settle the good machine, not reuse the old netlist's."""
         circuit = builders.s27()
         words = random_input_words(circuit, 64, make_rng(0))
         faults = all_faults(circuit)
-        session = FaultSimSession(circuit, backend, plan=plan)
+        session = FaultSimSession(circuit, backend)
         session.simulate(faults, words, 64, drop=False)
         circuit.replace_gate("G13", GateType.NAND,
                              circuit.gates["G13"].inputs)
@@ -208,23 +210,13 @@ class TestSession:
         assert got.detected == want.detected
 
     def test_state_pool_is_bounded(self, mapped):
-        session = FaultSimSession(mapped, "numpy", plan=True)
+        session = FaultSimSession(mapped, "numpy")
         faults = all_faults(mapped)[:4]
         rng = make_rng(1)
         for i in range(7):
             words = random_input_words(mapped, 8, rng)
             session.simulate(faults, words, 8)
         assert len(session._state_pool) <= 4
-
-    def test_session_resolves_toggle_once(self, mapped):
-        set_default_fault_planning(False)
-        try:
-            session = FaultSimSession(mapped, "bigint")
-            assert session.plan_enabled is False
-        finally:
-            set_default_fault_planning(None)
-        assert FaultSimSession(mapped, "bigint").plan_enabled is True
-
 
 class TestShardedPlanAxes:
     def test_drop_mode_shards_fault_axis_inline_threshold(self, mapped,
@@ -304,10 +296,7 @@ class TestGreedyKeepEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_vectorized_equals_bigint(self, seed):
         from repro.atpg.faultsim import FaultSimResult
-        from repro.atpg.generate import (
-            _greedy_keep_bigint,
-            _greedy_keep_vectorized,
-        )
+        from repro.atpg.generate import _greedy_keep
         gen = np.random.default_rng(seed)
         n_vectors = int(gen.integers(1, 40))
         n_faults = int(gen.integers(1, 60))
@@ -321,5 +310,5 @@ class TestGreedyKeepEquivalence:
             if word:
                 words[Fault(f"l{i}", 0)] = word
         matrix = FaultSimResult(detected=words, remaining=[])
-        assert _greedy_keep_vectorized(matrix, n_vectors) == \
-            _greedy_keep_bigint(matrix, n_vectors)
+        assert _greedy_keep(matrix, n_vectors) == \
+            greedy_keep_bigint(matrix, n_vectors)

@@ -226,58 +226,41 @@ class TestAblationCampaignFlags:
 
 
 class TestEpisodeBatchFlag:
-    def test_run_with_flag_on_and_off_match(self, capsys):
-        assert main(["--seed", "1", "--episode-batch", "on",
-                     "run", "s27"]) == 0
-        batched = capsys.readouterr().out
-        assert main(["--seed", "1", "--episode-batch", "off",
-                     "run", "s27"]) == 0
-        serial = capsys.readouterr().out
-        assert batched == serial  # bit-identical by contract
-
     def test_invalid_flag_value_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--episode-batch", "sometimes", "list"])
+        """The flag is retired: even its old ``on`` value is rejected."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--episode-batch", "on", "list"])
+        assert excinfo.value.code == 2
 
-    def test_bad_env_is_clean_error(self, capsys, monkeypatch):
+    def test_retired_env_is_ignored(self, capsys, monkeypatch):
+        """A stale ``$REPRO_EPISODE_BATCH`` in the environment is no
+        longer read, so even a malformed value cannot fail a run."""
         monkeypatch.setenv("REPRO_EPISODE_BATCH", "maybe")
-        assert main(["list"]) == 2
-        assert "REPRO_EPISODE_BATCH" in capsys.readouterr().err
-
-    def test_flag_overrides_bad_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_EPISODE_BATCH", "maybe")
-        assert main(["--episode-batch", "on", "list"]) == 0
+        assert main(["list"]) == 0
+        assert "REPRO_EPISODE_BATCH" not in capsys.readouterr().err
 
 
 class TestFaultPlanFlag:
-    def test_run_with_flag_on_and_off_match(self, capsys):
-        assert main(["--seed", "1", "--fault-plan", "on",
-                     "run", "s27"]) == 0
-        planned = capsys.readouterr().out
-        assert main(["--seed", "1", "--fault-plan", "off",
-                     "run", "s27"]) == 0
-        legacy = capsys.readouterr().out
-        assert planned == legacy  # bit-identical by contract
-
     def test_invalid_flag_value_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--fault-plan", "sometimes", "list"])
+        """The flag is retired: even its old ``off`` value is
+        rejected."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--fault-plan", "off", "list"])
+        assert excinfo.value.code == 2
 
-    def test_bad_env_is_clean_error(self, capsys, monkeypatch):
+    def test_retired_env_is_ignored(self, capsys, monkeypatch):
+        """A stale ``$REPRO_FAULT_PLAN`` in the environment is no longer
+        read, so even a malformed value cannot fail a run."""
         monkeypatch.setenv("REPRO_FAULT_PLAN", "maybe")
-        assert main(["list"]) == 2
-        assert "REPRO_FAULT_PLAN" in capsys.readouterr().err
-
-    def test_flag_overrides_bad_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "maybe")
-        assert main(["--fault-plan", "off", "list"]) == 0
+        assert main(["list"]) == 0
+        assert "REPRO_FAULT_PLAN" not in capsys.readouterr().err
 
     def test_flag_does_not_leak_across_main_calls(self):
-        from repro.simulation.fault_episode import fault_planning_enabled
-        assert main(["--fault-plan", "off", "list"]) == 0
-        assert fault_planning_enabled(None) is False  # session default
+        from repro.simulation.streaming import resolve_stream_budget
+        assert main(["--stream-budget", "64", "list"]) == 0
+        assert resolve_stream_budget(None) == 64  # session default
         assert main(["list"]) == 0  # no flag: main resets the default
-        assert fault_planning_enabled(None) is True
+        assert resolve_stream_budget(None) is None
 
 
 class TestCampaignGc:
@@ -351,11 +334,11 @@ class TestCampaignFigure2Kind:
     def test_flag_does_not_leak_across_main_calls(self):
         """The autouse conftest fixture must clear the session default
         main() installs, or the suite becomes order-dependent."""
-        from repro.simulation.episode import episode_batching_enabled
-        assert main(["--episode-batch", "off", "list"]) == 0
-        assert episode_batching_enabled(None) is False  # session default
+        from repro.runtime import session_defaults
+        assert main(["--backend", "numpy", "list"]) == 0
+        assert session_defaults().backend == "numpy"  # session default
         assert main(["list"]) == 0  # no flag: main resets the default
-        assert episode_batching_enabled(None) is True
+        assert session_defaults().backend is None
 
 
 class TestCampaignGcAge:

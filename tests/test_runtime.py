@@ -46,16 +46,15 @@ class TestRuntimeOptionsValidation:
     def test_valid_combination_accepted(self):
         options = RuntimeOptions(backend="bigint",
                                  fault_backend="sharded", shards=2,
-                                 episode_batch=False, fault_plan=True,
-                                 stream_budget=0)
+                                 stream_budget=0, trace="")
         assert options.shards == 2
 
     def test_replace(self):
         options = RuntimeOptions(stream_budget=7)
-        patched = options.replace(episode_batch=False)
+        patched = options.replace(backend="numpy")
         assert patched.stream_budget == 7
-        assert patched.episode_batch is False
-        assert options.episode_batch is None  # original untouched
+        assert patched.backend == "numpy"
+        assert options.backend is None  # original untouched
 
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError):
@@ -77,9 +76,9 @@ class TestSessionDefaults:
 
     def test_kwargs_form_patches_current_session(self):
         set_session_defaults(RuntimeOptions(stream_budget=9))
-        set_session_defaults(episode_batch=False)
+        set_session_defaults(backend="numpy")
         assert session_defaults().stream_budget == 9
-        assert session_defaults().episode_batch is False
+        assert session_defaults().backend == "numpy"
 
     def test_no_args_resets(self):
         set_session_defaults(RuntimeOptions(stream_budget=9))
@@ -99,28 +98,12 @@ class TestSessionDefaults:
         assert session_defaults().stream_budget is None
 
     def test_using_accepts_options_record(self):
-        with using(RuntimeOptions(episode_batch=False)):
-            assert session_defaults().episode_batch is False
+        with using(RuntimeOptions(backend="numpy")):
+            assert session_defaults().backend == "numpy"
 
 
 class TestPrecedence:
     """flag > session > env > built-in default, on every knob."""
-
-    def test_episode_batching(self, monkeypatch):
-        from repro.simulation.episode import episode_batching_enabled
-        assert episode_batching_enabled(None) is True  # built-in
-        monkeypatch.setenv("REPRO_EPISODE_BATCH", "0")
-        assert episode_batching_enabled(None) is False  # env
-        set_session_defaults(episode_batch=True)
-        assert episode_batching_enabled(None) is True  # session > env
-        assert episode_batching_enabled(False) is False  # flag wins
-
-    def test_fault_planning(self, monkeypatch):
-        from repro.simulation.fault_episode import fault_planning_enabled
-        monkeypatch.setenv("REPRO_FAULT_PLAN", "1")
-        set_session_defaults(fault_plan=False)
-        assert fault_planning_enabled(None) is False
-        assert fault_planning_enabled(True) is True
 
     def test_stream_budget(self, monkeypatch):
         from repro.simulation.streaming import resolve_stream_budget
@@ -157,39 +140,6 @@ class TestPrecedence:
 
 
 class TestDeprecatedShims:
-    def test_episode_batching_shim(self):
-        from repro.simulation.episode import (
-            episode_batching_enabled,
-            set_default_episode_batching,
-        )
-        with pytest.deprecated_call():
-            set_default_episode_batching(False)
-        assert session_defaults().episode_batch is False
-        assert episode_batching_enabled(None) is False
-        with pytest.deprecated_call():
-            set_default_episode_batching(None)
-        assert session_defaults().episode_batch is None
-
-    def test_fault_planning_shim(self):
-        from repro.simulation.fault_episode import (
-            set_default_fault_planning,
-        )
-        with pytest.deprecated_call():
-            set_default_fault_planning(False)
-        assert session_defaults().fault_plan is False
-
-    def test_stream_budget_shim(self):
-        from repro.simulation.streaming import set_default_stream_budget
-        with pytest.deprecated_call():
-            set_default_stream_budget(123)
-        assert session_defaults().stream_budget == 123
-
-    def test_stream_budget_shim_keeps_error_contract(self):
-        from repro.errors import SimulationError
-        from repro.simulation.streaming import set_default_stream_budget
-        with pytest.raises(SimulationError, match=">= 0"):
-            set_default_stream_budget(-5)
-
     def test_set_default_backend_not_deprecated(self,
                                                 recwarn):
         from repro.simulation.backends import set_default_backend
@@ -198,3 +148,36 @@ class TestDeprecatedShims:
         deprecations = [w for w in recwarn.list
                         if issubclass(w.category, DeprecationWarning)]
         assert not deprecations
+
+
+class TestInputErrors:
+    """Bad runtime options fail with ConfigError, never a TypeError."""
+
+    @pytest.mark.parametrize("name", ["bogus", "episode_batch",
+                                      "fault_plan"])
+    def test_unknown_field_lists_valid_names(self, name):
+        with pytest.raises(ConfigError, match=name) as excinfo:
+            set_session_defaults(**{name: 1})
+        message = str(excinfo.value)
+        for field in dataclasses.fields(RuntimeOptions):
+            assert field.name in message
+        assert session_defaults() == RuntimeOptions()
+
+    def test_using_rejects_retired_toggle(self):
+        with pytest.raises(ConfigError, match="fault_plan"):
+            with using(fault_plan=False):
+                pass  # pragma: no cover - never entered
+        assert session_defaults() == RuntimeOptions()
+
+    def test_replace_rejects_unknown_field(self):
+        with pytest.raises(ConfigError, match="valid: backend"):
+            RuntimeOptions().replace(episode_batch=False)
+
+    @pytest.mark.parametrize("field", ["shards", "stream_budget"])
+    @pytest.mark.parametrize("value", ["3", 2.0, True])
+    def test_non_int_counts_rejected(self, field, value):
+        kwargs = {field: value}
+        if field == "shards":
+            kwargs["fault_backend"] = "sharded"
+        with pytest.raises(ConfigError, match=f"{field} must be an int"):
+            RuntimeOptions(**kwargs)
