@@ -228,7 +228,7 @@ class Backend(abc.ABC):
         detecting patterns, ``remaining`` lists the undetected faults in
         input order, and both must be bit-identical across backends.
 
-        The default implementation is the scalar big-int event-driven
+        The default implementation is the scalar big-int row-space
         replay (fault-free pass on this backend, per-fault replay on
         interchange words); vectorized engines override it with fused
         kernels.
@@ -251,7 +251,7 @@ class Backend(abc.ABC):
         follows the plan's fault order, and results are bit-identical
         across engines, tile geometries and shard counts.
 
-        The default implementation is the scalar big-int event-driven
+        The default implementation is the scalar big-int row-space
         replay over the plan's **memoized** good-machine words (one
         fault-free pass per backend, shared across calls and shards via
         the plan's state cache) — the pinned reference semantics.  The

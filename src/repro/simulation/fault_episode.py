@@ -12,7 +12,7 @@ fault universe and the whole pattern set are packed into **one**
 :class:`FaultEpisodePlan` and handed to
 :meth:`~repro.simulation.backends.base.Backend.fault_simulate_plan`:
 
-* ``bigint`` replays the plan with the scalar event-driven reference
+* ``bigint`` replays the plan with the scalar row-space reference
   on the plan's memoized good-machine words (the pinned semantics);
 * ``numpy`` evaluates the detection matrix with **2-D tiling** — fault-
   axis chunks x pattern-axis word blocks under the fault kernel's

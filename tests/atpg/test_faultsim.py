@@ -3,9 +3,11 @@
 import pytest
 
 from repro.atpg.faults import Fault, all_faults, observable_lines
-from repro.atpg.faultsim import detect_word, fault_simulate
+from repro.atpg.faultsim import detect_word, fault_simulate, scalar_replay
+from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
+from repro.simulation.backends import available_backends
 from repro.simulation.bitsim import pack_input_vectors, simulate_packed
 from repro.simulation.eval2 import comb_input_lines, simulate_comb
 
@@ -163,6 +165,29 @@ class TestUnknownFaultLine:
         good = simulate_packed(s27, words, n)
         with pytest.raises(SimulationError, match="'zz'"):
             detect_word(s27, Fault("zz", 1), good, n)
+
+
+@pytest.mark.parametrize("engine", available_backends())
+def test_bad_pattern_count_and_good_map_raise(s27, engine):
+    """``n < 1`` and a good machine missing a line fail with a
+    :class:`SimulationError`, never a word wider than ``n`` patterns,
+    a bare ``ValueError`` or a ``KeyError``."""
+    faults = all_faults(s27)
+    words, n = pack_input_vectors(
+        s27, [{line: 1 for line in comb_input_lines(s27)}] * 8)
+    good = simulate_packed(s27, words, n, backend=engine)
+    for bad_n in (0, -1):
+        with pytest.raises(SimulationError, match=f"got {bad_n}"):
+            fault_simulate(s27, faults, words, bad_n, backend=engine)
+        with pytest.raises(SimulationError, match=f"got {bad_n}"):
+            detect_word(s27, faults[0], good, bad_n)
+        with pytest.raises(SimulationError, match=f"got {bad_n}"):
+            scalar_replay(s27, faults, good, bad_n)
+    partial = {line: word for line, word in good.items() if line != "G1"}
+    with pytest.raises(SimulationError, match="'G1'"):
+        detect_word(s27, Fault("G17", 0), partial, n)
+    with pytest.raises(SimulationError, match="'G1'"):
+        scalar_replay(s27, faults, partial, n)
 
 
 def _simulate_with_fault(circuit, inputs, fault):

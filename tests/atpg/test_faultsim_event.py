@@ -1,19 +1,29 @@
-"""Differential tests: event-driven fault replay vs the cone replay.
+"""Differential tests: row-space fault replay vs the two frozen replays.
 
-The scalar fault replay of :mod:`repro.atpg.faultsim` only evaluates
-sinks of lines whose faulty word differs from the good word.  It must
-give exactly the detection words and ``remaining`` order of the
-original cone-ordered replay kept in ``faultsim_reference``, which
-re-evaluates every gate of every fault's fanout cone.
+The scalar fault replay of :mod:`repro.atpg.faultsim` runs on integer
+rows of the levelized schedule and only evaluates sinks of rows whose
+faulty word differs from the good word.  It must give exactly the
+detection words and ``remaining`` order of the name-keyed,
+level-bucketed event-driven replay frozen in
+``faultsim_event_reference`` and of the original cone-ordered replay
+kept in ``faultsim_reference``, which re-evaluates every gate of every
+fault's fanout cone.  Its per-circuit tables must follow
+``Circuit.version``.
 """
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import faultsim_event_reference as event_reference
 import faultsim_reference as reference
 from gate_mix import sprinkle_gates
+from generate_podem_pins import PODEM_CIRCUITS, mapped_circuit, universe
+from repro.atpg import faultsim
 from repro.atpg.collapse import collapse_faults
 from repro.atpg.faults import Fault, all_faults, observable_lines
 from repro.atpg.faultsim import detect_word, scalar_replay
@@ -21,7 +31,11 @@ from repro.benchgen import generate_circuit
 from repro.benchgen.generator import generate_from_stats
 from repro.benchgen.iscas89 import Iscas89Stats
 from repro.netlist.circuit import Circuit
-from repro.netlist.gates import SEQUENTIAL_TYPES, GateType
+from repro.netlist.gates import (
+    COMBINATIONAL_TYPES,
+    SEQUENTIAL_TYPES,
+    GateType,
+)
 from repro.simulation.bitsim import random_input_words, simulate_packed
 from repro.simulation.values import mask
 from repro.techmap.mapper import technology_map
@@ -33,9 +47,10 @@ def _assert_matches(circuit: Circuit, faults: list[Fault], n: int,
     words = random_input_words(circuit, n, make_rng(seed))
     good = simulate_packed(circuit, words, n)
     got = scalar_replay(circuit, faults, good, n)
-    want = reference.scalar_replay(circuit, faults, good, n)
-    assert got.detected == want.detected
-    assert got.remaining == want.remaining
+    for oracle in (event_reference, reference):
+        want = oracle.scalar_replay(circuit, faults, good, n)
+        assert got.detected == want.detected, oracle.__name__
+        assert got.remaining == want.remaining, oracle.__name__
     return good
 
 
@@ -108,12 +123,99 @@ class TestAgainstReference:
         faults = collapse_faults(circuit, all_faults(circuit))
         _assert_matches(circuit, faults, 64)
 
+    @pytest.mark.parametrize("name", PODEM_CIRCUITS)
+    def test_table1_cold_universes(self, name):
+        """s27 and the six cold Table-I rows, as the flow grades them."""
+        circuit = mapped_circuit(name)
+        _assert_matches(circuit, universe(circuit), 130)
+
     def test_detect_word_per_fault(self, s27_mapped):
         words = random_input_words(s27_mapped, 16, make_rng(3))
         good = simulate_packed(s27_mapped, words, 16)
         for fault in all_faults(s27_mapped):
-            assert detect_word(s27_mapped, fault, good, 16) == \
-                reference.detect_word(s27_mapped, fault, good, 16), fault
+            word = detect_word(s27_mapped, fault, good, 16)
+            assert word == event_reference.detect_word(
+                s27_mapped, fault, good, 16), fault
+            assert word == reference.detect_word(
+                s27_mapped, fault, good, 16), fault
+
+    def test_detect_word_custom_observation_set(self, s27_mapped):
+        words = random_input_words(s27_mapped, 16, make_rng(4))
+        good = simulate_packed(s27_mapped, words, 16)
+        obs = set(s27_mapped.outputs)
+        for fault in all_faults(s27_mapped):
+            assert detect_word(s27_mapped, fault, good, 16, obs) == \
+                event_reference.detect_word(s27_mapped, fault, good, 16,
+                                            obs), fault
+
+
+class TestReplayTables:
+    """The per-circuit row tables are derived data of one version."""
+
+    def test_mutation_between_replays(self):
+        circuit = every_kind()
+        faults = all_faults(circuit)
+        before = scalar_replay(
+            circuit, faults,
+            simulate_packed(circuit, random_input_words(
+                circuit, 8, make_rng(1)), 8), 8)
+        # New type and new fan-in: ops, fanin and sinks all move.
+        circuit.replace_gate("z", GateType.NOR, ("s", "a"))
+        circuit.replace_gate("m", GateType.XNOR, ("b", "q2"))
+        good = _assert_matches(circuit, faults, 8)
+        after = scalar_replay(circuit, faults, good, 8)
+        assert after.detected != before.detected
+
+    def test_built_once_per_version(self, monkeypatch):
+        builds = []
+        build = faultsim._build_tables
+
+        def counting(circuit):
+            builds.append(circuit.version)
+            return build(circuit)
+
+        monkeypatch.setattr(faultsim, "_build_tables", counting)
+        circuit = every_kind()
+        faults = all_faults(circuit)
+        words = random_input_words(circuit, 8, make_rng(2))
+        good = simulate_packed(circuit, words, 8)
+        scalar_replay(circuit, faults, good, 8)
+        scalar_replay(circuit, faults, good, 8)
+        detect_word(circuit, faults[0], good, 8)
+        assert builds == [circuit.version]
+
+        circuit.replace_gate("y", GateType.NOR, ("m", "c"))
+        good = simulate_packed(circuit, words, 8)
+        scalar_replay(circuit, faults, good, 8)
+        detect_word(circuit, faults[0], good, 8)
+        assert len(builds) == 2 and builds[-1] == circuit.version
+
+    def test_warm_replay_skips_name_lookups(self, monkeypatch):
+        """Once the tables exist, events are pure row-space work."""
+        from repro.simulation import bitsim
+
+        circuit = every_kind()
+        faults = all_faults(circuit)
+        good = _assert_matches(circuit, faults, 8)
+        want = scalar_replay(circuit, faults, good, 8)
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("name-space lookup during replay")
+
+        for owner, name in ((Circuit, "fanout"), (Circuit, "level_of"),
+                            (bitsim, "eval_gate_packed")):
+            monkeypatch.setattr(owner, name, forbidden)
+        assert scalar_replay(circuit, faults, good, 8) == want
+
+    def test_tables_do_not_keep_the_circuit_alive(self):
+        circuit = every_kind()
+        words = random_input_words(circuit, 4, make_rng(3))
+        scalar_replay(circuit, all_faults(circuit),
+                      simulate_packed(circuit, words, 4), 4)
+        ref = weakref.ref(circuit)
+        del circuit
+        gc.collect()
+        assert ref() is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,6 +233,7 @@ def test_generated_netlists_match_reference(seed, n_inputs, n_dffs,
 
 def test_generated_netlists_hit_every_fault_kind():
     hit: set[str] = set()
+    gate_kinds: set[GateType] = set()
     for seed in range(10):
         stats = Iscas89Stats("hyp", 4, 2, 2, 24)
         circuit = sprinkle_gates(generate_from_stats(stats, seed), seed)
@@ -138,5 +241,7 @@ def test_generated_netlists_hit_every_fault_kind():
         good = _assert_matches(circuit, faults, 4, seed)
         hit |= {kind for kind, found in
                 _categories(circuit, faults, good, 4).items() if found}
+        gate_kinds |= {gate.gtype for gate in circuit.gates.values()}
     assert hit == {"pi", "dff_q", "observable", "only_d_pins",
                    "stuck_is_good"}
+    assert gate_kinds >= COMBINATIONAL_TYPES
