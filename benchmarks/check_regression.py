@@ -28,7 +28,8 @@ from pathlib import Path
 #: historical bug: ``pool_speedup``/``campaign_speedup`` were recorded
 #: for two PRs without ever being diffed).
 SPEEDUP_KEYS = ("speedup", "episode_batch_speedup",
-                "fault_episode_speedup", "pool_speedup",
+                "fault_episode_speedup", "replay_speedup",
+                "cycle_replay_speedup", "pool_speedup",
                 "campaign_speedup", "shard_speedup",
                 "scaling_efficiency")
 

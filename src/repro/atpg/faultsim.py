@@ -6,13 +6,14 @@ and compare the good and faulty words at the observable lines.  With
 64-4096 patterns per packed word this is the standard parallel-pattern
 single-fault method.
 
-The scalar replay below runs in integer *row space*: rows are the lines
-of the circuit's :func:`~repro.simulation.schedule.cached_schedule`
-(combinational inputs first, then gate outputs in topological order).
-Per circuit version it compiles a sink tuple, an opcode and a fan-in
-row tuple for each row; per call it turns the good words into one list
-that each fault mutates in place and restores, with a min-heap of
-pending sink rows as the event queue.
+The scalar replay below runs in integer *row space* over the circuit's
+:func:`~repro.simulation.schedule.cached_row_table` (combinational
+inputs first, then gate outputs in topological order; a sink tuple, an
+opcode and a fan-in row tuple per row), the same table the big-int good
+machine evaluates, plus an observable flag per row memoized here.  Per
+call it turns the good words into one list that each fault mutates in
+place and restores, with a min-heap of pending sink rows as the event
+queue.
 
 The heavy lifting is delegated to the selected simulation backend via
 :meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`:
@@ -40,9 +41,18 @@ from collections.abc import Collection, Mapping, Sequence
 from repro.atpg.faults import Fault, observable_lines
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
-from repro.netlist.gates import GateType
 from repro.simulation.backends import Backend, resolve_fault_backend
-from repro.simulation.schedule import cached_schedule
+from repro.simulation.schedule import (
+    OP_BUFF,
+    OP_CONST1,
+    OP_MUX2,
+    OP_NAND,
+    OP_NOR,
+    OP_NOT,
+    OP_XNOR,
+    RowTable,
+    cached_row_table,
+)
 from repro.simulation.values import mask
 
 __all__ = ["FaultSimResult", "check_fault_lines", "detect_word",
@@ -83,76 +93,22 @@ def check_fault_lines(circuit: Circuit, faults: Sequence[Fault]) -> None:
                 f"of circuit {circuit.name!r}")
 
 
-#: Small-int opcodes of the gate rows (the replay's inline evaluator
-#: dispatches on these instead of hashing :class:`GateType` per event).
-_AND, _NAND, _OR, _NOR, _NOT, _BUFF, _XOR, _XNOR, _MUX2, _CONST0, \
-    _CONST1 = range(11)
-_OPCODES = {
-    GateType.AND: _AND, GateType.NAND: _NAND, GateType.OR: _OR,
-    GateType.NOR: _NOR, GateType.NOT: _NOT, GateType.BUFF: _BUFF,
-    GateType.XOR: _XOR, GateType.XNOR: _XNOR, GateType.MUX2: _MUX2,
-    GateType.CONST0: _CONST0, GateType.CONST1: _CONST1,
-}
-
-
-@dataclasses.dataclass(frozen=True)
-class _ReplayTables:
-    """A circuit's combinational part as integer rows for the replay.
-
-    Rows follow :attr:`LevelizedSchedule.lines` (combinational inputs
-    first, then gate outputs in topological order), so a rising row
-    index is a valid evaluation order.  Per row: ``sinks`` holds the
-    combinational gate rows reading it (DFF sinks stop the effect at
-    their D pins, like the test view's cone boundary), ``ops`` /
-    ``fanin`` the gate's opcode and input rows (``-1`` / ``()`` for
-    input rows), and ``observable`` whether a difference there is seen
-    (primary outputs and flop D lines).
-    """
-
-    lines: tuple[str, ...]
-    index: dict[str, int]
-    sinks: tuple[tuple[int, ...], ...]
-    ops: tuple[int, ...]
-    fanin: tuple[tuple[int, ...], ...]
-    observable: tuple[bool, ...]
-    version: int
-
-
-def _build_tables(circuit: Circuit) -> _ReplayTables:
-    schedule = cached_schedule(circuit)
-    index = schedule.line_index
-    n_inputs = len(schedule.input_lines)
-    gates = circuit.gates
-    ops = [-1] * n_inputs
-    fanin: list[tuple[int, ...]] = [()] * n_inputs
-    sinks: list[list[int]] = [[] for _ in schedule.lines]
-    for row, line in enumerate(schedule.lines[n_inputs:], n_inputs):
-        gate = gates[line]
-        ops.append(_OPCODES[gate.gtype])
-        fanin.append(tuple(index[src] for src in gate.inputs))
-        for src in dict.fromkeys(fanin[row]):
-            sinks[src].append(row)
-    observable = [False] * len(schedule.lines)
-    for line in observable_lines(circuit):
-        observable[index[line]] = True
-    return _ReplayTables(
-        lines=schedule.lines, index=index,
-        sinks=tuple(map(tuple, sinks)), ops=tuple(ops),
-        fanin=tuple(fanin), observable=tuple(observable),
-        version=circuit.version)
-
-
-_TABLE_CACHE: "weakref.WeakKeyDictionary[Circuit, _ReplayTables]" = \
+_OBSERVABLE_CACHE: \
+    "weakref.WeakKeyDictionary[Circuit, tuple[int, tuple[bool, ...]]]" = \
     weakref.WeakKeyDictionary()
 
 
-def _replay_tables(circuit: Circuit) -> _ReplayTables:
-    """Memoized :func:`_build_tables`, invalidated by circuit mutation."""
-    tables = _TABLE_CACHE.get(circuit)
-    if tables is None or tables.version != circuit.version:
-        tables = _build_tables(circuit)
-        _TABLE_CACHE[circuit] = tables
-    return tables
+def _observable_rows(circuit: Circuit, rows: RowTable) -> tuple[bool, ...]:
+    """Per row of ``rows``: whether a difference there is seen (primary
+    outputs and flop D lines); memoized per circuit version."""
+    cached = _OBSERVABLE_CACHE.get(circuit)
+    if cached is None or cached[0] != circuit.version:
+        observable = [False] * len(rows.lines)
+        for line in observable_lines(circuit):
+            observable[rows.index[line]] = True
+        cached = (circuit.version, tuple(observable))
+        _OBSERVABLE_CACHE[circuit] = cached
+    return cached[1]
 
 
 def _check_pattern_count(n: int) -> None:
@@ -161,7 +117,7 @@ def _check_pattern_count(n: int) -> None:
             f"fault simulation needs n >= 1 patterns, got {n}")
 
 
-def _replay(tables: _ReplayTables, faults: Sequence[Fault],
+def _replay(rows: RowTable, faults: Sequence[Fault],
             good: Mapping[str, int], n: int,
             observable: Sequence[bool]) -> list[int]:
     """Detection word of each fault, over the good machine ``good``.
@@ -178,7 +134,7 @@ def _replay(tables: _ReplayTables, faults: Sequence[Fault],
     """
     _check_pattern_count(n)
     base = []
-    for line in tables.lines:
+    for line in rows.lines:
         try:
             base.append(good[line])
         except KeyError:
@@ -186,10 +142,10 @@ def _replay(tables: _ReplayTables, faults: Sequence[Fault],
                 f"good machine has no word for line {line!r}") from None
     values = list(base)
     full = mask(n)
-    index = tables.index
-    sinks = tables.sinks
-    ops = tables.ops
-    fanin = tables.fanin
+    index = rows.index
+    sinks = rows.sinks
+    ops = rows.ops
+    fanin = rows.fanin
     push = heapq.heappush
     pop = heapq.heappop
     words = []
@@ -210,10 +166,11 @@ def _replay(tables: _ReplayTables, faults: Sequence[Fault],
             if row == last:
                 continue
             last = row
+            # eval_row, inlined: a call per event costs ~30% here.
             op = ops[row]
             ins = fanin[row]
-            if op <= _NOR:
-                if op <= _NAND:
+            if op <= OP_NOR:
+                if op <= OP_NAND:
                     value = full
                     for src in ins:
                         value &= values[src]
@@ -221,24 +178,24 @@ def _replay(tables: _ReplayTables, faults: Sequence[Fault],
                     value = 0
                     for src in ins:
                         value |= values[src]
-                if op == _NAND or op == _NOR:
+                if op == OP_NAND or op == OP_NOR:
                     value ^= full
-            elif op == _NOT:
+            elif op == OP_NOT:
                 value = values[ins[0]] ^ full
-            elif op == _BUFF:
+            elif op == OP_BUFF:
                 value = values[ins[0]]
-            elif op <= _XNOR:
+            elif op <= OP_XNOR:
                 value = 0
                 for src in ins:
                     value ^= values[src]
-                if op == _XNOR:
+                if op == OP_XNOR:
                     value ^= full
-            elif op == _MUX2:
+            elif op == OP_MUX2:
                 sel = values[ins[0]]
                 value = ((sel ^ full) & values[ins[1]]) | \
                     (sel & values[ins[2]])
             else:
-                value = full if op == _CONST1 else 0
+                value = full if op == OP_CONST1 else 0
             good_value = base[row]
             if value != good_value:
                 values[row] = value
@@ -265,10 +222,10 @@ def detect_word(circuit: Circuit, fault: Fault, good: Mapping[str, int],
     membership.
     """
     check_fault_lines(circuit, [fault])
-    tables = _replay_tables(circuit)
-    observable = tables.observable if obs is None else \
-        [line in obs for line in tables.lines]
-    return _replay(tables, [fault], good, n, observable)[0]
+    rows = cached_row_table(circuit)
+    observable = _observable_rows(circuit, rows) if obs is None else \
+        [line in obs for line in rows.lines]
+    return _replay(rows, [fault], good, n, observable)[0]
 
 
 def scalar_replay(circuit: Circuit, faults: Sequence[Fault],
@@ -284,11 +241,11 @@ def scalar_replay(circuit: Circuit, faults: Sequence[Fault],
     re-simulating it per batch.
     """
     check_fault_lines(circuit, faults)
-    tables = _replay_tables(circuit)
+    rows = cached_row_table(circuit)
     detected: dict[Fault, int] = {}
     remaining: list[Fault] = []
-    for fault, word in zip(faults, _replay(tables, faults, good, n,
-                                           tables.observable)):
+    for fault, word in zip(faults, _replay(rows, faults, good, n,
+                                           _observable_rows(circuit, rows))):
         if word:
             detected[fault] = word
         else:

@@ -8,6 +8,10 @@ an external load on primary outputs.
 
 from __future__ import annotations
 
+import weakref
+from collections.abc import Mapping
+from types import MappingProxyType
+
 from repro.cells.library import CellLibrary, default_library
 from repro.netlist.circuit import Circuit
 
@@ -47,11 +51,30 @@ def load_map_ff(circuit: Circuit, library: CellLibrary | None = None,
     }
 
 
-def switched_caps_ff(circuit: Circuit,
-                     library: CellLibrary | None = None) -> dict[str, float]:
-    """Alias of :func:`load_map_ff` with internal caps included.
+#: Per circuit: ``(Circuit.version, {library: read-only caps})``.
+_CapsEntry = tuple[int, dict[CellLibrary, Mapping[str, float]]]
+_CAPS_CACHE: "weakref.WeakKeyDictionary[Circuit, _CapsEntry]" = \
+    weakref.WeakKeyDictionary()
+
+
+def switched_caps_ff(circuit: Circuit, library: CellLibrary | None = None
+                     ) -> Mapping[str, float]:
+    """:func:`load_map_ff` with internal caps included, memoized.
 
     Named for its role in power estimation: multiply by the per-line
     transition counts and ``0.5 * VDD^2`` to get switching energy.
+    Cached per circuit, :attr:`Circuit.version` and library, and
+    returned as a read-only mapping so no caller can corrupt the cache.
     """
-    return load_map_ff(circuit, library, include_internal=True)
+    library = library or default_library()
+    entry = _CAPS_CACHE.get(circuit)
+    if entry is None or entry[0] != circuit.version:
+        entry = (circuit.version, {})
+        _CAPS_CACHE[circuit] = entry
+    by_library = entry[1]
+    caps = by_library.get(library)
+    if caps is None:
+        caps = MappingProxyType(
+            load_map_ff(circuit, library, include_internal=True))
+        by_library[library] = caps
+    return caps

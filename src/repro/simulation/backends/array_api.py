@@ -37,7 +37,7 @@ from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.obs.trace import span
-from repro.simulation.backends.base import Backend
+from repro.simulation.backends.base import Backend, require_pattern_mask
 from repro.simulation.backends.numpy_backend import NumpyState
 from repro.simulation.kernels import (
     eval_gate_rows,
@@ -145,9 +145,9 @@ class ArrayApiBackend(Backend):
     def run(self, circuit: Circuit, input_words: Mapping[str, int],
             n: int) -> ArrayApiState:
         xp = self._resolve()
+        full = require_pattern_mask(n)
         schedule = cached_schedule(circuit)
         n_words = (n + 63) // 64
-        full = mask(n)
         full_row = int_to_row(full, n_words)
         host = initial_state(schedule, input_words, n, n_words, full,
                              full_row)

@@ -28,6 +28,7 @@ from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.obs.trace import span
+from repro.simulation.values import mask, minterm_counts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.atpg.faults import Fault
@@ -35,7 +36,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.simulation.episode import EpisodeBatchResult, EpisodePlan
     from repro.simulation.fault_episode import FaultEpisodePlan
 
-__all__ = ["Backend", "SimState", "require_input_word"]
+__all__ = ["Backend", "SimState", "require_input_word",
+           "require_pattern_mask"]
+
+
+def require_pattern_mask(n: int) -> int:
+    """The ``n``-bit all-ones mask of an ``n``-pattern simulation.
+
+    Shared by all backends: a negative ``n`` raises
+    :class:`~repro.errors.SimulationError` (``n = 0`` is a legal, empty
+    simulation).
+    """
+    if n < 0:
+        raise SimulationError(
+            f"packed simulation needs n >= 0 patterns, got {n}")
+    return mask(n)
 
 
 def require_input_word(input_words: Mapping[str, int], line: str,
@@ -106,17 +121,12 @@ class SimState(abc.ABC):
         the leakage tables reproduces :meth:`leakage_sum` bit for bit
         (see :func:`repro.leakage.estimator.leakage_from_pattern_counts`).
         """
-        from repro.simulation.values import pattern_count
         counts: dict[str, np.ndarray] = {}
         for line in self.circuit.topo_order():
-            gate = self.circuit.gates[line]
-            arity = len(gate.inputs)
-            in_words = [self.word(src) for src in gate.inputs]
-            arr = np.empty(1 << arity, dtype=np.int64)
-            for code in range(1 << arity):
-                pattern = tuple((code >> pin) & 1 for pin in range(arity))
-                arr[code] = pattern_count(in_words, pattern, self.n)
-            counts[line] = arr
+            in_words = [self.word(src)
+                        for src in self.circuit.gates[line].inputs]
+            counts[line] = np.array(minterm_counts(in_words, self.n),
+                                    dtype=np.int64)
         return counts
 
     def bools(self, line: str) -> np.ndarray:

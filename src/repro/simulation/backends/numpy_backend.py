@@ -33,7 +33,11 @@ from repro.cells.library import CellLibrary
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.obs.trace import span
-from repro.simulation.backends.base import Backend, SimState
+from repro.simulation.backends.base import (
+    Backend,
+    SimState,
+    require_pattern_mask,
+)
 from repro.simulation.kernels import (
     eval_gate_rows,
     eval_schedule,
@@ -234,9 +238,9 @@ class NumpyBackend(Backend):
 
     def run(self, circuit: Circuit, input_words: Mapping[str, int],
             n: int) -> NumpyState:
+        full = require_pattern_mask(n)
         schedule = cached_schedule(circuit)
         n_words = (n + 63) // 64
-        full = mask(n)
         full_row = int_to_row(full, n_words)
         state = initial_state(schedule, input_words, n, n_words, full,
                               full_row)

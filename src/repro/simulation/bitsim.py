@@ -5,10 +5,11 @@ Each combinational input gets an N-bit word (bit ``t`` = value in pattern
 This backs fault simulation, Monte-Carlo leakage observability and the
 scan-shift power evaluation.
 
-This module holds the *reference* big-int engine; the public
-:func:`simulate_packed` dispatches to the selected simulation backend
-(see :mod:`repro.simulation.backends`), all of which reproduce the
-reference results bit-for-bit.
+This module holds the per-gate packed evaluator and the stimulus
+helpers; the public :func:`simulate_packed` dispatches to the selected
+simulation backend (see :mod:`repro.simulation.backends`; ``bigint`` is
+the reference), all of which reproduce the reference results
+bit-for-bit.
 """
 
 from __future__ import annotations
@@ -57,29 +58,6 @@ def eval_gate_packed(gtype: GateType, words: Sequence[int],
     if gtype is GateType.CONST1:
         return full
     raise SimulationError(f"cannot evaluate {gtype} in packed mode")
-
-
-def _simulate_packed_bigint(circuit: Circuit,
-                            input_words: Mapping[str, int],
-                            n: int) -> dict[str, int]:
-    """The raw big-int reference engine (no backend dispatch)."""
-    full = mask(n)
-    words: dict[str, int] = {}
-    for line in comb_input_lines(circuit):
-        try:
-            word = input_words[line]
-        except KeyError:
-            raise SimulationError(
-                f"missing packed input for line {line!r}") from None
-        if word < 0 or word > full:
-            raise SimulationError(
-                f"line {line!r}: word out of range for {n} patterns")
-        words[line] = word
-    for line in circuit.topo_order():
-        gate = circuit.gates[line]
-        words[line] = eval_gate_packed(
-            gate.gtype, [words[src] for src in gate.inputs], full)
-    return words
 
 
 def simulate_packed(circuit: Circuit, input_words: Mapping[str, int],

@@ -19,9 +19,16 @@ dedicated constant-ones row (the AND identity).  This keeps the number of
 array operations proportional to circuit *depth*, not to the number of
 distinct (type, arity) buckets.
 
-Schedules are pure derived data.  :func:`cached_schedule` memoizes them
-per circuit object, keyed on :attr:`Circuit.version` so mutations
-invalidate the cache automatically.
+Both the batches and the big-int engines index lines by the rows of one
+:class:`RowTable`: combinational inputs first, then gate outputs in
+topological order, each gate row carrying a small-int opcode and its
+fan-in rows.  The big-int good machine (:mod:`repro.simulation.backends.
+bigint`) evaluates the rows in order with :func:`eval_row`; the scalar
+fault replay (:mod:`repro.atpg.faultsim`) walks their sink rows.
+
+Schedules and row tables are pure derived data.  :func:`cached_schedule`
+and :func:`cached_row_table` memoize them per circuit object, keyed on
+:attr:`Circuit.version` so mutations invalidate the cache automatically.
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ from repro.netlist.gates import GateType
 from repro.simulation.eval2 import comb_input_lines
 
 __all__ = ["GateBatch", "FusedAndBatch", "TypeGroup", "LevelizedSchedule",
-           "build_schedule", "cached_schedule", "AND_FAMILY"]
+           "RowTable", "build_row_table", "build_schedule",
+           "cached_row_table", "cached_schedule", "eval_row", "AND_FAMILY",
+           "OPCODES", "GATE_TYPES"]
 
 #: Gate types expressible as AND-of-literals with an output literal.
 #: (input inversion mask, output inversion) per type.
@@ -49,6 +58,109 @@ AND_FAMILY: dict[GateType, tuple[bool, bool]] = {
     GateType.NOT: (True, False),
     GateType.BUFF: (False, False),
 }
+
+
+#: Small-int opcodes of the gate rows (the row evaluators dispatch on
+#: these instead of hashing :class:`GateType` per gate).
+OP_AND, OP_NAND, OP_OR, OP_NOR, OP_NOT, OP_BUFF, OP_XOR, OP_XNOR, OP_MUX2, \
+    OP_CONST0, OP_CONST1 = range(11)
+OPCODES: dict[GateType, int] = {
+    GateType.AND: OP_AND, GateType.NAND: OP_NAND, GateType.OR: OP_OR,
+    GateType.NOR: OP_NOR, GateType.NOT: OP_NOT, GateType.BUFF: OP_BUFF,
+    GateType.XOR: OP_XOR, GateType.XNOR: OP_XNOR, GateType.MUX2: OP_MUX2,
+    GateType.CONST0: OP_CONST0, GateType.CONST1: OP_CONST1,
+}
+#: Inverse of :data:`OPCODES`: ``GATE_TYPES[op]`` is the gate type.
+GATE_TYPES: tuple[GateType, ...] = tuple(OPCODES)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class RowTable:
+    """A circuit's combinational part as integer rows.
+
+    Rows are every simulated line, combinational inputs first, then gate
+    outputs in topological order, so a rising row index is a valid
+    evaluation order.  Per row: ``ops`` / ``fanin`` hold the gate's
+    opcode (:data:`OPCODES`) and input rows (``-1`` / ``()`` for input
+    rows), ``sinks`` the combinational gate rows reading it, each once
+    (DFF sinks are not rows: a flop's D pin ends the combinational
+    part).
+    """
+
+    lines: tuple[str, ...]
+    index: dict[str, int]
+    n_inputs: int
+    ops: tuple[int, ...]
+    fanin: tuple[tuple[int, ...], ...]
+    sinks: tuple[tuple[int, ...], ...]
+    version: int
+
+
+def build_row_table(circuit: Circuit) -> RowTable:
+    """Compile ``circuit``'s combinational part into a :class:`RowTable`."""
+    inputs = comb_input_lines(circuit)
+    lines = tuple(inputs) + tuple(circuit.topo_order())
+    index = {line: row for row, line in enumerate(lines)}
+    n_inputs = len(inputs)
+    gates = circuit.gates
+    ops = [-1] * n_inputs
+    fanin: list[tuple[int, ...]] = [()] * n_inputs
+    sinks: list[list[int]] = [[] for _ in lines]
+    for row, line in enumerate(lines[n_inputs:], n_inputs):
+        gate = gates[line]
+        ops.append(OPCODES[gate.gtype])
+        fanin.append(tuple(index[src] for src in gate.inputs))
+        for src in dict.fromkeys(fanin[row]):
+            sinks[src].append(row)
+    return RowTable(lines=lines, index=index, n_inputs=n_inputs,
+                    ops=tuple(ops), fanin=tuple(fanin),
+                    sinks=tuple(map(tuple, sinks)),
+                    version=circuit.version)
+
+
+_ROW_CACHE: "weakref.WeakKeyDictionary[Circuit, RowTable]" = \
+    weakref.WeakKeyDictionary()
+
+
+def cached_row_table(circuit: Circuit) -> RowTable:
+    """Memoized :func:`build_row_table`, invalidated by circuit mutation."""
+    table = _ROW_CACHE.get(circuit)
+    if table is None or table.version != circuit.version:
+        table = build_row_table(circuit)
+        _ROW_CACHE[circuit] = table
+    return table
+
+
+def eval_row(op: int, ins: tuple[int, ...], values: list[int],
+             full: int) -> int:
+    """Packed word of one gate row over the row words ``values``.
+
+    ``op`` and ``ins`` are the row's opcode and fan-in rows; ``full`` is
+    the ``n``-bit all-ones mask.
+    """
+    if op <= OP_NOR:
+        if op <= OP_NAND:
+            value = full
+            for src in ins:
+                value &= values[src]
+        else:
+            value = 0
+            for src in ins:
+                value |= values[src]
+        return value ^ full if op == OP_NAND or op == OP_NOR else value
+    if op == OP_NOT:
+        return values[ins[0]] ^ full
+    if op == OP_BUFF:
+        return values[ins[0]]
+    if op <= OP_XNOR:
+        value = 0
+        for src in ins:
+            value ^= values[src]
+        return value ^ full if op == OP_XNOR else value
+    if op == OP_MUX2:
+        sel = values[ins[0]]
+        return ((sel ^ full) & values[ins[1]]) | (sel & values[ins[2]])
+    return full if op == OP_CONST1 else 0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,10 +305,11 @@ class LevelizedSchedule:
 
 def build_schedule(circuit: Circuit) -> LevelizedSchedule:
     """Levelize ``circuit`` and group its gates into evaluation batches."""
-    inputs = tuple(comb_input_lines(circuit))
-    topo = circuit.topo_order()
-    lines = inputs + tuple(topo)
-    line_index = {line: i for i, line in enumerate(lines)}
+    rows = cached_row_table(circuit)
+    lines = rows.lines
+    line_index = rows.index
+    inputs = lines[:rows.n_inputs]
+    topo = lines[rows.n_inputs:]
 
     buckets: dict[tuple[int, str, int], list[str]] = defaultdict(list)
     for line in topo:

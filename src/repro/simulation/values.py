@@ -21,6 +21,7 @@ __all__ = [
     "bit_at",
     "count_transitions",
     "pattern_count",
+    "minterm_counts",
 ]
 
 
@@ -76,10 +77,17 @@ def pattern_count(input_words: Sequence[int], pattern: Sequence[int],
     """Count positions where the inputs jointly equal ``pattern``.
 
     ``input_words[i]`` is the packed waveform of input ``i``; ``pattern``
-    is the tuple of 0/1 values being matched.  Used to accumulate
-    per-pattern leakage over a whole scan-shift episode in O(2^k) popcounts
-    per gate instead of O(cycles) table lookups.
+    is the tuple of 0/1 values being matched (one per input word, else
+    :class:`ValueError`).  This is one count at ``k`` ANDs; the whole
+    count vector of a ``k``-input gate comes from
+    :func:`minterm_counts` in ``2^k - 1`` popcounts via the minterm
+    split, which is how per-pattern leakage is accumulated over a scan
+    episode instead of by O(cycles) table lookups.
     """
+    if len(pattern) != len(input_words):
+        raise ValueError(
+            f"pattern has {len(pattern)} bits for "
+            f"{len(input_words)} input words")
     word = mask(n)
     full = word
     for in_word, bit in zip(input_words, pattern):
@@ -87,3 +95,33 @@ def pattern_count(input_words: Sequence[int], pattern: Sequence[int],
         if word == 0:
             return 0
     return word.bit_count()
+
+
+def minterm_counts(input_words: Sequence[int], n: int) -> list[int]:
+    """Positions of each joint input value, for every input pattern.
+
+    Entry ``code`` equals :func:`pattern_count` of the pattern whose bit
+    ``j`` is input ``j``'s value (``2^k`` entries for ``k`` words).  The
+    cycle set is split input by input: each parent set ``m`` yields
+    ``ones = m & w`` and ``zeros = m ^ ones``, and the zero branch's
+    count is the parent's minus the one branch's, so a gate costs
+    ``2^k - 1`` popcounts instead of ``2^k``.
+
+    >>> minterm_counts([pack_bits([0, 1, 1]), pack_bits([0, 0, 1])], 3)
+    [1, 1, 0, 1]
+    """
+    masks = [mask(n)]
+    counts = [n]
+    last = len(input_words) - 1
+    for pin, word in enumerate(input_words):
+        # Codes below the current width are the zero branches (kept in
+        # their parent's slot); the one branches append after them.
+        for code in range(len(counts)):
+            ones = masks[code] & word
+            high = ones.bit_count()
+            counts.append(high)
+            counts[code] -= high
+            if pin < last:
+                masks.append(ones)
+                masks[code] ^= ones
+    return counts

@@ -1,7 +1,7 @@
 """Differential tests: row-space fault replay vs the two frozen replays.
 
 The scalar fault replay of :mod:`repro.atpg.faultsim` runs on integer
-rows of the levelized schedule and only evaluates sinks of rows whose
+rows of the circuit's row table and only evaluates sinks of rows whose
 faulty word differs from the good word.  It must give exactly the
 detection words and ``remaining`` order of the name-keyed,
 level-bucketed event-driven replay frozen in
@@ -23,7 +23,6 @@ import faultsim_event_reference as event_reference
 import faultsim_reference as reference
 from gate_mix import sprinkle_gates
 from generate_podem_pins import PODEM_CIRCUITS, mapped_circuit, universe
-from repro.atpg import faultsim
 from repro.atpg.collapse import collapse_faults
 from repro.atpg.faults import Fault, all_faults, observable_lines
 from repro.atpg.faultsim import detect_word, scalar_replay
@@ -36,6 +35,7 @@ from repro.netlist.gates import (
     SEQUENTIAL_TYPES,
     GateType,
 )
+from repro.simulation import schedule
 from repro.simulation.bitsim import random_input_words, simulate_packed
 from repro.simulation.values import mask
 from repro.techmap.mapper import technology_map
@@ -168,13 +168,13 @@ class TestReplayTables:
 
     def test_built_once_per_version(self, monkeypatch):
         builds = []
-        build = faultsim._build_tables
+        build = schedule.build_row_table
 
         def counting(circuit):
             builds.append(circuit.version)
             return build(circuit)
 
-        monkeypatch.setattr(faultsim, "_build_tables", counting)
+        monkeypatch.setattr(schedule, "build_row_table", counting)
         circuit = every_kind()
         faults = all_faults(circuit)
         words = random_input_words(circuit, 8, make_rng(2))

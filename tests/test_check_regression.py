@@ -137,6 +137,20 @@ class TestEveryRecordedSpeedupIsGated:
         # bench_perf's five ratios + bench_scaling's efficiency keys.
         assert checked >= 7
 
+    def test_bench_perf_speedups_listed_explicitly(self):
+        """The suffix rule is a safety net, not the list: every
+        ``*_speedup`` key ``bench_perf.py`` records is named in
+        ``SPEEDUP_KEYS`` (``replay_speedup`` was once gated only by its
+        suffix)."""
+        gate = _load_gate_module()
+        keys = {key for key in _recorded_ratio_keys(
+            (BENCH_DIR / "bench_perf.py").read_text())
+            if key.endswith("speedup")}
+        assert {"speedup", "replay_speedup",
+                "cycle_replay_speedup"} <= keys
+        assert keys <= set(gate.SPEEDUP_KEYS), \
+            sorted(keys - set(gate.SPEEDUP_KEYS))
+
     def test_load_speedups_picks_up_every_guarded_key(self, tmp_path):
         gate = _load_gate_module()
         extra = {key: 2.0 for key in gate.SPEEDUP_KEYS}
