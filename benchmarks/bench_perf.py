@@ -7,7 +7,10 @@ one-shot experiment benches.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -564,7 +567,13 @@ def test_perf_podem_universe(benchmark):
     does.  Then times the SAT redundancy prover over the faults PODEM
     aborted (one prover per circuit, as ``generate_tests`` builds it):
     ``sat_ms`` and the ``sat_redundant``/``sat_testable`` split of the
-    ``aborted`` faults.  No floor: the figures are a trajectory, not a
+    ``aborted`` faults; the redundant ones must be the set pinned in
+    ``tests/atpg/podem_pins.json``.  Then times the prover's structural
+    fast path alone over the same aborts: ``screened`` of them settle
+    without a miter (each in the pinned redundant set) in
+    ``screen_ms``, and building the provers ran ``constant_proofs``
+    good-machine constant checks committing ``constants`` constants in
+    ``constant_ms``.  No floor: the figures are a trajectory, not a
     gate.
     """
     circuits = [technology_map(load_circuit(name, seed=1))
@@ -590,15 +599,36 @@ def test_perf_podem_universe(benchmark):
     assert benchmark.pedantic(run, rounds=1, iterations=1,
                               warmup_rounds=0) == backtracks
 
-    def prove_aborts() -> list[str]:
+    def prove_aborts() -> list[list[str]]:
         statuses = []
         for circuit, faults in zip(circuits, aborted):
             prover = RedundancyProver(PodemEngine(circuit))
-            statuses += [prover.prove(fault).status for fault in faults]
+            statuses.append([prover.prove(fault).status for fault in faults])
         return statuses
 
-    statuses = prove_aborts()
+    per_circuit = prove_aborts()
     sat_s = best_of(2, prove_aborts)
+    statuses = [status for circuit in per_circuit for status in circuit]
+
+    pinned = json.loads((Path(__file__).parents[1] / "tests" / "atpg"
+                         / "podem_pins.json").read_text())["sat"]
+    provers = [RedundancyProver(PodemEngine(c)) for c in circuits]
+
+    def screen() -> list[list[bool]]:
+        return [[prover.settles(fault) for fault in faults]
+                for prover, faults in zip(provers, aborted)]
+
+    settled = screen()
+    screen_s = best_of(2, screen)
+    for name, faults, verdicts, flags in zip(
+            TABLE1_COLD_CIRCUITS, aborted, per_circuit, settled):
+        redundant = sorted(f"{fault.line}/{fault.stuck_at}"
+                           for fault, status in zip(faults, verdicts)
+                           if status == REDUNDANT)
+        assert hashlib.sha256("\n".join(redundant).encode()).hexdigest() \
+            == pinned[name]["redundant_digest"]
+        assert all(verdict == REDUNDANT
+                   for verdict, flag in zip(verdicts, flags) if flag)
 
     benchmark.extra_info["circuits"] = len(circuits)
     benchmark.extra_info["n_faults"] = n_faults
@@ -609,6 +639,14 @@ def test_perf_podem_universe(benchmark):
     benchmark.extra_info["sat_ms"] = round(sat_s * 1e3, 3)
     benchmark.extra_info["sat_redundant"] = statuses.count(REDUNDANT)
     benchmark.extra_info["sat_testable"] = statuses.count(TESTABLE)
+    benchmark.extra_info["screened"] = sum(map(sum, settled))
+    benchmark.extra_info["screen_ms"] = round(screen_s * 1e3, 3)
+    benchmark.extra_info["constant_proofs"] = sum(
+        prover.constant_proofs for prover in provers)
+    benchmark.extra_info["constants"] = sum(
+        len(prover.constants) for prover in provers)
+    benchmark.extra_info["constant_ms"] = round(
+        sum(prover.constant_s for prover in provers) * 1e3, 3)
 
 
 def test_perf_fault_sim_backend_speedup(benchmark, s1423_mapped):

@@ -27,7 +27,9 @@ class Fault:
     stuck_at: int
 
     def __post_init__(self) -> None:
-        if self.stuck_at not in (0, 1):
+        # exactly int: 1.0 and True compare equal to 1 but are not values
+        # the engines index with
+        if type(self.stuck_at) is not int or self.stuck_at not in (0, 1):
             raise ValueError(f"stuck_at must be 0/1, got {self.stuck_at!r}")
 
     def __str__(self) -> str:

@@ -8,8 +8,13 @@ Pipeline:
 2. **Deterministic phase** — PODEM per remaining fault, in batches:
    don't-cares are random-filled and the whole batch of new vectors is
    fault-simulated at once against the remaining list (collateral
-   detections drop out cheaply).  Each fault first gets a short PODEM
-   screen of :data:`SCREEN_BACKTRACKS` backtracks; PODEM is
+   detections drop out cheaply).  Each fault first meets the SAT
+   prover's structural fast path
+   (:meth:`~repro.atpg.sat.RedundancyProver.settles`): a stuck-at on a
+   proven good-machine constant, or a site whose effects no observable
+   line can see once constant side inputs block their gates, is
+   untestable without PODEM or a miter.  Every other fault gets a short
+   PODEM screen of :data:`SCREEN_BACKTRACKS` backtracks; PODEM is
    deterministic, so a verdict reached there is the full-budget verdict.
    A screen abort goes to the incremental SAT prover
    (:mod:`repro.atpg.sat`): a redundancy proof makes the fault
@@ -17,6 +22,8 @@ Pipeline:
    PODEM re-runs at ``max_backtracks`` and its outcome stands.  Aborted
    and untestable faults are excluded from the same targets and neither
    draws from the RNG, so the proofs leave the test set unchanged.
+   ``repro_atpg_verdicts_total{path=...}`` counts which step decided
+   each fault: ``structural``, ``screen``, ``sat`` or ``podem``.
 3. **Reverse-order compaction** — one packed no-drop fault simulation of
    the kept set produces a detection matrix; a reverse greedy pass keeps a
    vector only if it detects some fault no later-kept vector detects.
@@ -40,6 +47,7 @@ from repro.atpg.faultsim import FaultSimResult
 from repro.atpg.podem import PodemEngine, PodemResult, generate_test
 from repro.atpg.sat import REDUNDANT, RedundancyProver
 from repro.errors import ConfigError
+from repro.obs.metrics import get_registry
 from repro.scan.testview import ScanDesign, TestVector
 from repro.simulation.backends import Backend
 from repro.simulation.bitsim import pack_input_vectors, random_input_words
@@ -52,6 +60,14 @@ __all__ = ["TestSet", "AtpgConfig", "generate_tests", "SCREEN_BACKTRACKS"]
 
 #: PODEM backtrack budget before an abort is handed to the SAT prover
 SCREEN_BACKTRACKS = 5
+
+
+def _verdict_counter(path: str):
+    return get_registry().counter(
+        "repro_atpg_verdicts_total",
+        "Deterministic-phase ATPG faults by the step that decided them "
+        "(structural/screen/sat/podem).",
+        labels={"path": path})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -87,8 +103,9 @@ class TestSet:
     vectors: list[TestVector]
     n_faults: int                  # collapsed universe size
     n_detected: int
-    #: proven redundant: PODEM exhausted its search or the SAT prover
-    #: found the fault's miter unsatisfiable
+    #: proven redundant: the SAT prover's structural fast path settled
+    #: the fault, PODEM exhausted its search, or the SAT prover found
+    #: the fault's miter unsatisfiable
     n_untestable: int
     n_aborted: int                 # aborted by PODEM, left undetected
 
@@ -103,8 +120,9 @@ class TestSet:
     def testable_coverage(self) -> float:
         """Detected / (total - proven untestable).
 
-        Untestable faults carry a proof (an exhausted PODEM search or a
-        SAT redundancy proof), so only aborted faults can still sit in
+        Untestable faults carry a proof (a structural one, an exhausted
+        PODEM search or a SAT redundancy proof), so only aborted faults
+        can still sit in
         the denominator without being testable.
         """
         denom = self.n_faults - self.n_untestable
@@ -264,7 +282,9 @@ def _generate_vectors(design: ScanDesign, config: AtpgConfig,
         new_assignments: list[dict[str, int]] = []
         proven_untestable: set[Fault] = set()
         for fault in batch:
-            outcome = _podem_verdict(prover, fault, config.max_backtracks)
+            outcome, path = _podem_verdict(prover, fault,
+                                           config.max_backtracks)
+            _verdict_counter(path).inc()
             if outcome.status == "untestable":
                 proven_untestable.add(fault)
                 n_untestable += 1
@@ -297,24 +317,30 @@ def _generate_vectors(design: ScanDesign, config: AtpgConfig,
 
 
 def _podem_verdict(prover: RedundancyProver, fault: Fault,
-                   max_backtracks: int) -> PodemResult:
+                   max_backtracks: int) -> tuple[PodemResult, str]:
     """PODEM at ``max_backtracks``, with SAT settling hopeless aborts.
 
-    A short screen of :data:`SCREEN_BACKTRACKS` backtracks runs first;
-    its verdict equals the full-budget one whenever it reaches one.  On
-    a screen abort a SAT redundancy proof turns the fault "untestable";
-    otherwise the full-budget run decides.
+    The prover's structural fast path runs first: a fault it settles is
+    "untestable" without a PODEM run (path ``structural``).  Then a
+    short screen of :data:`SCREEN_BACKTRACKS` backtracks runs; its
+    verdict equals the full-budget one whenever it reaches one
+    (``screen``).  On a screen abort a SAT redundancy proof turns the
+    fault "untestable" (``sat``); otherwise the full-budget run decides
+    (``podem``).  Returns the outcome and that path.
     """
+    if prover.settles(fault):
+        return PodemResult("untestable", {}, 0), "structural"
     circuit, engine = prover.circuit, prover.engine
     screen = min(SCREEN_BACKTRACKS, max_backtracks)
     outcome = generate_test(circuit, fault, screen, engine=engine)
     if outcome.status != "aborted":
-        return outcome
+        return outcome, "screen"
     if prover.prove(fault).status == REDUNDANT:
-        return dataclasses.replace(outcome, status="untestable")
+        return dataclasses.replace(outcome, status="untestable"), "sat"
     if screen < max_backtracks:
-        return generate_test(circuit, fault, max_backtracks, engine=engine)
-    return outcome
+        outcome = generate_test(circuit, fault, max_backtracks,
+                                engine=engine)
+    return outcome, "podem"
 
 
 def _greedy_keep(matrix: FaultSimResult, n_vectors: int) -> list[bool]:

@@ -3,12 +3,38 @@
 import pytest
 
 from repro.atpg.faults import Fault, all_faults, observable_lines
+from repro.atpg.faultsim import fault_simulate
+from repro.atpg.podem import PodemEngine, generate_test
+from repro.atpg.sat import TESTABLE, RedundancyProver
+from repro.simulation.bitsim import pack_input_vectors
+from repro.simulation.eval2 import comb_input_lines
 
 
 class TestFault:
     def test_validation(self):
         with pytest.raises(ValueError):
             Fault("x", 2)
+
+    @pytest.mark.parametrize("stuck", [1.0, True, "1", None])
+    def test_stuck_value_must_be_an_exact_int(self, stuck):
+        with pytest.raises(ValueError, match="stuck_at must be 0/1"):
+            Fault("G17", stuck)
+
+    def test_int_stuck_value_reaches_every_engine(self, s27_mapped):
+        """Values equal to 1 that are not the int 1 once reached the
+        prover and PODEM (TypeError) and fault simulation (silently
+        undetected); the int 1 is detected by all three."""
+        fault = Fault("G17", 1)
+        assert str(fault) == "G17/sa1"
+        engine = PodemEngine(s27_mapped)
+        assert RedundancyProver(engine).prove(fault).status == TESTABLE
+        podem = generate_test(s27_mapped, fault, engine=engine)
+        assert podem.detected
+        vector = {line: podem.assignment.get(line, 0)
+                  for line in comb_input_lines(s27_mapped)}
+        words, n = pack_input_vectors(s27_mapped, [vector])
+        detected = fault_simulate(s27_mapped, [fault], words, n).detected
+        assert detected.get(fault) == 1
 
     def test_str(self):
         assert str(Fault("G17", 0)) == "G17/sa0"

@@ -15,6 +15,13 @@ denominator.  It is pinned from three sides:
 One prover answers a whole universe, so these also check that nothing a
 fault leaves behind (learned clauses, reused variable slots) changes a
 later verdict.
+
+The good-machine constants and the structural fast path
+(:meth:`RedundancyProver.settles`) are checked against the frozen
+per-fault miter in ``sat_reference.py`` (every settled fault is
+redundant there, and every status is its status) and against
+exhaustive simulation (every level-0 good value is a constant of the
+circuit, and every constant is found).
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from hypothesis import given, settings, strategies as st
 
 import generate_podem_pins as pins
 import repro.atpg.generate as generate_module
+import sat_reference
 from gate_mix import sprinkle_gates
 from repro.atpg.faults import Fault, all_faults
 from repro.atpg.faultsim import fault_simulate
@@ -42,9 +50,11 @@ from repro.atpg.sat import (
 from repro.benchgen.generator import generate_from_stats
 from repro.benchgen.iscas89 import Iscas89Stats
 from repro.errors import AtpgError
+from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
+from repro.obs.metrics import get_registry
 from repro.scan.testview import ScanDesign
-from repro.simulation.bitsim import pack_input_vectors
+from repro.simulation.bitsim import pack_input_vectors, simulate_packed
 from repro.simulation.eval2 import comb_input_lines
 
 
@@ -119,6 +129,23 @@ def test_only_good_machine_clauses_outlive_a_fault(name):
     _assert_only_good_machine_clauses_kept(_sat_results(name)[3])
 
 
+def _frozen_statuses(circuit, faults) -> list[str]:
+    prover = sat_reference.RedundancyProver(PodemEngine(circuit))
+    return [prover.prove(fault).status for fault in faults]
+
+
+@pytest.mark.parametrize("name", pins.PODEM_CIRCUITS)
+def test_statuses_and_settled_faults_agree_with_the_frozen_miter(name):
+    circuit, faults, results, _prover = _sat_results(name)
+    frozen = _frozen_statuses(circuit, faults)
+    assert [result.status for result in results] == frozen
+    prover = RedundancyProver(PodemEngine(circuit))
+    settled = [k for k, fault in enumerate(faults) if prover.settles(fault)]
+    assert all(frozen[k] == REDUNDANT for k in settled)
+    if name != "s27":
+        assert settled
+
+
 def _exhaustive_word(j: int, n: int) -> int:
     """Packed word of input ``j`` over all ``n`` patterns: pattern ``k``
     sets input ``j`` to bit ``j`` of ``k``."""
@@ -151,6 +178,122 @@ def test_generated_netlists_match_exhaustive_simulation(seed, n_inputs,
             k = sum(result.assignment.get(line, fill) << j
                     for j, line in enumerate(lines))
             assert not word or word >> k & 1, str(fault)
+    _assert_only_good_machine_clauses_kept(prover)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       n_inputs=st.integers(2, 6),
+       n_dffs=st.integers(1, 6),
+       n_gates=st.integers(14, 40))
+def test_generated_netlists_agree_with_the_frozen_miter(seed, n_inputs,
+                                                        n_dffs, n_gates):
+    stats = Iscas89Stats("hyp", n_inputs, 2, n_dffs, n_gates)
+    circuit = sprinkle_gates(generate_from_stats(stats, seed), seed)
+    faults = all_faults(circuit)
+    frozen = _frozen_statuses(circuit, faults)
+    prover = RedundancyProver(PodemEngine(circuit))
+    for fault, status in zip(faults, frozen):
+        assert not prover.settles(fault) or status == REDUNDANT, str(fault)
+    assert [prover.prove(fault).status for fault in faults] == frozen
+
+
+def _level0_constants(circuit) -> tuple[dict[str, int], RedundancyProver]:
+    """Every line with a level-0 good value in a fresh prover, and the
+    prover."""
+    prover = RedundancyProver(PodemEngine(circuit))
+    return {name: int(prover.val[2 * li] > 0)
+            for li, name in enumerate(prover.names)
+            if prover.val[2 * li]}, prover
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       n_inputs=st.integers(1, 4),
+       n_dffs=st.integers(1, 2),
+       n_gates=st.integers(14, 40))
+def test_level0_constants_are_exactly_the_circuit_constants(
+        seed, n_inputs, n_dffs, n_gates):
+    """Sound (every level-0 good value is a constant of the circuit) and
+    complete (random simulation finds every constant as a candidate and
+    no proof runs out of conflicts here)."""
+    stats = Iscas89Stats("hyp", n_inputs, 2, n_dffs, n_gates)
+    circuit = sprinkle_gates(generate_from_stats(stats, seed), seed)
+    lines = comb_input_lines(circuit)
+    assert len(lines) <= 6
+    n = 1 << len(lines)
+    full = (1 << n) - 1
+    words = simulate_packed(circuit, {line: _exhaustive_word(j, n)
+                                      for j, line in enumerate(lines)}, n)
+    constants, prover = _level0_constants(circuit)
+    assert constants == {line: int(word == full)
+                         for line, word in words.items()
+                         if word in (0, full)}
+    assert all(constants[prover.names[li]] == value
+               for li, value in prover.constants.items())
+
+
+def test_constant_sweep_covers_proofs_ties_and_mux_selects():
+    """The netlists of the sweep above commit proven constants, tie
+    lines and constant MUX2 selects."""
+    proven = ties = selects = 0
+    for seed in range(10):
+        stats = Iscas89Stats("hyp", 3, 2, 3, 24)
+        circuit = sprinkle_gates(generate_from_stats(stats, seed), seed)
+        constants, prover = _level0_constants(circuit)
+        proven += len(prover.constants)
+        gates = circuit.gates
+        ties += sum(gates[line].gtype in (GateType.CONST0, GateType.CONST1)
+                    for line in constants if line in gates)
+        selects += sum(gate.inputs[0] in constants
+                       for gate in gates.values()
+                       if gate.gtype is GateType.MUX2)
+    assert proven and ties >= 20 and selects
+
+
+def _blocked_fanout_circuit() -> Circuit:
+    """Line ``x`` fans out to ``g1``, blocked by the proven constant
+    ``t = c AND NOT c``, and to ``g2``, open when ``c`` is 0; line
+    ``y`` feeds ``g1`` only."""
+    circuit = Circuit("blocked")
+    for line in ("a", "b", "c"):
+        circuit.add_input(line)
+    circuit.add_gate("x", GateType.NAND, ("a", "b"))
+    circuit.add_gate("nc", GateType.NOT, ("c",))
+    circuit.add_gate("t", GateType.AND, ("c", "nc"))
+    circuit.add_gate("y", GateType.NOT, ("b",))
+    circuit.add_gate("g1", GateType.AND, ("x", "t", "y"))
+    circuit.add_gate("g2", GateType.OR, ("x", "c"))
+    circuit.add_output("g1")
+    circuit.add_output("g2")
+    return circuit
+
+
+def test_blocked_fanout_keeps_its_d_chain_clause():
+    """The miter keeps a blocked fanout of a cone line in the cone: if
+    the encoder dropped ``g1``, ``d[g1]`` would be free to satisfy the
+    D-chain of ``x`` and a model need not propagate through ``g2``."""
+    circuit = _blocked_fanout_circuit()
+    prover = RedundancyProver(PodemEngine(circuit))
+    assert prover.constants == {prover.index["t"]: 0}
+    lines = comb_input_lines(circuit)
+    for stuck in (0, 1):
+        fault = Fault("x", stuck)
+        assert not prover.settles(fault)
+        result = prover.prove(fault)
+        assert result.status == TESTABLE
+        for fill in (0, 1):
+            vector = {line: result.assignment.get(line, fill)
+                      for line in lines}
+            words, n = pack_input_vectors(circuit, [vector])
+            detected = fault_simulate(circuit, [fault], words, n,
+                                      drop=False).detected
+            assert detected.get(fault, 0) == 1, (str(fault), vector)
+    # faults whose only path is the blocked one are settled
+    assert prover.settles(Fault("y", 0)) and prover.settles(Fault("y", 1))
+    # a stuck-at on the constant's own value is never activated
+    assert prover.settles(Fault("t", 0))
+    assert not prover.settles(Fault("t", 1))
     _assert_only_good_machine_clauses_kept(prover)
 
 
@@ -196,8 +339,9 @@ class TestProverInterface:
 
 
 class TestScreenInTheFlow:
-    """``generate_tests`` asks SAT only about PODEM screen aborts, and
-    every non-redundant answer falls back to the full PODEM run."""
+    """``generate_tests`` settles structurally redundant faults before
+    PODEM, asks SAT only about PODEM screen aborts, and every
+    non-redundant answer falls back to the full PODEM run."""
 
     @pytest.mark.parametrize("status", [TESTABLE, UNKNOWN])
     def test_non_redundant_answers_give_the_podem_only_test_set(
@@ -208,6 +352,9 @@ class TestScreenInTheFlow:
         monkeypatch.setattr(
             generate_module.RedundancyProver, "prove",
             lambda self, fault: SatResult(status, {}, 0))
+        monkeypatch.setattr(
+            generate_module.RedundancyProver, "settles",
+            lambda self, fault: False)
         podem_only = generate_tests(design, config)
         assert podem_only.vectors == with_sat.vectors
         assert podem_only.n_detected == with_sat.n_detected
@@ -234,3 +381,60 @@ class TestScreenInTheFlow:
             design.circuit, fault, generate_module.SCREEN_BACKTRACKS,
             engine=engine).status for fault in asked]
         assert asked and set(screens) == {"aborted"}
+
+    def test_settled_faults_reach_neither_podem_nor_the_prover(
+            self, monkeypatch):
+        design = ScanDesign.full_scan(pins.mapped_circuit("s444"))
+        settled: list[Fault] = []
+        searched: list[Fault] = []
+        settles = RedundancyProver.settles
+        prove = RedundancyProver.prove
+        podem = generate_module.generate_test
+
+        def spy_settles(self, fault):
+            verdict = settles(self, fault)
+            if verdict:
+                settled.append(fault)
+            return verdict
+
+        def spy_prove(self, fault):
+            searched.append(fault)
+            return prove(self, fault)
+
+        def spy_podem(circuit, fault, *args, **kwargs):
+            searched.append(fault)
+            return podem(circuit, fault, *args, **kwargs)
+
+        monkeypatch.setattr(RedundancyProver, "settles", spy_settles)
+        monkeypatch.setattr(RedundancyProver, "prove", spy_prove)
+        monkeypatch.setattr(generate_module, "generate_test", spy_podem)
+        result = generate_tests(design, AtpgConfig(seed=pins.SEED))
+        assert settled and searched
+        assert not set(settled) & set(searched)
+        assert len(settled) <= result.n_untestable
+
+    def test_verdict_paths_count_every_podem_target(self, monkeypatch):
+        design = ScanDesign.full_scan(pins.mapped_circuit("s344"))
+        paths = ("structural", "screen", "sat", "podem")
+        decided: list[str] = []
+        verdict = generate_module._podem_verdict
+
+        def spy(prover, fault, max_backtracks):
+            outcome, path = verdict(prover, fault, max_backtracks)
+            decided.append(path)
+            return outcome, path
+
+        def counts() -> dict[str, float]:
+            snapshot = get_registry().snapshot()
+            return {path: snapshot.get(
+                f'repro_atpg_verdicts_total{{path="{path}"}}', 0)
+                for path in paths}
+
+        monkeypatch.setattr(generate_module, "_podem_verdict", spy)
+        before = counts()
+        generate_tests(design, AtpgConfig(seed=pins.SEED))
+        after = counts()
+        delta = {path: after[path] - before[path] for path in paths}
+        assert delta == {path: decided.count(path) for path in paths}
+        assert sum(delta.values()) == len(decided) > 0
+        assert all(delta.values())
