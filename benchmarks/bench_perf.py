@@ -484,61 +484,6 @@ def test_perf_fault_episode_speedup(benchmark, s1423_mapped):
         f"per-batch vs {plan_s * 1e3:.2f} ms planned)")
 
 
-#: Enforced array_api-vs-numpy efficiency floor: the namespace
-#: indirection (xp dispatch + device/host boundary no-ops on numpy)
-#: must cost <= ~10% on the planned fault replay workload.
-ARRAY_API_EFFICIENCY_FLOOR = float(
-    os.environ.get("REPRO_BENCH_ARRAY_API_EFFICIENCY_FLOOR", "0.9"))
-
-
-def test_perf_array_api_overhead(benchmark, s1423_mapped):
-    """array_api engine (numpy namespace) vs the direct numpy engine.
-
-    Both engines now execute the *same* shared kernels
-    (``repro.simulation.kernels``); the ``array_api`` path additionally
-    resolves the namespace per dispatch and routes every slab through
-    the ``to_device``/``to_host`` boundary (no-ops on numpy).  Results
-    are asserted bit-identical and the relative efficiency
-    numpy_s / array_api_s is recorded as
-    ``array_api_overhead_efficiency`` and enforced >= 0.9
-    (``$REPRO_BENCH_ARRAY_API_EFFICIENCY_FLOOR`` overrides; the
-    regression gate auto-diffs the ``*_efficiency`` trajectory).
-    """
-    from repro.simulation.backends import get_backend
-    from repro.simulation.fault_episode import compile_fault_episode_plan
-
-    universe = collapse_faults(s1423_mapped, all_faults(s1423_mapped))
-    n = 1024
-    words = random_input_words(s1423_mapped, n, make_rng(3))
-    plan = compile_fault_episode_plan(s1423_mapped, universe, words, n)
-
-    def run(name):
-        return get_backend(name).fault_simulate_plan(plan, drop=False)
-
-    reference = run("numpy")      # warms schedule + fault plan + state
-    via_api = run("array_api")    # warms its good-state entry
-    assert via_api.detected == reference.detected
-    assert via_api.remaining == reference.remaining
-
-    numpy_s = best_of(5, lambda: run("numpy"))
-    api_s = best_of(5, lambda: run("array_api"))
-    result = benchmark.pedantic(run, args=("array_api",),
-                                rounds=1, iterations=1, warmup_rounds=0)
-
-    efficiency = numpy_s / api_s
-    benchmark.extra_info["n_faults"] = len(universe)
-    benchmark.extra_info["patterns"] = n
-    benchmark.extra_info["numpy_ms"] = round(numpy_s * 1e3, 3)
-    benchmark.extra_info["array_api_ms"] = round(api_s * 1e3, 3)
-    benchmark.extra_info["array_api_overhead_efficiency"] = round(
-        efficiency, 4)
-    assert result.detected == reference.detected
-    assert efficiency >= ARRAY_API_EFFICIENCY_FLOOR, (
-        f"array_api efficiency {efficiency:.3f} below the "
-        f"{ARRAY_API_EFFICIENCY_FLOOR} floor ({numpy_s * 1e3:.2f} ms "
-        f"numpy vs {api_s * 1e3:.2f} ms array_api)")
-
-
 def test_perf_fault_simulation(benchmark, s1423_mapped):
     universe = collapse_faults(s1423_mapped, all_faults(s1423_mapped))
     words = random_input_words(s1423_mapped, 64, make_rng(1))

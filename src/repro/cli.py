@@ -85,12 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "processes join the same trace "
                               "(default: $REPRO_TRACE or off; "
                               "'' pins off)"))
-    parser.add_argument("--array-namespace", metavar="MODULE",
-                        default=None,
-                        help=("array namespace for the array_api "
-                              "backend's shared kernels, e.g. cupy "
-                              "(bit-identical; default: "
-                              "$REPRO_ARRAY_NAMESPACE or numpy)"))
     parser.add_argument("--chaos", metavar="SPEC", default=None,
                         help=("seeded fault injection, e.g. "
                               "'seed=7,queue.*=0.2,cache.write=0.5' "
@@ -315,7 +309,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             shards=args.shards,
             stream_budget=args.stream_budget,
             trace=args.trace,
-            array_namespace=args.array_namespace,
             chaos=args.chaos))
         # Fail fast on malformed environment defaults behind any knob
         # the flags left unset (flag values are argparse-validated).
@@ -325,11 +318,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if isinstance(engine, ShardedBackend) and args.shards is None:
             engine.effective_shards(0)  # and on a bad $REPRO_SIM_SHARDS
         resolve_stream_budget(None)  # bad $REPRO_STREAM_BUDGET
-        if args.array_namespace is None:
-            from repro.simulation.backends.array_api import (
-                resolve_array_namespace,
-            )
-            resolve_array_namespace(None)  # bad $REPRO_ARRAY_NAMESPACE
     except (ConfigError, SimulationError, OSError) as exc:
         # OSError: an unwritable/invalid --trace directory.
         print(f"repro-power: error: {exc}", file=sys.stderr)
@@ -375,8 +363,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = FlowConfig(seed=args.seed, backend=args.backend,
                             fault_backend=args.fault_backend,
                             shards=args.shards,
-                            stream_budget=args.stream_budget,
-                            array_namespace=args.array_namespace)
+                            stream_budget=args.stream_budget)
         circuits = args.circuits or None
         run = run_table1(circuits, config, verbose=not args.quiet,
                          jobs=args.jobs, cache_dir=args.cache_dir)
@@ -400,7 +387,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             fault_backend=args.fault_backend,
             shards=args.shards,
             stream_budget=args.stream_budget,
-            array_namespace=args.array_namespace,
             reorder_inputs=not args.no_reorder,
             use_observability_directive=not args.no_directive)
         result = ProposedFlow(config).run(load_circuit(args.circuit,
@@ -660,8 +646,6 @@ def _run_campaign_command(args) -> int:
         runtime_base["shards"] = args.shards
     if args.stream_budget is not None:
         runtime_base["stream_budget"] = args.stream_budget
-    if args.array_namespace is not None:
-        runtime_base["array_namespace"] = args.array_namespace
 
     try:
         if args.spec is not None:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from typing import ClassVar
 
 from repro.atpg.generate import AtpgConfig
 from repro.cells.library import CellLibrary, default_library
 from repro.errors import ConfigError
+from repro.runtime import check_runtime_fields
 
 __all__ = ["FlowConfig"]
 
@@ -70,21 +72,13 @@ class FlowConfig:
         pins off).  Purely observational — spans record timings, never
         results — so like the other runtime fields it is excluded from
         :meth:`config_hash`.
-    array_namespace:
-        Array namespace (importable module name) for the ``array_api``
-        backend's shared kernels (``None`` = session default /
-        ``$REPRO_ARRAY_NAMESPACE``, built-in ``numpy``).  The flow
-        installs it as a scoped session default for the duration of a
-        run; bit-identical by contract, so it is excluded from
-        :meth:`config_hash`.
     """
 
     #: Fields that only affect execution speed, never results (every
     #: backend is bit-identical by contract); excluded from
     #: :meth:`config_hash` so cache keys are engine-independent.
     RUNTIME_FIELDS: ClassVar[tuple[str, ...]] = (
-        "backend", "fault_backend", "shards", "stream_budget", "trace",
-        "array_namespace")
+        "backend", "fault_backend", "shards", "stream_budget", "trace")
 
     seed: int = 0
     observability_samples: int = 512
@@ -101,38 +95,18 @@ class FlowConfig:
     shards: int | None = None
     stream_budget: int | None = None
     trace: str | None = None
-    array_namespace: str | None = None
 
     def __post_init__(self) -> None:
-        from repro.simulation.backends import available_backends
-        for which, name in (("simulation", self.backend),
-                            ("fault simulation", self.fault_backend)):
-            if name is not None and name not in available_backends():
-                raise ConfigError(
-                    f"unknown {which} backend {name!r}; "
-                    f"available: {', '.join(available_backends())}")
-        if self.shards is not None:
-            if self.shards < 1:
-                raise ConfigError("shards must be >= 1")
-            if self.fault_backend not in (None, "sharded"):
-                raise ConfigError(
-                    "shards only applies to the 'sharded' fault backend, "
-                    f"not {self.fault_backend!r}")
-        if self.stream_budget is not None and self.stream_budget < 0:
-            raise ConfigError("stream_budget must be >= 0")
-        if self.array_namespace is not None:
-            if not self.array_namespace:
-                raise ConfigError("array_namespace must be a non-empty "
-                                  "module name")
-            import importlib.util
-            try:
-                spec = importlib.util.find_spec(self.array_namespace)
-            except (ImportError, ValueError):
-                spec = None
-            if spec is None:
-                raise ConfigError(
-                    f"array namespace {self.array_namespace!r} is not "
-                    f"importable")
+        check_runtime_fields(self)
+        for name in ("seed", "observability_samples", "ivc_trials",
+                     "ivc_noise_samples", "max_backtracks"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+        if isinstance(self.mux_delay_margin_ps, bool) or \
+                not isinstance(self.mux_delay_margin_ps, numbers.Real):
+            raise ConfigError("mux_delay_margin_ps must be a real number, "
+                              f"got {self.mux_delay_margin_ps!r}")
         if self.observability_samples < 2:
             raise ConfigError("observability_samples must be >= 2")
         if self.ivc_trials < 1:

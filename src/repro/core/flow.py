@@ -119,16 +119,6 @@ class ProposedFlow:
     @traced("flow.run")
     def run(self, circuit: Circuit) -> FlowResult:
         """Execute the full flow; see the module docstring for the steps."""
-        if self.config.array_namespace is not None:
-            # Scoped session default: every packed dispatch of the run —
-            # including plan/stream helpers that re-resolve the engine —
-            # sees the configured array namespace.
-            from repro.runtime import using
-            with using(array_namespace=self.config.array_namespace):
-                return self._run_steps(circuit)
-        return self._run_steps(circuit)
-
-    def _run_steps(self, circuit: Circuit) -> FlowResult:
         config = self.config
         library = config.library()
 

@@ -1,11 +1,11 @@
 """Unified runtime-options surface: one session-default store.
 
 The runtime knobs — simulation backend, fault backend, shard count,
-streaming budget, tracing, array namespace and chaos injection — each
-have an environment variable and live in one frozen
-:class:`RuntimeOptions` session record.  Every knob is *runtime-only*:
-it changes speed, peak memory or observability, never results (all
-engines are bit-identical by contract), so none participates in
+streaming budget, tracing and chaos injection — each have an
+environment variable and live in one frozen :class:`RuntimeOptions`
+session record.  Every knob is *runtime-only*: it changes speed, peak
+memory or observability, never results (all engines are bit-identical
+by contract), so none participates in
 :meth:`~repro.core.config.FlowConfig.config_hash`.
 
 Three entry points manage the record:
@@ -19,7 +19,9 @@ The per-knob resolvers keep their documented precedence — explicit
 per-call argument > session default > environment variable > built-in
 default — and all read the *session* level from the one store here, so
 a server resolving per-request options, the CLI and library callers
-share one surface.
+share one surface.  :func:`check_runtime_fields` is the one validator
+of the engine fields :class:`RuntimeOptions` and
+:class:`~repro.core.config.FlowConfig` share.
 
 Session defaults are process-global and do **not** cross process
 boundaries (pool/shard workers re-resolve from their own environment,
@@ -31,11 +33,16 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
+    from repro.core.config import FlowConfig
+
 __all__ = [
     "RuntimeOptions",
+    "check_runtime_fields",
     "session_defaults",
     "set_session_defaults",
     "using",
@@ -69,12 +76,6 @@ class RuntimeOptions:
         ``""`` pins off).  When set, :mod:`repro.obs.trace` records
         every instrumented phase as JSONL span files under the
         directory; like every other knob it never changes results.
-    array_namespace:
-        Array namespace (importable module name) for the ``array_api``
-        backend's shared kernels (``$REPRO_ARRAY_NAMESPACE``, built-in
-        ``numpy``; e.g. ``cupy`` for the GPU path).  Bit-identical by
-        contract — like every other knob it only changes where the
-        arithmetic runs.
     chaos:
         Fault-injection spec (``$REPRO_CHAOS``, default off; ``""``
         pins off).  When set, :mod:`repro.chaos` fires seeded faults
@@ -91,50 +92,12 @@ class RuntimeOptions:
     shards: int | None = None
     stream_budget: int | None = None
     trace: str | None = None
-    array_namespace: str | None = None
     chaos: str | None = None
 
     def __post_init__(self) -> None:
-        # Validate eagerly, mirroring FlowConfig: a bad session default
-        # must fail at install time, not deep inside a flow.  (The
-        # backends import stays conditional so the neutral all-``None``
-        # record constructed at module import never recurses into the
-        # backend registry.)
-        if self.backend is not None or self.fault_backend is not None:
-            from repro.simulation.backends import available_backends
-            for which, name in (("simulation", self.backend),
-                                ("fault simulation", self.fault_backend)):
-                if name is not None and name not in available_backends():
-                    raise ConfigError(
-                        f"unknown {which} backend {name!r}; "
-                        f"available: {', '.join(available_backends())}")
-        for name in ("shards", "stream_budget"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool)
-                                      or not isinstance(value, int)):
-                raise ConfigError(f"{name} must be an int, got {value!r}")
-        if self.shards is not None:
-            if self.shards < 1:
-                raise ConfigError("shards must be >= 1")
-            if self.fault_backend not in (None, "sharded"):
-                raise ConfigError(
-                    "shards only applies to the 'sharded' fault "
-                    f"backend, not {self.fault_backend!r}")
-        if self.stream_budget is not None and self.stream_budget < 0:
-            raise ConfigError("stream_budget must be >= 0")
-        if self.array_namespace is not None:
-            if not self.array_namespace:
-                raise ConfigError("array_namespace must be a non-empty "
-                                  "module name")
-            import importlib.util
-            try:
-                spec = importlib.util.find_spec(self.array_namespace)
-            except (ImportError, ValueError):
-                spec = None
-            if spec is None:
-                raise ConfigError(
-                    f"array namespace {self.array_namespace!r} is not "
-                    f"importable")
+        # Validate eagerly, like FlowConfig: a bad session default must
+        # fail at install time, not deep inside a flow.
+        check_runtime_fields(self)
         if self.chaos:
             # Parse eagerly: a bad --chaos spec must fail at install
             # time, not at the first injection site deep in a worker.
@@ -169,6 +132,41 @@ class RuntimeOptions:
                 for field in dataclasses.fields(self)
                 if field.name in known
                 and getattr(self, field.name) is not None}
+
+
+def check_runtime_fields(options: "RuntimeOptions | FlowConfig") -> None:
+    """Validate the engine fields shared by ``RuntimeOptions`` and
+    ``FlowConfig``; raises :class:`~repro.errors.ConfigError`.
+
+    ``backend``/``fault_backend`` must name registered engines,
+    ``shards`` (>= 1) and ``stream_budget`` (>= 0) must be exact ints
+    (not ``bool``), and a shard count needs the ``sharded`` fault
+    backend or none.  The backend registry is imported only when a
+    name is set, so the neutral all-``None`` record built at module
+    import never recurses into it.
+    """
+    if options.backend is not None or options.fault_backend is not None:
+        from repro.simulation.backends import available_backends
+        for which, name in (("simulation", options.backend),
+                            ("fault simulation", options.fault_backend)):
+            if name is not None and name not in available_backends():
+                raise ConfigError(
+                    f"unknown {which} backend {name!r}; "
+                    f"available: {', '.join(available_backends())}")
+    for name in ("shards", "stream_budget"):
+        value = getattr(options, name)
+        if value is not None and (isinstance(value, bool)
+                                  or not isinstance(value, int)):
+            raise ConfigError(f"{name} must be an int, got {value!r}")
+    if options.shards is not None:
+        if options.shards < 1:
+            raise ConfigError("shards must be >= 1")
+        if options.fault_backend not in (None, "sharded"):
+            raise ConfigError(
+                "shards only applies to the 'sharded' fault "
+                f"backend, not {options.fault_backend!r}")
+    if options.stream_budget is not None and options.stream_budget < 0:
+        raise ConfigError("stream_budget must be >= 0")
 
 
 #: The installed session defaults (all-``None`` = neutral).

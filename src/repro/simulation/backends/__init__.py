@@ -1,19 +1,14 @@
 """Pluggable packed-simulation backends.
 
-Four engines ship with the library:
+Three engines ship with the library:
 
 * ``bigint`` — the reference engine (Python big-int bitwise ops);
 * ``numpy`` — levelized, type-batched ``uint64`` matrix engine, with a
   fused batched fault-simulation kernel
   (:mod:`repro.simulation.backends.fault_kernel`);
-* ``array_api`` — the same kernels (shared via
-  :mod:`repro.simulation.kernels`) on a configurable array namespace
-  (``numpy`` default, ``cupy``/other via ``--array-namespace`` /
-  :attr:`repro.runtime.RuntimeOptions.array_namespace` /
-  ``$REPRO_ARRAY_NAMESPACE``) — the GPU/accelerator path;
-* ``sharded`` — meta-backend partitioning fault lists over
-  ``multiprocessing`` workers (``numpy`` inside each worker); plain
-  packed simulation delegates to the inner engine.
+* ``sharded`` — meta-backend partitioning fault lists, pattern windows
+  and episode cycle ranges over worker processes (``numpy`` inside
+  each worker); plain packed simulation delegates to ``numpy``.
 
 All backends produce bit-identical packed words, fault-detection words
 and IEEE-identical derived floats; the choice only affects speed.
@@ -45,7 +40,6 @@ from __future__ import annotations
 import os
 
 from repro.errors import SimulationError
-from repro.simulation.backends.array_api import ArrayApiBackend, ArrayApiState
 from repro.simulation.backends.base import Backend, SimState
 from repro.simulation.backends.bigint import BigIntBackend, BigIntState
 from repro.simulation.backends.numpy_backend import NumpyBackend, NumpyState
@@ -54,8 +48,6 @@ from repro.simulation.backends.sharded import ShardedBackend
 __all__ = [
     "Backend",
     "SimState",
-    "ArrayApiBackend",
-    "ArrayApiState",
     "BigIntBackend",
     "BigIntState",
     "NumpyBackend",
@@ -174,5 +166,4 @@ def resolve_fault_backend(backend: str | Backend | None) -> Backend:
 
 register_backend(BigIntBackend())
 register_backend(NumpyBackend())
-register_backend(ArrayApiBackend())
 register_backend(ShardedBackend())

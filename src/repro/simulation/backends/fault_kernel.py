@@ -32,11 +32,10 @@ Fault dropping happens per batch exactly as in the reference: every
 pattern of the call is simulated at once, so the detection word always
 records all detecting patterns and ``drop`` cannot change the result.
 
-The per-tile replay itself lives in the namespace-parameterized kernels
+The per-tile replay itself lives in the shared kernels
 (:func:`repro.simulation.kernels.detect_tile`): this module owns the
-host-side plan (index arrays, cone cache, tile geometry, fault
-ordering) and drives the shared kernel with ``xp = numpy`` by default
-or with whatever namespace the ``array_api`` backend passes in.
+plan (index arrays, cone cache, tile geometry, fault ordering) and
+drives the kernel tile by tile.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ import numpy as np
 
 from repro.atpg.faults import observable_lines
 from repro.netlist.circuit import Circuit
-from repro.simulation.kernels import TileScratch, detect_tile, to_host
+from repro.simulation.kernels import TileScratch, detect_tile
 from repro.simulation.schedule import (
     AND_FAMILY,
     GateBatch,
@@ -198,9 +197,7 @@ def tile_geometry(plan: FaultSimPlan, n_words: int,
 def fault_simulate_matrix(state: "NumpyState",
                           faults: "Sequence[Fault]",
                           drop: bool = True,
-                          element_budget: int | None = None,
-                          xp: object | None = None,
-                          matrix: object | None = None
+                          element_budget: int | None = None
                           ) -> "FaultSimResult":
     """Batched fault simulation over a settled packed state, 2-D tiled.
 
@@ -218,19 +215,11 @@ def fault_simulate_matrix(state: "NumpyState",
 
     ``element_budget`` overrides the batch budget (tests force tiny
     budgets to pin multi-tile geometries; production uses the default).
-    ``xp``/``matrix`` retarget the tile replay at another array
-    namespace and its device-resident waveform matrix (the ``array_api``
-    backend passes both); the default is numpy on ``state.matrix``.
-    Detection words transfer to the host once per tile — the merge
-    boundary.
     """
     from repro.atpg.faultsim import FaultSimResult
 
-    if xp is None:
-        xp = np
     plan = cached_fault_plan(state.circuit)
-    if matrix is None:
-        matrix = state.matrix
+    matrix = state.matrix
     n_words = matrix.shape[1]
     full_row = matrix[plan.ones_index]
 
@@ -239,21 +228,20 @@ def fault_simulate_matrix(state: "NumpyState",
     # Topological grouping: neighbouring fault lines share their cones.
     unique.sort(key=lambda f: (index[f.line], f.stuck_at))
     f_tile, w_tile = tile_geometry(plan, n_words, element_budget)
-    scratch = TileScratch(xp)
+    scratch = TileScratch()
 
     words: dict[Fault, int] = {}
     for start in range(0, len(unique), f_tile):
         batch = unique[start:start + f_tile]
         if w_tile >= n_words:
-            det = to_host(detect_tile(xp, plan, matrix, full_row, batch,
-                                      scratch))
+            det = detect_tile(plan, matrix, full_row, batch, scratch)
         else:
             det = np.empty((len(batch), n_words), dtype=_U64)
             for w0 in range(0, n_words, w_tile):
                 w1 = min(n_words, w0 + w_tile)
-                det[:, w0:w1] = to_host(detect_tile(
-                    xp, plan, matrix[:, w0:w1], full_row[w0:w1], batch,
-                    scratch))
+                det[:, w0:w1] = detect_tile(
+                    plan, matrix[:, w0:w1], full_row[w0:w1], batch,
+                    scratch)
         det = np.ascontiguousarray(det)
         for i, fault in enumerate(batch):
             words[fault] = int.from_bytes(det[i].tobytes(), "little")

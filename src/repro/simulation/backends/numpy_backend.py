@@ -16,10 +16,8 @@ big ints:
   leakage-table pattern, accumulated in the table's iteration order so
   the per-gate floats match the reference backend bit-for-bit.
 
-The schedule evaluation itself lives in the namespace-parameterized
-kernels (:mod:`repro.simulation.kernels`) shared with the ``array_api``
-backend; this engine calls them with ``xp = numpy``, so there is one
-kernel implementation, not two.
+The schedule evaluation itself lives in :mod:`repro.simulation.kernels`,
+next to the tiled fault kernel it shares its gate evaluator with.
 """
 
 from __future__ import annotations
@@ -86,18 +84,6 @@ else:  # pragma: no cover - exercised only on NumPy 1.x installs
     _popcount_sum = _popcount_sum_fallback
 
 
-# Legacy private aliases — the implementations moved to the shared
-# namespace-parameterized kernels; numpy is just one namespace now.
-_int_to_row = int_to_row
-_row_to_int = row_to_int
-
-
-def _eval_rows(gtype: GateType, rows: np.ndarray, full: np.ndarray,
-               out_shape: tuple[int, ...]) -> np.ndarray:
-    """Shared gate kernel specialized to the numpy namespace."""
-    return eval_gate_rows(np, gtype, rows, full, out_shape)
-
-
 class NumpyState(SimState):
     """Waveforms as rows of a packed ``uint64`` matrix."""
 
@@ -118,7 +104,7 @@ class NumpyState(SimState):
         return self._schedule.lines
 
     def word(self, line: str) -> int:
-        return _row_to_int(self._matrix[self._schedule.line_index[line]])
+        return row_to_int(self._matrix[self._schedule.line_index[line]])
 
     def words(self) -> dict[str, int]:
         matrix = self._matrix
@@ -244,7 +230,7 @@ class NumpyBackend(Backend):
         full_row = int_to_row(full, n_words)
         state = initial_state(schedule, input_words, n, n_words, full,
                               full_row)
-        eval_schedule(np, schedule, state, full_row)
+        eval_schedule(schedule, state, full_row)
         return NumpyState(circuit, n, schedule, state, full_row)
 
     def eval_gate_packed(self, gtype: GateType, words: Sequence[int],
@@ -256,7 +242,7 @@ class NumpyBackend(Backend):
         else:
             rows = np.zeros((0, n_words), dtype=_U64)
         return row_to_int(
-            eval_gate_rows(np, gtype, rows, full_row, (n_words,)))
+            eval_gate_rows(gtype, rows, full_row, (n_words,)))
 
     def fault_simulate_batch(self, circuit: Circuit,
                              faults: Sequence[Fault],

@@ -1,11 +1,11 @@
 """Process-sharded simulation meta-backend (fault and pattern axes).
 
-``ShardedBackend`` wraps an inner engine (``numpy`` by default).  Plain
-packed simulation delegates straight to the inner backend; fault
-simulation partitions the fault list into contiguous shards, simulates
-each shard in its own ``multiprocessing`` worker with the inner engine,
-and merges the per-shard :class:`~repro.atpg.faultsim.FaultSimResult`
-objects in shard order.  Batched *episode* simulation
+``ShardedBackend`` runs the ``numpy`` engine in worker processes.  Plain
+packed simulation delegates straight to ``numpy``; fault simulation
+partitions the fault list into contiguous shards, simulates each shard
+in its own worker and merges the per-shard
+:class:`~repro.atpg.faultsim.FaultSimResult` objects in shard order.
+Batched *episode* simulation
 (:meth:`ShardedBackend.simulate_episode_batch`) shards the other axis:
 oversized :class:`~repro.simulation.episode.EpisodePlan`\\ s are split
 into contiguous **cycle ranges** under a fixed memory budget, each chunk
@@ -31,29 +31,38 @@ Determinism guarantees:
   concatenated waveforms never depend on the chunk count either.
 
 Short fault lists (below ``min_faults_per_shard`` per worker) run inline
-on the inner backend: forking costs more than it saves there, and the
-result is identical by construction.
+on ``numpy``: forking costs more than it saves there, and the result is
+identical by construction.
 
-Dispatch goes to, in precedence order:
+Every sharded operation builds one *job* — a fault slice on the full
+stimulus, a fault slice streamed over pattern windows, all faults on
+one word-aligned pattern window, or one episode cycle chunk — and hands
+it with its shard bounds to one scatter, :meth:`ShardedBackend._scatter`,
+which picks the transport in precedence order:
 
-1. an externally owned persistent :class:`~repro.campaign.pool.
-   WorkerPool` (``pool=`` at construction, or temporarily via
-   :meth:`ShardedBackend.using_pool`) — live workers, no per-call fork;
-   workers intern circuits by content fingerprint so their per-circuit
-   plan caches keep hitting across calls;
-2. the process-wide shared pool, when someone started one
-   (:func:`repro.campaign.pool.ensure_shared_pool`);
-3. a fresh per-call ``multiprocessing`` pool (fork where it is the
-   platform default, spawn elsewhere) — the original behaviour.
+1. a persistent :class:`~repro.campaign.pool.WorkerPool` — the caller's
+   (``pool=`` at construction, or temporarily via
+   :meth:`ShardedBackend.using_pool`), else a started process-wide
+   shared pool (:func:`repro.campaign.pool.ensure_shared_pool`).  Each
+   task ships its pre-sliced job; workers (:func:`_run_shard`) intern
+   the circuit by content fingerprint so their per-circuit plan caches
+   keep hitting across calls;
+2. a per-call fork pool, only where fork is the platform's default start
+   method: the parent warms the plan caches (and, for a fault slice on
+   the full stimulus, settles the fault-free state) and workers
+   (:func:`_run_fork_shard`) inherit the whole job copy-on-write, so
+   nothing is pickled per task;
+3. a per-call spawn pool otherwise (macOS, Windows), shipping pre-sliced
+   jobs like the persistent pool.
 """
 
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 from collections import OrderedDict
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from multiprocessing import get_context, get_start_method
 from typing import TYPE_CHECKING, Any
 
 from repro.cells.library import CellLibrary
@@ -80,6 +89,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.atpg.faults import Fault
     from repro.atpg.faultsim import FaultSimResult
     from repro.campaign.pool import WorkerPool
+    from repro.simulation.backends.numpy_backend import NumpyState
     from repro.simulation.episode import EpisodeBatchResult, EpisodePlan
     from repro.simulation.fault_episode import FaultEpisodePlan
 
@@ -90,25 +100,92 @@ DEFAULT_SHARDS_ENV = "REPRO_SIM_SHARDS"
 
 #: ``uint64``-element budget of one episode chunk's state matrix
 #: (lines x words), ~32 MiB — the same order as the fault kernel's
-#: batch budget.  Plans that fit run inline on the inner backend.
+#: batch budget.  Plans that fit run inline on ``numpy``.
 _EPISODE_ELEMENT_BUDGET = 1 << 22
 
-# ``shard_bounds`` (and the byte-map slicing helpers) now live in
-# :mod:`repro.simulation.streaming` — the canonical home shared by
-# shard partitioning and stream windowing; the historical aliases stay
-# importable from here.
-_plan_byte_map = plan_byte_map
-_window_word = window_word
+# Job kinds.  A job is the plain tuple
+# ``(kind, circuit, faults, stimulus, n, option)`` (no class, so a
+# pickled task carries no type reference):
+#
+# * ``_FAULTS``  — a fault slice on the full stimulus; ``stimulus`` is
+#   the input words, ``option`` the drop flag;
+# * ``_STREAM``  — a fault slice streamed over pattern windows;
+#   ``stimulus`` is the plan byte map, ``option`` the stream budget;
+# * ``_WINDOW``  — all faults on one word-aligned pattern window;
+#   ``option`` is the drop flag;
+# * ``_EPISODE`` — one episode cycle chunk; ``faults`` is ``None`` and
+#   ``option`` is ``(collect leakage, keep waveforms, stream budget)``.
+#
+# Window and episode jobs carry the whole plan's byte map until
+# :func:`_slice` cuts a task's window out of it as packed words.
+_FAULTS, _STREAM, _WINDOW, _EPISODE = range(4)
 
 
-def _simulate_shard(payload: tuple[str, Circuit, "Sequence[Fault]",
-                                   dict[str, int], int, bool]
-                    ) -> "FaultSimResult":
-    """Worker entry point: one shard on the inner backend (picklable)."""
-    inner_name, circuit, faults, input_words, n, drop = payload
+def _slice(job: tuple, bounds: tuple[int, int]) -> tuple:
+    """The part of ``job`` one task runs: a fault slice or a window."""
+    kind, circuit, faults, stimulus, n, option = job
+    start, stop = bounds
+    if kind == _FAULTS or kind == _STREAM:
+        return (kind, circuit, faults[start:stop], stimulus, n, option)
+    words = {line: window_word(raw, start, stop)
+             for line, raw in stimulus.items()}
+    return (kind, circuit, faults, words, stop - start, option)
+
+
+def _run(job: tuple, state: "NumpyState | None" = None) -> Any:
+    """Run one sliced job on ``numpy`` and return its merge part.
+
+    ``state`` is the settled fault-free state a forked ``_FAULTS``
+    worker inherits; the fault slice then replays on it directly.
+    """
     from repro.simulation.backends import get_backend
-    return get_backend(inner_name).fault_simulate_batch(
-        circuit, faults, input_words, n, drop=drop)
+    kind, circuit, faults, stimulus, n, option = job
+    engine = get_backend("numpy")
+    if kind == _EPISODE:
+        return _episode_chunk_result(engine, circuit, stimulus, n, *option)
+    if kind == _STREAM:
+        store = PlanByteStore.from_bytes(stimulus, n)
+        return stream_fault_words(engine, circuit, faults, store, n, option)
+    if state is not None:
+        from repro.simulation.backends.fault_kernel import (
+            fault_simulate_matrix,
+        )
+        return fault_simulate_matrix(state, faults, drop=option)
+    return engine.fault_simulate_batch(circuit, faults, stimulus, n,
+                                       drop=option)
+
+
+def _episode_chunk_result(backend: Backend, circuit: Circuit,
+                          words: dict[str, int], n: int, leakage: bool,
+                          keep: bool, stream_budget: int | None
+                          ) -> tuple[dict[str, int],
+                                     dict[str, tuple[int, int]],
+                                     "dict[str, np.ndarray] | None",
+                                     dict[str, int] | None]:
+    """Simulate one cycle-range chunk and distil the merge ingredients.
+
+    Returns ``(transitions, edge bits, pattern counts, words)`` — the
+    integer-exact ingredients the parent merges: per-line transition
+    counts within the chunk, each line's (first, last) cycle bit for
+    the boundary transitions between neighbouring chunks, per-gate
+    leakage pattern counts (``None`` unless leakage was requested) and
+    the chunk's packed words (``None`` unless waveforms were kept).
+
+    With a ``stream_budget`` the chunk exceeds, the worker streams its
+    own sub-windows (sharding composes with streaming) and folds them
+    before returning — the parent receives the exact ingredients an
+    unstreamed chunk would have produced.
+    """
+    if stream_budget is not None:
+        elements = state_elements(len(words), circuit, n)
+        if elements > stream_budget:
+            store = PlanByteStore(words, n)
+            needed = -(elements // -stream_budget)
+            bounds = shard_bounds(n, min(needed, n))
+            return stream_episode_ingredients(backend, circuit, store, n,
+                                              leakage, keep, bounds)
+    return episode_window_ingredients(backend, circuit, words, n,
+                                      leakage, keep)
 
 
 #: Worker-side circuit intern table for the persistent-pool path.
@@ -131,179 +208,35 @@ def _interned_circuit(circuit: Circuit, fingerprint: str) -> Circuit:
     return cached
 
 
-def _simulate_shard_pooled(payload: tuple[str, Circuit, str,
-                                          "Sequence[Fault]",
-                                          dict[str, int], int, bool]
-                           ) -> "FaultSimResult":
-    """Persistent-pool worker: one shard, circuit interned by content."""
-    inner_name, circuit, fingerprint, faults, input_words, n, drop = \
-        payload
-    circuit = _interned_circuit(circuit, fingerprint)
-    from repro.simulation.backends import get_backend
-    return get_backend(inner_name).fault_simulate_batch(
-        circuit, faults, input_words, n, drop=drop)
+def _run_shard(task: tuple[str | None, tuple]) -> Any:
+    """Pool/spawn worker entry point: ``task`` is ``(fingerprint, job)``.
 
-
-def _episode_chunk_result(inner_name: str, circuit: Circuit,
-                          words: dict[str, int], n: int, leakage: bool,
-                          keep: bool,
-                          stream_budget: int | None = None
-                          ) -> tuple[dict[str, int],
-                                     dict[str, tuple[int, int]],
-                                     "dict[str, np.ndarray] | None",
-                                     dict[str, int] | None]:
-    """Simulate one cycle-range chunk and distil the merge ingredients.
-
-    Returns ``(transitions, edge bits, pattern counts, words)`` — the
-    integer-exact ingredients the parent merges: per-line transition
-    counts within the chunk, each line's (first, last) cycle bit for
-    the boundary transitions between neighbouring chunks, per-gate
-    leakage pattern counts (``None`` unless leakage was requested) and
-    the chunk's packed words (``None`` unless waveforms were kept).
-
-    With a ``stream_budget`` the chunk exceeds, the worker streams its
-    own sub-windows (sharding composes with streaming) and folds them
-    before returning — the parent receives the exact ingredients an
-    unstreamed chunk would have produced.
+    The job arrives already sliced to this task.  A fingerprint (set on
+    the persistent-pool transport) interns the circuit, so the worker's
+    plan caches survive across calls; per-call spawn workers live for
+    one call and get ``None``.
     """
-    from repro.simulation.backends import get_backend
-    backend = get_backend(inner_name)
-    if stream_budget is not None:
-        elements = state_elements(len(words), circuit, n)
-        if elements > stream_budget:
-            store = PlanByteStore(words, n)
-            needed = -(elements // -stream_budget)
-            bounds = shard_bounds(n, min(needed, n))
-            return stream_episode_ingredients(backend, circuit, store, n,
-                                              leakage, keep, bounds)
-    return episode_window_ingredients(backend, circuit, words, n,
-                                      leakage, keep)
+    fingerprint, job = task
+    if fingerprint is not None:
+        job = (job[0], _interned_circuit(job[1], fingerprint)) + job[2:]
+    return _run(job)
 
 
-def _simulate_episode_chunk(payload: tuple[str, Circuit, str,
-                                           dict[str, int], int, bool,
-                                           bool, int | None]
-                            ) -> tuple[dict[str, int],
-                                       dict[str, tuple[int, int]],
-                                       "dict[str, np.ndarray] | None",
-                                       dict[str, int] | None]:
-    """Pool/spawn worker: one episode chunk, circuit interned by
-    content."""
-    (inner_name, circuit, fingerprint, words, n, leakage, keep,
-     stream_budget) = payload
-    circuit = _interned_circuit(circuit, fingerprint)
-    return _episode_chunk_result(inner_name, circuit, words, n, leakage,
-                                 keep, stream_budget)
-
-
-def _simulate_episode_chunk_fork(bounds: tuple[int, int]
-                                 ) -> tuple[dict[str, int],
-                                            dict[str, tuple[int, int]],
-                                            "dict[str, np.ndarray] | None",
-                                            dict[str, int] | None]:
-    """Fork-context worker: slice the inherited plan by ``bounds``.
-
-    The circuit, its warmed schedule cache and the stimulus byte map
-    arrive by copy-on-write inheritance (like the fault-shard fork
-    path), so nothing is pickled per chunk and each worker only pays
-    O(window) for slicing its own cycle window.
-    """
-    assert _FORK_JOB is not None
-    inner_name, circuit, byte_map, leakage, keep, stream_budget = \
-        _FORK_JOB
-    start, stop = bounds
-    words = {line: _window_word(raw, start, stop)
-             for line, raw in byte_map.items()}
-    return _episode_chunk_result(inner_name, circuit, words,
-                                 stop - start, leakage, keep,
-                                 stream_budget)
-
-
-#: Fork-path job shared with workers by inheritance instead of pickling.
-#: Children see the parent's warmed schedule / fault-plan caches (and,
-#: for the numpy inner engine, the settled fault-free state) copy-on-
-#: write, so a shard only pays for its own slice of the work.  Set
-#: strictly around the ``Pool`` construction; not thread-safe (the
-#: simulation substrate is process-parallel, not thread-parallel).
+#: Fork-transport ``(job, settled state or None)`` shared with workers
+#: by inheritance instead of pickling.  Children see the parent's
+#: warmed schedule / fault-plan caches (and the settled fault-free
+#: state of a ``_FAULTS`` job) copy-on-write, so a shard only pays for
+#: its own slice of the work.  Set strictly around the ``Pool``
+#: construction; not thread-safe (the simulation substrate is
+#: process-parallel, not thread-parallel).
 _FORK_JOB: tuple | None = None
 
 
-def _simulate_shard_fork(bounds: tuple[int, int]) -> "FaultSimResult":
-    """Fork-context worker: slice the inherited job by ``bounds``."""
+def _run_fork_shard(bounds: tuple[int, int]) -> Any:
+    """Fork worker entry point: slice the inherited job by ``bounds``."""
     assert _FORK_JOB is not None
-    inner_name, circuit, faults, input_words, n, drop = _FORK_JOB
-    start, stop = bounds
-    from repro.simulation.backends import get_backend
-    return get_backend(inner_name).fault_simulate_batch(
-        circuit, faults[start:stop], input_words, n, drop=drop)
-
-
-def _simulate_shard_fork_state(bounds: tuple[int, int]) -> "FaultSimResult":
-    """Fork-context worker over an inherited, already-settled state.
-
-    The parent ran the fault-free simulation once; every worker replays
-    only its fault slice on the shared (copy-on-write) matrix instead of
-    re-simulating the whole circuit per shard.
-    """
-    assert _FORK_JOB is not None
-    state, faults, drop = _FORK_JOB
-    start, stop = bounds
-    from repro.simulation.backends.fault_kernel import fault_simulate_matrix
-    return fault_simulate_matrix(state, faults[start:stop], drop=drop)
-
-
-def _simulate_fault_window_fork(bounds: tuple[int, int]
-                                ) -> "FaultSimResult":
-    """Fork-context worker: the whole fault list on one pattern window.
-
-    The circuit, the fault list and the stimulus byte map arrive by
-    copy-on-write inheritance (the ``_FORK_JOB`` machinery); each
-    worker slices its own word-aligned cycle window in O(window) and
-    good-simulates only that window, so the fault-free work is split
-    across workers instead of duplicated.
-    """
-    assert _FORK_JOB is not None
-    inner_name, circuit, faults, byte_map, drop = _FORK_JOB
-    start, stop = bounds
-    words = {line: _window_word(raw, start, stop)
-             for line, raw in byte_map.items()}
-    from repro.simulation.backends import get_backend
-    return get_backend(inner_name).fault_simulate_batch(
-        circuit, faults, words, stop - start, drop=drop)
-
-
-def _simulate_shard_fork_stream(bounds: tuple[int, int]
-                                ) -> "FaultSimResult":
-    """Fork-context worker: stream one fault slice's pattern windows.
-
-    The streamed composition of the fault axis: each worker owns a
-    contiguous fault slice (like :func:`_simulate_shard_fork`) but
-    replays it over pattern windows under the inherited stream budget,
-    so no worker ever materializes the full good machine or detection
-    matrix.
-    """
-    assert _FORK_JOB is not None
-    inner_name, circuit, faults, byte_map, n, budget = _FORK_JOB
-    start, stop = bounds
-    from repro.simulation.backends import get_backend
-    store = PlanByteStore.from_bytes(byte_map, n)
-    return stream_fault_words(get_backend(inner_name), circuit,
-                              faults[start:stop], store, n, budget)
-
-
-def _simulate_shard_pooled_stream(payload: tuple[str, Circuit, str,
-                                                 "Sequence[Fault]",
-                                                 dict[str, bytes], int,
-                                                 int]
-                                  ) -> "FaultSimResult":
-    """Pool/spawn worker: stream one fault slice's pattern windows."""
-    inner_name, circuit, fingerprint, faults, byte_map, n, budget = \
-        payload
-    circuit = _interned_circuit(circuit, fingerprint)
-    from repro.simulation.backends import get_backend
-    store = PlanByteStore.from_bytes(byte_map, n)
-    return stream_fault_words(get_backend(inner_name), circuit, faults,
-                              store, n, budget)
+    job, state = _FORK_JOB
+    return _run(_slice(job, bounds), state)
 
 
 class ShardedBackend(Backend):
@@ -311,14 +244,12 @@ class ShardedBackend(Backend):
 
     Parameters
     ----------
-    inner:
-        Name of the engine each worker (and the inline fast path) runs.
     shards:
         Worker count; ``None`` defers to ``$REPRO_SIM_SHARDS`` at call
         time, falling back to ``os.cpu_count()``.
     min_faults_per_shard:
         Never split below this many faults per worker; lists smaller
-        than two shards' worth run inline on the inner backend.
+        than two shards' worth run inline on ``numpy``.
     pool:
         Externally owned persistent :class:`~repro.campaign.pool.
         WorkerPool`; shard dispatch then reuses its live workers
@@ -329,25 +260,22 @@ class ShardedBackend(Backend):
     episode_budget:
         ``uint64``-element budget of one episode chunk's state matrix
         (lines x words); plans whose whole matrix fits run inline on
-        the inner backend, larger plans split along the cycle axis.
-        Defaults to ~32 MiB per chunk.
+        ``numpy``, larger plans split along the cycle axis.  Defaults
+        to ~32 MiB per chunk.
     """
 
     name = "sharded"
 
-    def __init__(self, inner: str = "numpy", shards: int | None = None,
+    def __init__(self, shards: int | None = None,
                  min_faults_per_shard: int = 256,
                  pool: "WorkerPool | None" = None,
                  episode_budget: int | None = None):
-        if inner == self.name:
-            raise SimulationError("sharded backend cannot nest itself")
         if shards is not None and shards < 1:
             raise SimulationError("shards must be >= 1")
         if min_faults_per_shard < 1:
             raise SimulationError("min_faults_per_shard must be >= 1")
         if episode_budget is not None and episode_budget < 1:
             raise SimulationError("episode_budget must be >= 1")
-        self.inner_name = inner
         self.shards = shards
         self.min_faults_per_shard = min_faults_per_shard
         self.pool = pool
@@ -381,7 +309,7 @@ class ShardedBackend(Backend):
 
     def _inner(self) -> Backend:
         from repro.simulation.backends import get_backend
-        return get_backend(self.inner_name)
+        return get_backend("numpy")
 
     def run(self, circuit: Circuit, input_words: Mapping[str, int],
             n: int) -> SimState:
@@ -392,16 +320,77 @@ class ShardedBackend(Backend):
         return self._inner().eval_gate_packed(gtype, words, n)
 
     # ------------------------------------------------------------------ #
+    # the one scatter
+    # ------------------------------------------------------------------ #
+
+    def _scatter(self, job: tuple, bounds: Sequence[tuple[int, int]],
+                 processes: int,
+                 good_state: "Callable[[], SimState] | None" = None
+                 ) -> list:
+        """Run ``job`` once per shard bounds; parts in bounds order.
+
+        Transports in precedence order (see the module docstring): a
+        persistent pool, fork where it is the platform default (merely
+        *available* fork — e.g. macOS, where spawn is the default
+        because fork-without-exec is unsafe under Accelerate/ObjC — is
+        not enough), else spawn.  Pool and spawn tasks ship pre-sliced
+        jobs; fork workers inherit the whole job.  ``good_state`` (a
+        thunk) supplies the settled fault-free state a forked
+        ``_FAULTS`` job replays its slices on.
+        """
+        pool = self._resolve_pool()
+        if pool is not None:
+            fingerprint = job[1].fingerprint()
+            return pool.map(_run_shard, [(fingerprint, _slice(job, b))
+                                         for b in bounds])
+        if get_start_method(allow_none=False) == "fork":
+            # Pay the shared work (fanout cones, levelized schedule, the
+            # fault-free simulation) once here instead of once per
+            # worker per call.
+            self._warm_parent_caches(job)
+            state = good_state() if good_state is not None else None
+            global _FORK_JOB
+            _FORK_JOB = (job, state)
+            try:
+                with get_context("fork").Pool(processes=processes) as mp:
+                    return mp.map(traced_task(_run_fork_shard), bounds)
+            finally:
+                _FORK_JOB = None
+        tasks = [(None, _slice(job, b)) for b in bounds]
+        with get_context("spawn").Pool(processes=processes) as mp:
+            return mp.map(traced_task(_run_shard), tasks)
+
+    @staticmethod
+    def _warm_parent_caches(job: tuple) -> None:
+        """Populate per-circuit caches the forked workers will inherit.
+
+        Cone extraction dominates the fault kernel's cold-start cost and
+        is identical for every worker, so paying it (and the levelized
+        schedule) once in the parent, memoized across calls, turns each
+        fork into pure kernel work.
+        """
+        from repro.simulation.schedule import cached_schedule
+        _kind, circuit, faults = job[:3]
+        cached_schedule(circuit)
+        if faults is not None:
+            from repro.simulation.backends.fault_kernel import (
+                cached_fault_plan,
+            )
+            plan = cached_fault_plan(circuit)
+            for line in {fault.line for fault in faults}:
+                plan.cone_rows(line)
+
+    # ------------------------------------------------------------------ #
     # pattern/cycle-axis sharded episode simulation
     # ------------------------------------------------------------------ #
 
     def episode_chunks(self, plan: "EpisodePlan") -> int:
         """Cycle-axis chunk count for ``plan`` under the memory budget.
 
-        ``1`` (inline on the inner backend) when the plan's whole state
-        matrix fits the per-chunk element budget; otherwise at least
-        enough chunks to respect the budget, rounded up to the
-        configured worker count so an oversized plan also parallelizes.
+        ``1`` (inline on ``numpy``) when the plan's whole state matrix
+        fits the per-chunk element budget; otherwise at least enough
+        chunks to respect the budget, rounded up to the configured
+        worker count so an oversized plan also parallelizes.
         """
         n_lines = len(plan.waveforms) + len(plan.circuit.topo_order()) + 1
         n_words = (plan.n_cycles + 63) // 64
@@ -419,19 +408,19 @@ class ShardedBackend(Backend):
         """Shard the plan's cycle axis across workers and merge exactly.
 
         Chunks are contiguous cycle ranges; every chunk is one plain
-        packed simulation on the inner engine.  The merge is
-        integer-exact (transition counts add, with one extra transition
-        per chunk boundary where the edge bits differ; leakage pattern
-        counts add and are priced once in table order; kept waveforms
-        concatenate by shifting), so the result never depends on the
-        chunk count — pinned against the unsharded pass by the
-        differential property tests.
+        packed simulation on ``numpy``.  The merge is integer-exact
+        (transition counts add, with one extra transition per chunk
+        boundary where the edge bits differ; leakage pattern counts add
+        and are priced once in table order; kept waveforms concatenate
+        by shifting), so the result never depends on the chunk count —
+        pinned against the unsharded pass by the differential property
+        tests.
 
         Sharding composes with streaming: under a resolved
         ``stream_budget`` every chunk worker streams its own
         sub-windows (see :func:`_episode_chunk_result`), and the
-        inline single-chunk path delegates the budget to the inner
-        engine — peak memory per process is one window either way.
+        inline single-chunk path delegates the budget to ``numpy`` —
+        peak memory per process is one window either way.
         """
         from repro.cells.library import default_library
         library = library or default_library()
@@ -445,52 +434,12 @@ class ShardedBackend(Backend):
 
         bounds = shard_bounds(plan.n_cycles, n_chunks)
         processes = min(len(bounds), self.configured_shards())
-        pool = self._resolve_pool()
+        job = (_EPISODE, plan.circuit, None,
+               plan_byte_map(plan.waveforms, plan.n_cycles), plan.n_cycles,
+               (collect_leakage, keep_waveforms, budget))
         with span("shard.scatter", axis="cycle", chunks=len(bounds),
                   processes=processes):
-            if pool is not None or \
-                    multiprocessing.get_start_method(allow_none=False) \
-                    != "fork":
-                # Pool/spawn paths ship pre-sliced chunk stimuli; one
-                # O(plan) byte conversion, then each window is O(window).
-                # Workers intern the circuit by content fingerprint.
-                fingerprint = plan.circuit.fingerprint()
-                byte_map = _plan_byte_map(plan.waveforms, plan.n_cycles)
-                payloads: list[Any] = [
-                    (self.inner_name, plan.circuit, fingerprint,
-                     {line: _window_word(raw, start, stop)
-                      for line, raw in byte_map.items()},
-                     stop - start, collect_leakage, keep_waveforms, budget)
-                    for start, stop in bounds
-                ]
-                if pool is not None:
-                    parts = pool.map(_simulate_episode_chunk, payloads)
-                else:  # pragma: no cover - non-fork platforms
-                    ctx = multiprocessing.get_context("spawn")
-                    with ctx.Pool(processes=processes) as mp_pool:
-                        parts = mp_pool.map(
-                            traced_task(_simulate_episode_chunk),
-                            payloads)
-            else:
-                # Fork path: the circuit, its warmed schedule cache and
-                # the stimulus byte map inherit copy-on-write; workers
-                # slice their own cycle windows (nothing pickled per
-                # chunk).
-                if self.inner_name == "numpy":
-                    from repro.simulation.schedule import cached_schedule
-                    cached_schedule(plan.circuit)
-                ctx = multiprocessing.get_context("fork")
-                global _FORK_JOB
-                _FORK_JOB = (self.inner_name, plan.circuit,
-                             _plan_byte_map(plan.waveforms, plan.n_cycles),
-                             collect_leakage, keep_waveforms, budget)
-                try:
-                    with ctx.Pool(processes=processes) as mp_pool:
-                        parts = mp_pool.map(
-                            traced_task(_simulate_episode_chunk_fork),
-                            bounds)
-                finally:
-                    _FORK_JOB = None
+            parts = self._scatter(job, bounds, processes)
         with span("shard.merge", axis="cycle", chunks=len(bounds)):
             return self._merge_episode(plan, bounds, parts, library,
                                        collect_leakage, keep_waveforms)
@@ -641,132 +590,35 @@ class ShardedBackend(Backend):
     def _shard_fault_axis(self, circuit: Circuit, faults: "list[Fault]",
                           words: dict[str, int], n: int, drop: bool,
                           n_shards: int,
-                          good_state: "Any | None" = None,
+                          good_state: "Callable[[], SimState] | None" = None,
                           stream_budget: int | None = None
                           ) -> FaultSimResult:
         """Contiguous fault-list shards over workers (stable merge).
 
-        ``good_state`` (a thunk) supplies the settled numpy state for
-        the fork path; plan-based calls pass the plan's memoized state
-        so repeated dispatches on the same stimulus never re-simulate
-        the good machine.  A set ``stream_budget`` routes every worker
-        through the streamed pattern-window replay of its fault slice
-        instead (the memoized state is deliberately bypassed — it *is*
-        the resident matrix streaming avoids).
-        """
-        if stream_budget is not None:
-            return self._shard_fault_axis_stream(circuit, faults, words,
-                                                 n, n_shards,
-                                                 stream_budget)
-        bounds = shard_bounds(len(faults), n_shards)
-        pool = self._resolve_pool()
-        with span("shard.scatter", axis="fault", shards=len(bounds)):
-            if pool is not None:
-                # Persistent-pool path: no per-call fork.  Ship each
-                # shard as a payload; workers intern the circuit by
-                # content fingerprint so their plan caches survive
-                # across calls.
-                fingerprint = circuit.fingerprint()
-                parts = pool.map(_simulate_shard_pooled, [
-                    (self.inner_name, circuit, fingerprint,
-                     faults[start:stop], words, n, drop)
-                    for start, stop in bounds
-                ])
-            # Fork only where it is the platform default (Linux): merely
-            # *available* fork (e.g. macOS, where spawn is the default
-            # because fork-without-exec is unsafe under Accelerate/ObjC)
-            # is not enough.
-            elif multiprocessing.get_start_method(allow_none=False) == \
-                    "fork":
-                # Fork path: children inherit the parent's warmed caches
-                # copy-on-write, so pay the expensive shared work
-                # (fanout cones, levelized schedule, the fault-free
-                # simulation for the numpy engine) once here instead of
-                # once per worker per call.
-                self._warm_parent_caches(circuit, faults)
-                ctx = multiprocessing.get_context("fork")
-                global _FORK_JOB
-                if self.inner_name == "numpy":
-                    state = good_state() if good_state is not None \
-                        else self._inner().run(circuit, words, n)
-                    _FORK_JOB = (state, faults, drop)
-                    worker = _simulate_shard_fork_state
-                else:
-                    _FORK_JOB = (self.inner_name, circuit, faults, words,
-                                 n, drop)
-                    worker = _simulate_shard_fork
-                try:
-                    with ctx.Pool(processes=len(bounds)) as pool:
-                        parts = pool.map(traced_task(worker), bounds)
-                finally:
-                    _FORK_JOB = None
-            else:  # pragma: no cover - non-fork platforms
-                payloads: list[Any] = [
-                    (self.inner_name, circuit, faults[start:stop], words,
-                     n, drop)
-                    for start, stop in bounds
-                ]
-                ctx = multiprocessing.get_context("spawn")
-                with ctx.Pool(processes=len(payloads)) as mp_pool:
-                    parts = mp_pool.map(traced_task(_simulate_shard),
-                                        payloads)
-        with span("shard.merge", axis="fault", shards=len(bounds)):
-            return self._merge(parts)
-
-    def _shard_fault_axis_stream(self, circuit: Circuit,
-                                 faults: "list[Fault]",
-                                 words: dict[str, int], n: int,
-                                 n_shards: int,
-                                 budget: int) -> FaultSimResult:
-        """Fault-axis shards whose workers stream pattern windows.
-
-        Same contiguous fault partition and stable merge as
-        :meth:`_shard_fault_axis`, but each worker replays its slice
-        window-by-window under the stream budget (drop-free windows,
-        OR-folded — bit-identical in both drop modes), so no process
-        ever holds the full good machine or its slice's detection
-        matrix.
+        ``good_state`` (a thunk) supplies the settled state for the fork
+        transport; plan-based calls pass the plan's memoized state so
+        repeated dispatches on the same stimulus never re-simulate the
+        good machine.  A set ``stream_budget`` makes every worker replay
+        its slice window-by-window under the budget instead (drop-free
+        windows, OR-folded — bit-identical in both drop modes), so no
+        process ever holds the full good machine or its slice's
+        detection matrix; the memoized state is deliberately bypassed —
+        it *is* the resident matrix streaming avoids.
         """
         bounds = shard_bounds(len(faults), n_shards)
-        byte_map = _plan_byte_map(words, n)
-        pool = self._resolve_pool()
-        with span("shard.scatter", axis="fault-stream",
-                  shards=len(bounds)):
-            if pool is not None or \
-                    multiprocessing.get_start_method(allow_none=False) \
-                    != "fork":
-                fingerprint = circuit.fingerprint()
-                payloads: list[Any] = [
-                    (self.inner_name, circuit, fingerprint,
-                     faults[start:stop], byte_map, n, budget)
-                    for start, stop in bounds
-                ]
-                if pool is not None:
-                    parts = pool.map(_simulate_shard_pooled_stream,
-                                     payloads)
-                else:  # pragma: no cover - non-fork platforms
-                    ctx = multiprocessing.get_context("spawn")
-                    with ctx.Pool(processes=len(payloads)) as mp_pool:
-                        parts = mp_pool.map(
-                            traced_task(_simulate_shard_pooled_stream),
-                            payloads)
-            else:
-                # Fork path: circuit, fault list and stimulus byte map
-                # inherit copy-on-write; each worker streams its own
-                # slice.
-                self._warm_parent_caches(circuit, faults)
-                ctx = multiprocessing.get_context("fork")
-                global _FORK_JOB
-                _FORK_JOB = (self.inner_name, circuit, faults, byte_map,
-                             n, budget)
-                try:
-                    with ctx.Pool(processes=len(bounds)) as mp_pool:
-                        parts = mp_pool.map(
-                            traced_task(_simulate_shard_fork_stream),
-                            bounds)
-                finally:
-                    _FORK_JOB = None
-        with span("shard.merge", axis="fault-stream", shards=len(bounds)):
+        settle: "Callable[[], SimState] | None" = None
+        if stream_budget is None:
+            axis = "fault"
+            job = (_FAULTS, circuit, faults, words, n, drop)
+            settle = good_state or (
+                lambda: self._inner().run(circuit, words, n))
+        else:
+            axis = "fault-stream"
+            job = (_STREAM, circuit, faults, plan_byte_map(words, n), n,
+                   stream_budget)
+        with span("shard.scatter", axis=axis, shards=len(bounds)):
+            parts = self._scatter(job, bounds, len(bounds), settle)
+        with span("shard.merge", axis=axis, shards=len(bounds)):
             return self._merge(parts)
 
     def _shard_pattern_axis(self, plan: "FaultEpisodePlan", drop: bool,
@@ -779,7 +631,6 @@ class ShardedBackend(Backend):
         the merge shifts them back to their window offset and ORs —
         bit-identical to the unsharded plan for every window count.
         """
-        circuit = plan.circuit
         faults = list(plan.faults)
         word_bounds = shard_bounds(plan.n_words, n_shards)
         bounds = [(w0 * 64, min(plan.n, w1 * 64))
@@ -787,51 +638,11 @@ class ShardedBackend(Backend):
         # Streaming can raise the window count past the worker count;
         # extra windows queue on the pool rather than spawning workers.
         processes = min(len(bounds), self.configured_shards())
-        byte_map = _plan_byte_map(plan.input_words, plan.n)
-        pool = self._resolve_pool()
+        job = (_WINDOW, plan.circuit, faults,
+               plan_byte_map(plan.input_words, plan.n), plan.n, drop)
         with span("shard.scatter", axis="pattern", windows=len(bounds),
                   processes=processes):
-            if pool is not None or \
-                    multiprocessing.get_start_method(allow_none=False) \
-                    != "fork":
-                # Pool/spawn paths ship pre-sliced window stimuli (one
-                # O(plan) byte conversion, each window O(window)); the
-                # payload shape matches the fault-axis shard workers, so
-                # the same interning entry points serve both axes.
-                fingerprint = circuit.fingerprint()
-                payloads: list[Any] = [
-                    (self.inner_name, circuit, fingerprint, faults,
-                     {line: _window_word(raw, start, stop)
-                      for line, raw in byte_map.items()},
-                     stop - start, drop)
-                    for start, stop in bounds
-                ]
-                if pool is not None:
-                    parts = pool.map(_simulate_shard_pooled, payloads)
-                else:  # pragma: no cover - non-fork platforms
-                    spawn_payloads = [payload[:2] + payload[3:]
-                                      for payload in payloads]
-                    ctx = multiprocessing.get_context("spawn")
-                    with ctx.Pool(processes=processes) as mp_pool:
-                        parts = mp_pool.map(
-                            traced_task(_simulate_shard),
-                            spawn_payloads)
-            else:
-                # Fork path: circuit, fault list and stimulus byte map
-                # inherit copy-on-write; workers slice their own
-                # windows.
-                self._warm_parent_caches(circuit, faults)
-                ctx = multiprocessing.get_context("fork")
-                global _FORK_JOB
-                _FORK_JOB = (self.inner_name, circuit, faults, byte_map,
-                             drop)
-                try:
-                    with ctx.Pool(processes=processes) as mp_pool:
-                        parts = mp_pool.map(
-                            traced_task(_simulate_fault_window_fork),
-                            bounds)
-                finally:
-                    _FORK_JOB = None
+            parts = self._scatter(job, bounds, processes)
         with span("shard.merge", axis="pattern", windows=len(bounds)):
             return self._merge_pattern_axis(faults, bounds, parts)
 
@@ -874,22 +685,5 @@ class ShardedBackend(Backend):
             remaining.extend(part.remaining)
         return FaultSimResult(detected=detected, remaining=remaining)
 
-    def _warm_parent_caches(self, circuit: Circuit,
-                            faults: Sequence[Fault]) -> None:
-        """Populate per-circuit caches the forked workers will inherit.
-
-        Only the numpy inner engine keeps a plan cache worth warming;
-        cone extraction dominates its cold-start cost and is identical
-        for every worker, so paying it once in the parent (memoized
-        across calls) turns each fork into pure kernel work.
-        """
-        if self.inner_name != "numpy":
-            return
-        from repro.simulation.backends.fault_kernel import cached_fault_plan
-        plan = cached_fault_plan(circuit)
-        for line in {fault.line for fault in faults}:
-            plan.cone_rows(line)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"<ShardedBackend inner={self.inner_name!r} "
-                f"shards={self.shards!r}>")
+        return f"<ShardedBackend shards={self.shards!r}>"

@@ -1,40 +1,25 @@
-"""Namespace-parameterized compute kernels (Python array-API style).
+"""The two hot kernels of the packed ``uint64`` substrate.
 
-The two hot loops of the packed ``uint64`` substrate — the levelized
-fused-AND schedule evaluation and the lane-minor 2-D tiled fault
-kernel — written against a pluggable array namespace ``xp`` instead of
-a hard numpy dependency.  The ``numpy`` backend calls these kernels
-with ``xp = numpy``; :class:`repro.simulation.backends.array_api.
-ArrayApiBackend` calls them with whatever conforming namespace is
-configured (``cupy``, a mock device double, ...), so there is exactly
-one kernel implementation shared by every engine.
+The levelized fused-AND schedule evaluation and the lane-minor 2-D
+tiled fault kernel, on numpy ``uint64`` waveform matrices.  The
+``numpy`` backend runs its schedule sweep here and the fused fault
+kernel (:mod:`repro.simulation.backends.fault_kernel`) drives
+:func:`detect_tile` per tile, so there is exactly one implementation of
+each hot loop.
 
-Division of labour:
-
-* **Host side (always numpy / Python ints):** plan and schedule index
-  arrays, big-int <-> packed-row conversion, cone unions, tile
-  bookkeeping.  These are tiny ``intp``/``uint64`` metadata arrays; the
-  array-API contract is only about the *waveform data*.
-* **Device side (``xp``):** every operation that touches waveform
-  slabs — gathers, XOR/AND/OR combining, scatter-assignments.  Host
-  index arrays cross over via :func:`to_device` (``xp.asarray``, a
-  no-op for numpy) and results come back only at merge boundaries via
-  :func:`to_host`.
-
-Required ``xp`` surface (the "bring your own accelerator" contract):
-``asarray``, ``zeros``, ``empty``, ``where``, ``broadcast_to``,
-``reshape`` and a ``uint64`` dtype, plus arrays supporting the bitwise
-operators
-(``& | ^``, in-place or not), integer-array/slice/``None`` indexing for
-``__getitem__``/``__setitem__`` (with broadcasting) and ``.shape``.
-Arrays that are not numpy must expose ``get()`` (the cupy idiom) or be
-``numpy.asarray``-coercible for the host transfer at merge boundaries.
+Reductions run as explicit pin-by-pin folds in the same order as
+numpy's ``ufunc.reduce``, and every waveform operation is word-wise
+(gathers, XOR/AND/OR combining, scatter-assignments), so a column slice
+of the matrix computes exactly the corresponding columns of the full
+result.  The tiny plan and schedule index arrays (``intp``/``uint64``
+metadata), big-int <-> packed-row conversion, cone unions and tile
+bookkeeping are host-side Python/numpy alongside.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,44 +31,19 @@ if TYPE_CHECKING:  # pragma: no cover - runtime import would be cyclic
     from repro.atpg.faults import Fault
     from repro.simulation.backends.fault_kernel import FaultSimPlan
 
-__all__ = ["to_device", "to_host", "int_to_row", "row_to_int",
-           "initial_state", "eval_gate_rows", "eval_schedule",
-           "detect_tile", "TileScratch"]
+__all__ = ["int_to_row", "row_to_int", "initial_state", "eval_gate_rows",
+           "eval_schedule", "detect_tile", "TileScratch"]
 
 _U64 = np.dtype("<u8")
 
 
-# ---------------------------------------------------------------------------
-# Host <-> device boundary helpers
-
-
-def to_device(xp: Any, array: np.ndarray) -> Any:
-    """Move a host array into the ``xp`` namespace (no-op for numpy)."""
-    return xp.asarray(array)
-
-
-def to_host(array: Any) -> np.ndarray:
-    """Bring a device array back to host numpy (no-op for numpy).
-
-    Non-numpy arrays transfer via ``get()`` (the cupy idiom, also the
-    contract of the mocked device double in the test suite) and fall
-    back to ``numpy.asarray`` for namespaces without it.
-    """
-    if isinstance(array, np.ndarray):
-        return array
-    get = getattr(array, "get", None)
-    if get is not None:
-        return np.asarray(get())
-    return np.asarray(array)
-
-
 def int_to_row(word: int, n_words: int) -> np.ndarray:
-    """Pack a big-int word into a little-endian host ``uint64`` row."""
+    """Pack a big-int word into a little-endian ``uint64`` row."""
     return np.frombuffer(word.to_bytes(n_words * 8, "little"), dtype=_U64)
 
 
 def row_to_int(row: np.ndarray) -> int:
-    """Unpack one host ``uint64`` row back into a big-int word."""
+    """Unpack one ``uint64`` row back into a big-int word."""
     return int.from_bytes(np.ascontiguousarray(row, dtype=_U64).tobytes(),
                           "little")
 
@@ -91,13 +51,11 @@ def row_to_int(row: np.ndarray) -> int:
 def initial_state(schedule: LevelizedSchedule,
                   input_words: Mapping[str, int], n: int, n_words: int,
                   full: int, full_row: np.ndarray) -> np.ndarray:
-    """Host-side initial waveform matrix for a schedule evaluation.
+    """Initial waveform matrix for a schedule evaluation.
 
     Big-int input words are unpacked into the first rows; one extra row
     beyond the named lines holds the constant-ones word the fused AND
-    kernels pad short gates with.  Packing big Python ints is host work
-    by nature — device backends upload the result once, before the
-    levelized sweep.
+    kernels pad short gates with.
     """
     from repro.simulation.backends.base import require_input_word
 
@@ -113,16 +71,15 @@ def initial_state(schedule: LevelizedSchedule,
 # Levelized schedule evaluation
 
 
-def eval_gate_rows(xp: Any, gtype: GateType, rows: Any, full: Any,
-                   out_shape: tuple[int, ...]) -> Any:
+def eval_gate_rows(gtype: GateType, rows: np.ndarray, full: np.ndarray,
+                   out_shape: tuple[int, ...]) -> np.ndarray:
     """Evaluate one gate type over stacked waveform rows.
 
     ``rows`` has shape ``(arity, *out_shape)``; ``full`` broadcasts to
     ``out_shape`` and has every bit above pattern ``n - 1`` clear, which
     keeps the zero-padding of the tail word intact through inversions.
-    Reductions run as explicit pin-by-pin folds (the array-API standard
-    has no ``ufunc.reduce``); the fold order matches numpy's, so the
-    results are bit-identical.
+    Reductions run as explicit pin-by-pin folds in the order of numpy's
+    ``ufunc.reduce``, so the results are bit-identical to it.
     """
     k = rows.shape[0]
     if gtype is GateType.AND or gtype is GateType.NAND:
@@ -131,7 +88,7 @@ def eval_gate_rows(xp: Any, gtype: GateType, rows: Any, full: Any,
             for pin in range(1, k):
                 acc = acc & rows[pin]
         else:
-            acc = xp.broadcast_to(full, out_shape)
+            acc = np.broadcast_to(full, out_shape)
         return acc ^ full if gtype is GateType.NAND else acc
     if gtype is GateType.OR or gtype is GateType.NOR:
         if k:
@@ -139,7 +96,7 @@ def eval_gate_rows(xp: Any, gtype: GateType, rows: Any, full: Any,
             for pin in range(1, k):
                 acc = acc | rows[pin]
         else:
-            acc = xp.zeros(out_shape, dtype=xp.uint64)
+            acc = np.zeros(out_shape, dtype=np.uint64)
         return acc ^ full if gtype is GateType.NOR else acc
     if gtype is GateType.NOT:
         return rows[0] ^ full
@@ -151,7 +108,7 @@ def eval_gate_rows(xp: Any, gtype: GateType, rows: Any, full: Any,
             for pin in range(1, k):
                 acc = acc ^ rows[pin]
         else:
-            acc = xp.zeros(out_shape, dtype=xp.uint64)
+            acc = np.zeros(out_shape, dtype=np.uint64)
         return acc ^ full if gtype is GateType.XNOR else acc
     if gtype is GateType.MUX2:
         sel = rows[0]
@@ -159,46 +116,44 @@ def eval_gate_rows(xp: Any, gtype: GateType, rows: Any, full: Any,
         d1 = rows[2]
         return ((sel ^ full) & d0) | (sel & d1)
     if gtype is GateType.CONST0:
-        return xp.zeros(out_shape, dtype=xp.uint64)
+        return np.zeros(out_shape, dtype=np.uint64)
     if gtype is GateType.CONST1:
-        return xp.broadcast_to(full, out_shape)
+        return np.broadcast_to(full, out_shape)
     raise SimulationError(f"cannot evaluate {gtype} in packed mode")
 
 
-def eval_schedule(xp: Any, schedule: LevelizedSchedule, state: Any,
-                  full_row: Any) -> Any:
+def eval_schedule(schedule: LevelizedSchedule, state: np.ndarray,
+                  full_row: np.ndarray) -> np.ndarray:
     """Run the fused levelized program in place on ``state``.
 
-    ``state`` is the ``(n_lines + 1, n_words)`` waveform matrix living
-    in the ``xp`` namespace, with input rows and the constant-ones
-    padding row already settled (:func:`initial_state`); ``full_row``
-    is the device copy of the pattern mask.  Fused AND-family batches
-    accumulate pin by pin — the first literal seeds the accumulator, so
-    no intermediate ``(arity, gates, words)`` gather is materialized —
-    and every other batch dispatches through :func:`eval_gate_rows`.
-    The fold order equals numpy's ``bitwise_and.reduce``, keeping the
-    matrix bit-identical across namespaces.
+    ``state`` is the ``(n_lines + 1, n_words)`` waveform matrix, with
+    input rows and the constant-ones padding row already settled
+    (:func:`initial_state`); ``full_row`` is the pattern mask row.
+    Fused AND-family batches accumulate pin by pin — the first literal
+    seeds the accumulator, so no intermediate ``(arity, gates, words)``
+    gather is materialized — and every other batch dispatches through
+    :func:`eval_gate_rows`.
+    The fold order equals numpy's ``bitwise_and.reduce``.
     """
     for batch in schedule.fused_program:
         if isinstance(batch, FusedAndBatch):
-            outputs = to_device(xp, batch.outputs)
             if batch.arity:
-                inputs = to_device(xp, batch.inputs)      # (A, G)
-                inv_in = to_device(xp, batch.invert_in)   # (A, G, 1)
-                acc = state[inputs[0]] ^ inv_in[0]        # (G, W), owned
+                inputs = batch.inputs  # (A, G)
+                inv_in = batch.invert_in  # (A, G, 1)
+                acc = state[inputs[0]] ^ inv_in[0]  # (G, W), owned
                 for pin in range(1, batch.arity):
                     acc &= state[inputs[pin]] ^ inv_in[pin]
             else:
                 # Empty AND is the identity: every gate reads all-ones.
-                acc = xp.broadcast_to(full_row,
+                acc = np.broadcast_to(full_row,
                                       (len(batch),) + full_row.shape)
-            acc = acc ^ to_device(xp, batch.invert_out)   # (G, 1) mask
+            acc = acc ^ batch.invert_out  # (G, 1) mask
             acc &= full_row
-            state[outputs] = acc
+            state[batch.outputs] = acc
         else:
-            rows = state[to_device(xp, batch.inputs)]
-            state[to_device(xp, batch.outputs)] = eval_gate_rows(
-                xp, batch.gtype, rows, full_row, rows.shape[1:])
+            rows = state[batch.inputs]
+            state[batch.outputs] = eval_gate_rows(
+                batch.gtype, rows, full_row, rows.shape[1:])
     return state
 
 
@@ -207,7 +162,7 @@ def eval_schedule(xp: Any, schedule: LevelizedSchedule, state: Any,
 
 
 class TileScratch:
-    """Reusable device scratch for the tiled fault kernel.
+    """Reusable scratch buffer for the tiled fault kernel.
 
     The lane-minor ``faulty`` matrix is by far the largest allocation
     of a tile replay; under a fixed element budget every tile fits the
@@ -220,29 +175,25 @@ class TileScratch:
     its view before reading it.
     """
 
-    def __init__(self, xp: Any):
-        self._xp = xp
-        self._flat: Any = None
+    def __init__(self) -> None:
+        self._flat: np.ndarray | None = None
 
-    def faulty(self, shape: tuple[int, int, int]) -> Any:
+    def faulty(self, shape: tuple[int, int, int]) -> np.ndarray:
         size = shape[0] * shape[1] * shape[2]
         if self._flat is None or self._flat.shape[0] < size:
-            self._flat = self._xp.empty((size,), dtype=self._xp.uint64)
-        return self._xp.reshape(self._flat[:size], shape)
+            self._flat = np.empty((size,), dtype=np.uint64)
+        return np.reshape(self._flat[:size], shape)
 
 
-def detect_tile(xp: Any, plan: "FaultSimPlan", matrix: Any, full_row: Any,
-                batch: "Sequence[Fault]",
-                scratch: TileScratch | None = None) -> Any:
+def detect_tile(plan: "FaultSimPlan", matrix: np.ndarray,
+                full_row: np.ndarray, batch: "Sequence[Fault]",
+                scratch: TileScratch | None = None) -> np.ndarray:
     """Detection rows ``(n_faults, n_words)`` for one tile of faults.
 
-    ``matrix``/``full_row`` live in the ``xp`` namespace and may be
-    column slices of the full waveform matrix: every operation here is
-    word-wise, so a pattern-axis tile computes exactly the
-    corresponding columns of the full detection matrix.  The returned
-    array is a device array — callers transfer it at the merge
-    boundary.  Cone unions and row bookkeeping stay on the host (tiny
-    ``intp`` plan metadata); only waveform slabs run on ``xp``.
+    ``matrix``/``full_row`` may be column slices of the full waveform
+    matrix: every operation here is word-wise, so a pattern-axis tile
+    computes exactly the corresponding columns of the full detection
+    matrix.
     """
     index = plan.schedule.line_index
     n_words = matrix.shape[1]
@@ -273,7 +224,7 @@ def detect_tile(xp: Any, plan: "FaultSimPlan", matrix: Any, full_row: Any,
 
     local_of = np.full(plan.n_rows, -1, dtype=np.intp)
     local_of[needed] = np.arange(needed.size)
-    good_local = matrix[to_device(xp, needed)]            # (L, W)
+    good_local = matrix[needed]  # (L, W)
     # Lane-minor layout (L, F, W): a gathered gate row is one
     # contiguous (F, W) slab, so the per-level fancy indexing streams
     # instead of striding n_local_lines * n_words apart per lane.
@@ -281,14 +232,14 @@ def detect_tile(xp: Any, plan: "FaultSimPlan", matrix: Any, full_row: Any,
     if scratch is not None:
         faulty = scratch.faulty(shape)
     else:
-        faulty = xp.empty(shape, dtype=xp.uint64)
+        faulty = np.empty(shape, dtype=np.uint64)
     faulty[...] = good_local[:, None, :]
 
-    lanes = to_device(xp, np.arange(n_faults))
-    fault_loc = to_device(xp, local_of[fault_rows])
-    stuck_rows = xp.where(to_device(xp, stuck)[:, None],
+    lanes = np.arange(n_faults)
+    fault_loc = local_of[fault_rows]
+    stuck_rows = np.where(stuck[:, None],
                           full_row[None, :],
-                          xp.zeros((1, n_words), dtype=xp.uint64))
+                          np.zeros((1, n_words), dtype=np.uint64))
     faulty[fault_loc, lanes] = stuck_rows
 
     levels = plan.level[gate_rows]
@@ -296,31 +247,31 @@ def detect_tile(xp: Any, plan: "FaultSimPlan", matrix: Any, full_row: Any,
         rows_lv = gate_rows[levels == lv]
         and_rows = rows_lv[plan.is_and[rows_lv]]
         if and_rows.size:
-            in_loc = local_of[plan.and_inputs[and_rows]]      # (k, A)
-            inv_in = plan.and_inv_in[and_rows]                # (k, A)
+            in_loc = local_of[plan.and_inputs[and_rows]]  # (k, A)
+            inv_in = plan.and_inv_in[and_rows]  # (k, A)
             # Accumulate pin by pin instead of materializing the full
             # (A, k, F, W) gather: each fancy index already copies, so
             # the xor/and run in place on (k, F, W) slabs — about half
             # the memory traffic of gather + reduce.
-            acc = faulty[to_device(xp, in_loc[:, 0])]         # (k, F, W)
-            acc ^= to_device(xp, inv_in[:, 0])[:, None, None]
+            acc = faulty[in_loc[:, 0]]  # (k, F, W)
+            acc ^= inv_in[:, 0][:, None, None]
             for pin in range(1, in_loc.shape[1]):
-                term = faulty[to_device(xp, in_loc[:, pin])]
-                term ^= to_device(xp, inv_in[:, pin])[:, None, None]
+                term = faulty[in_loc[:, pin]]
+                term ^= inv_in[:, pin][:, None, None]
                 acc &= term
-            acc ^= to_device(xp, plan.and_inv_out[and_rows])[:, None, None]
+            acc ^= plan.and_inv_out[and_rows][:, None, None]
             acc &= full_row
-            faulty[to_device(xp, local_of[and_rows])] = acc
+            faulty[local_of[and_rows]] = acc
         if rows_lv.size > and_rows.size:
             for gbatch, member in other_sel:
                 if gbatch.level != lv:
                     continue
-                in_loc = local_of[gbatch.inputs[:, member]]   # (A, k)
+                in_loc = local_of[gbatch.inputs[:, member]]  # (A, k)
                 k = in_loc.shape[1]
-                rows = faulty[to_device(xp, in_loc)]          # (A, k, F, W)
-                out = eval_gate_rows(xp, gbatch.gtype, rows, full_row,
+                rows = faulty[in_loc]  # (A, k, F, W)
+                out = eval_gate_rows(gbatch.gtype, rows, full_row,
                                      (k, n_faults, n_words))
-                faulty[to_device(xp, local_of[gbatch.outputs[member]])] = out
+                faulty[local_of[gbatch.outputs[member]]] = out
         # A gate may drive another fault's stuck line: re-force every
         # lane's own fault row before the next level reads it.
         faulty[fault_loc, lanes] = stuck_rows
@@ -328,11 +279,11 @@ def detect_tile(xp: Any, plan: "FaultSimPlan", matrix: Any, full_row: Any,
     obs_loc = local_of[plan.obs_rows]
     present = obs_loc[obs_loc >= 0]
     if present.size:
-        obs_faulty = faulty[to_device(xp, present)]           # (P, F, W)
-        obs_good = good_local[to_device(xp, present)]         # (P, W)
-        det = obs_faulty[0] ^ obs_good[0]                     # (F, W)
+        obs_faulty = faulty[present]  # (P, F, W)
+        obs_good = good_local[present]  # (P, W)
+        det = obs_faulty[0] ^ obs_good[0]  # (F, W)
         for i in range(1, present.size):
             det |= obs_faulty[i] ^ obs_good[i]
     else:
-        det = xp.zeros((n_faults, n_words), dtype=xp.uint64)
+        det = np.zeros((n_faults, n_words), dtype=np.uint64)
     return det

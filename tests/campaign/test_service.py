@@ -81,6 +81,18 @@ class TestDispatch:
             response = dispatch(service, f"/flow/s27?seed=1&{bad}")
             assert response.status == 400, bad
 
+    def test_mistyped_override_400(self, tmp_path):
+        """A mistyped FlowConfig field is a ConfigError (400), never a
+        TypeError escaping as a 500."""
+        from urllib.parse import quote
+        service = ArtifactService(ResultCache(tmp_path))
+        for bad in ('{"shards": "2"}', '{"stream_budget": "x"}',
+                    '{"observability_samples": "9"}'):
+            response = dispatch(service,
+                                f"/table1/s27?overrides={quote(bad)}")
+            assert response.status == 400, bad
+            assert "must be" in json.loads(response.body)["error"], bad
+
     def test_unknown_circuit_404(self, tmp_path):
         service = ArtifactService(ResultCache(tmp_path))
         response = dispatch(service, "/table1/never?seed=1")

@@ -28,6 +28,49 @@ class TestFlowConfig:
         with pytest.raises(ConfigError):
             FlowConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"shards": "2"},
+        {"shards": 2.5},
+        {"shards": True},
+        {"stream_budget": "x"},
+        {"stream_budget": 1.0},
+        {"stream_budget": False},
+        {"seed": "1"},
+        {"seed": 1.0},
+        {"seed": True},
+        {"observability_samples": "9"},
+        {"observability_samples": 9.0},
+        {"ivc_trials": "64"},
+        {"ivc_noise_samples": True},
+        {"max_backtracks": None},
+        {"mux_delay_margin_ps": "1"},
+        {"mux_delay_margin_ps": None},
+        {"mux_delay_margin_ps": True},
+    ])
+    def test_mistyped_values_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="must be"):
+            FlowConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"backend": "warp"},
+        {"shards": "2"},
+        {"shards": True},
+        {"shards": 2, "fault_backend": "numpy"},
+        {"stream_budget": -1},
+        {"stream_budget": "x"},
+    ])
+    def test_runtime_fields_checked_like_runtime_options(self, kwargs):
+        """Both records run the one shared runtime-field check."""
+        from repro.runtime import RuntimeOptions
+        with pytest.raises(ConfigError) as flow_error:
+            FlowConfig(**kwargs)
+        with pytest.raises(ConfigError) as runtime_error:
+            RuntimeOptions(**kwargs)
+        assert str(flow_error.value) == str(runtime_error.value)
+
+    def test_real_margin_accepted(self):
+        assert FlowConfig(mux_delay_margin_ps=5).mux_delay_margin_ps == 5
+
     def test_fault_backend_defaults_to_backend(self, monkeypatch):
         monkeypatch.delenv("REPRO_FAULT_BACKEND", raising=False)
         assert FlowConfig(backend="numpy") \
@@ -99,12 +142,11 @@ class TestConfigHash:
         assert FlowConfig(backend="numpy").config_hash() == base
         assert FlowConfig(fault_backend="numpy").config_hash() == base
         assert FlowConfig(shards=4).config_hash() == base
-        # streaming, tracing and the array namespace never change
-        # results -> never cache-key ingredients
+        # streaming and tracing never change results -> never
+        # cache-key ingredients
         assert FlowConfig(stream_budget=0).config_hash() == base
         assert FlowConfig(stream_budget=1 << 20).config_hash() == base
         assert FlowConfig(trace="").config_hash() == base
-        assert FlowConfig(array_namespace="numpy").config_hash() == base
 
     def test_result_relevant_fields_included(self):
         base = FlowConfig().config_hash()

@@ -3,23 +3,32 @@
 Bit-identity on random circuits is pinned by the differential property
 suite; here we exercise the kernel's edge geometry directly: plan
 caching and invalidation, word-boundary pattern counts, faults on
-observable/input/stem lines, and mixed gate types (MUX/XOR/CONST cones).
+observable/input/stem lines, mixed gate types (MUX/XOR/CONST cones),
+tile-geometry memoization and scratch-buffer reuse across tiles.
 """
 
+import numpy as np
 import pytest
 
 from repro.atpg.faults import Fault, all_faults
 from repro.atpg.faultsim import fault_simulate
+from repro.netlist import builders
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
+from repro.simulation.backends import get_backend
 from repro.simulation.backends.fault_kernel import (
+    _MIN_BATCH_FAULTS,
     FaultSimPlan,
     cached_fault_plan,
+    fault_simulate_matrix,
+    tile_geometry,
 )
 from repro.simulation.bitsim import (
     pack_input_vectors,
     random_input_words,
 )
+from repro.simulation.kernels import TileScratch
+from repro.techmap.mapper import technology_map
 from repro.utils.rng import make_rng
 
 
@@ -145,3 +154,111 @@ class TestKernelGeometry:
         vectors = [{"a": x, "b": y} for x in (0, 1) for y in (0, 1)]
         words, n = pack_input_vectors(circuit, vectors)
         _assert_identical(circuit, faults, words, n)
+
+
+@pytest.fixture
+def mapped():
+    return technology_map(builders.toy_scan_circuit())
+
+
+@pytest.fixture
+def stimulus(mapped):
+    n = 130  # three uint64 words, ragged tail
+    return random_input_words(mapped, n, make_rng(9)), n
+
+
+class TestTileGeometryMemoized:
+    def test_memoized_per_plan_and_budget(self, mapped, stimulus):
+        words, n = stimulus
+        get_backend("numpy").run(mapped, words, n)  # warm schedule
+        plan = cached_fault_plan(mapped)
+        plan._tile_cache.clear()
+        first = tile_geometry(plan, 7)
+        assert plan._tile_cache == {(7, None): first}
+        assert tile_geometry(plan, 7) == first
+        other = tile_geometry(plan, 7, 123)
+        assert plan._tile_cache[(7, 123)] == other
+        assert len(plan._tile_cache) == 2
+
+    def test_fresh_plan_fresh_cache(self, mapped):
+        plan = cached_fault_plan(mapped)
+        other = type(plan)(mapped)
+        assert other._tile_cache == {}
+
+
+class TestTileScratchReuse:
+    def test_single_buffer_grows_monotonically(self):
+        scratch = TileScratch()
+        small = scratch.faulty((2, 3, 4))
+        assert small.shape == (2, 3, 4)
+        flat = scratch._flat
+        # A same-or-smaller tile reuses the buffer (a view, no realloc).
+        again = scratch.faulty((2, 3, 4))
+        assert scratch._flat is flat
+        assert again.base is flat
+        smaller = scratch.faulty((1, 2, 3))
+        assert scratch._flat is flat
+        assert smaller.shape == (1, 2, 3)
+        # Only a larger tile reallocates.
+        scratch.faulty((4, 3, 4))
+        assert scratch._flat is not flat
+
+    def test_kernel_allocates_once_across_tiles(self, mapped, stimulus,
+                                                monkeypatch):
+        """A multi-tile sweep must not allocate one buffer per tile."""
+        import repro.simulation.backends.fault_kernel as fk
+
+        allocations = []
+        real_empty = np.empty
+
+        class CountingScratch(TileScratch):
+            def faulty(self, shape):
+                before = self._flat
+                out = super().faulty(shape)
+                if self._flat is not before:
+                    allocations.append(shape)
+                return out
+
+        monkeypatch.setattr(fk, "TileScratch", CountingScratch)
+        words, n = stimulus
+        faults = all_faults(mapped)
+        state = get_backend("numpy").run(mapped, words, n)
+        plan = cached_fault_plan(mapped)
+        budget = 1  # clamps to the minimum batch -> many tiles
+        f_tile, _ = tile_geometry(plan, state.matrix.shape[1], budget)
+        n_tiles = -(-len(set(faults)) // f_tile)
+        fault_simulate_matrix(state, faults, element_budget=budget)
+        assert real_empty is np.empty
+        assert n_tiles > 1
+        assert len(allocations) < n_tiles
+
+    def test_scratch_reuse_bit_identical(self, mapped, stimulus):
+        """Pinned: buffer reuse across tiles changes no detection bit."""
+        words, n = stimulus
+        faults = all_faults(mapped)
+        reference = fault_simulate(mapped, faults, words, n,
+                                   backend="bigint")
+        state = get_backend("numpy").run(mapped, words, n)
+        for budget in (1, 1000, None):
+            got = fault_simulate_matrix(state, faults,
+                                        element_budget=budget)
+            assert got.detected == reference.detected, budget
+            assert list(got.detected) == list(reference.detected), budget
+            assert got.remaining == reference.remaining, budget
+
+    def test_multi_tile_geometry(self, mapped, stimulus):
+        """Forced word-axis tiling runs the scratch-buffer reuse path
+        and stays bit-identical."""
+        words, n = stimulus
+        faults = all_faults(mapped)
+        reference = fault_simulate(mapped, faults, words, n,
+                                   backend="bigint")
+        state = get_backend("numpy").run(mapped, words, n)
+        plan = cached_fault_plan(mapped)
+        for budget in (1, plan.n_rows * _MIN_BATCH_FAULTS * 2):
+            assert tile_geometry(plan, state.matrix.shape[1],
+                                 budget)[1] < state.matrix.shape[1]
+            got = fault_simulate_matrix(state, faults,
+                                        element_budget=budget)
+            assert got.detected == reference.detected, budget
+            assert got.remaining == reference.remaining, budget

@@ -3,8 +3,12 @@
 Bit-identity of the sharded results is pinned by the differential
 property suite (``tests/properties/test_backend_diff.py``); these tests
 cover the machinery around it: partitioning, shard-count resolution,
-inline fast path and delegation of plain packed simulation.
+inline fast path, delegation of plain packed simulation, the spawn
+transport and the size of the task payloads.
 """
+
+import multiprocessing
+import pickle
 
 import pytest
 
@@ -21,6 +25,8 @@ from repro.simulation.backends.sharded import (
     shard_bounds,
 )
 from repro.simulation.bitsim import random_input_words, simulate_packed
+from repro.simulation.episode import compile_episode_plan
+from repro.simulation.fault_episode import compile_fault_episode_plan
 from repro.utils.rng import make_rng
 
 
@@ -48,10 +54,6 @@ class TestShardBounds:
 
 
 class TestConfiguration:
-    def test_rejects_nested_sharding(self):
-        with pytest.raises(SimulationError):
-            ShardedBackend(inner="sharded")
-
     def test_rejects_bad_shard_count(self):
         with pytest.raises(SimulationError):
             ShardedBackend(shards=0)
@@ -86,7 +88,7 @@ class TestConfiguration:
     def test_registered_singleton_defaults(self):
         backend = get_backend("sharded")
         assert isinstance(backend, ShardedBackend)
-        assert backend.inner_name == "numpy"
+        assert backend._inner() is get_backend("numpy")
 
 
 class TestDelegation:
@@ -98,14 +100,12 @@ class TestDelegation:
         assert via_sharded == via_numpy
 
     def test_small_fault_list_runs_inline(self, s27_mapped, monkeypatch):
-        # A threshold above the universe size must never fork: poison the
-        # worker entry point and verify it is not reached.
-        import repro.simulation.backends.sharded as sharded_mod
-
-        def boom(payload):  # pragma: no cover - must not run
+        # A threshold above the universe size must never dispatch: poison
+        # the one scatter and verify it is not reached.
+        def boom(*args):  # pragma: no cover - must not run
             raise AssertionError("worker should not be spawned")
 
-        monkeypatch.setattr(sharded_mod, "_simulate_shard", boom)
+        monkeypatch.setattr(ShardedBackend, "_scatter", boom)
         backend = ShardedBackend(shards=4, min_faults_per_shard=10_000)
         faults = all_faults(s27_mapped)
         words = random_input_words(s27_mapped, 64, make_rng(1))
@@ -174,17 +174,16 @@ class TestPooledDispatch:
 
     def test_pooled_dispatch_does_not_fork_per_call(self, s27_mapped,
                                                     pool, monkeypatch):
-        # with a pool attached, the per-call fork/spawn entry points
-        # must never run
+        # with a pool attached, no per-call fork or spawn pool may be
+        # built and the fork entry point must never run
         import repro.simulation.backends.sharded as sharded_mod
 
         def boom(*args):  # pragma: no cover - must not run
             raise AssertionError("per-call pool was constructed")
 
-        monkeypatch.setattr(sharded_mod, "_simulate_shard_fork", boom)
-        monkeypatch.setattr(sharded_mod, "_simulate_shard_fork_state",
-                            boom)
-        monkeypatch.setattr(sharded_mod, "_simulate_shard", boom)
+        monkeypatch.setattr(sharded_mod, "get_context", boom)
+        monkeypatch.setattr(sharded_mod, "get_start_method", boom)
+        monkeypatch.setattr(sharded_mod, "_run_fork_shard", boom)
         faults, words = self._fault_job(s27_mapped)
         backend = ShardedBackend(shards=2, min_faults_per_shard=4,
                                  pool=pool)
@@ -264,18 +263,153 @@ class TestEpisodeWindowSlicing:
         shift-and-mask slices for arbitrary (unaligned) bounds."""
         import numpy as np
 
-        from repro.simulation.backends.sharded import (
-            _plan_byte_map,
-            _window_word,
-            shard_bounds,
-        )
+        from repro.simulation.streaming import plan_byte_map, window_word
         from repro.simulation.values import mask
 
         rng = np.random.default_rng(3)
         n = 203  # deliberately not a multiple of 8 or 64
         word = int.from_bytes(rng.bytes((n + 7) // 8), "little") & mask(n)
-        raw = _plan_byte_map({"x": word}, n)["x"]
+        raw = plan_byte_map({"x": word}, n)["x"]
         for n_chunks in (1, 2, 3, 7, 40):
             for start, stop in shard_bounds(n, n_chunks):
                 expected = (word >> start) & mask(stop - start)
-                assert _window_word(raw, start, stop) == expected
+                assert window_word(raw, start, stop) == expected
+
+
+def _kind_calls(mapped, design, vectors):
+    """Per job kind: a call on a sharded backend, paired with the inline
+    ``numpy`` result it must equal."""
+    numpy = get_backend("numpy")
+    faults = all_faults(mapped)
+    n = 130  # three uint64 words, ragged tail
+    words = random_input_words(mapped, n, make_rng(9))
+    plan = compile_fault_episode_plan(mapped, faults, words, n)
+    budget = plan.state_elements() // 4
+    episode = compile_episode_plan(design, vectors)
+    return {
+        "faults": (
+            lambda b: b.fault_simulate_batch(mapped, faults, words, n),
+            numpy.fault_simulate_batch(mapped, faults, words, n)),
+        "stream": (
+            lambda b: b.fault_simulate_plan(plan, drop=True,
+                                            stream_budget=budget),
+            numpy.fault_simulate_plan(plan, drop=True)),
+        "window": (
+            lambda b: b.fault_simulate_plan(plan, drop=False),
+            numpy.fault_simulate_plan(plan, drop=False)),
+        "episode": (
+            lambda b: b.simulate_episode_batch(episode,
+                                               keep_waveforms=True),
+            numpy.simulate_episode_batch(episode, keep_waveforms=True)),
+    }
+
+
+def _assert_same(got, ref):
+    if hasattr(ref, "detected"):
+        assert got.detected == ref.detected
+        assert list(got.detected) == list(ref.detected)
+        assert got.remaining == ref.remaining
+    else:
+        assert got == ref
+
+
+class TestSpawnTransport:
+    """The spawn transport (the default start method on macOS and
+    Windows), forced on this platform through the start-method lookup
+    in the ``sharded`` namespace."""
+
+    @pytest.mark.parametrize("kind",
+                             ["faults", "stream", "window", "episode"])
+    def test_every_kind_bit_identical(self, kind, s27_mapped, s27_design,
+                                      make_vectors, monkeypatch):
+        import repro.simulation.backends.sharded as sharded_mod
+
+        methods = []
+
+        def get_context(method):
+            methods.append(method)
+            return multiprocessing.get_context(method)
+
+        monkeypatch.setattr(sharded_mod, "get_start_method",
+                            lambda allow_none=False: "spawn")
+        monkeypatch.setattr(sharded_mod, "get_context", get_context)
+        backend = ShardedBackend(shards=2, min_faults_per_shard=1,
+                                 episode_budget=4)
+        call, ref = _kind_calls(s27_mapped, s27_design,
+                                make_vectors(s27_design, 4))[kind]
+        got = call(backend)
+        _assert_same(got, ref)
+        assert methods == ["spawn"]
+
+
+class _RecordingPool:
+    """In-process stand-in for a worker pool (and for the spawn
+    context's pool): runs each task inline and keeps every task."""
+
+    processes = 2
+
+    def __init__(self):
+        self.tasks = []
+
+    def map(self, fn, items):
+        items = list(items)
+        self.tasks.extend(items)
+        return [fn(item) for item in items]
+
+    def Pool(self, processes):  # the spawn context's pool factory
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+
+def _legacy_payload(task, transport):
+    """The payload the same task shipped as before the one scatter:
+    engine name first, fault and window spawn payloads without the
+    fingerprint, episode options flattened."""
+    from repro.simulation.backends import sharded as sharded_mod
+    _fingerprint, (kind, circuit, faults, stimulus, n, option) = task
+    fingerprint = circuit.fingerprint()
+    if kind == sharded_mod._EPISODE:
+        return ("numpy", circuit, fingerprint, stimulus, n, *option)
+    if kind == sharded_mod._STREAM or transport == "pool":
+        return ("numpy", circuit, fingerprint, faults, stimulus, n, option)
+    return ("numpy", circuit, faults, stimulus, n, option)
+
+
+class TestTaskPayloads:
+    """Pool and spawn tasks ship pre-sliced jobs that pickle no larger
+    than the per-entry-point payloads they replaced."""
+
+    @pytest.mark.parametrize("transport", ["pool", "spawn"])
+    def test_no_task_outgrows_its_legacy_payload(self, transport,
+                                                 s27_mapped, s27_design,
+                                                 make_vectors,
+                                                 monkeypatch):
+        import repro.simulation.backends.sharded as sharded_mod
+
+        recorder = _RecordingPool()
+        if transport == "pool":
+            backend = ShardedBackend(shards=2, min_faults_per_shard=1,
+                                     episode_budget=4, pool=recorder)
+        else:
+            monkeypatch.setattr(sharded_mod, "get_start_method",
+                                lambda allow_none=False: "spawn")
+            monkeypatch.setattr(sharded_mod, "get_context",
+                                lambda method: recorder)
+            backend = ShardedBackend(shards=2, min_faults_per_shard=1,
+                                     episode_budget=4)
+        calls = _kind_calls(s27_mapped, s27_design,
+                            make_vectors(s27_design, 4))
+        for call, ref in calls.values():
+            _assert_same(call(backend), ref)
+        kinds = {task[1][0] for task in recorder.tasks}
+        assert kinds == {sharded_mod._FAULTS, sharded_mod._STREAM,
+                         sharded_mod._WINDOW, sharded_mod._EPISODE}
+        for task in recorder.tasks:
+            assert (task[0] is not None) == (transport == "pool")
+            legacy = _legacy_payload(task, transport)
+            assert len(pickle.dumps(task)) <= len(pickle.dumps(legacy))
