@@ -21,8 +21,8 @@ no-op while no policy is installed:
 * :func:`delay` — the seconds an async path should sleep (``slow``
   sites; asyncio code cannot use the blocking :func:`point`).
 
-Resolution mirrors every other runtime knob (``repro.obs.trace`` is
-the template): explicit :func:`enable` > session default
+The spec is the ``chaos`` knob of :mod:`repro.runtime`, resolved with
+its one precedence: explicit :func:`enable` > session default
 (``RuntimeOptions.chaos`` / ``--chaos SPEC``) > ``$REPRO_CHAOS`` >
 off; an empty string at any level pins chaos off.
 :func:`sync_from_session` is called by
@@ -58,6 +58,7 @@ from typing import Any
 from repro.errors import ChaosError
 from repro.obs.metrics import get_registry
 from repro.obs.trace import record_event
+from repro.runtime import resolve
 
 __all__ = [
     "SITES",
@@ -276,20 +277,12 @@ def disable() -> None:
 
 
 def resolve_chaos(chaos: str | None = None) -> str | None:
-    """The effective chaos spec for one invocation.
-
-    Resolution: ``chaos`` argument > session default
-    (:func:`repro.runtime.session_defaults`) > ``$REPRO_CHAOS`` > off.
-    An empty string at any level pins chaos off.  Returns the spec
-    string or ``None``.
+    """The effective chaos spec for one invocation: the ``chaos`` knob
+    resolved by :func:`repro.runtime.resolve` (argument > session >
+    ``$REPRO_CHAOS`` > off; ``""`` at any level pins chaos off).
+    Returns the spec string or ``None``.
     """
-    if chaos is not None:
-        return chaos or None
-    from repro import runtime
-    session = runtime.session_defaults().chaos
-    if session is not None:
-        return session or None
-    return os.environ.get("REPRO_CHAOS") or None
+    return resolve("chaos", chaos)
 
 
 def sync_from_session() -> None:

@@ -281,28 +281,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
 
-    from repro.errors import ConfigError, SimulationError
-    from repro.runtime import RuntimeOptions, set_session_defaults
-    from repro.simulation.backends import (
-        resolve_backend,
-        resolve_fault_backend,
-    )
-    from repro.simulation.streaming import resolve_stream_budget
-    if args.stream_budget is not None and args.stream_budget < 0:
-        print("repro-power: error: --stream-budget must be >= 0",
-              file=sys.stderr)
-        return 2
-    if args.shards is not None and args.shards < 1:
-        print("repro-power: error: --shards must be >= 1", file=sys.stderr)
-        return 2
-    if args.shards is not None and args.fault_backend not in (None, "sharded"):
-        print("repro-power: error: --shards only applies to the 'sharded' "
-              "fault backend", file=sys.stderr)
-        return 2
+    from repro.errors import ConfigError
+    from repro.runtime import KNOBS, RuntimeOptions, resolve, \
+        set_session_defaults
     try:
         # One unified session install for every runtime knob — all
         # ``None`` fields defer to the environment/built-in defaults
-        # (and a flagless invocation resets a leaked session).
+        # (and a flagless invocation resets a leaked session) — then
+        # fail fast on a malformed environment default behind any knob
+        # the flags left unset.
         set_session_defaults(RuntimeOptions(
             backend=args.backend,
             fault_backend=args.fault_backend,
@@ -310,16 +297,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             stream_budget=args.stream_budget,
             trace=args.trace,
             chaos=args.chaos))
-        # Fail fast on malformed environment defaults behind any knob
-        # the flags left unset (flag values are argparse-validated).
-        resolve_backend(None)  # bad $REPRO_SIM_BACKEND
-        engine = resolve_fault_backend(None)  # bad $REPRO_FAULT_BACKEND
-        from repro.simulation.backends import ShardedBackend
-        if isinstance(engine, ShardedBackend) and args.shards is None:
-            engine.effective_shards(0)  # and on a bad $REPRO_SIM_SHARDS
-        resolve_stream_budget(None)  # bad $REPRO_STREAM_BUDGET
-    except (ConfigError, SimulationError, OSError) as exc:
-        # OSError: an unwritable/invalid --trace directory.
+        for name in KNOBS:
+            resolve(name)
+    except (ConfigError, OSError) as exc:
+        # OSError: an unwritable --trace directory.
         print(f"repro-power: error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "jobs", None) is not None and args.jobs < 1:

@@ -9,7 +9,7 @@ from typing import ClassVar
 from repro.atpg.generate import AtpgConfig
 from repro.cells.library import CellLibrary, default_library
 from repro.errors import ConfigError
-from repro.runtime import check_runtime_fields
+from repro.runtime import check_runtime_fields, resolve
 
 __all__ = ["FlowConfig"]
 
@@ -53,7 +53,8 @@ class FlowConfig:
         backend is bit-identical — so results never depend on it.
     fault_backend:
         Backend name for the flow's fault simulations specifically
-        (``None`` = same as ``backend``).  Like ``backend`` it only
+        (``None`` = the session / ``$REPRO_FAULT_BACKEND`` default,
+        else ``backend``).  Like ``backend`` it only
         affects speed; ``"sharded"`` fans the collapsed fault list out
         over worker processes.
     shards:
@@ -63,22 +64,16 @@ class FlowConfig:
         Out-of-core streaming budget for the flow's plan evaluations
         (``uint64`` elements of one window's state matrix): a positive
         value streams any plan that exceeds it, ``0`` forces streaming
-        off, ``None`` defers to ``$REPRO_STREAM_BUDGET`` (default
-        off).  Streamed and resident paths are bit-identical; only
-        peak memory changes.
-    trace:
-        Span-trace output directory for the flow's instrumented
-        phases (``None`` = session default / ``$REPRO_TRACE``, ``""``
-        pins off).  Purely observational — spans record timings, never
-        results — so like the other runtime fields it is excluded from
-        :meth:`config_hash`.
+        off, ``None`` defers to the session /
+        ``$REPRO_STREAM_BUDGET`` default (off).  Streamed and resident
+        paths are bit-identical; only peak memory changes.
     """
 
     #: Fields that only affect execution speed, never results (every
     #: backend is bit-identical by contract); excluded from
     #: :meth:`config_hash` so cache keys are engine-independent.
     RUNTIME_FIELDS: ClassVar[tuple[str, ...]] = (
-        "backend", "fault_backend", "shards", "stream_budget", "trace")
+        "backend", "fault_backend", "shards", "stream_budget")
 
     seed: int = 0
     observability_samples: int = 512
@@ -94,7 +89,6 @@ class FlowConfig:
     fault_backend: str | None = None
     shards: int | None = None
     stream_budget: int | None = None
-    trace: str | None = None
 
     def __post_init__(self) -> None:
         check_runtime_fields(self)
@@ -146,12 +140,13 @@ class FlowConfig:
     def fault_simulation_backend(self):
         """The backend spec the flow's fault simulations should use.
 
-        Precedence mirrors :mod:`repro.simulation.backends`: an explicit
-        ``fault_backend``/``shards`` wins, else ``$REPRO_FAULT_BACKEND``,
-        else the plain ``backend`` (``None`` = session default).  Returns
-        a fresh :class:`ShardedBackend` instance when a shard count is
-        pinned, so concurrent flows with different configs never fight
-        over the registry singleton.
+        An explicit ``fault_backend`` wins, then ``shards`` (implying
+        ``sharded``), then the resolved ``fault_backend`` knob of
+        :mod:`repro.runtime` (session default, then
+        ``$REPRO_FAULT_BACKEND``), else the plain ``backend`` (``None``
+        = session default).  Returns a fresh :class:`ShardedBackend`
+        instance when a shard count is pinned, so concurrent flows with
+        different configs never fight over the registry singleton.
         """
         name = self.fault_backend
         if name is None and self.shards is not None:
@@ -160,13 +155,8 @@ class FlowConfig:
             from repro.simulation.backends import ShardedBackend
             return ShardedBackend(shards=self.shards)
         if name is None:
-            import os
-
-            from repro.simulation.backends import DEFAULT_FAULT_BACKEND_ENV
-            name = os.environ.get(DEFAULT_FAULT_BACKEND_ENV, "") or None
-        if name is None:
-            return self.backend
-        return name
+            name = resolve("fault_backend")
+        return self.backend if name is None else name
 
     def library(self) -> CellLibrary:
         """The cell library used throughout the flow."""

@@ -91,6 +91,12 @@ class ConfigError(ReproError):
     """Invalid configuration passed to a flow or experiment."""
 
 
+class RuntimeOptionError(ConfigError, SimulationError):
+    """A runtime knob (:data:`repro.runtime.KNOBS`) holds a bad value,
+    from a flag, the session, a ``FlowConfig`` or the environment; the
+    message names the field, its flag and its env var."""
+
+
 class ChaosError(ConfigError):
     """Invalid chaos spec, unknown injection site or bad retry policy.
 

@@ -32,6 +32,7 @@ from repro.core.config import FlowConfig
 from repro.core.flow import FlowResult, ProposedFlow
 from repro.experiments.results import PAPER_TABLE1, Table1Row
 from repro.obs.trace import span
+from repro.runtime import resolve
 from repro.utils.tables import format_table
 
 __all__ = ["Table1Run", "run_table1", "DEFAULT_CIRCUITS",
@@ -125,16 +126,9 @@ class Table1Run:
 
 
 def _record_backends(config: FlowConfig) -> dict[str, str]:
-    from repro.simulation.backends import (
-        default_backend_name,
-        default_fault_backend_name,
-    )
-    fault_spec = config.fault_simulation_backend()
-    return {
-        "sim": config.backend or default_backend_name(),
-        "fault": getattr(fault_spec, "name", None) or fault_spec or
-        default_fault_backend_name(),
-    }
+    sim = resolve("backend", config.backend)
+    fault = config.fault_simulation_backend() or sim
+    return {"sim": sim, "fault": getattr(fault, "name", fault)}
 
 
 def run_table1(circuits: Sequence[str] | None = None,

@@ -13,8 +13,9 @@ Spans **always measure** (two ``time.monotonic()`` calls — the same
 clock ``utils.timing.Stopwatch`` uses, so callers may read ``dur_s``
 for bookkeeping whether or not tracing is on) but are only *recorded*
 when tracing is enabled.  Enabled means a trace directory is
-configured — per-call arg > session default (``RuntimeOptions.trace``,
-``--trace DIR``) > ``$REPRO_TRACE`` > off — and every finished span is
+configured — the ``trace`` knob of :mod:`repro.runtime`, resolved with
+its one precedence (per-call arg > session default, e.g. ``--trace
+DIR`` > ``$REPRO_TRACE`` > off) — and every finished span is
 buffered and appended to ``<dir>/trace-<pid>-<token>.jsonl`` (one JSON
 object per line; flushed whenever a root span closes, when the buffer
 tops 512 spans, at :func:`disable`, and at interpreter exit).
@@ -54,6 +55,8 @@ import time
 import uuid
 from pathlib import Path
 from typing import Any, Mapping
+
+from repro.runtime import resolve
 
 __all__ = [
     "Span",
@@ -161,20 +164,12 @@ def disable() -> None:
 
 
 def resolve_trace(trace: str | None = None) -> str | None:
-    """The effective trace directory for one invocation.
-
-    Resolution: ``trace`` argument > session default
-    (:func:`repro.runtime.session_defaults`) > ``$REPRO_TRACE`` > off.
-    An empty string at any level pins tracing off.  Returns the
-    directory path or ``None``.
+    """The effective trace directory for one invocation: the ``trace``
+    knob resolved by :func:`repro.runtime.resolve` (argument > session
+    > ``$REPRO_TRACE`` > off; ``""`` at any level pins tracing off).
+    Returns the directory path or ``None``.
     """
-    if trace is not None:
-        return trace or None
-    from repro import runtime
-    session = runtime.session_defaults().trace
-    if session is not None:
-        return session or None
-    return os.environ.get("REPRO_TRACE") or None
+    return resolve("trace", trace)
 
 
 def sync_from_session() -> None:

@@ -1,90 +1,168 @@
-"""Unified runtime-options surface: one session-default store.
+"""Runtime options: one knob table, one resolver, one session store.
 
 The runtime knobs — simulation backend, fault backend, shard count,
-streaming budget, tracing and chaos injection — each have an
-environment variable and live in one frozen :class:`RuntimeOptions`
-session record.  Every knob is *runtime-only*: it changes speed, peak
-memory or observability, never results (all engines are bit-identical
-by contract), so none participates in
+streaming budget, tracing and chaos injection — are the rows of
+:data:`KNOBS` (field, env var, value type, built-in default, off
+value) and the fields of the frozen :class:`RuntimeOptions` session
+record.  Every knob is runtime-only: it changes speed, peak memory or
+observability, never results (all engines are bit-identical by
+contract), so none is part of
 :meth:`~repro.core.config.FlowConfig.config_hash`.
 
-Three entry points manage the record:
-
-* :func:`set_session_defaults` — install session defaults (wholesale
-  via a :class:`RuntimeOptions`, or patch single fields via kwargs);
-* :func:`session_defaults` — the currently installed options;
-* :func:`using` — a context manager installing options temporarily.
-
-The per-knob resolvers keep their documented precedence — explicit
-per-call argument > session default > environment variable > built-in
-default — and all read the *session* level from the one store here, so
-a server resolving per-request options, the CLI and library callers
-share one surface.  :func:`check_runtime_fields` is the one validator
-of the engine fields :class:`RuntimeOptions` and
-:class:`~repro.core.config.FlowConfig` share.
+:func:`resolve` gives every knob one precedence: explicit argument (a
+per-call argument or ``FlowConfig`` field) > session default
+(:func:`set_session_defaults` / :func:`using`, which the CLI flags
+install) > environment variable (empty = unset) > built-in default.
+A knob's off value pins it off at any level and resolves to ``None``.
+Every level passes the same per-knob check, so a bad value raises
+:class:`~repro.errors.RuntimeOptionError` naming the field, its flag
+and its env var wherever it comes from.
 
 Session defaults are process-global and do **not** cross process
-boundaries (pool/shard workers re-resolve from their own environment,
-exactly as before).
+boundaries (pool/shard workers re-resolve from their own environment).
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-from collections.abc import Iterator
-from typing import TYPE_CHECKING
+import os
+from collections.abc import Callable, Iterator
+from pathlib import Path
+from typing import TYPE_CHECKING, Any, NoReturn
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, RuntimeOptionError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.core.config import FlowConfig
 
 __all__ = [
+    "KNOBS",
+    "Knob",
     "RuntimeOptions",
     "check_runtime_fields",
+    "resolve",
     "session_defaults",
     "set_session_defaults",
     "using",
 ]
 
 
+def _registered_backend(name: str) -> str | None:
+    # Imported on use: the registry imports the engines, and the
+    # neutral records built at import time never get here.
+    from repro.simulation.backends import available_backends
+    if name in available_backends():
+        return None
+    return (f"names an unknown simulation backend {name!r}; "
+            f"available: {', '.join(available_backends())}")
+
+
+def _at_least(low: int) -> Callable[[int], str | None]:
+    return lambda value: None if value >= low else \
+        f"must be >= {low}, got {value}"
+
+
+def _directory(value: str) -> str | None:
+    # The nearest existing ancestor must be a directory, or creating
+    # the trace directory fails later, deep inside the recorder.
+    for path in (Path(value), *Path(value).parents):
+        if path.exists():
+            return None if path.is_dir() else \
+                f"must be a directory path, but {str(path)!r} is a file"
+    return None
+
+
+def _chaos_spec(spec: str) -> str | None:
+    from repro.chaos import ChaosPolicy
+    from repro.errors import ChaosError
+    try:
+        ChaosPolicy.parse(spec)
+    except ChaosError as exc:
+        return f"is not a valid spec: {exc}"
+    return None
+
+
+_TYPE_NAMES = {int: "an int", str: "a str"}
+
+
+@dataclasses.dataclass(frozen=True)
+class Knob:
+    """One runtime knob.  ``default`` applies when no level sets it
+    (``None``: the caller's own fallback); ``off`` pins it off;
+    ``validate`` returns a problem description or ``None``."""
+
+    name: str
+    env: str
+    type: type
+    default: Any = None
+    off: Any = None
+    validate: Callable[[Any], str | None] = lambda value: None
+
+    @property
+    def flag(self) -> str:
+        """The CLI flag setting this knob's session default."""
+        return "--" + self.name.replace("_", "-")
+
+    def fail(self, problem: str) -> NoReturn:
+        raise RuntimeOptionError(
+            f"{self.name} {problem} ({self.flag}, ${self.env})")
+
+    def check(self, value: Any) -> None:
+        """Raise :class:`RuntimeOptionError` unless ``value`` is valid."""
+        if isinstance(value, bool) or not isinstance(value, self.type):
+            self.fail(f"must be {_TYPE_NAMES[self.type]}, got {value!r}")
+        problem = None if value == self.off else self.validate(value)
+        if problem is not None:
+            self.fail(problem)
+
+    def from_env(self) -> Any:
+        """The environment's value, parsed and checked (``None`` when
+        the variable is unset or empty)."""
+        raw = os.environ.get(self.env, "")
+        if not raw:
+            return None
+        value: Any = raw
+        if self.type is int:
+            try:
+                value = int(raw)
+            except ValueError:
+                raise RuntimeOptionError(
+                    f"${self.env} must be an integer, got {raw!r} "
+                    f"({self.name}, {self.flag})") from None
+        try:
+            self.check(value)
+        except RuntimeOptionError as exc:
+            raise RuntimeOptionError(f"${self.env}={raw!r}: {exc}") \
+                from None
+        return value
+
+
+#: Every runtime knob, keyed by its :class:`RuntimeOptions` field.
+KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
+    Knob("backend", "REPRO_SIM_BACKEND", str, default="bigint",
+         validate=_registered_backend),
+    Knob("fault_backend", "REPRO_FAULT_BACKEND", str,
+         validate=_registered_backend),
+    Knob("shards", "REPRO_SIM_SHARDS", int, validate=_at_least(1)),
+    Knob("stream_budget", "REPRO_STREAM_BUDGET", int, off=0,
+         validate=_at_least(0)),
+    Knob("trace", "REPRO_TRACE", str, off="", validate=_directory),
+    Knob("chaos", "REPRO_CHAOS", str, off="", validate=_chaos_spec),
+)}
+
+
 @dataclasses.dataclass(frozen=True)
 class RuntimeOptions:
-    """Session-level runtime knobs (speed/memory only, never results).
+    """Session-level runtime knobs, one field per :data:`KNOBS` row.
 
     Every field defaults to ``None`` — *defer to the environment /
     built-in default* — so an all-``None`` record is the neutral
-    element and installing it resets the session.
-
-    Attributes
-    ----------
-    backend:
-        Packed-simulation backend name (``$REPRO_SIM_BACKEND``,
-        built-in ``bigint``).
-    fault_backend:
-        Backend for fault simulation specifically
-        (``$REPRO_FAULT_BACKEND``, else the ``backend`` chain).
-    shards:
-        Worker-process count for the ``sharded`` backend
-        (``$REPRO_SIM_SHARDS``, else CPU count).
-    stream_budget:
-        Out-of-core streaming budget in ``uint64`` elements
-        (``$REPRO_STREAM_BUDGET``, default off; ``0`` pins off).
-    trace:
-        Span-trace output directory (``$REPRO_TRACE``, default off;
-        ``""`` pins off).  When set, :mod:`repro.obs.trace` records
-        every instrumented phase as JSONL span files under the
-        directory; like every other knob it never changes results.
-    chaos:
-        Fault-injection spec (``$REPRO_CHAOS``, default off; ``""``
-        pins off).  When set, :mod:`repro.chaos` fires seeded faults
-        at the named injection sites (see the spec grammar there).
-        Failures are injected *and survived* — retries, respawns and
-        re-queues converge on results bit-identical to a clean run —
-        so like every other knob it never changes results; unlike the
-        others it deliberately changes how often the recovery paths
-        run.
+    element and installing it resets the session.  ``trace`` names a
+    span-trace directory (:mod:`repro.obs.trace`); ``chaos`` is a
+    fault-injection spec (:mod:`repro.chaos`) whose injected failures
+    are survived, so it changes how often the recovery paths run but
+    never results.
     """
 
     backend: str | None = None
@@ -96,13 +174,8 @@ class RuntimeOptions:
 
     def __post_init__(self) -> None:
         # Validate eagerly, like FlowConfig: a bad session default must
-        # fail at install time, not deep inside a flow.
+        # fail at install time, not deep inside a flow or a worker.
         check_runtime_fields(self)
-        if self.chaos:
-            # Parse eagerly: a bad --chaos spec must fail at install
-            # time, not at the first injection site deep in a worker.
-            from repro.chaos import ChaosPolicy
-            ChaosPolicy.parse(self.chaos)
 
     def replace(self, **changes) -> "RuntimeOptions":
         """A copy with ``changes`` applied (validated).
@@ -110,63 +183,52 @@ class RuntimeOptions:
         A name that is not a field raises :class:`ConfigError` listing
         the valid ones.
         """
-        names = [field.name for field in dataclasses.fields(self)]
-        unknown = sorted(set(changes) - set(names))
+        unknown = sorted(set(changes) - set(KNOBS))
         if unknown:
             raise ConfigError(
                 f"unknown runtime option(s): {', '.join(unknown)}; "
-                f"valid: {', '.join(names)}")
+                f"valid: {', '.join(KNOBS)}")
         return dataclasses.replace(self, **changes)
-
-    def to_flow_kwargs(self) -> dict:
-        """The non-``None`` fields as :class:`FlowConfig` kwargs.
-
-        Campaign/server code folds the session options into a per-job
-        config in one call.  Fields that are session-scoped only
-        (``chaos`` — injection is ambient process state, not a per-job
-        knob) are filtered out by introspecting ``FlowConfig``.
-        """
-        from repro.core.config import FlowConfig
-        known = {field.name for field in dataclasses.fields(FlowConfig)}
-        return {field.name: getattr(self, field.name)
-                for field in dataclasses.fields(self)
-                if field.name in known
-                and getattr(self, field.name) is not None}
 
 
 def check_runtime_fields(options: "RuntimeOptions | FlowConfig") -> None:
-    """Validate the engine fields shared by ``RuntimeOptions`` and
-    ``FlowConfig``; raises :class:`~repro.errors.ConfigError`.
+    """Validate the knob fields of ``RuntimeOptions`` or ``FlowConfig``.
 
-    ``backend``/``fault_backend`` must name registered engines,
-    ``shards`` (>= 1) and ``stream_budget`` (>= 0) must be exact ints
-    (not ``bool``), and a shard count needs the ``sharded`` fault
-    backend or none.  The backend registry is imported only when a
-    name is set, so the neutral all-``None`` record built at module
-    import never recurses into it.
+    Each set field passes its knob's check (type, registered backend
+    name, range, directory path, chaos spec); a shard count also needs
+    the ``sharded`` fault backend or none.  Raises
+    :class:`~repro.errors.RuntimeOptionError`.
     """
-    if options.backend is not None or options.fault_backend is not None:
-        from repro.simulation.backends import available_backends
-        for which, name in (("simulation", options.backend),
-                            ("fault simulation", options.fault_backend)):
-            if name is not None and name not in available_backends():
-                raise ConfigError(
-                    f"unknown {which} backend {name!r}; "
-                    f"available: {', '.join(available_backends())}")
-    for name in ("shards", "stream_budget"):
-        value = getattr(options, name)
-        if value is not None and (isinstance(value, bool)
-                                  or not isinstance(value, int)):
-            raise ConfigError(f"{name} must be an int, got {value!r}")
-    if options.shards is not None:
-        if options.shards < 1:
-            raise ConfigError("shards must be >= 1")
-        if options.fault_backend not in (None, "sharded"):
-            raise ConfigError(
-                "shards only applies to the 'sharded' fault "
-                f"backend, not {options.fault_backend!r}")
-    if options.stream_budget is not None and options.stream_budget < 0:
-        raise ConfigError("stream_budget must be >= 0")
+    for knob in KNOBS.values():
+        value = getattr(options, knob.name, None)
+        if value is not None:
+            knob.check(value)
+    if options.shards is not None and \
+            options.fault_backend not in (None, "sharded"):
+        KNOBS["shards"].fail(
+            "only applies to the 'sharded' fault backend, not "
+            f"{options.fault_backend!r}")
+
+
+def resolve(name: str, explicit: Any = None) -> Any:
+    """Knob ``name``'s effective value: explicit > session > env >
+    built-in default.
+
+    ``explicit`` is checked like every other level.  The knob's off
+    value resolves to ``None``, as does an unset knob without a
+    built-in default.
+    """
+    knob = KNOBS[name]
+    if explicit is not None:
+        knob.check(explicit)
+        value = explicit
+    else:
+        value = getattr(_session, name)
+        if value is None:
+            value = knob.from_env()
+    if value is None:
+        return knob.default
+    return None if value == knob.off else value
 
 
 #: The installed session defaults (all-``None`` = neutral).
@@ -176,6 +238,17 @@ _session = RuntimeOptions()
 def session_defaults() -> RuntimeOptions:
     """The currently installed session-default options."""
     return _session
+
+
+def _sync_process_state() -> None:
+    # The trace and chaos knobs drive process-wide state, not a
+    # per-call resolver — align them with the session immediately so
+    # ``using(trace=...)`` / ``using(chaos=...)`` scope like any other
+    # knob.
+    import repro.chaos as chaos
+    from repro.obs import trace
+    trace.sync_from_session()
+    chaos.sync_from_session()
 
 
 def set_session_defaults(options: RuntimeOptions | None = None,
@@ -188,21 +261,22 @@ def set_session_defaults(options: RuntimeOptions | None = None,
     ``set_session_defaults(stream_budget=0)`` patches only the
     named fields of the current session.  Mixing both applies the
     kwargs on top of ``options``.  An unknown field name raises
-    :class:`~repro.errors.ConfigError`.
+    :class:`~repro.errors.ConfigError`.  The install is atomic: when
+    it fails (say, the trace directory cannot be created), the
+    previous session stays installed.
     """
     global _session
     base = options if options is not None else \
         (_session if kwargs else RuntimeOptions())
-    _session = base.replace(**kwargs) if kwargs else base
-    # The trace and chaos knobs drive process-wide state, not a
-    # per-call resolver — align them with the new session immediately
-    # so ``using(trace=...)`` / ``using(chaos=...)`` scope like any
-    # other knob.
-    from repro.obs import trace as obs_trace
-    obs_trace.sync_from_session()
-    import repro.chaos as chaos
-    chaos.sync_from_session()
-    return _session
+    installed = base.replace(**kwargs) if kwargs else base
+    previous, _session = _session, installed
+    try:
+        _sync_process_state()
+    except BaseException:
+        _session = previous
+        _sync_process_state()
+        raise
+    return installed
 
 
 @contextlib.contextmanager
@@ -220,4 +294,3 @@ def using(options: RuntimeOptions | None = None,
         yield set_session_defaults(options, **kwargs)
     finally:
         set_session_defaults(previous)
-

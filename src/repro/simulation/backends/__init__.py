@@ -12,24 +12,18 @@ Three engines ship with the library:
 
 All backends produce bit-identical packed words, fault-detection words
 and IEEE-identical derived floats; the choice only affects speed.
-Selection, in precedence order:
-
-1. an explicit ``backend=`` argument (name or instance) on the public
-   entry points (``simulate_packed``, ``simulate_cycles``,
-   ``fault_simulate``, ``evaluate_scan_power``, the observability
-   estimators, ...);
-2. a session default installed via :func:`set_default_backend` (the CLI's
-   ``--backend`` flag does this);
-3. the ``REPRO_SIM_BACKEND`` environment variable;
-4. the built-in default, ``bigint``.
+An explicit ``backend=`` argument (name or instance) on the public
+entry points wins; ``None`` resolves the ``backend`` knob through
+:func:`repro.runtime.resolve` (session default, e.g. ``--backend``, >
+``$REPRO_SIM_BACKEND`` > ``bigint``).
 
 Fault simulation resolves one extra level: an explicit fault-engine spec
 (``fault_simulate(backend=...)``, ``FlowConfig.fault_backend``/
-``.shards``, the CLI's ``--fault-backend``/``--shards``) wins; otherwise
-``REPRO_FAULT_BACKEND`` overrides the *whole* chain above — it is a
-targeted knob so e.g. CI can force sharded fault simulation across a run
-regardless of how the plain backend was chosen; otherwise the session
-chain (2-4) applies.
+``.shards``) wins; otherwise the ``fault_backend`` knob (session
+default, e.g. ``--fault-backend``, > ``$REPRO_FAULT_BACKEND``) — a
+targeted knob so e.g. CI can force sharded fault simulation across a
+run regardless of how the plain backend was chosen; otherwise the
+``backend`` knob.
 
 Third-party engines register with :func:`register_backend` and become
 addressable by name everywhere.
@@ -37,9 +31,8 @@ addressable by name everywhere.
 
 from __future__ import annotations
 
-import os
-
 from repro.errors import SimulationError
+from repro.runtime import KNOBS, resolve, set_session_defaults
 from repro.simulation.backends.base import Backend, SimState
 from repro.simulation.backends.bigint import BigIntBackend, BigIntState
 from repro.simulation.backends.numpy_backend import NumpyBackend, NumpyState
@@ -66,11 +59,11 @@ __all__ = [
 ]
 
 #: Environment variable consulted for the session default backend.
-DEFAULT_BACKEND_ENV = "REPRO_SIM_BACKEND"
+DEFAULT_BACKEND_ENV = KNOBS["backend"].env
 
 #: Environment variable overriding the default backend for *fault
 #: simulation* only (falls back to the session default when unset).
-DEFAULT_FAULT_BACKEND_ENV = "REPRO_FAULT_BACKEND"
+DEFAULT_FAULT_BACKEND_ENV = KNOBS["fault_backend"].env
 
 _REGISTRY: dict[str, Backend] = {}
 
@@ -110,23 +103,14 @@ def set_default_backend(name: str | None) -> None:
     """Install the session-default backend (``None`` resets to the env/
     built-in default).  The name is validated immediately.
 
-    Equivalent to ``repro.runtime.set_session_defaults(backend=name)``
-    — the session level lives in the unified
-    :class:`repro.runtime.RuntimeOptions` store.
+    Equivalent to ``repro.runtime.set_session_defaults(backend=name)``.
     """
-    if name is not None:
-        get_backend(name)
-    from repro.runtime import set_session_defaults
     set_session_defaults(backend=name)
 
 
 def default_backend_name() -> str:
-    """The session default: override, else environment, else ``bigint``."""
-    from repro.runtime import session_defaults
-    override = session_defaults().backend
-    if override is not None:
-        return override
-    return os.environ.get(DEFAULT_BACKEND_ENV, "") or "bigint"
+    """The resolved ``backend`` knob (session, env, ``bigint``)."""
+    return resolve("backend")
 
 
 def resolve_backend(backend: str | Backend | None) -> Backend:
@@ -139,21 +123,11 @@ def resolve_backend(backend: str | Backend | None) -> Backend:
 
 
 def default_fault_backend_name() -> str:
-    """Default engine for fault simulation.
-
-    The session-level *fault* backend
-    (:attr:`repro.runtime.RuntimeOptions.fault_backend`) when
-    installed, else ``$REPRO_FAULT_BACKEND`` (a targeted override that
-    deliberately outranks the session *simulation* backend — see the
-    module docstring), else the plain session default chain.  Results
-    are bit-identical either way; only speed changes.
-    """
-    from repro.runtime import session_defaults
-    override = session_defaults().fault_backend
-    if override is not None:
-        return override
-    return os.environ.get(DEFAULT_FAULT_BACKEND_ENV, "") or \
-        default_backend_name()
+    """Default engine for fault simulation: the resolved
+    ``fault_backend`` knob (session, then ``$REPRO_FAULT_BACKEND``),
+    else :func:`default_backend_name`.  Results are bit-identical
+    either way; only speed changes."""
+    return resolve("fault_backend") or default_backend_name()
 
 
 def resolve_fault_backend(backend: str | Backend | None) -> Backend:

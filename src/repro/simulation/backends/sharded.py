@@ -70,6 +70,7 @@ from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.obs.trace import span, traced_task
+from repro.runtime import KNOBS, resolve
 from repro.simulation.backends.base import Backend, SimState
 from repro.simulation.streaming import (
     PlanByteStore,
@@ -96,7 +97,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
 __all__ = ["ShardedBackend", "shard_bounds", "DEFAULT_SHARDS_ENV"]
 
 #: Environment variable supplying the default worker count.
-DEFAULT_SHARDS_ENV = "REPRO_SIM_SHARDS"
+DEFAULT_SHARDS_ENV = KNOBS["shards"].env
 
 #: ``uint64``-element budget of one episode chunk's state matrix
 #: (lines x words), ~32 MiB — the same order as the fault kernel's
@@ -245,8 +246,10 @@ class ShardedBackend(Backend):
     Parameters
     ----------
     shards:
-        Worker count; ``None`` defers to ``$REPRO_SIM_SHARDS`` at call
-        time, falling back to ``os.cpu_count()``.
+        Worker count; ``None`` resolves the ``shards`` knob of
+        :mod:`repro.runtime` at call time (session, then
+        ``$REPRO_SIM_SHARDS``), falling back to the shared pool's size,
+        else ``os.cpu_count()``.
     min_faults_per_shard:
         Never split below this many faults per worker; lists smaller
         than two shards' worth run inline on ``numpy``.
@@ -496,29 +499,13 @@ class ShardedBackend(Backend):
     # ------------------------------------------------------------------ #
 
     def configured_shards(self) -> int:
-        """The configured worker count (flag, session, env, pool or
+        """The configured worker count (argument, session, env, pool or
         CPU count)."""
-        shards = self.shards
+        shards = resolve("shards", self.shards)
         if shards is None:
-            from repro.runtime import session_defaults
-            shards = session_defaults().shards
-        if shards is None:
-            env = os.environ.get(DEFAULT_SHARDS_ENV, "")
-            if env:
-                try:
-                    shards = int(env)
-                except ValueError:
-                    raise SimulationError(
-                        f"${DEFAULT_SHARDS_ENV} must be an integer, "
-                        f"got {env!r}") from None
-            else:
-                pool = self._resolve_pool()
-                shards = pool.processes if pool is not None \
-                    else os.cpu_count() or 1
-        if shards < 1:
-            raise SimulationError(
-                f"invalid shard count {shards} "
-                f"(check ${DEFAULT_SHARDS_ENV})")
+            pool = self._resolve_pool()
+            shards = pool.processes if pool is not None \
+                else os.cpu_count() or 1
         return shards
 
     def effective_shards(self, n_faults: int) -> int:

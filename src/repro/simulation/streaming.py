@@ -33,10 +33,10 @@ plan call — dropping never changes a single call's words, only which
 faults a *caller* re-submits later.
 
 Streaming engages when a budget is configured and the plan's resident
-state matrix would exceed it.  Resolution order matches every other
-runtime knob: per-call argument > session default
-(:attr:`repro.runtime.RuntimeOptions.stream_budget`, installed by the
-CLI's ``--stream-budget``) > ``$REPRO_STREAM_BUDGET`` > off.  The knob is
+state matrix would exceed it.  The budget is the ``stream_budget``
+knob of :mod:`repro.runtime`, resolved with that module's one
+precedence (per-call argument > session default, e.g.
+``--stream-budget`` > ``$REPRO_STREAM_BUDGET`` > off).  The knob is
 runtime-only: it never changes results, so it is excluded from
 :meth:`~repro.core.config.FlowConfig.config_hash`.
 """
@@ -44,15 +44,14 @@ runtime-only: it never changes results, so it is excluded from
 from __future__ import annotations
 
 import mmap
-import os
 import tempfile
 from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING
 
 from repro.cells.library import CellLibrary
-from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.obs.trace import span
+from repro.runtime import KNOBS, resolve
 from repro.simulation.values import mask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -83,7 +82,7 @@ __all__ = [
 
 #: Environment variable supplying the default stream budget (``uint64``
 #: elements of one window's state matrix; ``0``/unset = streaming off).
-DEFAULT_STREAM_BUDGET_ENV = "REPRO_STREAM_BUDGET"
+DEFAULT_STREAM_BUDGET_ENV = KNOBS["stream_budget"].env
 
 #: Stimulus byte maps above this size spill to a memory-mapped temp
 #: file instead of staying resident (see :class:`PlanByteStore`).
@@ -97,24 +96,7 @@ def resolve_stream_budget(budget: int | None = None) -> int | None:
     state matrix, or ``None`` when streaming is disabled.  ``0`` (from
     any source) means explicitly off.
     """
-    if budget is None:
-        from repro.runtime import session_defaults
-        budget = session_defaults().stream_budget
-    if budget is None:
-        env = os.environ.get(DEFAULT_STREAM_BUDGET_ENV, "")
-        if env:
-            try:
-                budget = int(env)
-            except ValueError:
-                raise SimulationError(
-                    f"${DEFAULT_STREAM_BUDGET_ENV} must be an integer, "
-                    f"got {env!r}") from None
-    if budget is None or budget == 0:
-        return None
-    if budget < 0:
-        raise SimulationError(f"invalid stream budget {budget} "
-                              f"(check ${DEFAULT_STREAM_BUDGET_ENV})")
-    return budget
+    return resolve("stream_budget", budget)
 
 
 def shard_bounds(n_items: int, n_shards: int) -> list[tuple[int, int]]:

@@ -56,6 +56,15 @@ class TestSpecExpansion:
         with pytest.raises(ConfigError, match="ivc_trails"):
             job.flow_config()
 
+    def test_retired_trace_field_rejected_cleanly(self):
+        # tracing is a session knob (--trace / $REPRO_TRACE), never a
+        # per-job config field
+        job = CampaignSpec(circuits=("s27",),
+                           base={"trace": "traces"}).expand()[0]
+        with pytest.raises(ConfigError,
+                           match=r"unknown FlowConfig field\(s\).*trace"):
+            job.flow_config()
+
     def test_seed_zero_loads_circuit_with_seed_one(self):
         job = CampaignSpec(circuits=("s27",), seeds=(0,)).expand()[0]
         assert job.seed == 0

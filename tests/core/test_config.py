@@ -86,6 +86,16 @@ class TestFlowConfig:
         config = FlowConfig(backend="bigint")
         assert config.fault_simulation_backend() == "numpy"
 
+    def test_session_fault_backend_outranks_env(self, monkeypatch):
+        from repro.runtime import using
+        from repro.simulation.backends import default_fault_backend_name
+        monkeypatch.setenv("REPRO_FAULT_BACKEND", "numpy")
+        with using(fault_backend="bigint"):
+            assert default_fault_backend_name() == "bigint"
+            assert FlowConfig().fault_simulation_backend() == "bigint"
+            assert FlowConfig(backend="numpy") \
+                .fault_simulation_backend() == "bigint"
+
     def test_explicit_fault_backend_outranks_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_BACKEND", "numpy")
         config = FlowConfig(backend="bigint", fault_backend="bigint")
@@ -146,7 +156,6 @@ class TestConfigHash:
         # cache-key ingredients
         assert FlowConfig(stream_budget=0).config_hash() == base
         assert FlowConfig(stream_budget=1 << 20).config_hash() == base
-        assert FlowConfig(trace="").config_hash() == base
 
     def test_result_relevant_fields_included(self):
         base = FlowConfig().config_hash()

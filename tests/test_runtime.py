@@ -1,12 +1,15 @@
 """Unified runtime options: validation, precedence, session scoping."""
 
 import dataclasses
+import re
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, RuntimeOptionError, SimulationError
 from repro.runtime import (
+    KNOBS,
     RuntimeOptions,
+    resolve,
     session_defaults,
     set_session_defaults,
     using,
@@ -60,13 +63,6 @@ class TestRuntimeOptionsValidation:
         with pytest.raises(ConfigError):
             RuntimeOptions().replace(stream_budget=-3)
 
-    def test_to_flow_kwargs_round_trips(self):
-        from repro.core.config import FlowConfig
-        options = RuntimeOptions(backend="bigint", stream_budget=5)
-        config = FlowConfig(seed=1, **options.to_flow_kwargs())
-        assert config.backend == "bigint"
-        assert config.stream_budget == 5
-
 
 class TestSessionDefaults:
     def test_install_and_read_back(self):
@@ -100,6 +96,47 @@ class TestSessionDefaults:
     def test_using_accepts_options_record(self):
         with using(RuntimeOptions(backend="numpy")):
             assert session_defaults().backend == "numpy"
+
+    def test_bad_trace_directory_keeps_previous_session(self, tmp_path):
+        from repro.obs.trace import resolve_trace
+        good = str(tmp_path / "traces")
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        set_session_defaults(trace=good)
+        with pytest.raises(ConfigError, match=re.escape("$REPRO_TRACE")):
+            set_session_defaults(trace=str(blocker / "sub"))
+        assert session_defaults().trace == good
+        assert resolve_trace() == good
+        set_session_defaults(stream_budget=5)  # kwargs form still works
+        assert session_defaults() == RuntimeOptions(trace=good,
+                                                    stream_budget=5)
+
+    def test_failed_sync_rolls_back(self, tmp_path, monkeypatch):
+        from repro.obs import trace
+
+        def unwritable(directory, **kwargs):
+            raise PermissionError(f"cannot create {directory}")
+
+        set_session_defaults(stream_budget=3)
+        monkeypatch.setattr(trace, "enable", unwritable)
+        with pytest.raises(PermissionError):
+            set_session_defaults(trace=str(tmp_path / "traces"))
+        assert session_defaults() == RuntimeOptions(stream_budget=3)
+        assert trace.resolve_trace() is None
+        assert not trace.tracing_enabled()
+
+
+#: Per knob: env, session and explicit values (each level differs from
+#: the one below it) and a malformed env value.
+LEVELS = {
+    "backend": ("numpy", "sharded", "bigint", "warp"),
+    "fault_backend": ("numpy", "sharded", "bigint", "warp"),
+    "shards": ("3", 2, 5, "0"),
+    "stream_budget": ("100", 50, 7, "lots"),
+    "trace": ("env", "session", "explicit", "file/sub"),
+    "chaos": ("seed=1,queue.write=0.5", "seed=2,cache.read=0.1",
+              "seed=3,queue.write=1", "queue.write=lots"),
+}
 
 
 class TestPrecedence:
@@ -138,6 +175,36 @@ class TestPrecedence:
         assert ShardedBackend().configured_shards() == 3  # session > env
         assert ShardedBackend(shards=2).configured_shards() == 2
 
+    @pytest.mark.parametrize("name", list(KNOBS))
+    def test_every_knob_resolves_with_one_precedence(self, name,
+                                                     monkeypatch, tmp_path):
+        """explicit > session > env > default; empty env = unset; a
+        malformed env value names its variable."""
+        knob = KNOBS[name]
+        assert name in {f.name for f in dataclasses.fields(RuntimeOptions)}
+        env, session, explicit, malformed = LEVELS[name]
+        if name == "trace":
+            (tmp_path / "file").write_text("")
+            env, session, explicit, malformed = (
+                str(tmp_path / leaf)
+                for leaf in (env, session, explicit, malformed))
+        monkeypatch.delenv(knob.env, raising=False)
+        assert resolve(name) == knob.default
+        monkeypatch.setenv(knob.env, "")
+        assert resolve(name) == knob.default
+        monkeypatch.setenv(knob.env, env)
+        assert resolve(name) == knob.type(env)
+        with using(**{name: session}):
+            assert resolve(name) == session
+            assert resolve(name, explicit) == explicit
+        monkeypatch.setenv(knob.env, malformed)
+        with pytest.raises(RuntimeOptionError,
+                           match=re.escape(f"${knob.env}")) as excinfo:
+            resolve(name)
+        assert isinstance(excinfo.value, ConfigError)
+        assert isinstance(excinfo.value, SimulationError)
+        assert knob.flag in str(excinfo.value)
+
 
 class TestDeprecatedShims:
     def test_set_default_backend_not_deprecated(self,
@@ -173,11 +240,16 @@ class TestInputErrors:
         with pytest.raises(ConfigError, match="valid: backend"):
             RuntimeOptions().replace(episode_batch=False)
 
-    @pytest.mark.parametrize("field", ["shards", "stream_budget"])
-    @pytest.mark.parametrize("value", ["3", 2.0, True])
+    @pytest.mark.parametrize("field, value", [
+        *(pytest.param(field, value, id=f"{value}-{field}")
+          for value in ("3", 2.0, True)
+          for field in ("shards", "stream_budget")),
+        pytest.param("trace", 5, id="5-trace"),
+        pytest.param("chaos", 7, id="7-chaos"),
+    ])
     def test_non_int_counts_rejected(self, field, value):
         kwargs = {field: value}
         if field == "shards":
             kwargs["fault_backend"] = "sharded"
-        with pytest.raises(ConfigError, match=f"{field} must be an int"):
+        with pytest.raises(ConfigError, match=f"{field} must be an? "):
             RuntimeOptions(**kwargs)
