@@ -36,7 +36,6 @@ deterministic.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 
 import numpy as np
@@ -172,36 +171,20 @@ def generate_tests(design: ScanDesign,
     (``None`` = session default / ``$REPRO_STREAM_BUDGET``, ``0`` off);
     streaming is bit-identical, so the test set never depends on it.
 
-    When the resolved fault engine is a sharding meta-backend that
-    would actually split this circuit's collapsed universe, the inner
-    fault-simulation loop runs against the process-wide shared worker
-    pool (:func:`repro.campaign.pool.ensure_shared_pool`) by default:
-    ATPG makes many fault-simulation calls on the same circuit, and
-    live workers with interned plan caches beat a fresh fork per call.
-    An explicitly attached pool, or an already active shared pool, is
-    honoured as-is.
+    A ``sharded`` fault engine dispatches every call that splits on its
+    attached pool, else on the process-wide shared worker pool
+    (:func:`repro.campaign.pool.ensure_shared_pool`): ATPG makes many
+    fault-simulation calls on the same circuit, and the live workers
+    keep their interned plan caches across them.
     """
     config = config or AtpgConfig()
-    from repro.simulation.backends import (
-        ShardedBackend,
-        resolve_fault_backend,
-    )
+    from repro.simulation.backends import resolve_fault_backend
     engine = resolve_fault_backend(
         fault_backend if fault_backend is not None else backend)
     circuit = design.circuit
     universe = collapse_faults(circuit, all_faults(circuit))
-    pool_ctx: contextlib.AbstractContextManager = contextlib.nullcontext()
-    if isinstance(engine, ShardedBackend) and engine.pool is None \
-            and engine.effective_shards(len(universe)) > 1:
-        from repro.campaign.pool import (
-            active_shared_pool,
-            ensure_shared_pool,
-        )
-        if active_shared_pool() is None:
-            pool_ctx = engine.using_pool(ensure_shared_pool())
-    with pool_ctx:
-        session = FaultSimSession(circuit, engine, stream_budget=stream_budget)
-        return _generate_tests(design, config, universe, session)
+    session = FaultSimSession(circuit, engine, stream_budget=stream_budget)
+    return _generate_tests(design, config, universe, session)
 
 
 def _generate_tests(design: ScanDesign, config: AtpgConfig,

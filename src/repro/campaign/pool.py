@@ -15,11 +15,12 @@ interpreter warm-up.  On fork platforms the children additionally
 inherit every cache the parent had populated at start time
 (copy-on-write).
 
-A process-wide *shared* pool can be installed with
-:func:`ensure_shared_pool`; consumers that can profit from live workers
-but cannot carry a pool through their configuration (notably
-:class:`~repro.simulation.backends.ShardedBackend`, whose config
-travels as plain JSON) pick it up via :func:`active_shared_pool`.
+A process-wide *shared* pool is started by :func:`ensure_shared_pool`;
+consumers that cannot carry a pool through their configuration (notably
+:class:`~repro.simulation.backends.ShardedBackend`, whose config travels
+as plain JSON) dispatch on it, so every sharded call in a process reuses
+the same live workers.  A pool worker that starts its own shared pool
+(a sharded flow running as a campaign job) closes it before it exits.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import multiprocessing
 import multiprocessing.util  # noqa: F401  (see _close_live_pools)
 import os
 import pickle
+import threading
 import traceback
 from collections.abc import Callable, Iterable
 from typing import Any
@@ -101,6 +103,13 @@ def _worker_main(task_queue, result_queue,
     instant later (``mp.Queue``'s feeder thread would lose it to a
     hard ``os._exit``, degrading every crash to the slow bulk
     re-dispatch fallback).
+
+    A task may have started this worker's own shared pool (a sharded
+    engine inside a campaign job); it is closed before the worker
+    returns.  Otherwise ``multiprocessing``'s exit handler would join
+    the nested pool's non-daemonic workers, which still wait for their
+    sentinel, and the worker would hang until its own pool's
+    :meth:`WorkerPool.close` timed out and killed it.
     """
     if initializer is not None:
         initializer()
@@ -114,28 +123,31 @@ def _worker_main(task_queue, result_queue,
     # respawned fork would replay the exact draw that killed its
     # predecessor and crash-loop the pool deterministically.
     chaos.rescope(name)
-    while True:
-        job = task_queue.get()
-        if job is None:
-            break
-        epoch, idx, fn, arg, ctx = pickle.loads(job)
-        result_queue.put(pickle.dumps(("start", epoch, idx, name)))
-        try:
-            # Injected after the announcement: a chaos-killed task is
-            # always precisely recoverable by the map supervisor.
-            chaos.point("pool.task.kill")
-            chaos.point("pool.task.hang")
-            chaos.point("pool.task.slow")
-            with using_context(ctx), span("pool.task", task=idx):
-                result = fn(arg)
-            payload = pickle.dumps(
-                ("done", epoch, idx, True, result, name))
-        except BaseException as exc:  # noqa: BLE001 - relayed to parent
-            payload = pickle.dumps(
-                ("done", epoch, idx, False,
-                 f"{type(exc).__name__}: {exc}\n"
-                 f"{traceback.format_exc()}", name))
-        result_queue.put(payload)
+    try:
+        while True:
+            job = task_queue.get()
+            if job is None:
+                break
+            epoch, idx, fn, arg, ctx = pickle.loads(job)
+            result_queue.put(pickle.dumps(("start", epoch, idx, name)))
+            try:
+                # Injected after the announcement: a chaos-killed task
+                # is always precisely recoverable by the map supervisor.
+                chaos.point("pool.task.kill")
+                chaos.point("pool.task.hang")
+                chaos.point("pool.task.slow")
+                with using_context(ctx), span("pool.task", task=idx):
+                    result = fn(arg)
+                payload = pickle.dumps(
+                    ("done", epoch, idx, True, result, name))
+            except BaseException as exc:  # noqa: BLE001 - relayed
+                payload = pickle.dumps(
+                    ("done", epoch, idx, False,
+                     f"{type(exc).__name__}: {exc}\n"
+                     f"{traceback.format_exc()}", name))
+            result_queue.put(payload)
+    finally:
+        shutdown_shared_pool()
     _trace_flush()
 
 
@@ -218,6 +230,9 @@ class WorkerPool:
         self._spawned = 0   # worker name counter (unique across respawns)
         self._restarts = 0  # respawns performed (pool lifetime)
         self._epoch = 0     # map generation tag
+        # One map at a time: concurrent maps from two threads would
+        # each discard the other's results as stale and hang.
+        self._map_lock = threading.RLock()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -320,6 +335,9 @@ class WorkerPool:
             ) -> list[Any]:
         """Run ``fn`` over ``items`` on the workers; ordered results.
 
+        Thread-safe: maps from several threads (the artifact service
+        computes artefacts on worker threads) run one after another.
+
         Results are returned in submission order regardless of worker
         scheduling.  ``on_result(index, result)`` fires as each result
         arrives (out of order) — campaign runners use it to checkpoint
@@ -341,6 +359,12 @@ class WorkerPool:
         addressed campaign jobs, pure fault-simulation shards).  Only
         an exhausted restart budget closes the pool and raises.
         """
+        with self._map_lock:
+            return self._map(fn, items, on_result)
+
+    def _map(self, fn: Callable[[Any], Any], items: Iterable[Any],
+             on_result: Callable[[int, Any], None] | None
+             ) -> list[Any]:
         self.start()
         items = list(items)
         if not items:
@@ -468,6 +492,18 @@ class WorkerPool:
 # ---------------------------------------------------------------------- #
 
 _SHARED: WorkerPool | None = None
+_SHARED_LOCK = threading.Lock()
+
+
+def _reset_shared_lock() -> None:
+    # A fork can happen while another thread holds the lock; the child
+    # must not inherit it held.
+    global _SHARED_LOCK
+    _SHARED_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
+    os.register_at_fork(after_in_child=_reset_shared_lock)
 
 
 def ensure_shared_pool(processes: int | None = None) -> WorkerPool:
@@ -475,25 +511,30 @@ def ensure_shared_pool(processes: int | None = None) -> WorkerPool:
 
     An existing shared pool is reused as-is even if ``processes``
     differs — resizing would silently drop warmed workers; call
-    :func:`shutdown_shared_pool` first to change the size.
+    :func:`shutdown_shared_pool` first to change the size.  A shared
+    pool inherited across fork belongs to the parent: this process
+    drops its references to it and starts its own.
     """
     global _SHARED
-    if _SHARED is None:
-        _SHARED = WorkerPool(processes=processes)
-    return _SHARED.start()
+    with _SHARED_LOCK:
+        if _SHARED is not None and _SHARED.started and not _SHARED.owned:
+            _SHARED.close()  # drops the local references only
+            _SHARED = None
+        if _SHARED is None:
+            _SHARED = WorkerPool(processes=processes)
+        return _SHARED.start()
 
 
 def active_shared_pool() -> WorkerPool | None:
     """The shared pool if one is started *by this process*, else
     ``None``.
 
-    Never starts a pool: consumers (e.g. the sharded fault backend)
-    only *opportunistically* reuse live workers someone else owns.
-    The ownership check matters under fork: a pool worker inherits the
-    parent's started pool object, and dispatching into it from the
-    child would corrupt the parent's in-flight map — inherited pools
-    are therefore invisible here (the child falls back to its own
-    per-call workers).
+    Never starts a pool (the sharded backend sizes itself by it
+    without committing to a dispatch).  The ownership check matters
+    under fork: a pool worker inherits the parent's started pool
+    object, and dispatching into it from the child would corrupt the
+    parent's in-flight map — inherited pools are therefore invisible
+    here, and :func:`ensure_shared_pool` starts the child its own.
     """
     if _SHARED is not None and _SHARED.owned:
         return _SHARED
@@ -503,6 +544,7 @@ def active_shared_pool() -> WorkerPool | None:
 def shutdown_shared_pool() -> None:
     """Close and forget the shared pool (no-op when absent)."""
     global _SHARED
-    if _SHARED is not None:
-        _SHARED.close()
-        _SHARED = None
+    with _SHARED_LOCK:
+        if _SHARED is not None:
+            _SHARED.close()
+            _SHARED = None

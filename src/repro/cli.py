@@ -23,6 +23,7 @@ to the serial path.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 
@@ -278,7 +279,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A reader that closes stdout early (``repro-power list | head -1``)
+    ends the run with exit code 1 and no traceback.  Stdout is then
+    pointed at ``os.devnull`` (the recipe of Python's ``signal`` docs),
+    so the interpreter's final flush cannot raise again.
+    """
+    try:
+        code = _main(argv)
+        sys.stdout.flush()  # surface a broken pipe here, not at exit
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+
+
+def _main(argv: Sequence[str] | None) -> int:
     args = _build_parser().parse_args(argv)
 
     from repro.errors import ConfigError

@@ -8,9 +8,10 @@ this package reports into:
   is enabled (``--trace DIR`` / ``$REPRO_TRACE`` /
   ``RuntimeOptions.trace``) every finished span is appended to a
   per-process JSONL file under the trace directory, carrying trace and
-  span IDs that stitch pool/fork/spawn shard workers and ``repro-power
-  worker`` processes into one tree.  When tracing is off (the default)
-  a span is two ``time.monotonic()`` calls and nothing is written.
+  span IDs that stitch pool workers (campaign jobs and sharded engine
+  tasks) and ``repro-power worker`` processes into one tree.  When
+  tracing is off (the default) a span is two ``time.monotonic()``
+  calls and nothing is written.
 
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
   gauges and fixed-bucket histograms with JSON and Prometheus
@@ -46,7 +47,6 @@ from repro.obs.trace import (
     sync_from_session,
     trace_dir,
     traced,
-    traced_task,
     tracing_enabled,
     using_context,
 )
@@ -74,7 +74,6 @@ __all__ = [
     "sync_from_session",
     "trace_dir",
     "traced",
-    "traced_task",
     "tracing_enabled",
     "using_context",
 ]

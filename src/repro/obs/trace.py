@@ -31,9 +31,10 @@ the shipping span and carry the same trace ID.  Fork workers need no
 payload at all: the trace configuration and the forking thread's open
 span stack are inherited copy-on-write, and an ``os.register_at_fork``
 hook resets the child's output file and drops the parent's unflushed
-buffer so nothing is written twice.  One campaign — pool, fork, spawn
-and ``repro-power worker`` processes included — therefore yields a
-single stitched tree under one directory, summarized by
+buffer so nothing is written twice.  One campaign — fork- or
+spawn-started pool workers and ``repro-power worker`` processes
+included — therefore yields a single stitched tree under one
+directory, summarized by
 :func:`summarize_trace` / ``repro-power trace summarize DIR``.
 
 Span record schema (one JSONL line)::
@@ -76,7 +77,6 @@ __all__ = [
     "sync_from_session",
     "trace_dir",
     "traced",
-    "traced_task",
     "tracing_enabled",
     "using_context",
 ]
@@ -295,38 +295,6 @@ def record_event(name: str, dur_s: float, **attrs: Any) -> None:
         "attrs": attrs,
     }
     _record(record, root_done=not stack)
-
-
-class _TracedTask:
-    """Picklable task wrapper carrying the sender's trace context.
-
-    Wraps a module-level worker function for ``multiprocessing`` maps:
-    the receiving process adopts the shipped context (joining the
-    sender's trace), runs the task under a named span and flushes its
-    span file before returning (``multiprocessing`` children cannot be
-    relied on to run ``atexit`` hooks).  When tracing is off the
-    shipped context is ``None`` and the wrapper is a plain call.
-    """
-
-    __slots__ = ("fn", "context", "name")
-
-    def __init__(self, fn: Any, context: Mapping[str, Any] | None,
-                 name: str):
-        self.fn = fn
-        self.context = context
-        self.name = name
-
-    def __call__(self, item: Any) -> Any:
-        with using_context(self.context):
-            with span(self.name):
-                result = self.fn(item)
-        flush()
-        return result
-
-
-def traced_task(fn: Any, name: str = "shard.worker") -> Any:
-    """Wrap ``fn`` so worker processes executing it join this trace."""
-    return _TracedTask(fn, propagation_context(), name)
 
 
 def traced(name: str, **attrs: Any):

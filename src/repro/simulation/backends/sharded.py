@@ -31,45 +31,36 @@ Determinism guarantees:
   concatenated waveforms never depend on the chunk count either.
 
 Short fault lists (below ``min_faults_per_shard`` per worker) run inline
-on ``numpy``: forking costs more than it saves there, and the result is
-identical by construction.
+on ``numpy``: dispatch costs more than it saves there, and the result is
+identical by construction.  The inline path never starts a pool.
 
 Every sharded operation builds one *job* — a fault slice on the full
 stimulus, a fault slice streamed over pattern windows, all faults on
 one word-aligned pattern window, or one episode cycle chunk — and hands
-it with its shard bounds to one scatter, :meth:`ShardedBackend._scatter`,
-which picks the transport in precedence order:
-
-1. a persistent :class:`~repro.campaign.pool.WorkerPool` — the caller's
-   (``pool=`` at construction, or temporarily via
-   :meth:`ShardedBackend.using_pool`), else a started process-wide
-   shared pool (:func:`repro.campaign.pool.ensure_shared_pool`).  Each
-   task ships its pre-sliced job; workers (:func:`_run_shard`) intern
-   the circuit by content fingerprint so their per-circuit plan caches
-   keep hitting across calls;
-2. a per-call fork pool, only where fork is the platform's default start
-   method: the parent warms the plan caches (and, for a fault slice on
-   the full stimulus, settles the fault-free state) and workers
-   (:func:`_run_fork_shard`) inherit the whole job copy-on-write, so
-   nothing is pickled per task;
-3. a per-call spawn pool otherwise (macOS, Windows), shipping pre-sliced
-   jobs like the persistent pool.
+it with its shard bounds to one scatter, :meth:`ShardedBackend._scatter`.
+The scatter runs on a persistent :class:`~repro.campaign.pool.WorkerPool`:
+the caller's (``pool=`` at construction), else the process-wide shared
+pool (:func:`repro.campaign.pool.ensure_shared_pool`, started on first
+use and reused by every later call).  Each task ships its pre-sliced job
+and the circuit's content fingerprint; workers (:func:`_run_shard`)
+intern the circuit by that fingerprint, so their per-circuit plan caches
+keep hitting across calls.  The pool's own start method decides how
+workers start (fork on Linux, spawn on macOS and Windows); the call that
+starts the shared pool first seeds the intern table with its circuit, so
+fork-started workers inherit the plan caches the parent already holds.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from collections import OrderedDict
-from collections.abc import Callable, Iterator, Mapping, Sequence
-from multiprocessing import get_context, get_start_method
+from collections.abc import Mapping, Sequence
 from typing import TYPE_CHECKING, Any
 
 from repro.cells.library import CellLibrary
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
-from repro.obs.trace import span, traced_task
+from repro.obs.trace import span
 from repro.runtime import KNOBS, resolve
 from repro.simulation.backends.base import Backend, SimState
 from repro.simulation.streaming import (
@@ -90,7 +81,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.atpg.faults import Fault
     from repro.atpg.faultsim import FaultSimResult
     from repro.campaign.pool import WorkerPool
-    from repro.simulation.backends.numpy_backend import NumpyState
     from repro.simulation.episode import EpisodeBatchResult, EpisodePlan
     from repro.simulation.fault_episode import FaultEpisodePlan
 
@@ -133,12 +123,8 @@ def _slice(job: tuple, bounds: tuple[int, int]) -> tuple:
     return (kind, circuit, faults, words, stop - start, option)
 
 
-def _run(job: tuple, state: "NumpyState | None" = None) -> Any:
-    """Run one sliced job on ``numpy`` and return its merge part.
-
-    ``state`` is the settled fault-free state a forked ``_FAULTS``
-    worker inherits; the fault slice then replays on it directly.
-    """
+def _run(job: tuple) -> Any:
+    """Run one sliced job on ``numpy`` and return its merge part."""
     from repro.simulation.backends import get_backend
     kind, circuit, faults, stimulus, n, option = job
     engine = get_backend("numpy")
@@ -147,11 +133,6 @@ def _run(job: tuple, state: "NumpyState | None" = None) -> Any:
     if kind == _STREAM:
         store = PlanByteStore.from_bytes(stimulus, n)
         return stream_fault_words(engine, circuit, faults, store, n, option)
-    if state is not None:
-        from repro.simulation.backends.fault_kernel import (
-            fault_simulate_matrix,
-        )
-        return fault_simulate_matrix(state, faults, drop=option)
     return engine.fault_simulate_batch(circuit, faults, stimulus, n,
                                        drop=option)
 
@@ -189,55 +170,37 @@ def _episode_chunk_result(backend: Backend, circuit: Circuit,
                                       leakage, keep)
 
 
-#: Worker-side circuit intern table for the persistent-pool path.
-#: Every call ships a freshly unpickled circuit copy; the per-circuit
-#: plan/schedule caches key on object identity, so without interning a
-#: persistent worker would rebuild cone plans on every call.  Keyed by
-#: content fingerprint, bounded LRU.
+#: Worker-side circuit intern table.  Every task ships a freshly
+#: unpickled circuit copy; the per-circuit plan/schedule caches key on
+#: object identity, so without interning a persistent worker would
+#: rebuild cone plans on every call.  Keyed by content fingerprint,
+#: bounded LRU.
 _INTERN_MAX = 8
 _INTERNED_CIRCUITS: "OrderedDict[str, Circuit]" = OrderedDict()
 
 
 def _interned_circuit(circuit: Circuit, fingerprint: str) -> Circuit:
     cached = _INTERNED_CIRCUITS.get(fingerprint)
-    if cached is None:
+    # A seeded dispatcher circuit may have been edited since it was
+    # interned; it then no longer stands for this fingerprint.
+    if cached is None or cached.fingerprint() != fingerprint:
         _INTERNED_CIRCUITS[fingerprint] = cached = circuit
         while len(_INTERNED_CIRCUITS) > _INTERN_MAX:
             _INTERNED_CIRCUITS.popitem(last=False)
-    else:
-        _INTERNED_CIRCUITS.move_to_end(fingerprint)
+    _INTERNED_CIRCUITS.move_to_end(fingerprint)
     return cached
 
 
-def _run_shard(task: tuple[str | None, tuple]) -> Any:
-    """Pool/spawn worker entry point: ``task`` is ``(fingerprint, job)``.
+def _run_shard(task: tuple[str, tuple]) -> Any:
+    """Pool worker entry point: ``task`` is ``(fingerprint, job)``.
 
-    The job arrives already sliced to this task.  A fingerprint (set on
-    the persistent-pool transport) interns the circuit, so the worker's
-    plan caches survive across calls; per-call spawn workers live for
-    one call and get ``None``.
+    The job arrives already sliced to this task; the fingerprint
+    interns the circuit, so the worker's plan caches survive across
+    calls.
     """
     fingerprint, job = task
-    if fingerprint is not None:
-        job = (job[0], _interned_circuit(job[1], fingerprint)) + job[2:]
+    job = (job[0], _interned_circuit(job[1], fingerprint)) + job[2:]
     return _run(job)
-
-
-#: Fork-transport ``(job, settled state or None)`` shared with workers
-#: by inheritance instead of pickling.  Children see the parent's
-#: warmed schedule / fault-plan caches (and the settled fault-free
-#: state of a ``_FAULTS`` job) copy-on-write, so a shard only pays for
-#: its own slice of the work.  Set strictly around the ``Pool``
-#: construction; not thread-safe (the simulation substrate is
-#: process-parallel, not thread-parallel).
-_FORK_JOB: tuple | None = None
-
-
-def _run_fork_shard(bounds: tuple[int, int]) -> Any:
-    """Fork worker entry point: slice the inherited job by ``bounds``."""
-    assert _FORK_JOB is not None
-    job, state = _FORK_JOB
-    return _run(_slice(job, bounds), state)
 
 
 class ShardedBackend(Backend):
@@ -248,18 +211,18 @@ class ShardedBackend(Backend):
     shards:
         Worker count; ``None`` resolves the ``shards`` knob of
         :mod:`repro.runtime` at call time (session, then
-        ``$REPRO_SIM_SHARDS``), falling back to the shared pool's size,
-        else ``os.cpu_count()``.
+        ``$REPRO_SIM_SHARDS``), falling back to the attached pool's
+        size, else the started shared pool's size, else
+        :func:`repro.campaign.pool.default_pool_size`.
     min_faults_per_shard:
         Never split below this many faults per worker; lists smaller
         than two shards' worth run inline on ``numpy``.
     pool:
         Externally owned persistent :class:`~repro.campaign.pool.
-        WorkerPool`; shard dispatch then reuses its live workers
-        instead of forking a fresh pool per call.  The caller owns the
-        pool's lifetime.  When unset, a started process-wide shared
-        pool (:func:`repro.campaign.pool.ensure_shared_pool`) is picked
-        up opportunistically.
+        WorkerPool` every shard dispatch runs on.  The caller owns the
+        pool's lifetime.  When unset, dispatch runs on the process-wide
+        shared pool (:func:`repro.campaign.pool.ensure_shared_pool`),
+        started on the first call that splits.
     episode_budget:
         ``uint64``-element budget of one episode chunk's state matrix
         (lines x words); plans whose whole matrix fits run inline on
@@ -285,27 +248,6 @@ class ShardedBackend(Backend):
         self.episode_budget = episode_budget if episode_budget is not None \
             else _EPISODE_ELEMENT_BUDGET
 
-    @contextlib.contextmanager
-    def using_pool(self, pool: "WorkerPool") -> Iterator["ShardedBackend"]:
-        """Temporarily dispatch shards through ``pool``.
-
-        Restores the previous pool (usually ``None``) on exit; the
-        pool itself is not closed — the caller owns it.
-        """
-        previous = self.pool
-        self.pool = pool
-        try:
-            yield self
-        finally:
-            self.pool = previous
-
-    def _resolve_pool(self) -> "WorkerPool | None":
-        """The pool shard dispatch should use, if any."""
-        if self.pool is not None:
-            return self.pool
-        from repro.campaign.pool import active_shared_pool
-        return active_shared_pool()
-
     # ------------------------------------------------------------------ #
     # plain packed simulation: pure delegation
     # ------------------------------------------------------------------ #
@@ -326,62 +268,29 @@ class ShardedBackend(Backend):
     # the one scatter
     # ------------------------------------------------------------------ #
 
-    def _scatter(self, job: tuple, bounds: Sequence[tuple[int, int]],
-                 processes: int,
-                 good_state: "Callable[[], SimState] | None" = None
+    def _scatter(self, job: tuple, bounds: Sequence[tuple[int, int]]
                  ) -> list:
         """Run ``job`` once per shard bounds; parts in bounds order.
 
-        Transports in precedence order (see the module docstring): a
-        persistent pool, fork where it is the platform default (merely
-        *available* fork — e.g. macOS, where spawn is the default
-        because fork-without-exec is unsafe under Accelerate/ObjC — is
-        not enough), else spawn.  Pool and spawn tasks ship pre-sliced
-        jobs; fork workers inherit the whole job.  ``good_state`` (a
-        thunk) supplies the settled fault-free state a forked
-        ``_FAULTS`` job replays its slices on.
+        Dispatches on the attached pool, else on the shared pool
+        (started here on first use).  Every task ships its pre-sliced
+        job with the circuit fingerprint, so workers intern the circuit.
         """
-        pool = self._resolve_pool()
-        if pool is not None:
-            fingerprint = job[1].fingerprint()
-            return pool.map(_run_shard, [(fingerprint, _slice(job, b))
-                                         for b in bounds])
-        if get_start_method(allow_none=False) == "fork":
-            # Pay the shared work (fanout cones, levelized schedule, the
-            # fault-free simulation) once here instead of once per
-            # worker per call.
-            self._warm_parent_caches(job)
-            state = good_state() if good_state is not None else None
-            global _FORK_JOB
-            _FORK_JOB = (job, state)
-            try:
-                with get_context("fork").Pool(processes=processes) as mp:
-                    return mp.map(traced_task(_run_fork_shard), bounds)
-            finally:
-                _FORK_JOB = None
-        tasks = [(None, _slice(job, b)) for b in bounds]
-        with get_context("spawn").Pool(processes=processes) as mp:
-            return mp.map(traced_task(_run_shard), tasks)
-
-    @staticmethod
-    def _warm_parent_caches(job: tuple) -> None:
-        """Populate per-circuit caches the forked workers will inherit.
-
-        Cone extraction dominates the fault kernel's cold-start cost and
-        is identical for every worker, so paying it (and the levelized
-        schedule) once in the parent, memoized across calls, turns each
-        fork into pure kernel work.
-        """
-        from repro.simulation.schedule import cached_schedule
-        _kind, circuit, faults = job[:3]
-        cached_schedule(circuit)
-        if faults is not None:
-            from repro.simulation.backends.fault_kernel import (
-                cached_fault_plan,
+        fingerprint = job[1].fingerprint()
+        pool = self.pool
+        if pool is None:
+            from repro.campaign.pool import (
+                active_shared_pool,
+                ensure_shared_pool,
             )
-            plan = cached_fault_plan(circuit)
-            for line in {fault.line for fault in faults}:
-                plan.cone_rows(line)
+            if active_shared_pool() is None:
+                # Fork-started workers inherit the intern table: seeded
+                # with this circuit, they reuse the plan caches it
+                # already holds instead of rebuilding them per slice.
+                _interned_circuit(job[1], fingerprint)
+            pool = ensure_shared_pool(self.configured_shards())
+        return pool.map(_run_shard, [(fingerprint, _slice(job, b))
+                                     for b in bounds])
 
     # ------------------------------------------------------------------ #
     # pattern/cycle-axis sharded episode simulation
@@ -442,7 +351,7 @@ class ShardedBackend(Backend):
                (collect_leakage, keep_waveforms, budget))
         with span("shard.scatter", axis="cycle", chunks=len(bounds),
                   processes=processes):
-            parts = self._scatter(job, bounds, processes)
+            parts = self._scatter(job, bounds)
         with span("shard.merge", axis="cycle", chunks=len(bounds)):
             return self._merge_episode(plan, bounds, parts, library,
                                        collect_leakage, keep_waveforms)
@@ -499,14 +408,15 @@ class ShardedBackend(Backend):
     # ------------------------------------------------------------------ #
 
     def configured_shards(self) -> int:
-        """The configured worker count (argument, session, env, pool or
-        CPU count)."""
+        """The configured worker count: the ``shards`` knob, else the
+        attached pool's size, else the started shared pool's size, else
+        the usable CPU count.  Never starts a pool."""
         shards = resolve("shards", self.shards)
-        if shards is None:
-            pool = self._resolve_pool()
-            shards = pool.processes if pool is not None \
-                else os.cpu_count() or 1
-        return shards
+        if shards is not None:
+            return shards
+        from repro.campaign.pool import active_shared_pool, default_pool_size
+        pool = self.pool or active_shared_pool()
+        return pool.processes if pool is not None else default_pool_size()
 
     def effective_shards(self, n_faults: int) -> int:
         """Worker count actually used for ``n_faults`` faults."""
@@ -560,51 +470,39 @@ class ShardedBackend(Backend):
                                                  stream_budget=budget or 0)
             return self._shard_fault_axis(
                 plan.circuit, list(plan.faults), dict(plan.input_words),
-                plan.n, drop, n_shards,
-                good_state=lambda: plan.good_state(inner),
-                stream_budget=budget)
+                plan.n, drop, n_shards, stream_budget=budget)
         n_shards = min(self.configured_shards(), plan.n_words)
         if budget is not None:
             needed = -(plan.state_elements() // -budget)
             n_shards = min(plan.n_words, max(n_shards, needed))
         if n_shards <= 1 or plan.n_faults < self.min_faults_per_shard:
             # Tiny matrices (or single-word pattern sets) run inline:
-            # forking costs more than the window work saves.
+            # dispatch costs more than the window work saves.
             return inner.fault_simulate_plan(plan, drop=drop,
                                              stream_budget=budget or 0)
         return self._shard_pattern_axis(plan, drop, n_shards)
 
     def _shard_fault_axis(self, circuit: Circuit, faults: "list[Fault]",
                           words: dict[str, int], n: int, drop: bool,
-                          n_shards: int,
-                          good_state: "Callable[[], SimState] | None" = None,
-                          stream_budget: int | None = None
+                          n_shards: int, stream_budget: int | None = None
                           ) -> FaultSimResult:
         """Contiguous fault-list shards over workers (stable merge).
 
-        ``good_state`` (a thunk) supplies the settled state for the fork
-        transport; plan-based calls pass the plan's memoized state so
-        repeated dispatches on the same stimulus never re-simulate the
-        good machine.  A set ``stream_budget`` makes every worker replay
-        its slice window-by-window under the budget instead (drop-free
-        windows, OR-folded — bit-identical in both drop modes), so no
-        process ever holds the full good machine or its slice's
-        detection matrix; the memoized state is deliberately bypassed —
-        it *is* the resident matrix streaming avoids.
+        A set ``stream_budget`` makes every worker replay its slice
+        window-by-window under the budget (drop-free windows, OR-folded
+        — bit-identical in both drop modes), so no process ever holds
+        the full good machine or its slice's detection matrix.
         """
         bounds = shard_bounds(len(faults), n_shards)
-        settle: "Callable[[], SimState] | None" = None
         if stream_budget is None:
             axis = "fault"
             job = (_FAULTS, circuit, faults, words, n, drop)
-            settle = good_state or (
-                lambda: self._inner().run(circuit, words, n))
         else:
             axis = "fault-stream"
             job = (_STREAM, circuit, faults, plan_byte_map(words, n), n,
                    stream_budget)
         with span("shard.scatter", axis=axis, shards=len(bounds)):
-            parts = self._scatter(job, bounds, len(bounds), settle)
+            parts = self._scatter(job, bounds)
         with span("shard.merge", axis=axis, shards=len(bounds)):
             return self._merge(parts)
 
@@ -629,7 +527,7 @@ class ShardedBackend(Backend):
                plan_byte_map(plan.input_words, plan.n), plan.n, drop)
         with span("shard.scatter", axis="pattern", windows=len(bounds),
                   processes=processes):
-            parts = self._scatter(job, bounds, processes)
+            parts = self._scatter(job, bounds)
         with span("shard.merge", axis="pattern", windows=len(bounds)):
             return self._merge_pattern_axis(faults, bounds, parts)
 

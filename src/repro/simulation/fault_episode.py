@@ -85,10 +85,11 @@ class FaultEpisodePlan:
         Pattern count.
 
     The plan memoizes the fault-free ("good machine") simulation per
-    backend, so every engine — and every tile and shard within one
-    engine — reuses one settled state instead of re-simulating per
-    call.  Plans are never pickled: sharded dispatch ships raw
-    components (or inherits the plan copy-on-write on the fork path).
+    backend, so every engine — and every tile within one engine —
+    reuses one settled state instead of re-simulating per call.  Plans
+    are never pickled: sharded dispatch ships raw components (a fault
+    slice and the stimulus) to pool workers, which settle their own
+    slice's state.
     """
 
     def __init__(self, circuit: Circuit, faults: "Sequence[Fault]",

@@ -178,8 +178,8 @@ class PlanByteStore:
     @classmethod
     def from_bytes(cls, byte_map: Mapping[str, bytes],
                    n_cycles: int) -> "PlanByteStore":
-        """Wrap an existing byte map (e.g. one inherited copy-on-write
-        by a forked shard worker) without re-packing or spilling."""
+        """Wrap an existing byte map (e.g. one shipped to a shard
+        worker) without re-packing or spilling."""
         store = cls.__new__(cls)
         store.n_cycles = n_cycles
         store._n_bytes = (n_cycles + 7) // 8

@@ -32,6 +32,20 @@ def _reset_session_runtime_options():
     set_session_defaults(RuntimeOptions())
 
 
+@pytest.fixture(autouse=True)
+def _shutdown_shared_pool():
+    """Close the process-wide shared worker pool after every test.
+
+    A pool-less ``sharded`` backend that splits a fault list starts the
+    shared pool and leaves it running for later calls; without this
+    teardown a pool forked in one test would serve later tests and make
+    the suite order-dependent.
+    """
+    yield
+    from repro.campaign.pool import shutdown_shared_pool
+    shutdown_shared_pool()
+
+
 @pytest.fixture
 def s27():
     """The real ISCAS89 s27 circuit (4 PI, 1 PO, 3 DFF)."""

@@ -3,11 +3,11 @@
 Bit-identity of the sharded results is pinned by the differential
 property suite (``tests/properties/test_backend_diff.py``); these tests
 cover the machinery around it: partitioning, shard-count resolution,
-inline fast path, delegation of plain packed simulation, the spawn
-transport and the size of the task payloads.
+inline fast path, delegation of plain packed simulation, pool
+dispatch (including a spawn-started pool) and the size of the task
+payloads.
 """
 
-import multiprocessing
 import pickle
 
 import pytest
@@ -174,16 +174,14 @@ class TestPooledDispatch:
 
     def test_pooled_dispatch_does_not_fork_per_call(self, s27_mapped,
                                                     pool, monkeypatch):
-        # with a pool attached, no per-call fork or spawn pool may be
-        # built and the fork entry point must never run
-        import repro.simulation.backends.sharded as sharded_mod
+        # with a pool attached, the attached pool is the only pool used:
+        # the shared pool must never be reached
+        import repro.campaign.pool as pool_mod
 
         def boom(*args):  # pragma: no cover - must not run
-            raise AssertionError("per-call pool was constructed")
+            raise AssertionError("another pool was started")
 
-        monkeypatch.setattr(sharded_mod, "get_context", boom)
-        monkeypatch.setattr(sharded_mod, "get_start_method", boom)
-        monkeypatch.setattr(sharded_mod, "_run_fork_shard", boom)
+        monkeypatch.setattr(pool_mod, "ensure_shared_pool", boom)
         faults, words = self._fault_job(s27_mapped)
         backend = ShardedBackend(shards=2, min_faults_per_shard=4,
                                  pool=pool)
@@ -191,45 +189,58 @@ class TestPooledDispatch:
                                               words, 64)
         assert result.n_detected > 0
 
-    def test_using_pool_context_restores(self, pool):
-        backend = ShardedBackend()
-        assert backend.pool is None
-        with backend.using_pool(pool) as bound:
-            assert bound is backend
-            assert backend.pool is pool
-        assert backend.pool is None
-
     def test_effective_shards_defaults_to_pool_size(self, pool,
                                                     monkeypatch):
         monkeypatch.delenv(DEFAULT_SHARDS_ENV, raising=False)
         backend = ShardedBackend(min_faults_per_shard=1, pool=pool)
         assert backend.effective_shards(100) == pool.processes
 
-    def test_shared_pool_picked_up(self, monkeypatch):
+    def test_shared_pool_picked_up(self, s27_mapped):
         from repro.campaign.pool import (
-            ensure_shared_pool,
+            active_shared_pool,
             shutdown_shared_pool,
         )
-        backend = ShardedBackend()
-        assert backend._resolve_pool() is None
-        try:
-            shared = ensure_shared_pool(processes=1)
-            assert backend._resolve_pool() is shared
-        finally:
-            shutdown_shared_pool()
-        assert backend._resolve_pool() is None
+        shutdown_shared_pool()
+        faults, words = self._fault_job(s27_mapped)
+        ref = fault_simulate(s27_mapped, faults, words, 64,
+                             backend="bigint")
+        # an inline-sized list starts no pool, and sizing never does
+        inline = ShardedBackend(shards=2, min_faults_per_shard=10_000)
+        inline.fault_simulate_batch(s27_mapped, faults, words, 64)
+        assert inline.configured_shards() == 2
+        assert active_shared_pool() is None
+        # a list that splits starts one shared pool ...
+        backend = ShardedBackend(shards=2, min_faults_per_shard=4)
+        first = backend.fault_simulate_batch(s27_mapped, faults, words, 64)
+        shared = active_shared_pool()
+        assert shared is not None and shared.processes == 2
+        workers = list(shared._workers)
+        # ... and every later call reuses it, on the same live workers
+        second = backend.fault_simulate_batch(s27_mapped, faults, words,
+                                              64)
+        assert active_shared_pool() is shared
+        assert shared._workers == workers
+        assert backend.pool is None
+        for got in (first, second):
+            assert got.detected == ref.detected
+            assert got.remaining == ref.remaining
 
-    def test_explicit_pool_outranks_shared(self, pool):
-        from repro.campaign.pool import (
-            ensure_shared_pool,
-            shutdown_shared_pool,
-        )
-        try:
-            ensure_shared_pool(processes=1)
-            backend = ShardedBackend(pool=pool)
-            assert backend._resolve_pool() is pool
-        finally:
-            shutdown_shared_pool()
+    def test_explicit_pool_outranks_shared(self, s27_mapped, pool,
+                                           monkeypatch):
+        from repro.campaign.pool import ensure_shared_pool
+
+        def boom(*args):  # pragma: no cover - must not run
+            raise AssertionError("shared pool was used")
+
+        monkeypatch.delenv(DEFAULT_SHARDS_ENV, raising=False)
+        shared = ensure_shared_pool(processes=1)
+        monkeypatch.setattr(shared, "map", boom)
+        faults, words = self._fault_job(s27_mapped)
+        backend = ShardedBackend(min_faults_per_shard=4, pool=pool)
+        assert backend.configured_shards() == pool.processes
+        result = backend.fault_simulate_batch(s27_mapped, faults,
+                                              words, 64)
+        assert result.n_detected > 0
 
 
 class TestCircuitInterning:
@@ -245,6 +256,20 @@ class TestCircuitInterning:
         second = sharded_mod._interned_circuit(copy, fp)
         assert first is s27_mapped
         assert second is s27_mapped  # the copy was deduplicated
+
+    def test_edited_circuit_is_replaced(self, s27_mapped, monkeypatch):
+        # a dispatcher seeds its own (mutable) circuit; once edited it
+        # must no longer answer for the fingerprint it was seeded under
+        import repro.simulation.backends.sharded as sharded_mod
+        from repro.netlist.gates import GateType
+        monkeypatch.setattr(sharded_mod, "_INTERNED_CIRCUITS",
+                            type(sharded_mod._INTERNED_CIRCUITS)())
+        seeded = s27_mapped.copy()
+        fp = seeded.fingerprint()
+        assert sharded_mod._interned_circuit(seeded, fp) is seeded
+        seeded.add_gate("extra", GateType.NOT, (seeded.inputs[0],))
+        fresh = s27_mapped.copy()
+        assert sharded_mod._interned_circuit(fresh, fp) is fresh
 
     def test_bounded_lru(self, monkeypatch):
         import repro.simulation.backends.sharded as sharded_mod
@@ -313,95 +338,80 @@ def _assert_same(got, ref):
         assert got == ref
 
 
+@pytest.fixture(scope="module")
+def spawn_pool():
+    """A spawn-started worker pool: spawn is the default start method
+    on macOS and Windows, so shard dispatch must stay bit-identical
+    through it."""
+    from repro.campaign.pool import WorkerPool
+    with WorkerPool(2, start_method="spawn") as pool:
+        yield pool
+
+
 class TestSpawnTransport:
-    """The spawn transport (the default start method on macOS and
-    Windows), forced on this platform through the start-method lookup
-    in the ``sharded`` namespace."""
+    """Shard dispatch through a spawn-started pool (the default start
+    method on macOS and Windows), forced on this platform."""
 
     @pytest.mark.parametrize("kind",
                              ["faults", "stream", "window", "episode"])
     def test_every_kind_bit_identical(self, kind, s27_mapped, s27_design,
-                                      make_vectors, monkeypatch):
-        import repro.simulation.backends.sharded as sharded_mod
-
-        methods = []
-
-        def get_context(method):
-            methods.append(method)
-            return multiprocessing.get_context(method)
-
-        monkeypatch.setattr(sharded_mod, "get_start_method",
-                            lambda allow_none=False: "spawn")
-        monkeypatch.setattr(sharded_mod, "get_context", get_context)
+                                      make_vectors, spawn_pool):
+        recorder = _RecordingPool(spawn_pool)
         backend = ShardedBackend(shards=2, min_faults_per_shard=1,
-                                 episode_budget=4)
+                                 episode_budget=4, pool=recorder)
         call, ref = _kind_calls(s27_mapped, s27_design,
                                 make_vectors(s27_design, 4))[kind]
         got = call(backend)
         _assert_same(got, ref)
-        assert methods == ["spawn"]
+        assert spawn_pool._ctx.get_start_method() == "spawn"
+        assert len(recorder.tasks) >= 2  # dispatched, not inline
 
 
 class _RecordingPool:
-    """In-process stand-in for a worker pool (and for the spawn
-    context's pool): runs each task inline and keeps every task."""
+    """Pool stand-in that keeps every task: runs them on ``inner`` (a
+    real worker pool) when given, else inline in this process."""
 
     processes = 2
 
-    def __init__(self):
+    def __init__(self, inner=None):
+        self.inner = inner
         self.tasks = []
 
     def map(self, fn, items):
         items = list(items)
         self.tasks.extend(items)
+        if self.inner is not None:
+            return self.inner.map(fn, items)
         return [fn(item) for item in items]
 
-    def Pool(self, processes):  # the spawn context's pool factory
-        return self
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-
-def _legacy_payload(task, transport):
-    """The payload the same task shipped as before the one scatter:
-    engine name first, fault and window spawn payloads without the
-    fingerprint, episode options flattened."""
+def _legacy_payload(task):
+    """The payload the same task shipped to a persistent pool before
+    the one scatter: engine name first, episode options flattened."""
     from repro.simulation.backends import sharded as sharded_mod
     _fingerprint, (kind, circuit, faults, stimulus, n, option) = task
     fingerprint = circuit.fingerprint()
     if kind == sharded_mod._EPISODE:
         return ("numpy", circuit, fingerprint, stimulus, n, *option)
-    if kind == sharded_mod._STREAM or transport == "pool":
-        return ("numpy", circuit, fingerprint, faults, stimulus, n, option)
-    return ("numpy", circuit, faults, stimulus, n, option)
+    return ("numpy", circuit, fingerprint, faults, stimulus, n, option)
 
 
 class TestTaskPayloads:
-    """Pool and spawn tasks ship pre-sliced jobs that pickle no larger
-    than the per-entry-point payloads they replaced."""
+    """Tasks ship pre-sliced jobs with the circuit fingerprint, and
+    pickle no larger than the per-entry-point pool payloads they
+    replaced — in-process and through a spawn-started pool."""
 
     @pytest.mark.parametrize("transport", ["pool", "spawn"])
     def test_no_task_outgrows_its_legacy_payload(self, transport,
                                                  s27_mapped, s27_design,
-                                                 make_vectors,
-                                                 monkeypatch):
+                                                 make_vectors, request):
         import repro.simulation.backends.sharded as sharded_mod
 
-        recorder = _RecordingPool()
-        if transport == "pool":
-            backend = ShardedBackend(shards=2, min_faults_per_shard=1,
-                                     episode_budget=4, pool=recorder)
-        else:
-            monkeypatch.setattr(sharded_mod, "get_start_method",
-                                lambda allow_none=False: "spawn")
-            monkeypatch.setattr(sharded_mod, "get_context",
-                                lambda method: recorder)
-            backend = ShardedBackend(shards=2, min_faults_per_shard=1,
-                                     episode_budget=4)
+        inner = request.getfixturevalue("spawn_pool") \
+            if transport == "spawn" else None
+        recorder = _RecordingPool(inner)
+        backend = ShardedBackend(shards=2, min_faults_per_shard=1,
+                                 episode_budget=4, pool=recorder)
         calls = _kind_calls(s27_mapped, s27_design,
                             make_vectors(s27_design, 4))
         for call, ref in calls.values():
@@ -409,7 +419,8 @@ class TestTaskPayloads:
         kinds = {task[1][0] for task in recorder.tasks}
         assert kinds == {sharded_mod._FAULTS, sharded_mod._STREAM,
                          sharded_mod._WINDOW, sharded_mod._EPISODE}
+        fingerprint = s27_mapped.fingerprint()
         for task in recorder.tasks:
-            assert (task[0] is not None) == (transport == "pool")
-            legacy = _legacy_payload(task, transport)
+            assert task[0] == fingerprint
+            legacy = _legacy_payload(task)
             assert len(pickle.dumps(task)) <= len(pickle.dumps(legacy))

@@ -446,3 +446,28 @@ class TestServeCommand:
     def test_serve_validates_port(self, capsys):
         assert main(["serve", "--port", "0"]) == 2
         assert "--port" in capsys.readouterr().err
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_without_traceback(self):
+        """A reader that is already gone (``list | head -0``) must not
+        turn into a ``BrokenPipeError`` traceback."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)  # every write to the pipe now fails
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "list"],
+                stdout=write_fd, stderr=subprocess.PIPE, env=env,
+                timeout=120)
+        finally:
+            os.close(write_fd)
+        assert proc.stderr == b""
+        assert proc.returncode == 1
