@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections.abc import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.errors import NetlistError
 from repro.netlist.gates import (
@@ -25,6 +24,9 @@ from repro.netlist.gates import (
 )
 from repro.utils.topo import topological_order
 from repro.utils.validation import check_name
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["Gate", "Circuit"]
 
@@ -407,6 +409,8 @@ class Circuit:
         for driven lines.  Edge ``(u, v)`` means line ``u`` feeds the gate
         driving line ``v``; edge attribute ``pin`` is the input position.
         """
+        import networkx as nx
+
         graph = nx.DiGraph(name=self.name)
         for pi in self._inputs:
             graph.add_node(pi, kind="input")

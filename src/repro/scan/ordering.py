@@ -28,7 +28,6 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.errors import ScanError
@@ -72,6 +71,8 @@ def _tsp_path_order(rows: np.ndarray, two_opt_rounds: int) -> list[int]:
     A virtual depot node with zero-cost edges converts the path problem
     into a tour for networkx's ``greedy_tsp``; 2-opt passes then refine.
     """
+    import networkx as nx
+
     n = len(rows)
     if n <= 2:
         return list(range(n))

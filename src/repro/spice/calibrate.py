@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.errors import CharacterizationError
 from repro.spice.characterize import characterize_nand
@@ -64,7 +63,19 @@ def calibrate_to_figure2(
     -------
     TechParams
         The calibrated technology point.
+
+    Raises
+    ------
+    CharacterizationError
+        The fit misses ``tolerance``, or scipy (the ``calibrate`` extra)
+        is not installed.
     """
+    try:
+        from scipy.optimize import least_squares
+    except ImportError as exc:
+        raise CharacterizationError(
+            "re-calibrating to Figure 2 needs scipy: "
+            "pip install repro-power[calibrate]") from exc
     base = base or TechParams()
     targets = targets or PAPER_NAND2_LEAKAGE_NA
     target_vec = np.array([targets[p] for p in _PATTERNS])

@@ -33,11 +33,10 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Sequence
 
-from scipy.optimize import brentq
-
 from repro.errors import CharacterizationError
 from repro.spice.bsim import subthreshold_current
 from repro.spice.constants import TechParams
+from repro.spice.roots import brentq
 
 __all__ = ["StackSolution", "blocked_stack_current", "parallel_off_current"]
 

@@ -1,5 +1,7 @@
 """Tests for the Figure 2 calibration."""
 
+import sys
+
 import pytest
 
 from repro.errors import CharacterizationError
@@ -44,3 +46,13 @@ class TestCalibration:
     def test_error_metric_is_max_relative(self):
         params = default_tech().replace(s_n=default_tech().s_n * 1.5)
         assert nand2_error(params) > 0.01
+
+
+def test_missing_scipy_names_the_extra(monkeypatch):
+    for name in [m for m in sys.modules
+                 if m == "scipy" or m.startswith("scipy.")]:
+        monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    with pytest.raises(CharacterizationError,
+                       match=r"pip install repro-power\[calibrate\]"):
+        calibrate_to_figure2()
