@@ -5,7 +5,7 @@ Pipeline:
 1. **Random phase** — batches of packed random vectors are fault-simulated
    with dropping; each pattern that is the *first* detector of some fault
    is kept (like ATOM's random phase).
-2. **Deterministic phase** — PODEM per remaining fault, in batches:
+2. **Deterministic phase** — one test per remaining fault, in batches:
    don't-cares are random-filled and the whole batch of new vectors is
    fault-simulated at once against the remaining list (collateral
    detections drop out cheaply).  Each fault first meets the SAT
@@ -18,16 +18,23 @@ Pipeline:
    deterministic, so a verdict reached there is the full-budget verdict.
    A screen abort goes to the incremental SAT prover
    (:mod:`repro.atpg.sat`): a redundancy proof makes the fault
-   untestable, and otherwise (testable, or unknown at the conflict cap)
-   PODEM re-runs at ``max_backtracks`` and its outcome stands.  Aborted
-   and untestable faults are excluded from the same targets and neither
-   draws from the RNG, so the proofs leave the test set unchanged.
-   ``repro_atpg_verdicts_total{path=...}`` counts which step decided
-   each fault: ``structural``, ``screen``, ``sat`` or ``podem``.
+   untestable, and a "testable" answer's model is the fault's test
+   (Larrabee's miter only has models that detect), X-filled like a
+   PODEM assignment.  Only an "unknown" answer (the conflict cap) runs
+   PODEM again at ``max_backtracks``, whose outcome stands; so a fault
+   can only be aborted when the prover gave up on it too.  Aborted and
+   untestable faults are excluded from the batch's targets and neither
+   draws from the RNG.  ``repro_atpg_verdicts_total{path=...}`` counts
+   which step decided each fault: ``structural``, ``screen``, ``sat``
+   (a redundancy proof or a model) or ``podem`` (the full-budget run
+   after an "unknown" proof).  Every test must detect the fault it was
+   generated for in the batch's fault simulation, else
+   :class:`~repro.errors.AtpgError`.
 3. **Reverse-order compaction** — one packed no-drop fault simulation of
-   the kept set produces a detection matrix; a reverse greedy pass keeps a
-   vector only if it detects some fault no later-kept vector detects.
-   The final coverage accounting reads the same matrix.
+   the kept set against every fault not proven untestable (a proven
+   fault's row is empty) produces a detection matrix; a reverse greedy
+   pass keeps a vector only if it detects some fault no later-kept
+   vector detects.  The final coverage accounting reads the same matrix.
 
 The output is a :class:`TestSet` of :class:`~repro.scan.TestVector`
 objects in application order, plus coverage statistics.  Seeded and fully
@@ -44,8 +51,8 @@ from repro.atpg.collapse import collapse_faults
 from repro.atpg.faults import Fault, all_faults
 from repro.atpg.faultsim import FaultSimResult
 from repro.atpg.podem import PodemEngine, PodemResult, generate_test
-from repro.atpg.sat import REDUNDANT, RedundancyProver
-from repro.errors import ConfigError
+from repro.atpg.sat import REDUNDANT, TESTABLE, RedundancyProver
+from repro.errors import AtpgError, ConfigError
 from repro.obs.metrics import get_registry
 from repro.scan.testview import ScanDesign, TestVector
 from repro.simulation.backends import Backend
@@ -106,7 +113,9 @@ class TestSet:
     #: the fault, PODEM exhausted its search, or the SAT prover found
     #: the fault's miter unsatisfiable
     n_untestable: int
-    n_aborted: int                 # aborted by PODEM, left undetected
+    #: PODEM aborted and the SAT prover answered "unknown" at its
+    #: conflict cap, and no vector of the final set detects the fault
+    n_aborted: int
 
     @property
     def fault_coverage(self) -> float:
@@ -120,9 +129,11 @@ class TestSet:
         """Detected / (total - proven untestable).
 
         Untestable faults carry a proof (a structural one, an exhausted
-        PODEM search or a SAT redundancy proof), so only aborted faults
-        can still sit in
-        the denominator without being testable.
+        PODEM search or a SAT redundancy proof), and a fault the prover
+        finds testable gets the prover's model as its test.  Only
+        aborted faults, which the prover left "unknown", can still sit
+        in the denominator without being proven testable; with none,
+        this is 1.0.
         """
         denom = self.n_faults - self.n_untestable
         if denom <= 0:
@@ -191,19 +202,22 @@ def _generate_tests(design: ScanDesign, config: AtpgConfig,
                     universe: list[Fault],
                     session: FaultSimSession) -> TestSet:
     """The generation pipeline proper (fault session fully resolved)."""
-    vectors, n_untestable, aborted = _generate_vectors(
+    vectors, untestable, aborted = _generate_vectors(
         design, config, universe, session)
 
     # ---- phase 3: compaction and coverage accounting ------------------ #
     # One no-drop detection matrix of the generated set serves both: the
     # reverse greedy pass picks the kept columns, and a fault is detected
     # by the kept set iff its word hits a kept column (per-pattern
-    # detection is independent of the other patterns).
+    # detection is independent of the other patterns).  Proven
+    # untestable faults have empty rows, so they are not simulated.
     detected: set[Fault] = set()
     if vectors:
         assignments = [_vector_to_assignment(design, v) for v in vectors]
         words, n = pack_input_vectors(design.circuit, assignments)
-        matrix = session.simulate(universe, words, n, drop=False)
+        matrix = session.simulate(
+            [fault for fault in universe if fault not in untestable],
+            words, n, drop=False)
         keep = _greedy_keep(matrix, n) if config.compaction \
             else [True] * n
         kept_mask = sum(1 << t for t, k in enumerate(keep) if k)
@@ -217,17 +231,18 @@ def _generate_tests(design: ScanDesign, config: AtpgConfig,
         vectors=vectors,
         n_faults=len(universe),
         n_detected=len(detected),
-        n_untestable=n_untestable,
+        n_untestable=len(untestable),
         n_aborted=sum(1 for fault in aborted if fault not in detected),
     )
 
 
 def _generate_vectors(design: ScanDesign, config: AtpgConfig,
                       universe: list[Fault], session: FaultSimSession
-                      ) -> tuple[list[TestVector], int, set[Fault]]:
-    """Phases 1 and 2: random patterns, then PODEM in batches.
+                      ) -> tuple[list[TestVector], set[Fault], set[Fault]]:
+    """Phases 1 and 2: random patterns, then deterministic tests in
+    batches.
 
-    Returns ``(vectors in generation order, proven-untestable count,
+    Returns ``(vectors in generation order, proven-untestable faults,
     aborted faults)``; ``session`` may be any object with
     :meth:`FaultSimSession.simulate`'s signature.
     """
@@ -235,7 +250,7 @@ def _generate_vectors(design: ScanDesign, config: AtpgConfig,
     input_lines = comb_input_lines(circuit)
     remaining: list[Fault] = list(universe)
     kept_vectors: list[TestVector] = []
-    n_untestable = 0
+    untestable: set[Fault] = set()
     aborted: set[Fault] = set()
 
     # ---- phase 1: random patterns ------------------------------------- #
@@ -256,21 +271,21 @@ def _generate_vectors(design: ScanDesign, config: AtpgConfig,
             kept_vectors.append(_assignment_to_vector(design, values))
         remaining = result.remaining
 
-    # ---- phase 2: PODEM in batches ------------------------------------- #
+    # ---- phase 2: deterministic tests in batches ----------------------- #
     prover: RedundancyProver | None = None
     while remaining:
         if prover is None:
             prover = RedundancyProver(PodemEngine(circuit))
         batch = remaining[:config.podem_batch]
         new_assignments: list[dict[str, int]] = []
-        proven_untestable: set[Fault] = set()
+        #: (fault, deciding step) of each new vector, in vector order
+        targeted: list[tuple[Fault, str]] = []
         for fault in batch:
             outcome, path = _podem_verdict(prover, fault,
                                            config.max_backtracks)
             _verdict_counter(path).inc()
             if outcome.status == "untestable":
-                proven_untestable.add(fault)
-                n_untestable += 1
+                untestable.add(fault)
             elif outcome.status == "aborted":
                 aborted.add(fault)
             else:
@@ -279,37 +294,46 @@ def _generate_vectors(design: ScanDesign, config: AtpgConfig,
                     if line not in values:
                         values[line] = int(rng.integers(2))
                 new_assignments.append(values)
+                targeted.append((fault, path))
         handled = set(batch)
         remaining = [f for f in remaining if f not in handled]
         if new_assignments:
             words, n = pack_input_vectors(circuit, new_assignments)
-            targets = batch + remaining
-            targets = [f for f in targets
-                       if f not in proven_untestable and f not in aborted]
+            targets = [f for f in batch + remaining
+                       if f not in untestable and f not in aborted]
             result = session.simulate(targets, words, n, drop=True)
+            # A test that misses its own fault would leave the fault
+            # neither detected, untestable nor aborted.
+            for k, (fault, path) in enumerate(targeted):
+                if not result.detected.get(fault, 0) >> k & 1:
+                    raise AtpgError(
+                        f"the {path} test for fault {fault} does not "
+                        f"detect it in {circuit.name!r}")
             still = set(result.remaining)
             remaining = [f for f in remaining if f in still]
             kept_vectors.extend(
                 _assignment_to_vector(design, values)
                 for values in new_assignments)
-        # Batch faults neither proven untestable nor detected by the new
-        # vectors were aborted; they are dropped from further generation
-        # (a later vector may still detect one collaterally).
+        # Aborted batch faults are dropped from further generation (a
+        # later vector may still detect one collaterally).
 
-    return kept_vectors, n_untestable, aborted
+    return kept_vectors, untestable, aborted
 
 
 def _podem_verdict(prover: RedundancyProver, fault: Fault,
                    max_backtracks: int) -> tuple[PodemResult, str]:
-    """PODEM at ``max_backtracks``, with SAT settling hopeless aborts.
+    """Decide one fault: a short PODEM screen, then the SAT prover.
 
     The prover's structural fast path runs first: a fault it settles is
     "untestable" without a PODEM run (path ``structural``).  Then a
     short screen of :data:`SCREEN_BACKTRACKS` backtracks runs; its
     verdict equals the full-budget one whenever it reaches one
-    (``screen``).  On a screen abort a SAT redundancy proof turns the
-    fault "untestable" (``sat``); otherwise the full-budget run decides
-    (``podem``).  Returns the outcome and that path.
+    (``screen``).  A screen abort goes to the prover (``sat``): a
+    redundancy proof makes the fault "untestable", and a "testable"
+    answer makes it "detected" with the model's input assignment as
+    the test.  Only an "unknown" answer runs PODEM at
+    ``max_backtracks``, whose outcome stands (``podem``).  Returns the
+    outcome and that path.
     """
     if prover.settles(fault):
         return PodemResult("untestable", {}, 0), "structural"
@@ -318,8 +342,12 @@ def _podem_verdict(prover: RedundancyProver, fault: Fault,
     outcome = generate_test(circuit, fault, screen, engine=engine)
     if outcome.status != "aborted":
         return outcome, "screen"
-    if prover.prove(fault).status == REDUNDANT:
+    proof = prover.prove(fault)
+    if proof.status == REDUNDANT:
         return dataclasses.replace(outcome, status="untestable"), "sat"
+    if proof.status == TESTABLE:
+        return dataclasses.replace(outcome, status="detected",
+                                   assignment=proof.assignment), "sat"
     if screen < max_backtracks:
         outcome = generate_test(circuit, fault, max_backtracks,
                                 engine=engine)

@@ -26,8 +26,8 @@ import functools
 import itertools
 from collections.abc import Sequence
 
-from repro.errors import CharacterizationError
-from repro.netlist.gates import GateType, eval_gate
+from repro.errors import CharacterizationError, NetlistError
+from repro.netlist.gates import GateType, check_arity, eval_gate
 from repro.spice.bsim import gate_leakage_off, gate_leakage_on
 from repro.spice.constants import (
     TechParams,
@@ -258,6 +258,10 @@ def _characterize_composite(gtype: GateType, arity: int,
 # dispatcher
 # --------------------------------------------------------------------- #
 
+#: cells built on one NAND/NOR stack of ``arity`` transistors
+_STACKED = (GateType.AND, GateType.NAND, GateType.OR, GateType.NOR)
+
+
 @functools.lru_cache(maxsize=None)
 def cell_leakage_table(gtype: GateType, arity: int,
                        params: TechParams | None = None) -> LeakageTable:
@@ -265,8 +269,20 @@ def cell_leakage_table(gtype: GateType, arity: int,
 
     ``params=None`` uses the calibrated default technology.  Results are
     cached per ``(gtype, arity, params)``; :class:`TechParams` is frozen
-    and hashable, so distinct corners get distinct cache slots.
+    and hashable, so distinct corners get distinct cache slots.  An
+    ``arity`` that no netlist gate of ``gtype`` can have raises
+    :class:`CharacterizationError`.
     """
+    try:
+        check_arity(gtype, arity)
+    except NetlistError as exc:
+        raise CharacterizationError(
+            f"cannot characterise {gtype} with {arity} inputs ({exc})"
+        ) from None
+    if gtype in _STACKED and arity > MAX_CELL_ARITY:
+        raise CharacterizationError(
+            f"cannot characterise {gtype} with {arity} inputs (stacks "
+            f"of at most {MAX_CELL_ARITY} are characterised)")
     params = params or default_tech()
     if gtype is GateType.NAND:
         return characterize_nand(arity, params)
@@ -288,7 +304,5 @@ def cell_leakage_table(gtype: GateType, arity: int,
         return {(0,): flat, (1,): flat}
     if gtype in (GateType.BUFF, GateType.AND, GateType.OR,
                  GateType.XOR, GateType.XNOR, GateType.MUX2):
-        if gtype is GateType.MUX2:
-            arity = 3
         return _characterize_composite(gtype, arity, params)
     raise CharacterizationError(f"cannot characterise {gtype}")

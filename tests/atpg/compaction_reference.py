@@ -10,9 +10,11 @@ path verbatim as a test-side oracle:
   :meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`;
 * :func:`greedy_keep_bigint` is the reverse greedy pass as big-int
   column scans;
-* :func:`generate_tests` shares the random and PODEM phases with the
-  product, then compacts with :func:`greedy_keep_bigint` and counts
-  coverage with one more drop-mode fault simulation of the kept set.
+* :func:`generate_tests` shares the random and deterministic phases
+  with the product, then compacts with :func:`greedy_keep_bigint` over
+  a matrix of the whole universe (proven untestable faults included)
+  and counts coverage with one more drop-mode fault simulation of the
+  kept set.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def generate_tests(design: ScanDesign,
     circuit = design.circuit
     universe = collapse_faults(circuit, all_faults(circuit))
     session = session or BatchSession(circuit, backend)
-    kept_vectors, n_untestable, aborted = _generate_vectors(
+    kept_vectors, untestable, aborted = _generate_vectors(
         design, config, universe, session)
 
     if config.compaction and kept_vectors:
@@ -121,6 +123,6 @@ def generate_tests(design: ScanDesign,
         vectors=kept_vectors,
         n_faults=len(universe),
         n_detected=len(detected),
-        n_untestable=n_untestable,
+        n_untestable=len(untestable),
         n_aborted=sum(1 for fault in aborted if fault not in detected),
     )

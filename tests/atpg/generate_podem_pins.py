@@ -7,7 +7,9 @@ Run from the repo root::
 The file pins PODEM's observable behaviour: per-fault verdict,
 backtrack and decision counts and the partial assignment over the full
 collapsed universe of s27 and the six circuits of the cold Table-I
-campaign, plus the compacted test set of that campaign at seed 1.  The
+campaign, plus the compacted test set of that campaign at seed 1 (which
+also depends on the SAT prover: its models are the tests of PODEM
+screen aborts).  The
 implication core may be rewritten freely; these pins must not move.
 Only commit a regenerated file for an *intentional* change of the
 decision procedure.

@@ -3,15 +3,18 @@
 import compaction_reference as reference
 import pytest
 
+import repro.atpg.generate as generate_module
 from repro.atpg.collapse import collapse_faults
 from repro.atpg.faults import all_faults
 from repro.atpg.faultsim import fault_simulate
 from repro.atpg.generate import AtpgConfig, generate_tests
+from repro.atpg.sat import TESTABLE, UNKNOWN, SatResult
 from repro.benchgen import generate_circuit
-from repro.errors import ConfigError
+from repro.errors import AtpgError, ConfigError
 from repro.netlist import builders
 from repro.scan.testview import ScanDesign
 from repro.simulation.bitsim import pack_input_vectors
+from repro.simulation.eval2 import comb_input_lines
 from repro.techmap.mapper import technology_map
 
 
@@ -68,8 +71,8 @@ class TestGenerateTests:
         assert tight.n_detected == loose.n_detected
 
     def test_random_only_phase(self, s27_design):
-        """With PODEM effectively disabled, coverage comes from random
-        patterns alone and must still be substantial."""
+        """With no PODEM backtracks, coverage comes from random patterns,
+        first-try PODEM tests and SAT models, and must be substantial."""
         config = AtpgConfig(seed=7, max_backtracks=0,
                             max_random_batches=32)
         result = generate_tests(s27_design, config)
@@ -121,8 +124,8 @@ def _table1_design(name: str) -> ScanDesign:
 
 class TestFaultAccounting:
     """Every collapsed fault is detected, proven untestable, or aborted
-    by PODEM and left undetected by the final set: exactly one of the
-    three."""
+    (PODEM aborted and the SAT prover gave up) and left undetected by
+    the final set: exactly one of the three."""
 
     @pytest.mark.parametrize("name", ["s27", "s344"])
     def test_outcomes_partition_the_universe(self, name):
@@ -130,16 +133,35 @@ class TestFaultAccounting:
         assert (result.n_detected + result.n_untestable
                 + result.n_aborted) == result.n_faults
 
-    def test_collaterally_detected_aborts_count_once(self):
-        # s641 at seed 1: 8 PODEM aborts are detected by later vectors;
-        # they count as detected only.  The SAT screen proves 95 more
-        # aborts redundant, which leaves 8 aborted and undetected.
-        result = generate_tests(_table1_design("s641"), AtpgConfig(seed=1))
+    def test_collaterally_detected_aborts_count_once(self, monkeypatch):
+        # s641 at seed 1: the SAT prover decides every PODEM screen
+        # abort (redundant, or testable with its model as the test), so
+        # nothing is left aborted.
+        design = _table1_design("s641")
+        result = generate_tests(design, AtpgConfig(seed=1))
         assert (result.n_detected, result.n_untestable,
-                result.n_aborted) == (546, 149, 8)
+                result.n_aborted) == (554, 149, 0)
         assert (result.n_detected + result.n_untestable
                 + result.n_aborted) == result.n_faults == 703
-        assert result.summary().endswith("149 untestable, 8 aborted)")
+        assert result.summary().endswith("149 untestable, 0 aborted)")
+
+        # A prover that always gives up leaves PODEM's aborts; those a
+        # later vector detects count as detected only.
+        monkeypatch.setattr(generate_module.RedundancyProver, "prove",
+                            lambda self, fault: SatResult(UNKNOWN, {}, 0))
+        verdicts: list[str] = []
+        verdict = generate_module._podem_verdict
+
+        def spy(prover, fault, max_backtracks):
+            outcome, path = verdict(prover, fault, max_backtracks)
+            verdicts.append(outcome.status)
+            return outcome, path
+
+        monkeypatch.setattr(generate_module, "_podem_verdict", spy)
+        gave_up = generate_tests(design, AtpgConfig(seed=1))
+        assert 0 < gave_up.n_aborted < verdicts.count("aborted")
+        assert (gave_up.n_detected + gave_up.n_untestable
+                + gave_up.n_aborted) == gave_up.n_faults
 
     def test_legacy_final_simulation_agrees(self):
         """Coverage read off the compaction matrix equals the oracle's
@@ -151,6 +173,44 @@ class TestFaultAccounting:
         assert planned.n_detected == legacy.n_detected
         assert (legacy.n_detected + legacy.n_untestable
                 + legacy.n_aborted) == legacy.n_faults
+
+
+class TestSatModelsAsTests:
+    """A screen abort the SAT prover finds testable is detected by the
+    prover's model, so only an "unknown" proof can leave it aborted."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("name", ["s27", "s344", "s382", "s444",
+                                      "s510", "s641", "s713"])
+    def test_no_aborts_on_the_cold_table1_rows(self, name, seed):
+        result = generate_tests(_table1_design(name), AtpgConfig(seed=seed))
+        assert result.n_aborted == 0
+        assert result.testable_coverage == 1.0
+        assert (result.n_detected + result.n_untestable) == result.n_faults
+
+    def test_a_model_that_misses_its_fault_raises(self, monkeypatch):
+        """A prover bug must not hide in the fault partition: a test
+        that does not detect its own fault stops generation."""
+        design = _table1_design("s344")
+        circuit = design.circuit
+        inputs = comb_input_lines(circuit)
+        asked: list = []
+
+        def missing_model(self, fault):
+            for k in range(256):
+                values = {line: (k >> i) & 1 ^ (i % 2)
+                          for i, line in enumerate(inputs)}
+                words, n = pack_input_vectors(circuit, [values])
+                if fault_simulate(circuit, [fault], words, n).remaining:
+                    asked.append(fault)
+                    return SatResult(TESTABLE, values, 0)
+            raise AssertionError(f"no vector misses {fault}")
+
+        monkeypatch.setattr(generate_module.RedundancyProver, "prove",
+                            missing_model)
+        with pytest.raises(AtpgError, match="does not detect") as info:
+            generate_tests(design, AtpgConfig(seed=1))
+        assert asked and str(asked[0]) in str(info.value)
 
 
 class TestFaultPlanToggle:
@@ -198,6 +258,34 @@ class TestFaultPlanToggle:
                                  session=session)
         # the oracle runs one extra drop-mode pass after the matrix
         assert session.drops == calls + [True]
+
+    def test_compaction_matrix_skips_proven_untestable_faults(
+            self, monkeypatch):
+        """The no-drop matrix leaves out proven untestable faults (their
+        rows are empty); the kept vectors and the detected count equal
+        the oracle's, which simulates the whole universe.  s444 has the
+        largest untestable share of the cold Table-I rows."""
+        from repro.simulation.fault_episode import FaultSimSession
+
+        sizes = []
+        original = FaultSimSession.simulate
+
+        def spy(self, faults, words, n, drop=True):
+            if not drop:
+                sizes.append(len(faults))
+            return original(self, faults, words, n, drop=drop)
+
+        monkeypatch.setattr(FaultSimSession, "simulate", spy)
+        design = _table1_design("s444")
+        planned = generate_tests(design, AtpgConfig(seed=1))
+        legacy = reference.generate_tests(design, AtpgConfig(seed=1))
+        assert planned.n_untestable > 0
+        assert sizes == [planned.n_faults - planned.n_untestable]
+        assert planned.vectors == legacy.vectors
+        assert (planned.n_detected, planned.n_untestable,
+                planned.n_aborted) == (legacy.n_detected,
+                                       legacy.n_untestable,
+                                       legacy.n_aborted)
 
     def test_coverage_on_env_toggle(self, s27_design, monkeypatch):
         """The retired ``$REPRO_FAULT_PLAN`` switches nothing: the test

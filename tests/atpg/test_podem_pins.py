@@ -7,10 +7,13 @@ the incremental two-list engine that preceded the pair-code engine.  The
 decision procedure is unchanged, so every per-fault verdict, backtrack
 and decision count and assignment, and every compacted test set of the
 cold Table-I campaign must match it bit for bit.  The SAT screen of
-PODEM's aborts only turns proven-redundant aborts into "untestable", so
-the test sets kept their vectors and only their ``n_untestable`` counts
-were re-recorded.  The ``sat`` pins hold the redundancy prover's
-classification of every PODEM abort.  Regenerate with
+PODEM's aborts first only turned proven-redundant aborts into
+"untestable", and only the test sets' ``n_untestable`` counts were
+re-recorded.  Since a "testable" answer's model is used as the fault's
+test in place of a full-budget PODEM re-run, the ``testsets`` section
+was re-recorded (vectors and ``n_detected``) while the ``podem`` and
+``sat`` sections stayed as they were.  The ``sat`` pins hold the
+redundancy prover's classification of every PODEM abort.  Regenerate with
 ``tests/atpg/generate_podem_pins.py`` only for an intentional change of
 the decision procedure.
 """

@@ -2,7 +2,8 @@
 
 The prover (:mod:`repro.atpg.sat`) turns PODEM aborts into "untestable"
 verdicts, so a wrong UNSAT would silently shrink the coverage
-denominator.  It is pinned from three sides:
+denominator, and its "testable" models become the tests of those
+faults.  It is pinned from three sides:
 
 1. on the full collapsed universes of s27 and the six cold Table-I
    circuits, every verdict PODEM (limit 100) reaches agrees with it:
@@ -21,7 +22,9 @@ The good-machine constants and the structural fast path
 per-fault miter in ``sat_reference.py`` (every settled fault is
 redundant there, and every status is its status) and against
 exhaustive simulation (every level-0 good value is a constant of the
-circuit, and every constant is found).
+circuit, and every constant is found).  Every vector ``generate_tests``
+builds from a model is checked against the frozen miter too, with all
+comb inputs fixed to the vector.
 """
 
 from __future__ import annotations
@@ -113,6 +116,59 @@ def test_testable_models_detect_their_fault(name):
     missed = [str(fault) for k, (fault, _) in enumerate(tested)
               if not detected.get(fault, 0) >> k & 1]
     assert not missed
+
+
+def _frozen_miter_detects(circuit, fault: Fault,
+                          vector: dict[str, int]) -> bool:
+    """Whether the frozen per-fault miter is satisfiable with every comb
+    input fixed to ``vector`` as a level-0 unit: with no input left to
+    decide, that says whether ``vector`` detects ``fault``."""
+    prover = sat_reference.RedundancyProver(PodemEngine(circuit))
+    for line in comb_input_lines(circuit):
+        lit = 2 * prover.index[line] + 1 - vector[line]
+        assert not prover.val[lit]
+        prover._enqueue(lit, None)
+    assert prover._propagate() is None
+    return prover.prove(fault).status == TESTABLE
+
+
+def test_sat_path_vectors_detect_their_target_under_the_frozen_miter(
+        monkeypatch):
+    """Every vector ``generate_tests`` builds from a SAT model keeps the
+    model's values and detects its fault under the frozen miter, and
+    the check rejects a fault the vector misses."""
+    decided: list[tuple[Fault, str, dict[str, int]]] = []
+    verdict = generate_module._podem_verdict
+
+    def spy(prover, fault, max_backtracks):
+        outcome, path = verdict(prover, fault, max_backtracks)
+        if outcome.detected:
+            decided.append((fault, path, outcome.assignment))
+        return outcome, path
+
+    monkeypatch.setattr(generate_module, "_podem_verdict", spy)
+    checked = 0
+    for name in pins.TESTSET_CIRCUITS:
+        design = ScanDesign.full_scan(pins.mapped_circuit(name))
+        circuit = design.circuit
+        decided.clear()
+        vectors = generate_tests(
+            design, AtpgConfig(seed=pins.SEED, compaction=False)).vectors
+        # without compaction each detected verdict appended one vector,
+        # in order, after the random phase's
+        tail = vectors[len(vectors) - len(decided):]
+        for (fault, path, model), vector in zip(decided, tail):
+            if path != "sat":
+                continue
+            values = generate_module._vector_to_assignment(design, vector)
+            assert {line: values[line] for line in model} == model
+            assert _frozen_miter_detects(circuit, fault, values), fault
+            checked += 1
+            words, n = pack_input_vectors(circuit, [values])
+            missed = fault_simulate(circuit, pins.universe(circuit), words,
+                                    n).remaining[0]
+            assert not _frozen_miter_detects(circuit, missed, values)
+    assert checked >= 20
 
 
 def test_verdicts_do_not_depend_on_history():
@@ -340,27 +396,67 @@ class TestProverInterface:
 
 class TestScreenInTheFlow:
     """``generate_tests`` settles structurally redundant faults before
-    PODEM, asks SAT only about PODEM screen aborts, and every
-    non-redundant answer falls back to the full PODEM run."""
+    PODEM and asks SAT only about PODEM screen aborts.  A "testable"
+    answer's model is the fault's test; only an "unknown" answer falls
+    back to the full PODEM run."""
+
+    @staticmethod
+    def _podem_only(monkeypatch, design, config):
+        """The test set of plain PODEM at ``max_backtracks`` for every
+        fault: no structural fast path, no screen, no prover."""
+        def podem(prover, fault, max_backtracks):
+            return generate_module.generate_test(
+                prover.circuit, fault, max_backtracks,
+                engine=prover.engine), "podem"
+
+        with monkeypatch.context() as patch:
+            patch.setattr(generate_module, "_podem_verdict", podem)
+            return generate_tests(design, config)
 
     @pytest.mark.parametrize("status", [TESTABLE, UNKNOWN])
     def test_non_redundant_answers_give_the_podem_only_test_set(
             self, monkeypatch, status):
+        """A prover that proves nothing redundant gives plain PODEM's
+        test set.  "unknown" re-runs PODEM at the full budget; a
+        "testable" model (here PODEM's own full-budget assignment, or
+        "unknown" where that run aborts) enters the batch through the
+        same X-fill as a PODEM assignment."""
         design = ScanDesign.full_scan(pins.mapped_circuit("s344"))
         config = AtpgConfig(seed=pins.SEED)
         with_sat = generate_tests(design, config)
-        monkeypatch.setattr(
-            generate_module.RedundancyProver, "prove",
-            lambda self, fault: SatResult(status, {}, 0))
+        podem_only = self._podem_only(monkeypatch, design, config)
+        answers: list[str] = []
+
+        def prove(self, fault):
+            answer = SatResult(UNKNOWN, {}, 0)
+            if status == TESTABLE:
+                full = generate_module.generate_test(
+                    self.circuit, fault, config.max_backtracks,
+                    engine=self.engine)
+                if full.detected:
+                    answer = SatResult(TESTABLE, full.assignment, 0)
+            answers.append(answer.status)
+            return answer
+
+        monkeypatch.setattr(generate_module.RedundancyProver, "prove",
+                            prove)
         monkeypatch.setattr(
             generate_module.RedundancyProver, "settles",
             lambda self, fault: False)
-        podem_only = generate_tests(design, config)
-        assert podem_only.vectors == with_sat.vectors
-        assert podem_only.n_detected == with_sat.n_detected
-        # the parent's PODEM-only count, before SAT proofs
+        answered = generate_tests(design, config)
+        assert status in answers
+        assert answered.vectors == podem_only.vectors
+        assert (answered.n_detected, answered.n_untestable,
+                answered.n_aborted) == (podem_only.n_detected,
+                                        podem_only.n_untestable,
+                                        podem_only.n_aborted)
+        # PODEM alone proves 17 faults untestable and aborts on others;
+        # the prover settles them all
         assert podem_only.n_untestable == 17
+        assert podem_only.n_aborted > 0
         assert with_sat.n_untestable == 66
+        assert with_sat.n_aborted == 0
+        assert with_sat.n_detected > podem_only.n_detected
         for result in (with_sat, podem_only):
             assert (result.n_detected + result.n_untestable
                     + result.n_aborted) == result.n_faults
@@ -424,17 +520,33 @@ class TestScreenInTheFlow:
             decided.append(path)
             return outcome, path
 
-        def counts() -> dict[str, float]:
-            snapshot = get_registry().snapshot()
-            return {path: snapshot.get(
-                f'repro_atpg_verdicts_total{{path="{path}"}}', 0)
-                for path in paths}
+        def counted() -> dict[str, float]:
+            """Counter increments of one ``generate_tests`` run."""
+            def counts() -> dict[str, float]:
+                snapshot = get_registry().snapshot()
+                return {path: snapshot.get(
+                    f'repro_atpg_verdicts_total{{path="{path}"}}', 0)
+                    for path in paths}
+
+            decided.clear()
+            before = counts()
+            generate_tests(design, AtpgConfig(seed=pins.SEED))
+            after = counts()
+            delta = {path: after[path] - before[path] for path in paths}
+            assert delta == {path: decided.count(path) for path in paths}
+            assert sum(delta.values()) == len(decided) > 0
+            return delta
 
         monkeypatch.setattr(generate_module, "_podem_verdict", spy)
-        before = counts()
-        generate_tests(design, AtpgConfig(seed=pins.SEED))
-        after = counts()
-        delta = {path: after[path] - before[path] for path in paths}
-        assert delta == {path: decided.count(path) for path in paths}
-        assert sum(delta.values()) == len(decided) > 0
-        assert all(delta.values())
+        delta = counted()
+        # the prover decides every screen abort: no full PODEM run
+        assert delta["podem"] == 0
+        assert all(delta[path] for path in ("structural", "screen", "sat"))
+
+        # only an "unknown" proof leads to the full PODEM run
+        monkeypatch.setattr(RedundancyProver, "prove",
+                            lambda self, fault: SatResult(UNKNOWN, {}, 0))
+        gave_up = counted()
+        assert gave_up["sat"] == 0
+        assert gave_up["podem"] > 0
+        assert gave_up["structural"] == delta["structural"] > 0

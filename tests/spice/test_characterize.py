@@ -1,6 +1,7 @@
 """Tests for cell leakage characterisation."""
 
 import itertools
+import re
 
 import pytest
 
@@ -114,3 +115,28 @@ class TestCaching:
             GateType.NAND, 2, default_tech().replace(s_n=1e5))
         assert hot is not base
         assert hot[(1, 0)] != base[(1, 0)]
+
+
+class TestArityErrors:
+    """Every gate type at every arity 0-5 either yields a table over
+    patterns of that many inputs or fails with a
+    :class:`CharacterizationError` naming the gate and the arity."""
+
+    @pytest.mark.parametrize("arity", range(6))
+    @pytest.mark.parametrize("gtype", list(GateType), ids=str)
+    def test_table_or_characterization_error(self, gtype, arity):
+        try:
+            table = cell_leakage_table(gtype, arity)
+        except CharacterizationError as exc:
+            assert re.search(rf"\b{gtype} with {arity} inputs\b", str(exc))
+            return
+        assert table
+        assert all(len(pattern) == arity for pattern in table)
+
+    @pytest.mark.parametrize("gtype, arity", [
+        (GateType.AND, 1), (GateType.OR, 1), (GateType.BUFF, 0),
+        (GateType.XOR, 0), (GateType.XNOR, 0)])
+    def test_composites_below_their_arity_rejected(self, gtype, arity):
+        with pytest.raises(CharacterizationError,
+                           match=f"{gtype} with {arity} inputs"):
+            cell_leakage_table(gtype, arity)
