@@ -11,11 +11,14 @@ Pipeline:
    detections drop out cheaply).  Each fault first meets the SAT
    prover's structural fast path
    (:meth:`~repro.atpg.sat.RedundancyProver.settles`): a stuck-at on a
-   proven good-machine constant, or a site whose effects no observable
-   line can see once constant side inputs block their gates, is
-   untestable without PODEM or a miter.  Every other fault gets a short
-   PODEM screen of :data:`SCREEN_BACKTRACKS` backtracks; PODEM is
-   deterministic, so a verdict reached there is the full-budget verdict.
+   proven good-machine constant, a site no observable line can see, or
+   a fault whose necessary conditions (the activation value and the
+   good values its dominators force) imply a conflict or leave no
+   observable line that may differ, is untestable without PODEM or a
+   miter; these are most of the untestable faults.  Every other fault
+   gets a short PODEM screen of :data:`SCREEN_BACKTRACKS` backtracks;
+   PODEM is deterministic, so a verdict reached there is the
+   full-budget verdict.
    A screen abort goes to the incremental SAT prover
    (:mod:`repro.atpg.sat`): a redundancy proof makes the fault
    untestable, and a "testable" answer's model is the fault's test

@@ -28,13 +28,13 @@ are treated as propagating, never re-entering the TGS.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from collections.abc import Mapping
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import (
     GateType,
     SEQUENTIAL_TYPES,
-    TRANSPARENT_TYPES,
     X,
     controlling_value,
 )
@@ -45,6 +45,15 @@ __all__ = ["TransitionAnalysis", "update_tns_tgs"]
 _BLOCKABLE = frozenset({
     GateType.AND, GateType.NAND, GateType.OR, GateType.NOR,
 })
+
+#: one sink of a line: ``(gate output, controlling value or None where
+#: a transition always passes, the gate's other inputs)``
+_Sink = tuple[str, int | None, tuple[str, ...]]
+#: per line, its non-DFF sinks in fanout order (one per input pin)
+_Sinks = dict[str, tuple[_Sink, ...]]
+
+_SINK_CACHE: "weakref.WeakKeyDictionary[Circuit, tuple[int, _Sinks]]" = \
+    weakref.WeakKeyDictionary()
 
 
 @dataclasses.dataclass
@@ -64,6 +73,37 @@ class TransitionAnalysis:
     tns: set[str]
     tgs: dict[str, list[str]]
     blocked_at: set[str]
+
+
+def _compile_sinks(circuit: Circuit) -> _Sinks:
+    """Every line's transition sinks; flop D pins stop transitions in
+    scan mode, so DFFs are left out."""
+    gates = circuit.gates
+    sinks: _Sinks = {}
+    for line in circuit.lines():
+        entries: list[_Sink] = []
+        for out, _pin in circuit.fanout(line):
+            gtype = gates[out].gtype
+            if gtype in SEQUENTIAL_TYPES:
+                continue
+            if gtype in _BLOCKABLE:
+                entries.append((out, controlling_value(gtype),
+                                tuple(s for s in gates[out].inputs
+                                      if s != line)))
+            else:
+                entries.append((out, None, ()))
+        if entries:
+            sinks[line] = tuple(entries)
+    return sinks
+
+
+def _cached_sinks(circuit: Circuit) -> _Sinks:
+    """Memoized :func:`_compile_sinks`, invalidated by circuit mutation."""
+    cached = _SINK_CACHE.get(circuit)
+    if cached is None or cached[0] != circuit.version:
+        cached = _SINK_CACHE[circuit] = (circuit.version,
+                                         _compile_sinks(circuit))
+    return cached[1]
 
 
 def update_tns_tgs(circuit: Circuit, values: Mapping[str, int],
@@ -86,6 +126,8 @@ def update_tns_tgs(circuit: Circuit, values: Mapping[str, int],
         unconditionally and stay out of the TGS.
     """
     failed_gates = failed_gates or set()
+    sinks = _cached_sinks(circuit)
+    get = values.get
     tns: set[str] = set()
     tgs: dict[str, list[str]] = {}
     blocked_at: set[str] = set()
@@ -96,32 +138,21 @@ def update_tns_tgs(circuit: Circuit, values: Mapping[str, int],
         if tn in tns:
             continue
         tns.add(tn)
-        for sink, _pin in circuit.fanout(tn):
-            gate = circuit.gates[sink]
-            if gate.gtype in SEQUENTIAL_TYPES:
-                continue  # transitions stop at flop D pins in scan mode
-            out = gate.output
+        for out, cv, side in sinks.get(tn, ()):
             if out in tns:
                 continue
-            if gate.gtype in TRANSPARENT_TYPES or gate.gtype not in \
-                    _BLOCKABLE:
+            if cv is None or out in failed_gates:
                 worklist.append(out)
                 continue
-            if sink in failed_gates:
-                worklist.append(out)
-                continue
-            cv = controlling_value(gate.gtype)
-            side = [s for s in gate.inputs if s != tn]
-            side_values = [values.get(s, X) for s in side]
-            if any(v == cv for v in side_values):
+            side_values = [get(s, X) for s in side]
+            if cv in side_values:
                 blocked_at.add(out)
                 tgs.pop(out, None)
-                continue
-            if all(v == (1 - cv) for v in side_values):
+            elif side_values.count(1 - cv) == len(side_values):
                 worklist.append(out)
                 tgs.pop(out, None)
-                continue
-            tgs.setdefault(out, []).append(tn)
+            else:
+                tgs.setdefault(out, []).append(tn)
 
     # A gate reached by several tn inputs may have been classified as a
     # candidate before a later tn pushed its output into the TNS; candidates

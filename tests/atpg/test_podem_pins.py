@@ -12,8 +12,12 @@ PODEM's aborts first only turned proven-redundant aborts into
 re-recorded.  Since a "testable" answer's model is used as the fault's
 test in place of a full-budget PODEM re-run, the ``testsets`` section
 was re-recorded (vectors and ``n_detected``) while the ``podem`` and
-``sat`` sections stayed as they were.  The ``sat`` pins hold the
-redundancy prover's classification of every PODEM abort.  Regenerate with
+``sat`` sections stayed as they were.  The implication stage of the
+prover's fast path re-recorded ``testsets`` once more (vectors only: a
+fault it settles runs no SAT search, so later models move); the
+detected and untestable counts and the ``podem`` and ``sat`` sections
+did not move.  The ``sat`` pins hold the redundancy prover's
+classification of every PODEM abort.  Regenerate with
 ``tests/atpg/generate_podem_pins.py`` only for an intentional change of
 the decision procedure.
 """

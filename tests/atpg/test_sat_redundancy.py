@@ -202,6 +202,40 @@ def test_statuses_and_settled_faults_agree_with_the_frozen_miter(name):
         assert settled
 
 
+def _solver_state(prover: RedundancyProver) -> tuple:
+    """Everything of the solver a fast-path check must leave as it
+    was: values (all level 0 between faults), trail, saved phases,
+    activities and the decision heap."""
+    return (list(prover.val), list(prover.trail), list(prover.trail_lim),
+            prover.qhead, bytes(prover.phase), list(prover.activity),
+            list(prover.heap))
+
+
+@pytest.mark.parametrize("name", pins.PODEM_CIRCUITS)
+def test_settles_leaves_the_solver_state_unchanged(name):
+    """On a prover that has searched the whole universe (so saved
+    phases and activities are set), the implication stage's level-1
+    assumptions leave nothing behind."""
+    _circuit, faults, _results, prover = _sat_results(name)
+    before = _solver_state(prover)
+    for fault in faults:
+        prover.settles(fault)
+        assert _solver_state(prover) == before, str(fault)
+
+
+def test_settles_proves_most_untestable_table1_faults():
+    """On the six cold Table-I rows the fast path alone proves at least
+    600 of the 672 untestable faults."""
+    settled = untestable = 0
+    for name in pins.TESTSET_CIRCUITS:
+        circuit, faults, results, _prover = _sat_results(name)
+        prover = RedundancyProver(PodemEngine(circuit))
+        settled += sum(prover.settles(fault) for fault in faults)
+        untestable += sum(result.status == REDUNDANT for result in results)
+    assert untestable == 672
+    assert settled >= 600
+
+
 def _exhaustive_word(j: int, n: int) -> int:
     """Packed word of input ``j`` over all ``n`` patterns: pattern ``k``
     sets input ``j`` to bit ``j`` of ``k``."""
@@ -227,8 +261,10 @@ def test_generated_netlists_match_exhaustive_simulation(seed, n_inputs,
                               drop=False).detected
     prover = RedundancyProver(PodemEngine(circuit))
     for fault in faults:
+        settled = prover.settles(fault)
         result = prover.prove(fault)
         word = detected.get(fault, 0)
+        assert not (settled and word), str(fault)
         assert result.status == (TESTABLE if word else REDUNDANT), str(fault)
         for fill in (0, 1):
             k = sum(result.assignment.get(line, fill) << j
@@ -350,6 +386,60 @@ def test_blocked_fanout_keeps_its_d_chain_clause():
     # a stuck-at on the constant's own value is never activated
     assert prover.settles(Fault("t", 0))
     assert not prover.settles(Fault("t", 1))
+    _assert_only_good_machine_clauses_kept(prover)
+
+
+def _implied_redundancy_circuit() -> Circuit:
+    """``z = (c AND d) OR BUF(d)`` is ``d``, and ``y = (a AND b) OR a``
+    is ``a``: no line is constant, so no level-0 value blocks a path
+    here."""
+    circuit = Circuit("implied")
+    for line in ("a", "b", "c", "d"):
+        circuit.add_input(line)
+    circuit.add_gate("g", GateType.AND, ("c", "d"))
+    circuit.add_gate("h", GateType.BUFF, ("d",))
+    circuit.add_gate("z", GateType.OR, ("g", "h"))
+    circuit.add_gate("x", GateType.AND, ("a", "b"))
+    circuit.add_gate("y", GateType.OR, ("x", "a"))
+    circuit.add_output("z")
+    circuit.add_output("y")
+    return circuit
+
+
+def test_implication_stage_settles_redundancies_without_constants():
+    """``x`` stuck-at-0 needs ``x`` = 1, which implies ``a`` = 1 and
+    blocks the OR.  Either stuck-at on ``c`` needs a difference through
+    ``g`` and ``z``, its only path: the AND wants ``d`` = 1 and the OR
+    wants ``h`` = 0, which conflict."""
+    circuit = _implied_redundancy_circuit()
+    prover = RedundancyProver(PodemEngine(circuit))
+    assert not any(prover.val[2 * li] for li in range(prover.n))
+    for fault in (Fault("x", 0), Fault("c", 0), Fault("c", 1)):
+        assert prover.settles(fault), str(fault)
+        assert prover.prove(fault).status == REDUNDANT
+    for fault in (Fault("x", 1), Fault("d", 0), Fault("d", 1)):
+        assert not prover.settles(fault), str(fault)
+        assert prover.prove(fault).status == TESTABLE
+    _assert_only_good_machine_clauses_kept(prover)
+
+
+def test_constant_mux_select_passes_only_its_data_line():
+    """``s = c AND NOT c`` is a proven constant 0, so ``m = MUX2(s, a,
+    b)`` is ``a``: no stuck-at on ``b`` is observable, though ``a`` and
+    so ``m`` have no good value at level 0."""
+    circuit = Circuit("mux")
+    for line in ("a", "b", "c"):
+        circuit.add_input(line)
+    circuit.add_gate("nc", GateType.NOT, ("c",))
+    circuit.add_gate("s", GateType.AND, ("c", "nc"))
+    circuit.add_gate("m", GateType.MUX2, ("s", "a", "b"))
+    circuit.add_output("m")
+    prover = RedundancyProver(PodemEngine(circuit))
+    assert prover.constants == {prover.index["s"]: 0}
+    for stuck in (0, 1):
+        assert prover.settles(Fault("b", stuck))
+        assert not prover.settles(Fault("a", stuck))
+        assert prover.prove(Fault("a", stuck)).status == TESTABLE
     _assert_only_good_machine_clauses_kept(prover)
 
 
