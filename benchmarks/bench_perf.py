@@ -422,15 +422,17 @@ def test_perf_fault_episode_speedup(benchmark, s1423_mapped):
 
     The Table-I / coverage-evaluation shape: the collapsed fault
     universe against a 1024-pattern test set.  The per-batch loop
-    drives 16 independent 64-pattern ``fault_simulate`` calls (each
-    re-simulating the good machine and re-dispatching the kernel) and
+    drives 16 independent 64-pattern ``fault_simulate_batch`` calls
+    (each re-simulating the good machine and replaying every fault) and
     OR-merges the detection words; the planned path packs the whole
     fault x pattern matrix into one :class:`FaultEpisodePlan` and
-    replays it in a single 2-D-tiled kernel pass over one settled good
-    state.  Merged detection words are asserted bit-identical, the
-    speedup is recorded as ``fault_episode_speedup`` and enforced
-    >= 3x on the numpy backend (``$REPRO_BENCH_FAULT_EPISODE_FLOOR``
-    overrides; the regression gate diffs the trajectory).
+    replays it once over one settled good state (a big-int event
+    costs about the same at 1024 bits as at 64, so one wide replay
+    beats sixteen narrow ones).  Merged detection words are asserted
+    bit-identical, the speedup is recorded as ``fault_episode_speedup``
+    and enforced >= 3x on the numpy backend
+    (``$REPRO_BENCH_FAULT_EPISODE_FLOOR`` overrides; the regression
+    gate diffs the trajectory).
     """
     from repro.simulation.backends import get_backend
     from repro.simulation.fault_episode import compile_fault_episode_plan
@@ -460,7 +462,7 @@ def test_perf_fault_episode_speedup(benchmark, s1423_mapped):
                                           n_total)
         return engine.fault_simulate_plan(plan, drop=False)
 
-    reference = one_plan()  # warms the schedule + fault plan
+    reference = one_plan()  # warms the schedule + replay tables
     merged = per_batch()
     assert merged == dict(reference.detected)
 
@@ -594,71 +596,6 @@ def test_perf_podem_universe(benchmark):
         sum(prover.constant_s for prover in provers) * 1e3, 3)
 
 
-def test_perf_fault_sim_backend_speedup(benchmark, s1423_mapped):
-    """Fused numpy fault kernel vs scalar event-driven replay (Table-I
-    workload).
-
-    The ATPG compaction phase's shape: the collapsed fault universe
-    against a 256-pattern packed batch (256 rather than 64 keeps the
-    numpy side above ~50 ms, which stabilises the speedup *ratio* enough
-    for the CI regression gate to diff it across runs).  Records the
-    measured speedup in ``extra_info`` (the trajectory lands in the
-    bench JSON) and enforces the >= 3x floor the kernel exists for;
-    detection words are additionally asserted bit-identical across
-    the numpy engine, the product bigint engine and the denominator.
-
-    The denominator is the frozen name-keyed event-driven replay
-    (``tests/atpg/faultsim_event_reference.py``) over a bigint good
-    machine, not the product bigint engine: the gate protects the numpy
-    kernel, so a faster bigint replay must not move it.  Against that
-    oracle the ratio sits near ~4x on a 2-vCPU Xeon VM (it was ~11x
-    against the older cone replay).  The product bigint engine's time
-    is recorded unguarded as ``bigint_ms``.
-    """
-    from tests.atpg.faultsim_event_reference import (
-        scalar_replay as event_replay,
-    )
-
-    universe = collapse_faults(s1423_mapped, all_faults(s1423_mapped))
-    n = 256
-    words = random_input_words(s1423_mapped, n, make_rng(1))
-
-    def run(backend):
-        return fault_simulate(s1423_mapped, universe, words, n,
-                              backend=backend)
-
-    def run_oracle():
-        good = simulate_packed(s1423_mapped, words, n, backend="bigint")
-        return event_replay(s1423_mapped, universe, good, n)
-
-    reference = run("bigint")
-    oracle = run_oracle()
-    vectorized = run("numpy")  # also warms the schedule + fault plan
-    assert vectorized.detected == reference.detected
-    assert vectorized.remaining == reference.remaining
-    assert oracle.detected == reference.detected
-    assert oracle.remaining == reference.remaining
-
-    oracle_s = best_of(3, run_oracle)
-    bigint_s = best_of(3, lambda: run("bigint"))
-    numpy_s = best_of(5, lambda: run("numpy"))
-    result = benchmark.pedantic(run, args=("numpy",),
-                                rounds=1, iterations=1, warmup_rounds=0)
-
-    speedup = oracle_s / numpy_s
-    benchmark.extra_info["n_faults"] = len(universe)
-    benchmark.extra_info["patterns"] = n
-    benchmark.extra_info["oracle_ms"] = round(oracle_s * 1e3, 3)
-    benchmark.extra_info["bigint_ms"] = round(bigint_s * 1e3, 3)
-    benchmark.extra_info["numpy_ms"] = round(numpy_s * 1e3, 3)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    assert result.n_detected > 0
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"numpy fault-sim speedup {speedup:.2f}x below the "
-        f"{SPEEDUP_FLOOR}x floor ({oracle_s * 1e3:.2f} ms event oracle "
-        f"vs {numpy_s * 1e3:.2f} ms numpy)")
-
-
 #: Enforced row-space vs frozen event-driven replay floor (no override:
 #: both sides are pure Python on one core, so the ratio is stable).
 REPLAY_SPEEDUP_FLOOR = 2.0
@@ -667,9 +604,9 @@ REPLAY_SPEEDUP_FLOOR = 2.0
 def test_perf_bigint_fault_replay_speedup(benchmark, s1423_mapped):
     """Product bigint fault replay vs the frozen event-driven replay.
 
-    Same shape as :func:`test_perf_fault_sim_backend_speedup` (s1423
-    collapsed universe x 256 patterns) but replay only: both sides run
-    over one shared bigint good machine.  The product replay works on
+    The ATPG compaction phase's shape (s1423 collapsed universe x 256
+    patterns), replay only: both sides run over one shared bigint good
+    machine.  The product replay works on
     integer rows of the levelized schedule (one mutable word list, a
     min-heap of sink rows, inline opcode evaluation); the oracle keeps
     a per-fault dict overlay, level buckets and one
@@ -715,64 +652,6 @@ def test_perf_bigint_fault_replay_speedup(benchmark, s1423_mapped):
         f"bigint replay speedup {speedup:.2f}x below the "
         f"{REPLAY_SPEEDUP_FLOOR}x floor ({oracle_s * 1e3:.2f} ms event "
         f"oracle vs {replay_s * 1e3:.2f} ms row-space replay)")
-
-
-def test_perf_sharded_pool_vs_per_call_pool(benchmark, s1423_mapped):
-    """Warm persistent pool vs a fresh pool per call, repeated calls.
-
-    The ATPG inner loop's shape: many ``fault_simulate`` calls on the
-    same circuit.  The per-call side starts and closes a fresh
-    ``WorkerPool(2)`` around every call, so it pays worker start-up,
-    teardown and cold worker-side plan caches each time; the warm side
-    dispatches to live workers whose interned plan caches survive
-    across calls (what the shared pool gives every sharded call).
-    Records the speedup trajectory as ``pool_speedup`` (not
-    floor-enforced: process start-up cost varies wildly across runners)
-    and pins bit-identity against the inline kernel.
-    """
-    from repro.campaign.pool import WorkerPool
-    from repro.simulation.backends import ShardedBackend
-
-    universe = collapse_faults(s1423_mapped, all_faults(s1423_mapped))
-    n = 64
-    words = random_input_words(s1423_mapped, n, make_rng(1))
-    calls = 3
-
-    def run_batch(backend):
-        for _ in range(calls):
-            result = fault_simulate(s1423_mapped, universe, words, n,
-                                    backend=backend)
-        return result
-
-    def run_per_call_batch():
-        for _ in range(calls):
-            with WorkerPool(processes=2) as fresh:
-                result = fault_simulate(
-                    s1423_mapped, universe, words, n,
-                    backend=ShardedBackend(shards=2,
-                                           min_faults_per_shard=64,
-                                           pool=fresh))
-        return result
-
-    inline = fault_simulate(s1423_mapped, universe, words, n,
-                            backend="numpy")  # warm plan + reference
-    with WorkerPool(processes=2) as pool:
-        pooled = ShardedBackend(shards=2, min_faults_per_shard=64,
-                                pool=pool)
-        warm = run_batch(pooled)  # warm worker-side interned plans
-        assert warm.detected == inline.detected
-        assert warm.remaining == inline.remaining
-        per_call_s = best_of(2, run_per_call_batch)
-        pool_s = best_of(2, lambda: run_batch(pooled))
-        result = benchmark.pedantic(run_batch, args=(pooled,),
-                                    rounds=1, iterations=1,
-                                    warmup_rounds=0)
-    assert result.detected == inline.detected
-    benchmark.extra_info["n_faults"] = len(universe)
-    benchmark.extra_info["calls"] = calls
-    benchmark.extra_info["per_call_ms"] = round(per_call_s * 1e3, 3)
-    benchmark.extra_info["pool_ms"] = round(pool_s * 1e3, 3)
-    benchmark.extra_info["pool_speedup"] = round(per_call_s / pool_s, 2)
 
 
 #: Enforce the campaign parallel win only where 4 workers can actually
@@ -825,42 +704,6 @@ def test_perf_campaign_table1_parallel(benchmark):
             f"{CAMPAIGN_SPEEDUP_FLOOR}x floor "
             f"({serial.wall_s:.2f}s serial vs "
             f"{parallel.wall_s:.2f}s parallel)")
-
-
-def test_perf_fault_sim_sharded(benchmark, s5378_mapped):
-    """Sharded fault simulation on the largest tractable Table-I circuit.
-
-    Pins that the multi-process merge stays bit-identical to the inline
-    numpy kernel and records the shard speedup trajectory (not enforced:
-    worker count and process start-up cost vary across runners).  The
-    backend has no pool attached, so it dispatches on the shared pool:
-    the first timed call starts it, and best-of timing keeps the warm
-    call.
-    """
-    from repro.simulation.backends import ShardedBackend
-
-    universe = collapse_faults(s5378_mapped, all_faults(s5378_mapped))
-    n = 64
-    words = random_input_words(s5378_mapped, n, make_rng(1))
-    sharded = ShardedBackend(shards=4, min_faults_per_shard=64)
-
-    def run(backend):
-        return fault_simulate(s5378_mapped, universe, words, n,
-                              backend=backend)
-
-    inline = run("numpy")  # warm plan before timing
-    numpy_s = best_of(2, lambda: run("numpy"))
-    sharded_s = best_of(2, lambda: run(sharded))
-    result = benchmark.pedantic(run, args=(sharded,),
-                                rounds=1, iterations=1, warmup_rounds=0)
-
-    assert result.detected == inline.detected
-    assert result.remaining == inline.remaining
-    benchmark.extra_info["n_faults"] = len(universe)
-    benchmark.extra_info["shards"] = sharded.effective_shards(len(universe))
-    benchmark.extra_info["numpy_ms"] = round(numpy_s * 1e3, 3)
-    benchmark.extra_info["sharded_ms"] = round(sharded_s * 1e3, 3)
-    benchmark.extra_info["shard_speedup"] = round(numpy_s / sharded_s, 2)
 
 
 #: Enforced disabled-chaos efficiency floor: the fault-injection probes

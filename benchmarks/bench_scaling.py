@@ -28,7 +28,7 @@ guarded keys; the fitted log-log exponents ride along as unguarded
 Usage::
 
     python benchmarks/bench_scaling.py --gates 10000,100000 \
-        --engines numpy,sharded --stream-budget 500000 -o scaling.json
+        --engines bigint,numpy --stream-budget 500000 -o scaling.json
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from repro.utils.rng import make_rng  # noqa: E402
 
 #: Engines swept by default; bigint is capped (see ``--bigint-cap``)
 #: because the reference engine is the quantity being escaped.
-DEFAULT_ENGINES = ("bigint", "numpy", "sharded")
+DEFAULT_ENGINES = ("bigint", "numpy")
 DEFAULT_GATES = (1_000, 10_000, 100_000)
 
 
@@ -190,8 +190,7 @@ def main(argv: list[str] | None = None) -> int:
                              "million-gate rung)")
     parser.add_argument("--engines", default=",".join(DEFAULT_ENGINES),
                         metavar="E,E,...",
-                        help="engines to sweep (default bigint,numpy,"
-                             "sharded)")
+                        help="engines to sweep (default bigint,numpy)")
     parser.add_argument("--bigint-cap", type=int, default=20_000,
                         metavar="N",
                         help="largest size the bigint reference runs at "

@@ -37,16 +37,6 @@ def flow_config() -> FlowConfig:
     return FlowConfig(seed=1)
 
 
-@pytest.fixture(autouse=True)
-def _shutdown_shared_pool():
-    """Close the process-wide shared worker pool after every bench, so
-    a pool one bench started (sized for its shard count) never serves
-    the next."""
-    yield
-    from repro.campaign.pool import shutdown_shared_pool
-    shutdown_shared_pool()
-
-
 def run_once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under the benchmark fixture."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,

@@ -15,19 +15,12 @@ call it turns the good words into one list that each fault mutates in
 place and restores, with a min-heap of pending sink rows as the event
 queue.
 
-The heavy lifting is delegated to the selected simulation backend via
-:meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`:
-
-* ``bigint`` runs the scalar row-space replay (the bit-exact
-  reference);
-* ``numpy`` replays whole fault batches on the ``uint64`` pattern matrix
-  (:mod:`repro.simulation.backends.fault_kernel`);
-* ``sharded`` partitions the fault list over worker processes and merges
-  the per-shard results deterministically
-  (:mod:`repro.simulation.backends.sharded`).
-
-All engines return bit-identical detection words and the same
-``remaining`` ordering; the differential property tests in
+This replay is the only fault-simulation engine: every backend's
+:meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`
+runs it over the good words of that backend's own fault-free pass, so
+the backend choice only changes how the good machine is settled.
+Detection words and the ``remaining`` ordering are bit-identical
+across backends; the differential property tests in
 ``tests/properties`` enforce this.
 """
 
@@ -41,7 +34,7 @@ from collections.abc import Collection, Mapping, Sequence
 from repro.atpg.faults import Fault, observable_lines
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
-from repro.simulation.backends import Backend, resolve_fault_backend
+from repro.simulation.backends import Backend, resolve_backend
 from repro.simulation.schedule import (
     OP_BUFF,
     OP_CONST1,
@@ -261,10 +254,9 @@ def scalar_fault_simulate(backend: Backend, circuit: Circuit,
 
     ``backend`` supplies the fault-free pass; the per-fault replay works
     on interchange words, so detection words are bit-identical no matter
-    which backend computed the good machine.  This is the default
+    which backend computed the good machine.  Every backend's
     :meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`
-    implementation and the semantics every vectorized kernel must
-    reproduce exactly.
+    runs it.
     """
     good = backend.simulate_packed(circuit, input_words, n)
     return scalar_replay(circuit, faults, good, n)
@@ -284,14 +276,13 @@ def fault_simulate(circuit: Circuit, faults: Sequence[Fault],
     the result does not depend on ``drop``.  Dropping *across* batches is
     the caller's job: feed ``result.remaining`` to the next call.
 
-    ``backend`` selects the fault-simulation engine (name, instance or
-    ``None``).  ``None`` resolves to ``$REPRO_FAULT_BACKEND`` when set,
-    else the session default.  Detection words and ``remaining`` ordering
-    are bit-identical across all engines.  A fault on a line the circuit
-    does not have, or ``n < 1``, raises
+    ``backend`` selects the engine of the fault-free pass (name,
+    instance or ``None`` for the session default).  Detection words and
+    ``remaining`` ordering are bit-identical across all engines.  A
+    fault on a line the circuit does not have, or ``n < 1``, raises
     :class:`~repro.errors.SimulationError`.
     """
-    engine = resolve_fault_backend(backend)
+    engine = resolve_backend(backend)
     _check_pattern_count(n)
     check_fault_lines(circuit, faults)
     return engine.fault_simulate_batch(circuit, faults, input_words, n,

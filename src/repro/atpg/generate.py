@@ -168,15 +168,12 @@ def _vector_to_assignment(design: ScanDesign,
 def generate_tests(design: ScanDesign,
                    config: AtpgConfig | None = None,
                    backend: str | Backend | None = None,
-                   fault_backend: str | Backend | None = None,
                    stream_budget: int | None = None) -> TestSet:
     """Generate a compacted stuck-at test set for a full-scan design.
 
     ``backend`` selects the packed-simulation engine for every fault
-    simulation; ``fault_backend`` overrides it for the fault simulations
-    specifically (e.g. the ``sharded`` meta-backend for large collapsed
-    universes) and defaults to ``backend``.  Results are bit-identical
-    across backends, so the generated test set never depends on either.
+    simulation.  Results are bit-identical across backends, so the
+    generated test set never depends on it.
 
     All fault simulations run through one persistent
     :class:`~repro.simulation.fault_episode.FaultSimSession` that
@@ -184,20 +181,11 @@ def generate_tests(design: ScanDesign,
     ``stream_budget`` bounds the session's planned replays out of core
     (``None`` = session default / ``$REPRO_STREAM_BUDGET``, ``0`` off);
     streaming is bit-identical, so the test set never depends on it.
-
-    A ``sharded`` fault engine dispatches every call that splits on its
-    attached pool, else on the process-wide shared worker pool
-    (:func:`repro.campaign.pool.ensure_shared_pool`): ATPG makes many
-    fault-simulation calls on the same circuit, and the live workers
-    keep their interned plan caches across them.
     """
     config = config or AtpgConfig()
-    from repro.simulation.backends import resolve_fault_backend
-    engine = resolve_fault_backend(
-        fault_backend if fault_backend is not None else backend)
     circuit = design.circuit
     universe = collapse_faults(circuit, all_faults(circuit))
-    session = FaultSimSession(circuit, engine, stream_budget=stream_budget)
+    session = FaultSimSession(circuit, backend, stream_budget=stream_budget)
     return _generate_tests(design, config, universe, session)
 
 

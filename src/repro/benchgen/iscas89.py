@@ -13,6 +13,8 @@ from __future__ import annotations
 import dataclasses
 import math
 
+from repro.errors import UnknownCircuitError
+
 __all__ = ["Iscas89Stats", "ISCAS89_STATS", "TABLE1_CIRCUITS",
            "stats_for", "scaled_stats"]
 
@@ -70,12 +72,13 @@ TABLE1_CIRCUITS: tuple[str, ...] = (
 
 
 def stats_for(name: str) -> Iscas89Stats:
-    """Statistics record for ``name`` (KeyError with guidance if unknown)."""
+    """Statistics record for ``name``; an unknown name raises
+    :class:`~repro.errors.UnknownCircuitError` listing the known ones."""
     try:
         return ISCAS89_STATS[name]
     except KeyError:
         known = ", ".join(sorted(ISCAS89_STATS))
-        raise KeyError(
+        raise UnknownCircuitError(
             f"unknown ISCAS89 circuit {name!r}; known: {known}") from None
 
 

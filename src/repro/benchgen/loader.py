@@ -18,13 +18,13 @@ import os
 from pathlib import Path
 
 from repro.benchgen.generator import generate_circuit
-from repro.benchgen.iscas89 import ISCAS89_STATS, TABLE1_CIRCUITS
+from repro.benchgen.iscas89 import ISCAS89_STATS, TABLE1_CIRCUITS, stats_for
 from repro.netlist import builders
 from repro.netlist.bench import parse_bench_file
 from repro.netlist.circuit import Circuit
 
-__all__ = ["load_circuit", "circuit_provenance", "available_circuits",
-           "ENV_BENCH_DIR"]
+__all__ = ["load_circuit", "check_circuit", "circuit_provenance",
+           "available_circuits", "ENV_BENCH_DIR"]
 
 ENV_BENCH_DIR = "REPRO_ISCAS89_DIR"
 
@@ -63,6 +63,14 @@ def load_circuit(name: str, seed: int = 1,
     if name in _BUILTIN:
         return _BUILTIN[name]()
     return generate_circuit(name, seed)
+
+
+def check_circuit(name: str,
+                  search_dir: str | Path | None = None) -> None:
+    """Raise :class:`~repro.errors.UnknownCircuitError` unless
+    :func:`load_circuit` can resolve ``name``, without building it."""
+    if name not in _BUILTIN and _real_bench_path(name, search_dir) is None:
+        stats_for(name)
 
 
 def available_circuits() -> list[str]:

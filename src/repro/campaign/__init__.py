@@ -4,8 +4,7 @@ The campaign layer sits between the flow (:mod:`repro.core.flow`) and
 the experiment harnesses (:mod:`repro.experiments`):
 
 * :mod:`repro.campaign.pool` — a persistent, non-daemonic worker pool,
-  pre-warmed once and shared by campaign jobs and the ``sharded``
-  fault backend (``ShardedBackend(pool=...)``);
+  pre-warmed once and reused by every campaign job;
 * :mod:`repro.campaign.cache` — a content-addressed on-disk artefact
   cache keyed by (circuit fingerprint, canonical config hash, code
   fingerprint);
@@ -33,9 +32,6 @@ from repro.campaign.manifest import (
 from repro.campaign.pool import (
     WorkerPool,
     WorkerPoolError,
-    active_shared_pool,
-    ensure_shared_pool,
-    shutdown_shared_pool,
 )
 from repro.campaign.queue import (
     ClaimedJob,
@@ -79,8 +75,6 @@ __all__ = [
     "WorkerPool",
     "WorkerPoolError",
     "WorkerStats",
-    "active_shared_pool",
-    "ensure_shared_pool",
     "execute_job",
     "figure2_from_artefact",
     "job_identity",
@@ -89,5 +83,4 @@ __all__ = [
     "run_flow_jobs",
     "run_server",
     "run_worker",
-    "shutdown_shared_pool",
 ]

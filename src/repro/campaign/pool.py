@@ -1,9 +1,8 @@
-"""Persistent process pool shared by campaigns and the sharded backend.
+"""Persistent process pool for campaign jobs.
 
 ``multiprocessing.Pool`` is deliberately not used: its workers are
-daemonic, which forbids them from having children of their own — but a
-campaign job legitimately wants to fan its *fault lists* out over the
-``sharded`` backend while the job itself runs on a pool worker.
+daemonic, which forbids them from having children of their own (a job
+running on a pool worker may start a pool of its own).
 :class:`WorkerPool` spawns plain non-daemon processes once, keeps them
 alive across any number of :meth:`~WorkerPool.map` calls, and preserves
 submission order in the returned results regardless of which worker
@@ -14,13 +13,6 @@ imports the simulation substrate so the per-task cost is pure work, not
 interpreter warm-up.  On fork platforms the children additionally
 inherit every cache the parent had populated at start time
 (copy-on-write).
-
-A process-wide *shared* pool is started by :func:`ensure_shared_pool`;
-consumers that cannot carry a pool through their configuration (notably
-:class:`~repro.simulation.backends.ShardedBackend`, whose config travels
-as plain JSON) dispatch on it, so every sharded call in a process reuses
-the same live workers.  A pool worker that starts its own shared pool
-(a sharded flow running as a campaign job) closes it before it exits.
 """
 
 from __future__ import annotations
@@ -50,9 +42,6 @@ __all__ = [
     "WorkerPool",
     "WorkerPoolError",
     "default_pool_size",
-    "ensure_shared_pool",
-    "active_shared_pool",
-    "shutdown_shared_pool",
 ]
 
 
@@ -103,13 +92,6 @@ def _worker_main(task_queue, result_queue,
     instant later (``mp.Queue``'s feeder thread would lose it to a
     hard ``os._exit``, degrading every crash to the slow bulk
     re-dispatch fallback).
-
-    A task may have started this worker's own shared pool (a sharded
-    engine inside a campaign job); it is closed before the worker
-    returns.  Otherwise ``multiprocessing``'s exit handler would join
-    the nested pool's non-daemonic workers, which still wait for their
-    sentinel, and the worker would hang until its own pool's
-    :meth:`WorkerPool.close` timed out and killed it.
     """
     if initializer is not None:
         initializer()
@@ -123,31 +105,28 @@ def _worker_main(task_queue, result_queue,
     # respawned fork would replay the exact draw that killed its
     # predecessor and crash-loop the pool deterministically.
     chaos.rescope(name)
-    try:
-        while True:
-            job = task_queue.get()
-            if job is None:
-                break
-            epoch, idx, fn, arg, ctx = pickle.loads(job)
-            result_queue.put(pickle.dumps(("start", epoch, idx, name)))
-            try:
-                # Injected after the announcement: a chaos-killed task
-                # is always precisely recoverable by the map supervisor.
-                chaos.point("pool.task.kill")
-                chaos.point("pool.task.hang")
-                chaos.point("pool.task.slow")
-                with using_context(ctx), span("pool.task", task=idx):
-                    result = fn(arg)
-                payload = pickle.dumps(
-                    ("done", epoch, idx, True, result, name))
-            except BaseException as exc:  # noqa: BLE001 - relayed
-                payload = pickle.dumps(
-                    ("done", epoch, idx, False,
-                     f"{type(exc).__name__}: {exc}\n"
-                     f"{traceback.format_exc()}", name))
-            result_queue.put(payload)
-    finally:
-        shutdown_shared_pool()
+    while True:
+        job = task_queue.get()
+        if job is None:
+            break
+        epoch, idx, fn, arg, ctx = pickle.loads(job)
+        result_queue.put(pickle.dumps(("start", epoch, idx, name)))
+        try:
+            # Injected after the announcement: a chaos-killed task
+            # is always precisely recoverable by the map supervisor.
+            chaos.point("pool.task.kill")
+            chaos.point("pool.task.hang")
+            chaos.point("pool.task.slow")
+            with using_context(ctx), span("pool.task", task=idx):
+                result = fn(arg)
+            payload = pickle.dumps(
+                ("done", epoch, idx, True, result, name))
+        except BaseException as exc:  # noqa: BLE001 - relayed
+            payload = pickle.dumps(
+                ("done", epoch, idx, False,
+                 f"{type(exc).__name__}: {exc}\n"
+                 f"{traceback.format_exc()}", name))
+        result_queue.put(payload)
     _trace_flush()
 
 
@@ -356,7 +335,7 @@ class WorkerPool:
         in-flight task re-dispatched, so a crashed worker costs one
         task re-execution, not the whole map.  Tasks must therefore be
         idempotent — true of everything the pool runs (content-
-        addressed campaign jobs, pure fault-simulation shards).  Only
+        addressed campaign jobs).  Only
         an exhausted restart budget closes the pool and raises.
         """
         with self._map_lock:
@@ -485,66 +464,3 @@ class WorkerPool:
             elif idx is None:
                 unannounced = True
         return unannounced
-
-
-# ---------------------------------------------------------------------- #
-# process-wide shared pool
-# ---------------------------------------------------------------------- #
-
-_SHARED: WorkerPool | None = None
-_SHARED_LOCK = threading.Lock()
-
-
-def _reset_shared_lock() -> None:
-    # A fork can happen while another thread holds the lock; the child
-    # must not inherit it held.
-    global _SHARED_LOCK
-    _SHARED_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX only
-    os.register_at_fork(after_in_child=_reset_shared_lock)
-
-
-def ensure_shared_pool(processes: int | None = None) -> WorkerPool:
-    """Start (or reuse) the process-wide shared pool.
-
-    An existing shared pool is reused as-is even if ``processes``
-    differs — resizing would silently drop warmed workers; call
-    :func:`shutdown_shared_pool` first to change the size.  A shared
-    pool inherited across fork belongs to the parent: this process
-    drops its references to it and starts its own.
-    """
-    global _SHARED
-    with _SHARED_LOCK:
-        if _SHARED is not None and _SHARED.started and not _SHARED.owned:
-            _SHARED.close()  # drops the local references only
-            _SHARED = None
-        if _SHARED is None:
-            _SHARED = WorkerPool(processes=processes)
-        return _SHARED.start()
-
-
-def active_shared_pool() -> WorkerPool | None:
-    """The shared pool if one is started *by this process*, else
-    ``None``.
-
-    Never starts a pool (the sharded backend sizes itself by it
-    without committing to a dispatch).  The ownership check matters
-    under fork: a pool worker inherits the parent's started pool
-    object, and dispatching into it from the child would corrupt the
-    parent's in-flight map — inherited pools are therefore invisible
-    here, and :func:`ensure_shared_pool` starts the child its own.
-    """
-    if _SHARED is not None and _SHARED.owned:
-        return _SHARED
-    return None
-
-
-def shutdown_shared_pool() -> None:
-    """Close and forget the shared pool (no-op when absent)."""
-    global _SHARED
-    with _SHARED_LOCK:
-        if _SHARED is not None:
-            _SHARED.close()
-            _SHARED = None

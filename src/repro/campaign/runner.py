@@ -25,7 +25,11 @@ import dataclasses
 from collections.abc import Sequence
 from typing import Any
 
-from repro.benchgen.loader import circuit_provenance, load_circuit
+from repro.benchgen.loader import (
+    check_circuit,
+    circuit_provenance,
+    load_circuit,
+)
 from repro.campaign.cache import ResultCache
 from repro.campaign.manifest import (
     CampaignJob,
@@ -267,6 +271,10 @@ def run_flow_jobs(jobs_list: Sequence[CampaignJob], *,
     if kind not in _EXECUTORS:
         raise ValueError(f"unknown campaign job kind {kind!r}")
     execute = globals()[_EXECUTORS[kind]]
+    if kind == FLOW_ARTEFACT_KIND:
+        # A bad name fails here, in the caller, not inside a worker.
+        for job in jobs_list:
+            check_circuit(job.circuit)
     code_fp = package_fingerprint() if cache is not None else ""
 
     records: list[JobRecord] = []

@@ -63,15 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=("simulation backend for all packed "
                               "simulations (results are bit-identical; "
                               "default: $REPRO_SIM_BACKEND or bigint)"))
-    parser.add_argument("--fault-backend", choices=available_backends(),
-                        default=None,
-                        help=("backend for fault simulation specifically "
-                              "(bit-identical; default: $REPRO_FAULT_BACKEND, "
-                              "else --backend)"))
-    parser.add_argument("--shards", type=int, default=None, metavar="N",
-                        help=("worker processes for the 'sharded' fault "
-                              "backend (implies --fault-backend sharded; "
-                              "default: $REPRO_SIM_SHARDS or cpu count)"))
     parser.add_argument("--stream-budget", type=int, default=None,
                         metavar="N",
                         help=("out-of-core streaming budget in uint64 "
@@ -284,12 +275,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     A reader that closes stdout early (``repro-power list | head -1``)
     ends the run with exit code 1 and no traceback.  Stdout is then
     pointed at ``os.devnull`` (the recipe of Python's ``signal`` docs),
-    so the interpreter's final flush cannot raise again.
+    so the interpreter's final flush cannot raise again.  An unknown
+    circuit name is a one-line error with exit code 2.
     """
+    from repro.errors import UnknownCircuitError
     try:
         code = _main(argv)
         sys.stdout.flush()  # surface a broken pipe here, not at exit
         return code
+    except UnknownCircuitError as exc:
+        print(f"repro-power: error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -310,8 +306,6 @@ def _main(argv: Sequence[str] | None) -> int:
         # the flags left unset.
         set_session_defaults(RuntimeOptions(
             backend=args.backend,
-            fault_backend=args.fault_backend,
-            shards=args.shards,
             stream_budget=args.stream_budget,
             trace=args.trace,
             chaos=args.chaos))
@@ -360,8 +354,6 @@ def _main(argv: Sequence[str] | None) -> int:
 
     if args.command == "table1":
         config = FlowConfig(seed=args.seed, backend=args.backend,
-                            fault_backend=args.fault_backend,
-                            shards=args.shards,
                             stream_budget=args.stream_budget)
         circuits = args.circuits or None
         run = run_table1(circuits, config, verbose=not args.quiet,
@@ -383,8 +375,6 @@ def _main(argv: Sequence[str] | None) -> int:
         config = FlowConfig(
             seed=args.seed,
             backend=args.backend,
-            fault_backend=args.fault_backend,
-            shards=args.shards,
             stream_budget=args.stream_budget,
             reorder_inputs=not args.no_reorder,
             use_observability_directive=not args.no_directive)
@@ -639,10 +629,6 @@ def _run_campaign_command(args) -> int:
     runtime_base = {}
     if args.backend is not None:
         runtime_base["backend"] = args.backend
-    if args.fault_backend is not None:
-        runtime_base["fault_backend"] = args.fault_backend
-    if args.shards is not None:
-        runtime_base["shards"] = args.shards
     if args.stream_budget is not None:
         runtime_base["stream_budget"] = args.stream_budget
 

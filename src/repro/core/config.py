@@ -9,7 +9,7 @@ from typing import ClassVar
 from repro.atpg.generate import AtpgConfig
 from repro.cells.library import CellLibrary, default_library
 from repro.errors import ConfigError
-from repro.runtime import check_runtime_fields, resolve
+from repro.runtime import check_runtime_fields
 
 __all__ = ["FlowConfig"]
 
@@ -51,15 +51,6 @@ class FlowConfig:
         Simulation backend name used by the flow's packed simulations
         (``None`` = session default).  Numerically irrelevant — every
         backend is bit-identical — so results never depend on it.
-    fault_backend:
-        Backend name for the flow's fault simulations specifically
-        (``None`` = the session / ``$REPRO_FAULT_BACKEND`` default,
-        else ``backend``).  Like ``backend`` it only
-        affects speed; ``"sharded"`` fans the collapsed fault list out
-        over worker processes.
-    shards:
-        Worker-process count for the ``sharded`` fault backend; setting
-        it implies ``fault_backend="sharded"`` when that is unset.
     stream_budget:
         Out-of-core streaming budget for the flow's plan evaluations
         (``uint64`` elements of one window's state matrix): a positive
@@ -73,7 +64,7 @@ class FlowConfig:
     #: backend is bit-identical by contract); excluded from
     #: :meth:`config_hash` so cache keys are engine-independent.
     RUNTIME_FIELDS: ClassVar[tuple[str, ...]] = (
-        "backend", "fault_backend", "shards", "stream_budget")
+        "backend", "stream_budget")
 
     seed: int = 0
     observability_samples: int = 512
@@ -86,8 +77,6 @@ class FlowConfig:
     include_capture_cycles: bool = True
     atpg: AtpgConfig | None = None
     backend: str | None = None
-    fault_backend: str | None = None
-    shards: int | None = None
     stream_budget: int | None = None
 
     def __post_init__(self) -> None:
@@ -136,27 +125,6 @@ class FlowConfig:
         if self.atpg is not None:
             return self.atpg
         return AtpgConfig(seed=self.seed)
-
-    def fault_simulation_backend(self):
-        """The backend spec the flow's fault simulations should use.
-
-        An explicit ``fault_backend`` wins, then ``shards`` (implying
-        ``sharded``), then the resolved ``fault_backend`` knob of
-        :mod:`repro.runtime` (session default, then
-        ``$REPRO_FAULT_BACKEND``), else the plain ``backend`` (``None``
-        = session default).  Returns a fresh :class:`ShardedBackend`
-        instance when a shard count is pinned, so concurrent flows with
-        different configs never fight over the registry singleton.
-        """
-        name = self.fault_backend
-        if name is None and self.shards is not None:
-            name = "sharded"
-        if name == "sharded" and self.shards is not None:
-            from repro.simulation.backends import ShardedBackend
-            return ShardedBackend(shards=self.shards)
-        if name is None:
-            name = resolve("fault_backend")
-        return self.backend if name is None else name
 
     def library(self) -> CellLibrary:
         """The cell library used throughout the flow."""

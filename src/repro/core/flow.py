@@ -126,7 +126,6 @@ class ProposedFlow:
         design = ScanDesign.full_scan(mapped)
         test_set = generate_tests(
             design, config.atpg_config(), backend=config.backend,
-            fault_backend=config.fault_simulation_backend(),
             stream_budget=config.stream_budget)
 
         addmux = add_mux(mapped, library,

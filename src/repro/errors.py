@@ -37,6 +37,18 @@ class BenchParseError(NetlistError):
         super().__init__(message)
 
 
+class UnknownCircuitError(NetlistError, KeyError):
+    """A benchmark name the circuit loader cannot resolve.
+
+    Also a :class:`KeyError`, so callers catching a failed name lookup
+    keep working; unlike a plain ``KeyError`` it prints its message
+    unquoted.
+    """
+
+    def __str__(self) -> str:
+        return str(self.args[0]) if self.args else ""
+
+
 class CombinationalLoopError(NetlistError):
     """The combinational part of a circuit contains a cycle.
 

@@ -65,7 +65,7 @@ class Table1Run:
     #: this is the *historical* compute time of the run that produced
     #: the artefact.
     runtime_s: dict[str, float]
-    #: Engine record ("sim"/"fault" backend names) — results are
+    #: Engine record (the "sim" backend name) — results are
     #: bit-identical across engines, this documents what produced the run.
     backends: dict[str, str] = dataclasses.field(default_factory=dict)
     #: Monotonic wall-clock seconds of the whole experiment.
@@ -126,9 +126,7 @@ class Table1Run:
 
 
 def _record_backends(config: FlowConfig) -> dict[str, str]:
-    sim = resolve("backend", config.backend)
-    fault = config.fault_simulation_backend() or sim
-    return {"sim": sim, "fault": getattr(fault, "name", fault)}
+    return {"sim": resolve("backend", config.backend)}
 
 
 def run_table1(circuits: Sequence[str] | None = None,

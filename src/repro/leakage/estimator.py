@@ -129,8 +129,8 @@ def leakage_from_pattern_counts(circuit: Circuit,
     pattern-count array (see :meth:`repro.simulation.backends.SimState.
     pattern_counts`).  Accumulation runs per gate in the leakage
     table's iteration order — the exact float recipe every backend's
-    ``leakage_sum`` uses — so pricing counts merged across
-    pattern-axis shards reproduces the unsharded sums bit for bit.
+    ``leakage_sum`` uses — so pricing counts merged across streamed
+    cycle windows reproduces the resident sums bit for bit.
     Entries come back in topological order, matching the backends'
     ``leakage_sum`` ordering contract.
     """

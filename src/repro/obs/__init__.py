@@ -8,8 +8,8 @@ this package reports into:
   is enabled (``--trace DIR`` / ``$REPRO_TRACE`` /
   ``RuntimeOptions.trace``) every finished span is appended to a
   per-process JSONL file under the trace directory, carrying trace and
-  span IDs that stitch pool workers (campaign jobs and sharded engine
-  tasks) and ``repro-power worker`` processes into one tree.  When
+  span IDs that stitch pool workers (campaign jobs) and
+  ``repro-power worker`` processes into one tree.  When
   tracing is off (the default) a span is two ``time.monotonic()``
   calls and nothing is written.
 

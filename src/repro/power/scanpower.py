@@ -125,10 +125,9 @@ def episode_waveforms(design: ScanDesign, vectors: Sequence[TestVector],
     dumps) on top of the same shift semantics the evaluator uses.
 
     ``backend`` selects the engine for the batched compiler's capture
-    pre-pass and is **resolved exactly once per call**: a meta backend
-    (e.g. ``sharded``) resolves here to one engine instance whose inner
-    delegation applies uniformly, never re-resolved per vector — the
-    resolve-once convention every public entry point follows.
+    pre-pass and is **resolved exactly once per call**, never
+    re-resolved per vector — the resolve-once convention every public
+    entry point follows.
     """
     policy = policy or ShiftPolicy()
     plan = compile_episode_plan(
@@ -166,11 +165,9 @@ def evaluate_scan_power(design: ScanDesign,
         Chain contents before the first shift (default all zeros).
     backend:
         Simulation backend for the episode replay (name, instance or
-        ``None`` for the session default); affects speed only.  Meta
-        backends (e.g. ``sharded``) delegate their plain packed
-        simulation to their inner engine, so any registered name works
-        here.  Resolved exactly once per call and reused for the
-        capture pre-pass and the batch evaluation.
+        ``None`` for the session default); affects speed only.
+        Resolved exactly once per call and reused for the capture
+        pre-pass and the batch evaluation.
     stream_budget:
         Out-of-core streaming budget for the batch evaluation
         (``uint64`` elements of one window's state matrix); ``None``

@@ -1,12 +1,11 @@
 """Runtime options: one knob table, one resolver, one session store.
 
-The runtime knobs — simulation backend, fault backend, shard count,
-streaming budget, tracing and chaos injection — are the rows of
-:data:`KNOBS` (field, env var, value type, built-in default, off
-value) and the fields of the frozen :class:`RuntimeOptions` session
-record.  Every knob is runtime-only: it changes speed, peak memory or
-observability, never results (all engines are bit-identical by
-contract), so none is part of
+The runtime knobs — simulation backend, streaming budget, tracing and
+chaos injection — are the rows of :data:`KNOBS` (field, env var, value
+type, built-in default, off value) and the fields of the frozen
+:class:`RuntimeOptions` session record.  Every knob is runtime-only:
+it changes speed, peak memory or observability, never results (all
+engines are bit-identical by contract), so none is part of
 :meth:`~repro.core.config.FlowConfig.config_hash`.
 
 :func:`resolve` gives every knob one precedence: explicit argument (a
@@ -19,7 +18,7 @@ Every level passes the same per-knob check, so a bad value raises
 and its env var wherever it comes from.
 
 Session defaults are process-global and do **not** cross process
-boundaries (pool/shard workers re-resolve from their own environment).
+boundaries (pool workers re-resolve from their own environment).
 """
 
 from __future__ import annotations
@@ -142,9 +141,6 @@ class Knob:
 KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
     Knob("backend", "REPRO_SIM_BACKEND", str, default="bigint",
          validate=_registered_backend),
-    Knob("fault_backend", "REPRO_FAULT_BACKEND", str,
-         validate=_registered_backend),
-    Knob("shards", "REPRO_SIM_SHARDS", int, validate=_at_least(1)),
     Knob("stream_budget", "REPRO_STREAM_BUDGET", int, off=0,
          validate=_at_least(0)),
     Knob("trace", "REPRO_TRACE", str, off="", validate=_directory),
@@ -166,8 +162,6 @@ class RuntimeOptions:
     """
 
     backend: str | None = None
-    fault_backend: str | None = None
-    shards: int | None = None
     stream_budget: int | None = None
     trace: str | None = None
     chaos: str | None = None
@@ -195,19 +189,13 @@ def check_runtime_fields(options: "RuntimeOptions | FlowConfig") -> None:
     """Validate the knob fields of ``RuntimeOptions`` or ``FlowConfig``.
 
     Each set field passes its knob's check (type, registered backend
-    name, range, directory path, chaos spec); a shard count also needs
-    the ``sharded`` fault backend or none.  Raises
+    name, range, directory path, chaos spec).  Raises
     :class:`~repro.errors.RuntimeOptionError`.
     """
     for knob in KNOBS.values():
         value = getattr(options, knob.name, None)
         if value is not None:
             knob.check(value)
-    if options.shards is not None and \
-            options.fault_backend not in (None, "sharded"):
-        KNOBS["shards"].fail(
-            "only applies to the 'sharded' fault backend, not "
-            f"{options.fault_backend!r}")
 
 
 def resolve(name: str, explicit: Any = None) -> Any:

@@ -241,11 +241,11 @@ def evaluate_multichain_power(design: MultiChainDesign,
     Semantics mirror the single-chain evaluator; only the schedule
     differs: every vector costs ``max_length`` shift cycles (plus the
     capture cycle), during which each chain walks its own contents.
-    ``backend`` accepts any registered engine, including meta-backends
-    like ``sharded``; it is resolved exactly once per call and affects
-    speed only.  Evaluation goes through
-    ``Backend.simulate_episode_batch`` so sharding meta-backends may
-    chunk the cycle axis of oversized replays.
+    ``backend`` accepts any registered engine; it is resolved exactly
+    once per call and affects speed only.  Evaluation goes through
+    ``Backend.simulate_episode_batch``, so a session or
+    ``$REPRO_STREAM_BUDGET`` stream budget streams the cycle axis of
+    oversized replays.
     """
     # Deferred: repro.power.scanpower imports repro.scan.testview, and
     # the repro.scan package imports this module.

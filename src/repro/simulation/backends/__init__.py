@@ -1,14 +1,13 @@
 """Pluggable packed-simulation backends.
 
-Three engines ship with the library:
+Two engines ship with the library:
 
 * ``bigint`` — the reference engine (Python big-int bitwise ops);
-* ``numpy`` — levelized, type-batched ``uint64`` matrix engine, with a
-  fused batched fault-simulation kernel
-  (:mod:`repro.simulation.backends.fault_kernel`);
-* ``sharded`` — meta-backend partitioning fault lists, pattern windows
-  and episode cycle ranges over worker processes (``numpy`` inside
-  each worker); plain packed simulation delegates to ``numpy``.
+* ``numpy`` — levelized, type-batched ``uint64`` matrix engine.
+
+Both fault-simulate through the base :class:`Backend` methods: the
+big-int row-space event replay of :mod:`repro.atpg.faultsim` over the
+engine's own fault-free pass.
 
 All backends produce bit-identical packed words, fault-detection words
 and IEEE-identical derived floats; the choice only affects speed.
@@ -16,14 +15,6 @@ An explicit ``backend=`` argument (name or instance) on the public
 entry points wins; ``None`` resolves the ``backend`` knob through
 :func:`repro.runtime.resolve` (session default, e.g. ``--backend``, >
 ``$REPRO_SIM_BACKEND`` > ``bigint``).
-
-Fault simulation resolves one extra level: an explicit fault-engine spec
-(``fault_simulate(backend=...)``, ``FlowConfig.fault_backend``/
-``.shards``) wins; otherwise the ``fault_backend`` knob (session
-default, e.g. ``--fault-backend``, > ``$REPRO_FAULT_BACKEND``) — a
-targeted knob so e.g. CI can force sharded fault simulation across a
-run regardless of how the plain backend was chosen; otherwise the
-``backend`` knob.
 
 Third-party engines register with :func:`register_backend` and become
 addressable by name everywhere.
@@ -36,7 +27,6 @@ from repro.runtime import KNOBS, resolve, set_session_defaults
 from repro.simulation.backends.base import Backend, SimState
 from repro.simulation.backends.bigint import BigIntBackend, BigIntState
 from repro.simulation.backends.numpy_backend import NumpyBackend, NumpyState
-from repro.simulation.backends.sharded import ShardedBackend
 
 __all__ = [
     "Backend",
@@ -45,7 +35,6 @@ __all__ = [
     "BigIntState",
     "NumpyBackend",
     "NumpyState",
-    "ShardedBackend",
     "register_backend",
     "available_backends",
     "get_backend",
@@ -53,17 +42,11 @@ __all__ = [
     "resolve_fault_backend",
     "set_default_backend",
     "default_backend_name",
-    "default_fault_backend_name",
     "DEFAULT_BACKEND_ENV",
-    "DEFAULT_FAULT_BACKEND_ENV",
 ]
 
 #: Environment variable consulted for the session default backend.
 DEFAULT_BACKEND_ENV = KNOBS["backend"].env
-
-#: Environment variable overriding the default backend for *fault
-#: simulation* only (falls back to the session default when unset).
-DEFAULT_FAULT_BACKEND_ENV = KNOBS["fault_backend"].env
 
 _REGISTRY: dict[str, Backend] = {}
 
@@ -122,22 +105,11 @@ def resolve_backend(backend: str | Backend | None) -> Backend:
     return get_backend(backend)
 
 
-def default_fault_backend_name() -> str:
-    """Default engine for fault simulation: the resolved
-    ``fault_backend`` knob (session, then ``$REPRO_FAULT_BACKEND``),
-    else :func:`default_backend_name`.  Results are bit-identical
-    either way; only speed changes."""
-    return resolve("fault_backend") or default_backend_name()
-
-
-def resolve_fault_backend(backend: str | Backend | None) -> Backend:
-    """Like :func:`resolve_backend`, but ``None`` resolves through
-    :func:`default_fault_backend_name`."""
-    if backend is None:
-        return get_backend(default_fault_backend_name())
-    return resolve_backend(backend)
+#: Alias of :func:`resolve_backend`: fault simulation has no engine knob
+#: of its own; the name stays for the benchmark harness and the frozen
+#: compaction oracle in ``tests/`` that import it.
+resolve_fault_backend = resolve_backend
 
 
 register_backend(BigIntBackend())
 register_backend(NumpyBackend())
-register_backend(ShardedBackend())

@@ -117,7 +117,7 @@ class SimState(abc.ABC):
         (pin ``j`` = bit ``j`` of the code), as an ``int64`` array of
         length ``2**arity``.  Keys are the combinational gate outputs
         in topological order.  Counts are integers, so they merge
-        exactly across pattern-axis shards; pricing merged counts with
+        exactly across streamed cycle windows; pricing merged counts with
         the leakage tables reproduces :meth:`leakage_sum` bit for bit
         (see :func:`repro.leakage.estimator.leakage_from_pattern_counts`).
         """
@@ -191,10 +191,7 @@ class Backend(abc.ABC):
         engine this is the reference semantics, on the numpy engine one
         ``uint64``-matrix pass over the levelized fused-AND schedule —
         and derives transitions / leakage sums exactly as
-        :func:`~repro.simulation.cyclesim.simulate_cycles` would.  Meta
-        backends may shard the pattern/cycle axis instead (see
-        :class:`~repro.simulation.backends.sharded.ShardedBackend`);
-        every implementation must stay bit-identical.
+        :func:`~repro.simulation.cyclesim.simulate_cycles` would.
 
         When a ``stream_budget`` resolves (argument > session default >
         ``$REPRO_STREAM_BUDGET``) and the plan's resident state matrix
@@ -238,10 +235,9 @@ class Backend(abc.ABC):
         detecting patterns, ``remaining`` lists the undetected faults in
         input order, and both must be bit-identical across backends.
 
-        The default implementation is the scalar big-int row-space
-        replay (fault-free pass on this backend, per-fault replay on
-        interchange words); vectorized engines override it with fused
-        kernels.
+        Every engine runs the scalar big-int row-space replay here
+        (fault-free pass on this backend, per-fault replay on
+        interchange words).
         """
         from repro.atpg.faultsim import scalar_fault_simulate
         return scalar_fault_simulate(self, circuit, faults, input_words,
@@ -251,7 +247,7 @@ class Backend(abc.ABC):
                             drop: bool = True,
                             stream_budget: int | None = None
                             ) -> "FaultSimResult":
-        """Replay a compiled fault x pattern plan in one fused pass.
+        """Replay a compiled fault x pattern plan in one pass.
 
         ``plan`` is a :class:`~repro.simulation.fault_episode.
         FaultEpisodePlan` packing a whole fault universe against a whole
@@ -259,15 +255,11 @@ class Backend(abc.ABC):
         :meth:`fault_simulate_batch` on the plan's components —
         detection words record all detecting patterns, ``remaining``
         follows the plan's fault order, and results are bit-identical
-        across engines, tile geometries and shard counts.
+        across engines.
 
-        The default implementation is the scalar big-int row-space
-        replay over the plan's **memoized** good-machine words (one
-        fault-free pass per backend, shared across calls and shards via
-        the plan's state cache) — the pinned reference semantics.  The
-        numpy engine overrides this with the 2-D-tiled kernel; the
-        sharded meta-backend shards the fault axis (drop mode) or the
-        pattern axis (no-drop matrices).
+        The replay is the scalar big-int row-space replay over the
+        plan's **memoized** good-machine words (one fault-free pass per
+        backend, shared across calls via the plan's state cache).
 
         When a ``stream_budget`` resolves and the plan's good-machine
         state would exceed it, evaluation streams word-aligned pattern
@@ -287,24 +279,6 @@ class Backend(abc.ABC):
                   faults=plan.n_faults, patterns=plan.n):
             return scalar_replay(plan.circuit, plan.faults,
                                  plan.good_words(self), plan.n)
-
-    def fault_window_result(self, circuit: Circuit,
-                            faults: "Sequence[Fault]",
-                            input_words: Mapping[str, int], n: int,
-                            element_budget: int | None = None
-                            ) -> "FaultSimResult":
-        """One pattern window of a streamed fault plan.
-
-        Drop-free by contract: within a single call every pattern is
-        simulated at once, so the detection word of each fault records
-        *all* of the window's detecting patterns and the streamed
-        OR-fold reconstructs both drop modes' results exactly.
-        ``element_budget`` bounds any internal tiling the engine does
-        (the numpy kernel evaluates its fault tiles from the window
-        view under this budget).
-        """
-        return self.fault_simulate_batch(circuit, faults, input_words, n,
-                                         drop=False)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

@@ -16,21 +16,20 @@ big ints:
   leakage-table pattern, accumulated in the table's iteration order so
   the per-gate floats match the reference backend bit-for-bit.
 
-The schedule evaluation itself lives in :mod:`repro.simulation.kernels`,
-next to the tiled fault kernel it shares its gate evaluator with.
+The schedule evaluation itself lives in :mod:`repro.simulation.kernels`.
+Fault simulation is the base :class:`Backend` big-int row-space replay
+(:mod:`repro.atpg.faultsim`) over this engine's fault-free pass.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.cells.library import CellLibrary
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
-from repro.obs.trace import span
 from repro.simulation.backends.base import (
     Backend,
     SimState,
@@ -45,11 +44,6 @@ from repro.simulation.kernels import (
 )
 from repro.simulation.schedule import LevelizedSchedule, cached_schedule
 from repro.simulation.values import mask
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.atpg.faults import Fault
-    from repro.atpg.faultsim import FaultSimResult
-    from repro.simulation.fault_episode import FaultEpisodePlan
 
 __all__ = ["NumpyBackend", "NumpyState"]
 
@@ -88,17 +82,10 @@ class NumpyState(SimState):
     """Waveforms as rows of a packed ``uint64`` matrix."""
 
     def __init__(self, circuit: Circuit, n: int,
-                 schedule: LevelizedSchedule, matrix: np.ndarray,
-                 full_row: np.ndarray):
+                 schedule: LevelizedSchedule, matrix: np.ndarray):
         super().__init__(circuit, n)
         self._schedule = schedule
         self._matrix = matrix
-        self._full_row = full_row
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The raw ``(n_lines, n_words)`` waveform matrix (read-only use)."""
-        return self._matrix
 
     def lines(self) -> Sequence[str]:
         return self._schedule.lines
@@ -231,7 +218,7 @@ class NumpyBackend(Backend):
         state = initial_state(schedule, input_words, n, n_words, full,
                               full_row)
         eval_schedule(schedule, state, full_row)
-        return NumpyState(circuit, n, schedule, state, full_row)
+        return NumpyState(circuit, n, schedule, state)
 
     def eval_gate_packed(self, gtype: GateType, words: Sequence[int],
                          n: int) -> int:
@@ -243,71 +230,3 @@ class NumpyBackend(Backend):
             rows = np.zeros((0, n_words), dtype=_U64)
         return row_to_int(
             eval_gate_rows(gtype, rows, full_row, (n_words,)))
-
-    def fault_simulate_batch(self, circuit: Circuit,
-                             faults: Sequence[Fault],
-                             input_words: Mapping[str, int], n: int,
-                             drop: bool = True) -> FaultSimResult:
-        """Fused batched cone replay on the ``uint64`` matrix.
-
-        See :mod:`repro.simulation.backends.fault_kernel`; bit-identical
-        to the scalar reference.
-        """
-        from repro.simulation.backends.fault_kernel import (
-            fault_simulate_matrix,
-        )
-        state = self.run(circuit, input_words, n)
-        return fault_simulate_matrix(state, faults, drop=drop)
-
-    def fault_simulate_plan(self, plan: "FaultEpisodePlan",
-                            drop: bool = True,
-                            stream_budget: int | None = None
-                            ) -> "FaultSimResult":
-        """Whole-plan replay on the 2-D-tiled fused kernel.
-
-        The plan's memoized good-machine state (and with it the
-        levelized schedule) is settled once and reused across every
-        fault-axis chunk and pattern-axis word block; see
-        :func:`repro.simulation.backends.fault_kernel.
-        fault_simulate_matrix`.  Bit-identical to the scalar reference
-        for every tile geometry.  A resolved ``stream_budget`` the plan
-        exceeds switches to streamed pattern windows (the memoized state
-        is bypassed — it is exactly the matrix streaming avoids).
-        """
-        from repro.simulation.backends.fault_kernel import (
-            fault_simulate_matrix,
-        )
-        from repro.simulation.streaming import (
-            resolve_stream_budget,
-            stream_fault_plan,
-        )
-        budget = resolve_stream_budget(stream_budget)
-        if budget is not None and plan.state_elements() > budget:
-            return stream_fault_plan(self, plan, budget)
-        state = plan.good_state(self)
-        assert isinstance(state, NumpyState)
-        with span("sim.fault_plan", backend=self.name,
-                  faults=plan.n_faults, patterns=plan.n):
-            return fault_simulate_matrix(state, plan.faults, drop=drop)
-
-    def fault_window_result(self, circuit: Circuit,
-                            faults: Sequence[Fault],
-                            input_words: Mapping[str, int], n: int,
-                            element_budget: int | None = None
-                            ) -> "FaultSimResult":
-        """One streamed pattern window on the tiled kernel.
-
-        The good machine is settled over the window's cycles only and
-        the fault tiles are evaluated from that window view, with the
-        kernel's element budget capped at the stream budget so a faulty
-        tile never outgrows the window it streams from.
-        """
-        from repro.simulation.backends.fault_kernel import (
-            _BATCH_ELEMENT_BUDGET,
-            fault_simulate_matrix,
-        )
-        state = self.run(circuit, input_words, n)
-        budget = _BATCH_ELEMENT_BUDGET if element_budget is None else \
-            min(element_budget, _BATCH_ELEMENT_BUDGET)
-        return fault_simulate_matrix(state, faults, drop=False,
-                                     element_budget=budget)

@@ -21,16 +21,17 @@ full test set into a single :class:`EpisodePlan`:
 
 ``Backend.simulate_episode_batch(plan)`` then evaluates the whole test
 set's replay in a single backend pass (one ``uint64``-matrix pass on the
-numpy engine) and returns an :class:`EpisodeBatchResult`; the ``sharded``
-meta-backend splits the *pattern/cycle axis* of oversized plans under a
-memory budget and merges chunk results with integer-exact arithmetic.
+numpy engine) and returns an :class:`EpisodeBatchResult`; under a
+``stream_budget`` the streaming path (:mod:`repro.simulation.streaming`)
+splits the cycle axis of oversized plans into windows and merges their
+results with integer-exact arithmetic.
 
 Everything is bit-identical to that serial per-episode loop, which is
 kept as a test oracle (``tests/power/episode_reference.py``): the
 plan's packed words equal the loop-built waveforms bit for bit, so
 transitions, leakage sums and every derived power metric follow.  The
 differential property tests in ``tests/properties`` pin this across
-backends and shard counts.
+backends and stream budgets.
 """
 
 from __future__ import annotations
@@ -132,8 +133,7 @@ class EpisodePlan:
     def state_elements(self) -> int:
         """``uint64`` elements of the plan's resident state matrix.
 
-        The budget currency shared by the sharded backend's
-        ``episode_budget`` and the streaming ``stream_budget``: every
+        The budget currency of the streaming ``stream_budget``: every
         stimulus line plus every gate output plus the padding row,
         times the packed word count.
         """

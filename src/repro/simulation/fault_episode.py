@@ -7,22 +7,12 @@ scan-power literature evaluates fault coverage over the *entire* applied
 test set, which is exactly the fault x pattern detection matrix, so
 instead of driving many independent
 :func:`~repro.atpg.faultsim.fault_simulate` calls (each re-simulating
-the good machine, re-chunking cones and re-dispatching shards) the whole
-fault universe and the whole pattern set are packed into **one**
-:class:`FaultEpisodePlan` and handed to
-:meth:`~repro.simulation.backends.base.Backend.fault_simulate_plan`:
-
-* ``bigint`` replays the plan with the scalar row-space reference
-  on the plan's memoized good-machine words (the pinned semantics);
-* ``numpy`` evaluates the detection matrix with **2-D tiling** — fault-
-  axis chunks x pattern-axis word blocks under the fault kernel's
-  element budget — reusing the warmed good-machine state and levelized
-  schedule across all tiles (:mod:`~repro.simulation.backends.
-  fault_kernel`);
-* ``sharded`` shards **both axes**: fault-major for drop-mode runs,
-  pattern-major (word-aligned cycle windows) for no-drop detection
-  matrices, with an integer-exact OR-merge of detection words
-  (:mod:`~repro.simulation.backends.sharded`).
+the good machine) the whole fault universe and the whole pattern set
+are packed into **one** :class:`FaultEpisodePlan` and handed to
+:meth:`~repro.simulation.backends.base.Backend.fault_simulate_plan`,
+which replays it with the scalar row-space replay of
+:mod:`repro.atpg.faultsim` on the plan's memoized good-machine words
+(settled once per backend).
 
 A :class:`FaultSimSession` carries the plan machinery and the
 good-machine state cache across the many batches of one ATPG run (or
@@ -32,9 +22,8 @@ the good machine.
 Everything is bit-identical to the per-batch reference
 (:meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`):
 detection words, ``remaining`` ordering, coverage statistics and
-compacted test sets never depend on the engine, the tile geometry or
-the shard count — the differential property tests in
-``tests/properties`` pin this.
+compacted test sets never depend on the engine or the stream budget —
+the differential property tests in ``tests/properties`` pin this.
 """
 
 from __future__ import annotations
@@ -50,7 +39,7 @@ from repro.obs.trace import span
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.atpg.faults import Fault
     from repro.atpg.faultsim import FaultSimResult
-    from repro.simulation.backends import Backend, SimState
+    from repro.simulation.backends import Backend
 
 __all__ = [
     "FaultEpisodePlan",
@@ -84,26 +73,22 @@ class FaultEpisodePlan:
     n:
         Pattern count.
 
-    The plan memoizes the fault-free ("good machine") simulation per
-    backend, so every engine — and every tile within one engine —
-    reuses one settled state instead of re-simulating per call.  Plans
-    are never pickled: sharded dispatch ships raw components (a fault
-    slice and the stimulus) to pool workers, which settle their own
-    slice's state.
+    The plan memoizes the fault-free ("good machine") words per
+    backend, so every engine reuses one settled simulation instead of
+    re-simulating per call.
     """
 
     def __init__(self, circuit: Circuit, faults: "Sequence[Fault]",
                  input_words: Mapping[str, int], n: int,
-                 state_cache: "dict[str, SimState] | None" = None):
+                 state_cache: "dict[str, dict[str, int]] | None" = None):
         if n < 1:
             raise SimulationError("fault episode plan needs >= 1 pattern")
         self.circuit = circuit
         self.faults: "tuple[Fault, ...]" = tuple(faults)
         self.input_words = dict(input_words)
         self.n = n
-        self._states: "dict[str, SimState]" = \
+        self._states: dict[str, dict[str, int]] = \
             {} if state_cache is None else state_cache
-        self._good_words: dict[str, dict[str, int]] = {}
 
     @property
     def n_faults(self) -> int:
@@ -124,26 +109,20 @@ class FaultEpisodePlan:
         from repro.simulation.streaming import state_elements
         return state_elements(len(self.input_words), self.circuit, self.n)
 
-    def good_state(self, backend: "Backend") -> "SimState":
-        """The fault-free simulation on ``backend``, memoized by name.
+    def good_words(self, backend: "Backend") -> dict[str, int]:
+        """Interchange words of the fault-free simulation on
+        ``backend``, memoized by backend name.
 
-        The state cache may be shared with a :class:`FaultSimSession`
-        so identical stimuli reuse one settled state across plans.
+        The cache may be shared with a :class:`FaultSimSession` so
+        identical stimuli reuse one settled good machine across plans.
         """
-        state = self._states.get(backend.name)
-        if state is None:
+        words = self._states.get(backend.name)
+        if words is None:
             with span("plan.fault_good_state", backend=backend.name,
                       patterns=self.n):
-                state = backend.run(self.circuit, self.input_words, self.n)
-            self._states[backend.name] = state
-        return state
-
-    def good_words(self, backend: "Backend") -> dict[str, int]:
-        """Interchange words of the good machine (memoized per backend)."""
-        words = self._good_words.get(backend.name)
-        if words is None:
-            words = self.good_state(backend).words()
-            self._good_words[backend.name] = words
+                words = backend.simulate_packed(self.circuit,
+                                                self.input_words, self.n)
+            self._states[backend.name] = words
         return words
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -181,8 +160,9 @@ class FaultSimSession:
     circuit:
         The circuit every call simulates (the state pool keys on it).
     backend:
-        Fault-simulation engine (name, instance or ``None`` — resolved
-        through :func:`~repro.simulation.backends.resolve_fault_backend`).
+        Engine of the fault-free pass (name, instance or ``None`` —
+        resolved through
+        :func:`~repro.simulation.backends.resolve_backend`).
     stream_budget:
         Out-of-core streaming budget override (``uint64`` elements of
         one window's state matrix); ``None`` defers to the session
@@ -193,16 +173,16 @@ class FaultSimSession:
     def __init__(self, circuit: Circuit,
                  backend: "str | Backend | None" = None,
                  stream_budget: int | None = None):
-        from repro.simulation.backends import resolve_fault_backend
+        from repro.simulation.backends import resolve_backend
         from repro.simulation.streaming import resolve_stream_budget
         self.circuit = circuit
-        self.engine = resolve_fault_backend(backend)
+        self.engine = resolve_backend(backend)
         self.stream_budget = resolve_stream_budget(stream_budget)
         self._state_pool: \
-            "OrderedDict[tuple, dict[str, SimState]]" = OrderedDict()
+            "OrderedDict[tuple, dict[str, dict[str, int]]]" = OrderedDict()
 
     def _states_for(self, input_words: Mapping[str, int], n: int
-                    ) -> "dict[str, SimState]":
+                    ) -> dict[str, dict[str, int]]:
         """The per-stimulus good-machine cache slot (bounded LRU).
 
         Keyed on the circuit's structure version too, so a mutated

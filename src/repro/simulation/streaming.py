@@ -4,7 +4,7 @@ PR 4/5 compiled whole-test-set replays into single plans
 (:class:`~repro.simulation.episode.EpisodePlan`,
 :class:`~repro.simulation.fault_episode.FaultEpisodePlan`) whose state
 matrices — ``(lines, cycle words)`` for power replay, the same good
-machine plus fault tiles for detection — are materialized in RAM.  At
+machine for detection — are materialized in RAM.  At
 production scale (10^5–10^6 gates x long episodes) those matrices no
 longer fit.  This module makes both plan evaluations *streamable*:
 
@@ -13,19 +13,17 @@ longer fit.  This module makes both plan evaluations *streamable*:
   memory-mapped temp file above a threshold, so even the stimulus never
   has to stay resident);
 * each window is one ordinary packed simulation whose state matrix fits
-  a configurable ``stream_budget`` (``uint64`` elements, like the
-  sharded backend's ``episode_budget`` and the fault kernel's element
-  budget);
+  a configurable ``stream_budget`` (``uint64`` elements);
 * consumers fold every window's **integer-exact partial** into an
   accumulator — transition counts plus boundary edge bits, leakage
   pattern counts (priced once at the end), OR-shifted detection words —
   so the full detection/waveform matrix is never materialized and peak
   memory is bounded by the budget, not the plan.
 
-The folds are the same integer arithmetic the sharded meta-backend's
-chunk merges use, so the streamed results are **bit-identical** to the
-resident path for every budget — transitions, IEEE-identical leakage
-floats, detection words and ``remaining`` ordering.  The differential
+The folds are integer-exact, so the streamed results are
+**bit-identical** to the resident path for every budget — transitions,
+IEEE-identical leakage floats, detection words and ``remaining``
+ordering.  The differential
 property suite pins this with forced one-word/one-cycle budgets.
 Fault-detection windows are safe in both drop modes because every
 (fault, pattern) detection bit is computed independently within one
@@ -45,7 +43,7 @@ from __future__ import annotations
 
 import mmap
 import tempfile
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from typing import TYPE_CHECKING
 
 from repro.cells.library import CellLibrary
@@ -71,12 +69,10 @@ __all__ = [
     "episode_window_ingredients",
     "fault_stream_windows",
     "resolve_stream_budget",
-    "shard_bounds",
+    "split_bounds",
     "state_elements",
     "stream_episode_batch",
-    "stream_episode_ingredients",
     "stream_fault_plan",
-    "stream_fault_words",
     "window_word",
 ]
 
@@ -99,19 +95,18 @@ def resolve_stream_budget(budget: int | None = None) -> int | None:
     return resolve("stream_budget", budget)
 
 
-def shard_bounds(n_items: int, n_shards: int) -> list[tuple[int, int]]:
+def split_bounds(n_items: int, n_parts: int) -> list[tuple[int, int]]:
     """Contiguous, near-even ``[start, stop)`` slices of ``n_items``.
 
-    The first ``n_items % n_shards`` shards get one extra item; empty
-    shards are never produced.  Pure function so tests can pin the
-    partition workers and stream windows see.  (Canonical home of the
-    helper the sharded backend re-exports.)
+    The first ``n_items % n_parts`` parts get one extra item; empty
+    parts are never produced.  Pure function so tests can pin the
+    partition stream windows see.
     """
-    n_shards = max(1, min(n_shards, n_items))
-    base, extra = divmod(n_items, n_shards)
+    n_parts = max(1, min(n_parts, n_items))
+    base, extra = divmod(n_items, n_parts)
     bounds: list[tuple[int, int]] = []
     start = 0
-    for i in range(n_shards):
+    for i in range(n_parts):
         stop = start + base + (1 if i < extra else 0)
         bounds.append((start, stop))
         start = stop
@@ -175,19 +170,6 @@ class PlanByteStore:
                 # temp file is reclaimed when the map is collected.
                 self._map = mmap.mmap(handle.fileno(), total)
 
-    @classmethod
-    def from_bytes(cls, byte_map: Mapping[str, bytes],
-                   n_cycles: int) -> "PlanByteStore":
-        """Wrap an existing byte map (e.g. one shipped to a shard
-        worker) without re-packing or spilling."""
-        store = cls.__new__(cls)
-        store.n_cycles = n_cycles
-        store._n_bytes = (n_cycles + 7) // 8
-        store._raw = dict(byte_map)
-        store._map = None
-        store._offsets = {}
-        return store
-
     @property
     def spilled(self) -> bool:
         """Whether the stimulus lives in a memory-mapped spill file."""
@@ -227,33 +209,24 @@ def episode_stream_windows(plan: "EpisodePlan",
     needed = -(plan.state_elements() // -budget)
     if needed <= 1:
         return [(0, plan.n_cycles)]
-    return shard_bounds(plan.n_cycles, min(needed, plan.n_cycles))
+    return split_bounds(plan.n_cycles, min(needed, plan.n_cycles))
 
 
-def fault_stream_windows(plan_or_n: "FaultEpisodePlan | int",
-                         budget: int, *,
-                         circuit: Circuit | None = None,
-                         n_stimulus_lines: int | None = None
-                         ) -> list[tuple[int, int]]:
+def fault_stream_windows(plan: "FaultEpisodePlan",
+                         budget: int) -> list[tuple[int, int]]:
     """Word-aligned pattern windows of a fault plan under ``budget``.
 
     Windows are contiguous ``uint64``-word ranges of the pattern axis
-    (the last window absorbs the tail bits), exactly like the sharded
-    backend's pattern-axis shards, so each window's detection words are
-    column slices of the full matrix and OR back bit-identically.
+    (the last window absorbs the tail bits), so each window's detection
+    words are column slices of the full matrix and OR back
+    bit-identically.
     """
-    if isinstance(plan_or_n, int):
-        n = plan_or_n
-        assert circuit is not None and n_stimulus_lines is not None
-        elements = state_elements(n_stimulus_lines, circuit, n)
-    else:
-        n = plan_or_n.n
-        elements = plan_or_n.state_elements()
-    n_words = (n + 63) // 64
-    needed = -(elements // -budget)
+    n = plan.n
+    n_words = plan.n_words
+    needed = -(plan.state_elements() // -budget)
     if needed <= 1:
         return [(0, n)]
-    word_bounds = shard_bounds(n_words, min(needed, n_words))
+    word_bounds = split_bounds(n_words, min(needed, n_words))
     return [(w0 * 64, min(n, w1 * 64)) for w0, w1 in word_bounds]
 
 
@@ -272,8 +245,7 @@ def episode_window_ingredients(backend: "Backend", circuit: Circuit,
     last) cycle bit for the boundary transitions between neighbouring
     windows, per-gate leakage pattern counts (``None`` unless leakage
     was requested) and the window's packed words (``None`` unless
-    waveforms were kept).  Same distillation as the sharded backend's
-    chunk workers, driven by a live backend instance.
+    waveforms were kept).
     """
     state = backend.run(circuit, words, n)
     edges: dict[str, tuple[int, int]] = {}
@@ -288,10 +260,8 @@ def episode_window_ingredients(backend: "Backend", circuit: Circuit,
 class EpisodeAccumulator:
     """Integer-exact left fold of episode window partials.
 
-    The same merge arithmetic as
-    :meth:`~repro.simulation.backends.sharded.ShardedBackend.
-    _merge_episode`, applied incrementally so only one window's partial
-    is ever held alongside the running totals: transition counts add,
+    Applied incrementally, so only one window's partial is ever held
+    alongside the running totals: transition counts add,
     with one extra transition per boundary whose adjacent edge bits
     differ; pattern counts add (pricing happens once, at the end);
     kept waveforms OR in place, shifted to their window offset.
@@ -342,24 +312,6 @@ class EpisodeAccumulator:
                     waveforms[line] |= word << start
         self._last_edges = edges
 
-    def ingredients(self) -> tuple[dict[str, int],
-                                   dict[str, tuple[int, int]],
-                                   "dict[str, np.ndarray] | None",
-                                   dict[str, int] | None]:
-        """The folded totals in window-ingredient shape.
-
-        Lets a sharded chunk worker stream sub-windows internally and
-        still hand its parent the exact ingredients an unstreamed chunk
-        would have produced.
-        """
-        assert self.transitions is not None
-        assert self._first_edges is not None
-        assert self._last_edges is not None
-        first, last = self._first_edges, self._last_edges
-        edges = {line: (first[line][0], last[line][1]) for line in first}
-        return (self.transitions, edges, self.pattern_counts,
-                self.waveforms)
-
     def finish(self, plan: "EpisodePlan", library: CellLibrary,
                collect_leakage: bool) -> "EpisodeBatchResult":
         """Price the folded counts and assemble the batch result."""
@@ -379,32 +331,6 @@ class EpisodeAccumulator:
             lengths=plan.lengths,
             waveforms=self.waveforms,
         )
-
-
-def stream_episode_ingredients(backend: "Backend", circuit: Circuit,
-                               store: PlanByteStore, n_cycles: int,
-                               collect_leakage: bool,
-                               keep_waveforms: bool,
-                               bounds: Sequence[tuple[int, int]]
-                               ) -> tuple[dict[str, int],
-                                          dict[str, tuple[int, int]],
-                                          "dict[str, np.ndarray] | None",
-                                          dict[str, int] | None]:
-    """Fold a cycle range's sub-windows into one ingredient tuple.
-
-    Used by sharded chunk workers: the chunk's own stimulus is further
-    windowed under the stream budget, so a worker's peak memory is one
-    window even when its chunk is larger.
-    """
-    acc = EpisodeAccumulator()
-    origin = bounds[0][0]
-    for start, stop in bounds:
-        words = store.window(start, stop)
-        acc.fold(start - origin,
-                 episode_window_ingredients(backend, circuit, words,
-                                            stop - start, collect_leakage,
-                                            keep_waveforms))
-    return acc.ingredients()
 
 
 def stream_episode_batch(backend: "Backend", plan: "EpisodePlan",
@@ -437,53 +363,42 @@ def stream_episode_batch(backend: "Backend", plan: "EpisodePlan",
     return acc.finish(plan, library, collect_leakage)
 
 
-def stream_fault_words(backend: "Backend", circuit: Circuit,
-                       faults: "Sequence[Fault]", store: PlanByteStore,
-                       n: int, budget: int) -> "FaultSimResult":
-    """Streamed fault detection over word-aligned pattern windows.
+def stream_fault_plan(backend: "Backend", plan: "FaultEpisodePlan",
+                      budget: int) -> "FaultSimResult":
+    """Streamed evaluation of a fault x pattern plan under ``budget``.
 
-    Each window is one drop-free batched fault simulation on
-    ``backend`` (within a single call dropping cannot change detection
-    words, so drop-free windows reconstruct both drop modes' results);
-    window words are OR-shifted into running big-int detection words,
-    so the full detection matrix never exists and the fault-free state
-    is only ever as wide as one window.  ``detected``/``remaining``
-    are rebuilt in fault input order — identical to the resident pass.
+    Each word-aligned pattern window is one drop-free
+    :meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`
+    on ``backend`` (within a single call dropping cannot change
+    detection words, so drop-free windows reconstruct both drop modes'
+    results); window words are OR-shifted into running big-int
+    detection words, so the full detection matrix never exists.  The
+    plan's memoized good state is deliberately bypassed — it *is* the
+    resident matrix streaming avoids; each window re-simulates the
+    fault-free machine over its own patterns only.  ``detected``/
+    ``remaining`` are rebuilt in fault input order — identical to the
+    resident pass.
     """
     from repro.atpg.faultsim import FaultSimResult
-    n_stimulus = len(store.window(0, 1))
-    bounds = fault_stream_windows(n, budget, circuit=circuit,
-                                  n_stimulus_lines=n_stimulus)
+    store = PlanByteStore(plan.input_words, plan.n)
+    bounds = fault_stream_windows(plan, budget)
     merged: dict[Fault, int] = {}
     with span("stream.fault", backend=backend.name,
-              windows=len(bounds), patterns=n):
+              windows=len(bounds), patterns=plan.n):
         for start, stop in bounds:
             words = store.window(start, stop)
             with span("stream.window", start=start, stop=stop):
-                part = backend.fault_window_result(circuit, faults, words,
-                                                   stop - start,
-                                                   element_budget=budget)
+                part = backend.fault_simulate_batch(
+                    plan.circuit, plan.faults, words, stop - start,
+                    drop=False)
             for fault, word in part.detected.items():
                 merged[fault] = merged.get(fault, 0) | (word << start)
     detected: dict[Fault, int] = {}
     remaining: list[Fault] = []
-    for fault in faults:
+    for fault in plan.faults:
         word = merged.get(fault, 0)
         if word:
             detected[fault] = word
         else:
             remaining.append(fault)
     return FaultSimResult(detected=detected, remaining=remaining)
-
-
-def stream_fault_plan(backend: "Backend", plan: "FaultEpisodePlan",
-                      budget: int) -> "FaultSimResult":
-    """Streamed evaluation of a fault x pattern plan under ``budget``.
-
-    The plan's memoized good state is deliberately bypassed — it *is*
-    the resident matrix streaming avoids; each pattern window
-    re-simulates the fault-free machine over its own cycles only.
-    """
-    store = PlanByteStore(plan.input_words, plan.n)
-    return stream_fault_words(backend, plan.circuit, plan.faults, store,
-                              plan.n, budget)

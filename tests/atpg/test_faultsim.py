@@ -142,7 +142,7 @@ class TestUnknownFaultLine:
     every engine and by a session, never silently left undetected."""
 
     @pytest.mark.parametrize("engine", [
-        "bigint", "numpy", "sharded", "session-bigint", "session-numpy"])
+        "bigint", "numpy", "session-bigint", "session-numpy"])
     def test_every_engine_raises_simulation_error(self, s27, engine):
         from repro.errors import SimulationError
         from repro.simulation.fault_episode import FaultSimSession

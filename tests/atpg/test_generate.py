@@ -295,67 +295,3 @@ class TestFaultPlanToggle:
         planned = generate_tests(s27_design, AtpgConfig(seed=3))
         assert planned.vectors == legacy.vectors
         assert planned.n_detected == legacy.n_detected
-
-
-class TestSharedPoolRouting:
-    """ATPG's inner fault-simulation loop rides the shared worker pool
-    by default when a sharding fault backend would actually split the
-    collapsed universe."""
-
-    def test_sharded_atpg_engages_shared_pool(self, s27_design):
-        from repro.campaign.pool import (
-            active_shared_pool,
-            shutdown_shared_pool,
-        )
-        from repro.simulation.backends import ShardedBackend
-
-        shutdown_shared_pool()
-        assert active_shared_pool() is None
-        reference = generate_tests(s27_design, AtpgConfig(seed=1))
-        backend = ShardedBackend(shards=2, min_faults_per_shard=1)
-        try:
-            sharded = generate_tests(s27_design, AtpgConfig(seed=1),
-                                     fault_backend=backend)
-            # the pool persists for subsequent calls on warm workers
-            assert active_shared_pool() is not None
-            # ... but is detached from the backend again afterwards
-            assert backend.pool is None
-        finally:
-            shutdown_shared_pool()
-        assert sharded.vectors == reference.vectors
-        assert sharded.n_detected == reference.n_detected
-
-    def test_inline_fault_lists_spawn_no_pool(self, s27_design):
-        from repro.campaign.pool import (
-            active_shared_pool,
-            shutdown_shared_pool,
-        )
-        from repro.simulation.backends import ShardedBackend
-
-        shutdown_shared_pool()
-        # s27's collapsed universe is far below one shard's worth, so
-        # the meta-backend runs inline and no pool should be spawned.
-        backend = ShardedBackend(shards=2, min_faults_per_shard=10_000)
-        generate_tests(s27_design, AtpgConfig(seed=1),
-                       fault_backend=backend)
-        assert active_shared_pool() is None
-
-    def test_explicit_pool_is_honoured(self, s27_design):
-        from repro.campaign.pool import (
-            WorkerPool,
-            active_shared_pool,
-            shutdown_shared_pool,
-        )
-        from repro.simulation.backends import ShardedBackend
-
-        shutdown_shared_pool()
-        with WorkerPool(processes=2) as pool:
-            backend = ShardedBackend(shards=2, min_faults_per_shard=1,
-                                     pool=pool)
-            result = generate_tests(s27_design, AtpgConfig(seed=1),
-                                    fault_backend=backend)
-            # an attached pool wins: no shared pool gets created
-            assert active_shared_pool() is None
-            assert backend.pool is pool
-        reference = generate_tests(s27_design, AtpgConfig(seed=1))
-        assert result.vectors == reference.vectors

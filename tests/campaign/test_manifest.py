@@ -58,12 +58,16 @@ class TestSpecExpansion:
 
     def test_retired_trace_field_rejected_cleanly(self):
         # tracing is a session knob (--trace / $REPRO_TRACE), never a
-        # per-job config field
-        job = CampaignSpec(circuits=("s27",),
-                           base={"trace": "traces"}).expand()[0]
-        with pytest.raises(ConfigError,
-                           match=r"unknown FlowConfig field\(s\).*trace"):
-            job.flow_config()
+        # per-job config field; the fault engine and shard count are
+        # retired knobs
+        for field, value in (("trace", "traces"), ("shards", 2),
+                             ("fault_backend", "numpy")):
+            job = CampaignSpec(circuits=("s27",),
+                               base={field: value}).expand()[0]
+            with pytest.raises(ConfigError,
+                               match=r"unknown FlowConfig field\(s\).*"
+                                     + field):
+                job.flow_config()
 
     def test_seed_zero_loads_circuit_with_seed_one(self):
         job = CampaignSpec(circuits=("s27",), seeds=(0,)).expand()[0]

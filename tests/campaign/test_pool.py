@@ -1,4 +1,4 @@
-"""WorkerPool mechanics: ordering, reuse, errors, shared pool."""
+"""WorkerPool mechanics: ordering, reuse, errors, threads."""
 
 import os
 import time
@@ -8,10 +8,7 @@ import pytest
 from repro.campaign.pool import (
     WorkerPool,
     WorkerPoolError,
-    active_shared_pool,
     default_pool_size,
-    ensure_shared_pool,
-    shutdown_shared_pool,
 )
 
 
@@ -102,20 +99,6 @@ class TestMap:
         assert pool.map(_square, [5]) == [25]
 
 
-class TestSharedPool:
-    def test_shared_pool_roundtrip(self):
-        shutdown_shared_pool()
-        assert active_shared_pool() is None
-        try:
-            p = ensure_shared_pool(processes=1)
-            assert p.started
-            assert active_shared_pool() is p
-            assert ensure_shared_pool() is p  # reused, not resized
-        finally:
-            shutdown_shared_pool()
-        assert active_shared_pool() is None
-
-
 def _unpicklable_result(x):
     return lambda: x  # lambdas cannot pickle
 
@@ -132,65 +115,8 @@ class TestPicklingSafety:
         assert pool.map(_square, [3]) == [9]
 
 
-def _shared_pool_invisible_in_worker(_):
-    # runs inside a pool worker: the inherited parent pool must not be
-    # offered for dispatch here
-    from repro.campaign.pool import active_shared_pool
-    return active_shared_pool() is None
-
-
 def _callback_boom(idx, result):
     raise OSError("cache disk full")
-
-
-class TestForkOwnership:
-    def test_inherited_shared_pool_invisible_in_workers(self):
-        shutdown_shared_pool()
-        try:
-            shared = ensure_shared_pool(processes=2)
-            assert shared.owned
-            assert all(shared.map(_shared_pool_invisible_in_worker,
-                                  range(4)))
-        finally:
-            shutdown_shared_pool()
-
-
-def _nested_shared_pool_roundtrip(processes):
-    # runs inside a pool worker: start (or reuse) this process's own
-    # shared pool and leave it running, as a sharded flow run as a
-    # campaign job does
-    from repro.campaign.pool import ensure_shared_pool
-    nested = ensure_shared_pool(processes)
-    return nested.owned, nested.map(_square, [2, 3])
-
-
-class TestNestedSharedPool:
-    def test_worker_owning_a_shared_pool_exits_cleanly(self):
-        pool = WorkerPool(processes=1)
-        assert pool.map(_nested_shared_pool_roundtrip, [2]) == \
-            [(True, [4, 9])]
-        workers = list(pool._workers)
-        t0 = time.monotonic()
-        pool.close()
-        # the worker closes its own shared pool before it returns, so
-        # its exit never waits for the nested workers (close() would
-        # otherwise time out after 10 s and kill it)
-        assert time.monotonic() - t0 < 5.0
-        assert [w.exitcode for w in workers] == [0]
-
-    def test_forked_child_starts_its_own_shared_pool(self):
-        shutdown_shared_pool()
-        try:
-            shared = ensure_shared_pool(processes=1)
-            with WorkerPool(processes=1, start_method="fork") as pool:
-                # the child inherited the parent's started shared pool
-                assert pool.map(_nested_shared_pool_roundtrip, [1]) == \
-                    [(True, [4, 9])]
-            # the parent's shared pool is untouched and still serves
-            assert active_shared_pool() is shared
-            assert shared.map(_square, [5]) == [25]
-        finally:
-            shutdown_shared_pool()
 
 
 def _slow_square(x):
@@ -199,35 +125,31 @@ def _slow_square(x):
 
 
 class TestThreadedMaps:
-    def test_threads_share_one_shared_pool_and_keep_their_results(self):
+    def test_threads_share_one_pool_and_keep_their_results(self):
         # the artifact service computes artefacts on worker threads, so
-        # several threads may start the shared pool and map on it at
-        # once; each must get one pool and exactly its own results
+        # several threads may map on one pool at once; each must get
+        # exactly its own results
         import sys
         import threading
 
-        shutdown_shared_pool()
-        pools, results = {}, {}
+        results = {}
+        with WorkerPool(processes=2) as pool:
+            def run(tag):
+                results[tag] = pool.map(_slow_square, range(tag, tag + 6))
 
-        def run(tag):
-            pool = ensure_shared_pool(processes=2)
-            pools[tag] = pool
-            results[tag] = pool.map(_slow_square, range(tag, tag + 6))
-
-        tags = (0, 100, 200, 300)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            threads = [threading.Thread(target=run, args=(tag,),
-                                        daemon=True) for tag in tags]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
+            tags = (0, 100, 200, 300)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=run, args=(tag,),
+                                            daemon=True) for tag in tags]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert len({id(pool) for pool in pools.values()}) == 1
         assert results == {tag: [x * x for x in range(tag, tag + 6)]
                            for tag in tags}
 

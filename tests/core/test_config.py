@@ -20,18 +20,13 @@ class TestFlowConfig:
         {"max_backtracks": -1},
         {"mux_delay_margin_ps": -5.0},
         {"backend": "warp"},
-        {"fault_backend": "warp"},
-        {"shards": 0},
-        {"shards": 2, "fault_backend": "numpy"},
+        {"backend": "sharded"},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             FlowConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        {"shards": "2"},
-        {"shards": 2.5},
-        {"shards": True},
         {"stream_budget": "x"},
         {"stream_budget": 1.0},
         {"stream_budget": False},
@@ -53,9 +48,7 @@ class TestFlowConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"backend": "warp"},
-        {"shards": "2"},
-        {"shards": True},
-        {"shards": 2, "fault_backend": "numpy"},
+        {"backend": "sharded"},
         {"stream_budget": -1},
         {"stream_budget": "x"},
     ])
@@ -70,46 +63,6 @@ class TestFlowConfig:
 
     def test_real_margin_accepted(self):
         assert FlowConfig(mux_delay_margin_ps=5).mux_delay_margin_ps == 5
-
-    def test_fault_backend_defaults_to_backend(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FAULT_BACKEND", raising=False)
-        assert FlowConfig(backend="numpy") \
-            .fault_simulation_backend() == "numpy"
-        assert FlowConfig().fault_simulation_backend() is None
-
-    def test_explicit_fault_backend_wins(self):
-        config = FlowConfig(backend="bigint", fault_backend="numpy")
-        assert config.fault_simulation_backend() == "numpy"
-
-    def test_fault_env_outranks_plain_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BACKEND", "numpy")
-        config = FlowConfig(backend="bigint")
-        assert config.fault_simulation_backend() == "numpy"
-
-    def test_session_fault_backend_outranks_env(self, monkeypatch):
-        from repro.runtime import using
-        from repro.simulation.backends import default_fault_backend_name
-        monkeypatch.setenv("REPRO_FAULT_BACKEND", "numpy")
-        with using(fault_backend="bigint"):
-            assert default_fault_backend_name() == "bigint"
-            assert FlowConfig().fault_simulation_backend() == "bigint"
-            assert FlowConfig(backend="numpy") \
-                .fault_simulation_backend() == "bigint"
-
-    def test_explicit_fault_backend_outranks_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BACKEND", "numpy")
-        config = FlowConfig(backend="bigint", fault_backend="bigint")
-        assert config.fault_simulation_backend() == "bigint"
-
-    def test_shards_imply_sharded_backend(self):
-        from repro.simulation.backends import ShardedBackend
-        spec = FlowConfig(shards=3).fault_simulation_backend()
-        assert isinstance(spec, ShardedBackend)
-        assert spec.shards == 3
-
-    def test_sharded_without_shard_count_uses_registry_default(self):
-        config = FlowConfig(fault_backend="sharded")
-        assert config.fault_simulation_backend() == "sharded"
 
     def test_atpg_seed_derived_from_master(self):
         config = FlowConfig(seed=99)
@@ -150,8 +103,6 @@ class TestConfigHash:
     def test_runtime_fields_excluded(self):
         base = FlowConfig().config_hash()
         assert FlowConfig(backend="numpy").config_hash() == base
-        assert FlowConfig(fault_backend="numpy").config_hash() == base
-        assert FlowConfig(shards=4).config_hash() == base
         # streaming and tracing never change results -> never
         # cache-key ingredients
         assert FlowConfig(stream_budget=0).config_hash() == base

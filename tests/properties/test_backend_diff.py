@@ -20,11 +20,7 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.power.scanpower import ShiftPolicy, evaluate_scan_power
 from repro.scan.testview import ScanDesign, TestVector
-from repro.simulation.backends import (
-    ShardedBackend,
-    available_backends,
-    get_backend,
-)
+from repro.simulation.backends import available_backends, get_backend
 from repro.simulation.bitsim import random_input_words
 from repro.simulation.cyclesim import simulate_cycles
 from repro.techmap.mapper import technology_map
@@ -77,8 +73,8 @@ class TestFaultWordsIdentical:
     @given(st.integers(0, 10_000), st.integers(1, 128), st.booleans())
     def test_fault_simulate(self, seed, n_patterns, mapped):
         """Detection words and ``remaining`` ordering are pinned across
-        every registered backend (incl. the sharded meta-backend), on
-        mapped (NAND/NOR/INV) and unmapped (mixed-type) circuits."""
+        every registered backend, on mapped (NAND/NOR/INV) and unmapped
+        (mixed-type) circuits."""
         circuit = _random_circuit(seed, mapped=mapped)
         faults = all_faults(circuit)
         words = random_input_words(circuit, n_patterns, make_rng(seed))
@@ -90,25 +86,6 @@ class TestFaultWordsIdentical:
             assert got.detected == reference.detected, name
             assert list(got.detected) == list(reference.detected), name
             assert got.remaining == reference.remaining, name
-
-    @settings(max_examples=4, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 96),
-           st.integers(2, 4))
-    def test_sharded_partitioning_is_invisible(self, seed, n_patterns,
-                                               n_shards):
-        """Forcing real multi-process shards (threshold 1) must produce
-        the exact single-process result: same words, same ordering."""
-        circuit = _random_circuit(seed, mapped=True, n_gates=25)
-        faults = all_faults(circuit)
-        words = random_input_words(circuit, n_patterns, make_rng(seed))
-        reference = fault_simulate(circuit, faults, words, n_patterns,
-                                   backend="bigint")
-        backend = ShardedBackend(shards=n_shards, min_faults_per_shard=1)
-        got = fault_simulate(circuit, faults, words, n_patterns,
-                             backend=backend)
-        assert got.detected == reference.detected
-        assert list(got.detected) == list(reference.detected)
-        assert got.remaining == reference.remaining
 
 
 class TestPowerMetricsIdentical:

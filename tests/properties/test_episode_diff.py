@@ -3,9 +3,8 @@
 The batched whole-test-set replay must be observationally identical to
 the serial per-episode oracle (``tests/power/episode_reference.py``) —
 packed waveforms bit for bit, transition counts exactly, leakage floats
-IEEE-equal — on every registered backend, on mapped and unmapped
-circuits, and under forced pattern/cycle-axis sharding with real worker
-processes.  Where the oracle raises (an unmapped design may hold a gate
+IEEE-equal — on every registered backend and on mapped and unmapped
+circuits.  Where the oracle raises (an unmapped design may hold a gate
 wider than any library cell), every engine must raise the same error.
 """
 
@@ -24,12 +23,7 @@ from repro.power.scanpower import (
     per_cycle_energy_fj,
 )
 from repro.scan.testview import ScanDesign, TestVector
-from repro.simulation.backends import (
-    ShardedBackend,
-    available_backends,
-    get_backend,
-)
-from repro.simulation.episode import compile_episode_plan
+from repro.simulation.backends import available_backends
 from repro.techmap.mapper import technology_map
 from repro.utils.rng import make_rng
 
@@ -124,49 +118,3 @@ class TestBatchedEqualsSerial:
         for name in BACKENDS:
             batched = per_cycle_energy_fj(design, vectors, backend=name)
             assert np.array_equal(batched, reference), name
-
-
-class TestPatternAxisSharding:
-    """Forced cycle-axis chunks across real worker processes must be
-    invisible: transitions, leakage floats and concatenated waveforms
-    equal the unsharded big-int reference exactly."""
-
-    @settings(max_examples=4, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(2, 5), st.integers(2, 3),
-           st.booleans())
-    def test_sharded_chunks_are_invisible(self, seed, n_vectors,
-                                          n_shards, mapped):
-        design = _random_design(seed, mapped)
-        vectors = _random_vectors(design, n_vectors, seed)
-        policy = _blocking_policy(design, seed)
-        plan = compile_episode_plan(
-            design, vectors, pi_values=policy.pi_values,
-            mux_ties=policy.mux_ties, backend="bigint")
-        # A tiny element budget forces real multi-chunk dispatch.
-        backend = ShardedBackend(shards=n_shards, episode_budget=4)
-        assert backend.episode_chunks(plan) > 1
-        reference = get_backend("bigint").simulate_episode_batch(
-            plan, keep_waveforms=True)
-        sharded = backend.simulate_episode_batch(plan,
-                                                 keep_waveforms=True)
-        assert sharded.transitions == reference.transitions
-        assert sharded.leakage_sum_na == reference.leakage_sum_na
-        assert list(sharded.leakage_sum_na) == \
-            list(reference.leakage_sum_na)
-        assert sharded.waveforms == reference.waveforms
-        assert sharded.mean_leakage_na == reference.mean_leakage_na
-
-    def test_sharded_report_via_public_entry(self):
-        design = _random_design(11, mapped=True)
-        vectors = _random_vectors(design, 4, 11)
-        reference = serial.evaluate_scan_power(design, vectors,
-                                               backend="bigint")
-        backend = ShardedBackend(shards=2, episode_budget=4)
-        batched = evaluate_scan_power(design, vectors, backend=backend)
-        assert batched == reference
-
-    def test_small_plan_runs_inline(self, s27_design, make_vectors):
-        plan = compile_episode_plan(s27_design,
-                                    make_vectors(s27_design, 2))
-        backend = ShardedBackend(shards=4)
-        assert backend.episode_chunks(plan) == 1

@@ -2,10 +2,8 @@
 
 ``Backend.fault_simulate_plan`` must be observationally identical to the
 scalar big-int reference — detection words bit for bit, ``remaining`` in
-exact input order — on every registered backend, in both drop modes, on
-mapped and unmapped circuits, for every tile geometry, and under forced
-multi-process sharding of **either** axis (fault-major and
-pattern-major) with real worker processes.  The generated test sets
+exact input order — on every registered backend, in both drop modes and
+on mapped and unmapped circuits.  The generated test sets
 must equal those of the per-batch ATPG oracle
 (``tests/atpg/compaction_reference.py``) too.
 """
@@ -18,11 +16,7 @@ from repro.atpg.faultsim import fault_simulate, scalar_fault_simulate
 from repro.benchgen.generator import generate_from_stats
 from repro.benchgen.iscas89 import Iscas89Stats
 from repro.netlist.circuit import Circuit
-from repro.simulation.backends import (
-    ShardedBackend,
-    available_backends,
-    get_backend,
-)
+from repro.simulation.backends import available_backends, get_backend
 from repro.simulation.bitsim import random_input_words
 from repro.simulation.fault_episode import (
     FaultSimSession,
@@ -85,64 +79,6 @@ class TestPlanEqualsScalarReference:
             _assert_same(got, reference, (name, drop))
             _assert_same(per_batch, reference, (name, "per-batch", drop))
 
-    @settings(max_examples=6, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 170), st.booleans())
-    def test_tile_geometry_is_invisible(self, seed, n_patterns, mapped):
-        """Forced tiny element budgets (multi-tile on both axes) must
-        reproduce the default geometry's words exactly."""
-        from repro.simulation.backends.fault_kernel import (
-            fault_simulate_matrix,
-        )
-        circuit = _random_circuit(seed, mapped=mapped, n_gates=25)
-        faults = all_faults(circuit)
-        words = random_input_words(circuit, n_patterns, make_rng(seed))
-        reference = fault_simulate(circuit, faults, words, n_patterns,
-                                   backend="bigint")
-        state = get_backend("numpy").run(circuit, words, n_patterns)
-        for budget in (1, 64, 4096):
-            got = fault_simulate_matrix(state, faults,
-                                        element_budget=budget)
-            _assert_same(got, reference, budget)
-
-
-class TestTwoAxisSharding:
-    @settings(max_examples=4, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 96),
-           st.integers(2, 4))
-    def test_fault_axis_shards_invisible(self, seed, n_patterns,
-                                         n_shards):
-        """Drop-mode plans shard the fault axis across >= 2 real worker
-        processes; the merge must equal the single-process result."""
-        circuit = _random_circuit(seed, mapped=True, n_gates=25)
-        faults = all_faults(circuit)
-        words = random_input_words(circuit, n_patterns, make_rng(seed))
-        reference = fault_simulate(circuit, faults, words, n_patterns,
-                                   backend="bigint")
-        backend = ShardedBackend(shards=n_shards, min_faults_per_shard=1)
-        plan = compile_fault_episode_plan(circuit, faults, words,
-                                          n_patterns)
-        got = backend.fault_simulate_plan(plan, drop=True)
-        _assert_same(got, reference, n_shards)
-
-    @settings(max_examples=4, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(65, 250),
-           st.integers(2, 3), st.booleans())
-    def test_pattern_axis_shards_invisible(self, seed, n_patterns,
-                                           n_shards, mapped):
-        """No-drop plans shard the pattern axis (word-aligned windows)
-        across >= 2 real worker processes; the OR-merge must equal the
-        single-pass detection matrix bit for bit."""
-        circuit = _random_circuit(seed, mapped=mapped, n_gates=25)
-        faults = all_faults(circuit)
-        words = random_input_words(circuit, n_patterns, make_rng(seed))
-        reference = fault_simulate(circuit, faults, words, n_patterns,
-                                   drop=False, backend="bigint")
-        backend = ShardedBackend(shards=n_shards, min_faults_per_shard=1)
-        plan = compile_fault_episode_plan(circuit, faults, words,
-                                          n_patterns)
-        got = backend.fault_simulate_plan(plan, drop=False)
-        _assert_same(got, reference, (n_shards, mapped))
-
 
 class TestGeneratedTestSetsIdentical:
     @settings(max_examples=3, deadline=None)
@@ -157,7 +93,7 @@ class TestGeneratedTestSetsIdentical:
         legacy = compaction_reference.generate_tests(design, config,
                                                      backend="bigint")
         for name in ("bigint", "numpy"):
-            planned = generate_tests(design, config, fault_backend=name)
+            planned = generate_tests(design, config, backend=name)
             assert planned.vectors == legacy.vectors, name
             assert planned.n_detected == legacy.n_detected, name
             assert planned.n_faults == legacy.n_faults, name

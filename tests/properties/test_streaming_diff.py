@@ -6,10 +6,9 @@ be observationally identical to the resident path: episode transition
 counts exactly, leakage floats IEEE-equal, kept waveforms bit for bit,
 fault detection words bit for bit with ``remaining`` in exact input
 order.  On every registered backend, in both fault drop modes, under
-adversarially tiny budgets (one window per cycle / per pattern word),
-and composed with real multi-process sharding.  Peak memory must
-actually stay bounded: the ``tracemalloc`` test pins that a streamed
-pass allocates a fraction of the resident matrix.
+adversarially tiny budgets (one window per cycle / per pattern word).
+Peak memory must actually stay bounded: the ``tracemalloc`` test pins
+that a streamed pass allocates a fraction of the resident matrix.
 """
 
 import tracemalloc
@@ -25,11 +24,7 @@ from repro.netlist.circuit import Circuit
 from repro.power.scanpower import evaluate_scan_power
 from repro.runtime import set_session_defaults
 from repro.scan.testview import ScanDesign, TestVector
-from repro.simulation.backends import (
-    ShardedBackend,
-    available_backends,
-    get_backend,
-)
+from repro.simulation.backends import available_backends, get_backend
 from repro.simulation.bitsim import random_input_words
 from repro.simulation.episode import compile_episode_plan
 from repro.simulation.fault_episode import (
@@ -149,14 +144,6 @@ class TestPlanByteStore:
             expected = (word >> start) & ((1 << (stop - start)) - 1)
             assert window_word(raw, start, stop) == expected
 
-    def test_from_bytes_round_trip(self):
-        waveforms = {"a": 0b1011, "b": 0}
-        store = PlanByteStore(waveforms, 4)
-        clone = PlanByteStore.from_bytes(
-            {"a": (0b1011).to_bytes(1, "little"),
-             "b": (0).to_bytes(1, "little")}, 4)
-        assert clone.window(0, 4) == store.window(0, 4) == waveforms
-
 
 class TestWindowPlans:
     def test_episode_windows_cover_every_cycle_once(self):
@@ -169,8 +156,11 @@ class TestWindowPlans:
         assert len(bounds) == plan.n_cycles  # budget 1: maximal split
 
     def test_fault_windows_are_word_aligned(self):
-        bounds = fault_stream_windows(200, 1, circuit=_random_circuit(0),
-                                      n_stimulus_lines=9)
+        circuit = _random_circuit(0)
+        plan = compile_fault_episode_plan(
+            circuit, (), random_input_words(circuit, 200, make_rng(0)),
+            200)
+        bounds = fault_stream_windows(plan, 1)
         assert bounds[0][0] == 0 and bounds[-1][1] == 200
         for start, stop in bounds[:-1]:
             assert start % 64 == 0 and stop % 64 == 0
@@ -261,34 +251,6 @@ class TestStreamedFaultsEqualResident:
             session = FaultSimSession(circuit, name, stream_budget=1)
             got = session.simulate(faults, words, 130, drop=drop)
             _assert_same_faults(got, resident, (name, drop))
-
-
-class TestStreamingComposesWithSharding:
-    def test_episode_chunks_sub_stream(self):
-        """Real worker processes, each folding its own sub-windows."""
-        design = _random_design(11, mapped=True)
-        vectors = _random_vectors(design, 6, 11)
-        plan = compile_episode_plan(design, vectors)
-        resident = get_backend("numpy").simulate_episode_batch(
-            plan, keep_waveforms=True, stream_budget=0)
-        sharded = ShardedBackend(shards=2, episode_budget=4)
-        streamed = sharded.simulate_episode_batch(
-            plan, keep_waveforms=True, stream_budget=8)
-        assert streamed == resident
-
-    @pytest.mark.parametrize("drop", [True, False])
-    def test_fault_shards_stream_their_windows(self, drop):
-        circuit = _random_circuit(13, n_gates=40, mapped=True)
-        faults = all_faults(circuit)
-        words = random_input_words(circuit, 192, make_rng(13))
-        plan = compile_fault_episode_plan(circuit, faults, words, 192)
-        resident = get_backend("numpy").fault_simulate_plan(
-            plan, drop=drop, stream_budget=0)
-        sharded = ShardedBackend(shards=2, min_faults_per_shard=1)
-        streamed = sharded.fault_simulate_plan(
-            plan, drop=drop,
-            stream_budget=plan.state_elements() // 4 or 1)
-        _assert_same_faults(streamed, resident, drop)
 
 
 class TestPeakMemoryBounded:

@@ -143,11 +143,11 @@ class TestTestTime:
 
 class TestEpisodeBatchRouting:
     """Multichain evaluation rides ``simulate_episode_batch``: forced
-    cycle-axis sharding must be invisible in the report."""
+    cycle-axis streaming windows must be invisible in the report."""
 
-    def test_sharded_chunks_match_plain_backends(self, toy_mapped,
-                                                 toy_multi):
-        from repro.simulation.backends import ShardedBackend
+    def test_streamed_windows_match_plain_backends(self, toy_mapped,
+                                                   toy_multi):
+        from repro.runtime import using
         vectors = _vectors(toy_multi.global_q_lines, toy_mapped, 4,
                            seed=3)
         reference = evaluate_multichain_power(toy_multi, vectors,
@@ -155,10 +155,11 @@ class TestEpisodeBatchRouting:
         plain = evaluate_multichain_power(toy_multi, vectors,
                                           backend="numpy")
         assert plain == reference
-        forced = ShardedBackend(shards=2, episode_budget=4)
-        sharded = evaluate_multichain_power(toy_multi, vectors,
-                                            backend=forced)
-        assert sharded == reference
+        for backend in ("bigint", "numpy"):
+            with using(stream_budget=4):
+                streamed = evaluate_multichain_power(toy_multi, vectors,
+                                                     backend=backend)
+            assert streamed == reference, backend
 
     def test_serial_escape_hatch_matches(self, toy_mapped, toy_multi):
         """The plain cycle-simulation replay (the old serial escape

@@ -100,6 +100,9 @@ class TestRegistry:
         with pytest.raises(SimulationError, match="unknown simulation "
                                                   "backend"):
             get_backend("no-such-engine")
+        with pytest.raises(SimulationError, match="unknown simulation "
+                           "backend 'sharded'; available: bigint, numpy"):
+            get_backend("sharded")
 
     def test_resolve_accepts_name_instance_and_none(self):
         bigint = get_backend("bigint")

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -40,6 +42,8 @@ class TestTable1:
         out = capsys.readouterr().out
         assert "Circuit" in out
         assert "s27" in out
+        # one engine record: fault simulation has no engine of its own
+        assert re.search(r"^Backends: sim=\w+$", out, re.MULTILINE)
 
     def test_csv_format(self, capsys):
         assert main(["--seed", "1", "table1", "s27", "--quiet",
@@ -87,46 +91,49 @@ class TestExperimentsMd:
         assert "s27" in text
 
 
-class TestFaultBackendFlags:
-    def test_run_with_fault_backend(self, capsys):
-        assert main(["--seed", "1", "--fault-backend", "numpy",
-                     "run", "s27"]) == 0
-        out = capsys.readouterr().out
-        assert "improvement vs traditional" in out
-
-    def test_table1_with_sharded_fault_backend(self, capsys):
-        # Tiny circuit: the sharded meta-backend takes its inline path,
-        # results are bit-identical either way.
-        assert main(["--seed", "1", "--fault-backend", "sharded",
-                     "--shards", "2", "table1", "s27", "--quiet"]) == 0
-        out = capsys.readouterr().out
-        assert "fault=sharded" in out
-
-    def test_unknown_fault_backend_rejected(self, capsys):
+class TestEngineFlags:
+    def test_retired_backend_name_rejected(self, capsys):
         with pytest.raises(SystemExit):
-            main(["--fault-backend", "warp", "list"])
+            main(["--backend", "sharded", "list"])
+        assert "invalid choice: 'sharded'" in capsys.readouterr().err
 
-    def test_bad_fault_backend_env_is_clean_error(self, capsys,
-                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_BACKEND", "warp")
+    def test_retired_backend_env_is_clean_error(self, capsys,
+                                                monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "sharded")
         assert main(["list"]) == 2
         err = capsys.readouterr().err
-        assert "unknown simulation backend" in err
+        assert "unknown simulation backend 'sharded'; " \
+            "available: bigint, numpy" in err
 
-    def test_bad_shards_env_is_clean_error(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("flags", [["--fault-backend", "numpy"],
+                                       ["--shards", "2"]])
+    def test_retired_flags_rejected(self, capsys, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*flags, "list"])
+        assert excinfo.value.code == 2
+        assert flags[0] not in capsys.readouterr().err.split("error:")[0]
+
+    def test_retired_env_vars_are_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_BACKEND", "warp")
         monkeypatch.setenv("REPRO_SIM_SHARDS", "abc")
-        assert main(["--fault-backend", "sharded", "list"]) == 2
+        assert main(["list"]) == 0
+        assert capsys.readouterr().err == ""
+
+
+class TestUnknownCircuit:
+    @pytest.mark.parametrize("argv", [
+        ["run", "nosuch"],
+        ["table1", "nosuch", "--quiet", "--jobs", "1"],
+        ["table1", "nosuch", "--quiet", "--jobs", "2"],
+        ["table1", "s27", "nosuch", "--quiet", "--jobs", "2"],
+        ["ablation", "mux", "nosuch"],
+    ])
+    def test_one_line_error_exit_2(self, capsys, argv):
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "REPRO_SIM_SHARDS" in err
-
-    def test_bad_shard_count_rejected(self, capsys):
-        assert main(["--shards", "0", "list"]) == 2
-        assert "--shards" in capsys.readouterr().err
-
-    def test_shards_with_non_sharded_backend_rejected(self, capsys):
-        assert main(["--fault-backend", "numpy", "--shards", "2",
-                     "list"]) == 2
-        assert "sharded" in capsys.readouterr().err
+        assert err.startswith("repro-power: error: unknown ISCAS89 "
+                              "circuit 'nosuch'; known: ")
+        assert err.count("\n") == 1
 
 
 class TestArgErrors:

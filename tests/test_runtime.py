@@ -29,28 +29,18 @@ class TestRuntimeOptionsValidation:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError, match="backend"):
             RuntimeOptions(backend="nope")
-
-    def test_unknown_fault_backend_rejected(self):
-        with pytest.raises(ConfigError, match="backend"):
-            RuntimeOptions(fault_backend="nope")
-
-    def test_shards_must_be_positive(self):
-        with pytest.raises(ConfigError, match="shards"):
-            RuntimeOptions(fault_backend="sharded", shards=0)
-
-    def test_shards_require_sharded_fault_backend(self):
-        with pytest.raises(ConfigError, match="sharded"):
-            RuntimeOptions(fault_backend="bigint", shards=2)
+        with pytest.raises(ConfigError, match="unknown simulation backend "
+                           "'sharded'; available: bigint, numpy"):
+            RuntimeOptions(backend="sharded")
 
     def test_stream_budget_must_be_non_negative(self):
         with pytest.raises(ConfigError, match="stream_budget"):
             RuntimeOptions(stream_budget=-1)
 
     def test_valid_combination_accepted(self):
-        options = RuntimeOptions(backend="bigint",
-                                 fault_backend="sharded", shards=2,
-                                 stream_budget=0, trace="")
-        assert options.shards == 2
+        options = RuntimeOptions(backend="bigint", stream_budget=0,
+                                 trace="")
+        assert options.stream_budget == 0
 
     def test_replace(self):
         options = RuntimeOptions(stream_budget=7)
@@ -129,9 +119,7 @@ class TestSessionDefaults:
 #: Per knob: env, session and explicit values (each level differs from
 #: the one below it) and a malformed env value.
 LEVELS = {
-    "backend": ("numpy", "sharded", "bigint", "warp"),
-    "fault_backend": ("numpy", "sharded", "bigint", "warp"),
-    "shards": ("3", 2, 5, "0"),
+    "backend": ("numpy", "bigint", "numpy", "warp"),
     "stream_budget": ("100", 50, 7, "lots"),
     "trace": ("env", "session", "explicit", "file/sub"),
     "chaos": ("seed=1,queue.write=0.5", "seed=2,cache.read=0.1",
@@ -158,22 +146,6 @@ class TestPrecedence:
         monkeypatch.setenv("REPRO_SIM_BACKEND", "numpy")
         set_session_defaults(backend="bigint")
         assert default_backend_name() == "bigint"  # session > env
-
-    def test_fault_backend_falls_back_to_backend_chain(self,
-                                                       monkeypatch):
-        from repro.simulation.backends import default_fault_backend_name
-        monkeypatch.delenv("REPRO_FAULT_BACKEND", raising=False)
-        set_session_defaults(backend="numpy")
-        assert default_fault_backend_name() == "numpy"
-        set_session_defaults(backend="numpy", fault_backend="bigint")
-        assert default_fault_backend_name() == "bigint"
-
-    def test_sharded_shard_count(self, monkeypatch):
-        from repro.simulation.backends import ShardedBackend
-        monkeypatch.setenv("REPRO_SIM_SHARDS", "7")
-        set_session_defaults(fault_backend="sharded", shards=3)
-        assert ShardedBackend().configured_shards() == 3  # session > env
-        assert ShardedBackend(shards=2).configured_shards() == 2
 
     @pytest.mark.parametrize("name", list(KNOBS))
     def test_every_knob_resolves_with_one_precedence(self, name,
@@ -243,13 +215,10 @@ class TestInputErrors:
     @pytest.mark.parametrize("field, value", [
         *(pytest.param(field, value, id=f"{value}-{field}")
           for value in ("3", 2.0, True)
-          for field in ("shards", "stream_budget")),
+          for field in ("stream_budget",)),
         pytest.param("trace", 5, id="5-trace"),
         pytest.param("chaos", 7, id="7-chaos"),
     ])
     def test_non_int_counts_rejected(self, field, value):
-        kwargs = {field: value}
-        if field == "shards":
-            kwargs["fault_backend"] = "sharded"
         with pytest.raises(ConfigError, match=f"{field} must be an? "):
-            RuntimeOptions(**kwargs)
+            RuntimeOptions(**{field: value})
