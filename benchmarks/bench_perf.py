@@ -314,6 +314,39 @@ def test_perf_episode_batch_speedup(benchmark, s1423_mapped):
         f"vs {batch_s * 1e3:.2f} ms batched)")
 
 
+#: Enforced floor on full-state bytes over the traced replay peak.  The
+#: metric is a deterministic allocation count, not a timing, so it needs
+#: no relaxation on noisy runners.
+REPLAY_MEMORY_EFFICIENCY_FLOOR = 2.5
+
+
+def test_perf_episode_replay_memory(benchmark):
+    """Working set of the resident s5378 scan replay (64 vectors).
+
+    The big-int engine prices each row as it settles and frees every
+    word after its last reader, so the replay holds the live cut of the
+    topological order instead of every line's whole-episode waveform.
+    ``replay_memory_efficiency`` is the full state (lines x
+    ``ceil(cycles / 8)`` bytes) over the ``tracemalloc`` peak of one
+    warmed ``evaluate_scan_power``; it is enforced >= 2.5 and the
+    regression gate diffs its trajectory.
+    """
+    from tests.power.test_replay_working_set import replay_peak_share
+
+    peak, full_state = benchmark.pedantic(
+        replay_peak_share, args=("s5378", 64), kwargs={"seed": 7},
+        rounds=1, iterations=1, warmup_rounds=0)
+    efficiency = full_state / peak
+    benchmark.extra_info["full_state_mb"] = round(full_state / 1e6, 3)
+    benchmark.extra_info["replay_peak_mb"] = round(peak / 1e6, 3)
+    benchmark.extra_info["replay_memory_efficiency"] = round(
+        efficiency, 2)
+    assert efficiency >= REPLAY_MEMORY_EFFICIENCY_FLOOR, (
+        f"replay peak {peak} B is only {efficiency:.2f}x below the full "
+        f"state ({full_state} B); floor "
+        f"{REPLAY_MEMORY_EFFICIENCY_FLOOR}x")
+
+
 #: Enforced disabled-tracing efficiency floor: the instrumented episode
 #: path with the recorder off must stay within ~2% of the same path
 #: with the spans compiled out entirely.

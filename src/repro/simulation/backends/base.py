@@ -121,11 +121,12 @@ class SimState(abc.ABC):
         the leakage tables reproduces :meth:`leakage_sum` bit for bit
         (see :func:`repro.leakage.estimator.leakage_from_pattern_counts`).
         """
+        full = mask(self.n)
         counts: dict[str, np.ndarray] = {}
         for line in self.circuit.topo_order():
             in_words = [self.word(src)
                         for src in self.circuit.gates[line].inputs]
-            counts[line] = np.array(minterm_counts(in_words, self.n),
+            counts[line] = np.array(minterm_counts(in_words, self.n, full),
                                     dtype=np.int64)
         return counts
 
@@ -185,22 +186,26 @@ class Backend(abc.ABC):
         """Evaluate a whole test set's scan replay in one pass.
 
         ``plan`` is a compiled :class:`~repro.simulation.episode.
-        EpisodePlan` (all episodes' cycles packed back to back).  The
-        default implementation runs the plan's stimulus through
-        :meth:`run` as a single packed simulation — on the big-int
-        engine this is the reference semantics, on the numpy engine one
-        ``uint64``-matrix pass over the levelized fused-AND schedule —
-        and derives transitions / leakage sums exactly as
-        :func:`~repro.simulation.cyclesim.simulate_cycles` would.
-
-        When a ``stream_budget`` resolves (argument > session default >
+        EpisodePlan` (all episodes' cycles packed back to back).  When a
+        ``stream_budget`` resolves (argument > session default >
         ``$REPRO_STREAM_BUDGET``) and the plan's resident state matrix
         would exceed it, evaluation streams cycle windows instead of
         materializing the matrix — out-of-core, bounded peak memory,
         bit-identical; see :mod:`repro.simulation.streaming`.
+
+        Otherwise the whole plan is replayed resident by
+        :meth:`_episode_batch`.  Its default implementation runs the
+        plan's stimulus through :meth:`run` as a single packed
+        simulation (on the numpy engine one ``uint64``-matrix pass over
+        the levelized fused-AND schedule) and derives transitions /
+        leakage sums exactly as
+        :func:`~repro.simulation.cyclesim.simulate_cycles` would.  The
+        big-int engine overrides it with one fused pass that prices
+        every row as soon as its word settles and frees each word after
+        its last reader, so without ``keep_waveforms`` only the live cut
+        of the topological order is resident, not every line.
         """
         from repro.cells.library import default_library
-        from repro.simulation.episode import EpisodeBatchResult
         from repro.simulation.streaming import (
             resolve_stream_budget,
             stream_episode_batch,
@@ -213,16 +218,24 @@ class Backend(abc.ABC):
         library = library or default_library()
         with span("sim.episode_batch", backend=self.name,
                   cycles=plan.n_cycles):
-            state = self.run(plan.circuit, plan.waveforms, plan.n_cycles)
-            return EpisodeBatchResult(
-                n_cycles=plan.n_cycles,
-                transitions=state.transitions(),
-                leakage_sum_na=state.leakage_sum(library)
-                if collect_leakage else {},
-                offsets=plan.offsets,
-                lengths=plan.lengths,
-                waveforms=state.words() if keep_waveforms else None,
-            )
+            return self._episode_batch(plan, library, collect_leakage,
+                                       keep_waveforms)
+
+    def _episode_batch(self, plan: "EpisodePlan", library: CellLibrary,
+                       collect_leakage: bool, keep_waveforms: bool
+                       ) -> "EpisodeBatchResult":
+        """Resident replay of ``plan``: one :meth:`run` and its state."""
+        from repro.simulation.episode import EpisodeBatchResult
+        state = self.run(plan.circuit, plan.waveforms, plan.n_cycles)
+        return EpisodeBatchResult(
+            n_cycles=plan.n_cycles,
+            transitions=state.transitions(),
+            leakage_sum_na=state.leakage_sum(library)
+            if collect_leakage else {},
+            offsets=plan.offsets,
+            lengths=plan.lengths,
+            waveforms=state.words() if keep_waveforms else None,
+        )
 
     def fault_simulate_batch(self, circuit: Circuit,
                              faults: "Sequence[Fault]",

@@ -34,6 +34,7 @@ and :func:`cached_row_table` memoize them per circuit object, keyed on
 from __future__ import annotations
 
 import dataclasses
+import functools
 import weakref
 from collections import defaultdict
 
@@ -94,6 +95,19 @@ class RowTable:
     fanin: tuple[tuple[int, ...], ...]
     sinks: tuple[tuple[int, ...], ...]
     version: int
+
+    @functools.cached_property
+    def releases(self) -> tuple[tuple[int, ...], ...]:
+        """Per row, the rows whose words are dead once it has run.
+
+        A row's word is last read by its highest sink row, or — with no
+        sinks — by nothing after its own evaluation, so it is released
+        there.  Built once per table, i.e. once per circuit version.
+        """
+        releases: list[list[int]] = [[] for _ in self.lines]
+        for row, sinks in enumerate(self.sinks):
+            releases[sinks[-1] if sinks else row].append(row)
+        return tuple(map(tuple, releases))
 
 
 def build_row_table(circuit: Circuit) -> RowTable:

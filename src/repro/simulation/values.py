@@ -97,7 +97,8 @@ def pattern_count(input_words: Sequence[int], pattern: Sequence[int],
     return word.bit_count()
 
 
-def minterm_counts(input_words: Sequence[int], n: int) -> list[int]:
+def minterm_counts(input_words: Sequence[int], n: int,
+                   full: int | None = None) -> list[int]:
     """Positions of each joint input value, for every input pattern.
 
     Entry ``code`` equals :func:`pattern_count` of the pattern whose bit
@@ -107,13 +108,29 @@ def minterm_counts(input_words: Sequence[int], n: int) -> list[int]:
     count is the parent's minus the one branch's, so a gate costs
     ``2^k - 1`` popcounts instead of ``2^k``.
 
+    ``full`` is the caller's ``n``-bit all-ones mask.  Passing it
+    promises that every word is clear above bit ``n - 1`` (as settled
+    simulation words are): the split then starts from pin 0's word
+    itself, with no mask built and no AND per gate.  Without it, bits
+    above ``n`` are ignored, as in :func:`pattern_count`.
+
     >>> minterm_counts([pack_bits([0, 1, 1]), pack_bits([0, 0, 1])], 3)
     [1, 1, 0, 1]
     """
-    masks = [mask(n)]
-    counts = [n]
+    if not input_words:
+        return [n]
+    first = input_words[0]
+    if full is None:
+        full = mask(n)
+        first &= full
+    high = first.bit_count()
+    counts = [n - high, high]
     last = len(input_words) - 1
-    for pin, word in enumerate(input_words):
+    if not last:
+        return counts
+    masks = [first ^ full, first]
+    for pin in range(1, last + 1):
+        word = input_words[pin]
         # Codes below the current width are the zero branches (kept in
         # their parent's slot); the one branches append after them.
         for code in range(len(counts)):

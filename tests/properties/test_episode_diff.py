@@ -6,6 +6,11 @@ packed waveforms bit for bit, transition counts exactly, leakage floats
 IEEE-equal — on every registered backend and on mapped and unmapped
 circuits.  Where the oracle raises (an unmapped design may hold a gate
 wider than any library cell), every engine must raise the same error.
+
+The big-int engine's fused replay (each row priced as it settles, dead
+words freed) must equal ``run`` + ``state.transitions()`` /
+``state.leakage_sum()`` on the same plan: key order, integer counts and
+the bits of every leakage float.
 """
 
 import numpy as np
@@ -14,6 +19,7 @@ from power import episode_reference as serial
 
 from repro.benchgen.generator import generate_from_stats
 from repro.benchgen.iscas89 import Iscas89Stats
+from repro.cells.library import default_library
 from repro.errors import TimingError
 from repro.netlist.circuit import Circuit
 from repro.power.scanpower import (
@@ -23,7 +29,10 @@ from repro.power.scanpower import (
     per_cycle_energy_fj,
 )
 from repro.scan.testview import ScanDesign, TestVector
-from repro.simulation.backends import available_backends
+from repro.simulation.backends import available_backends, get_backend
+from repro.simulation.episode import EpisodePlan, compile_episode_plan
+from repro.simulation.schedule import cached_row_table
+from repro.simulation.values import mask
 from repro.techmap.mapper import technology_map
 from repro.utils.rng import make_rng
 
@@ -118,3 +127,66 @@ class TestBatchedEqualsSerial:
         for name in BACKENDS:
             batched = per_cycle_energy_fj(design, vectors, backend=name)
             assert np.array_equal(batched, reference), name
+
+
+def _truncated_plan(plan: EpisodePlan, n: int) -> EpisodePlan:
+    """The first ``n`` cycles of ``plan`` as a one-episode plan."""
+    return EpisodePlan(
+        circuit=plan.circuit,
+        waveforms={line: word & mask(n)
+                   for line, word in plan.waveforms.items()},
+        n_cycles=n, offsets=(0,), lengths=(n,))
+
+
+def _state_replay(plan: EpisodePlan, collect_leakage: bool):
+    """``run`` + state pricing on ``plan``: the unfused semantics."""
+    state = get_backend("bigint").run(plan.circuit, plan.waveforms,
+                                      plan.n_cycles)
+    transitions = state.transitions()
+    leakage = state.leakage_sum(default_library()) \
+        if collect_leakage else {}
+    return transitions, leakage
+
+
+def _fused_replay(plan: EpisodePlan, collect_leakage: bool):
+    batch = get_backend("bigint").simulate_episode_batch(
+        plan, default_library(), collect_leakage=collect_leakage,
+        stream_budget=0)
+    assert batch.waveforms is None
+    assert batch.n_cycles == plan.n_cycles
+    return batch.transitions, batch.leakage_sum_na
+
+
+def _exact(replay):
+    """Keys in order, integers, and leakage floats as ``float.hex``."""
+    if not isinstance(replay, tuple) or replay[0] is TimingError:
+        return replay
+    transitions, leakage = replay
+    return (list(transitions.items()),
+            [(line, value.hex()) for line, value in leakage.items()])
+
+
+class TestFusedReplayEqualsState:
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.booleans(),
+           st.booleans())
+    @example(38, 1, False, True)
+    def test_fused_equals_run_and_state(self, seed, n_vectors, mapped,
+                                        collect_leakage):
+        design = _random_design(seed, mapped)
+        vectors = _random_vectors(design, n_vectors, seed)
+        policy = _blocking_policy(design, seed)
+        plan = compile_episode_plan(
+            design, vectors, pi_values=policy.pi_values,
+            mux_ties=policy.mux_ties, backend="bigint")
+        rows = cached_row_table(plan.circuit)
+        # Every full-scan design has gate rows read by no gate (its
+        # primary outputs and flop D lines): released where they settle.
+        assert any(not sinks for sinks in rows.sinks[rows.n_inputs:])
+        for n in (0, 1, 2, plan.n_cycles):
+            cut = _truncated_plan(plan, n) if n < plan.n_cycles else plan
+            want = _exact(_outcome(mapped, _state_replay, cut,
+                                   collect_leakage))
+            got = _exact(_outcome(mapped, _fused_replay, cut,
+                                  collect_leakage))
+            assert got == want, n

@@ -142,6 +142,7 @@ class TestPrecedence:
 
     def test_backend(self, monkeypatch):
         from repro.simulation.backends import default_backend_name
+        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
         assert default_backend_name() == "bigint"
         monkeypatch.setenv("REPRO_SIM_BACKEND", "numpy")
         set_session_defaults(backend="bigint")
