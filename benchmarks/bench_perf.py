@@ -43,11 +43,6 @@ def s1423_words(s1423_mapped):
 
 
 @pytest.fixture(scope="module")
-def s1423_words_4096(s1423_mapped):
-    return random_input_words(s1423_mapped, 4096, make_rng(2))
-
-
-@pytest.fixture(scope="module")
 def s5378_mapped():
     return technology_map(load_circuit("s5378", seed=1))
 
@@ -55,11 +50,6 @@ def s5378_mapped():
 @pytest.fixture(scope="module")
 def s5378_words_4096(s5378_mapped):
     return random_input_words(s5378_mapped, 4096, make_rng(2))
-
-
-#: Enforced numpy-vs-bigint speedup floor; noisy shared runners (CI) can
-#: relax it without losing the recorded extra_info trajectory.
-SPEEDUP_FLOOR = float(os.environ.get("REPRO_BENCH_SPEEDUP_FLOOR", "3.0"))
 
 
 def test_perf_packed_simulation_1024(benchmark, s1423_mapped,
@@ -103,95 +93,6 @@ def test_perf_observability(benchmark, s1423_mapped):
     assert len(obs) == len(list(s1423_mapped.lines()))
 
 
-def test_perf_backend_cycle_sim_speedup(benchmark, s5378_mapped,
-                                        s5378_words_4096):
-    """bigint vs numpy on the Table-I workload: cycle sim + leakage.
-
-    Records the measured speedup in ``extra_info`` (the trajectory lands
-    in the bench JSON) and enforces the >= 3x floor the backend exists
-    for.
-
-    The numerator is the frozen name-keyed big-int engine
-    (``tests/simulation/bigint_reference.py``), not the product bigint
-    engine: the gate protects the numpy engine, so a faster bigint
-    replay must not move it.  The product bigint engine's time is
-    recorded unguarded as ``bigint_ms``.
-    """
-    from tests.simulation import bigint_reference as reference
-
-    library = default_library()
-    n = 4096
-
-    def run(backend):
-        return simulate_cycles(s5378_mapped, s5378_words_4096, n,
-                               library, backend=backend)
-
-    def run_oracle():
-        return reference.simulate_cycles(s5378_mapped, s5378_words_4096,
-                                         n, library)
-
-    product = run("bigint")
-    vectorized = run("numpy")  # also warms the schedule cache
-    oracle_transitions, oracle_leakage = run_oracle()
-    assert oracle_transitions == product.transitions == \
-        vectorized.transitions
-    assert list(oracle_leakage.items()) == \
-        list(product.leakage_sum_na.items())
-    oracle_s = best_of(3, run_oracle)
-    bigint_s = best_of(3, lambda: run("bigint"))
-    numpy_s = best_of(3, lambda: run("numpy"))
-    result = benchmark(run, "numpy")
-
-    speedup = oracle_s / numpy_s
-    benchmark.extra_info["gates"] = len(
-        s5378_mapped.combinational_gates())
-    benchmark.extra_info["patterns"] = n
-    benchmark.extra_info["oracle_ms"] = round(oracle_s * 1e3, 3)
-    benchmark.extra_info["bigint_ms"] = round(bigint_s * 1e3, 3)
-    benchmark.extra_info["numpy_ms"] = round(numpy_s * 1e3, 3)
-    benchmark.extra_info["speedup"] = round(speedup, 2)
-    assert result.mean_leakage_na > 0
-    assert speedup >= SPEEDUP_FLOOR, (
-        f"numpy cycle-sim speedup {speedup:.2f}x below the "
-        f"{SPEEDUP_FLOOR}x floor ({oracle_s * 1e3:.2f} ms bigint oracle "
-        f"vs {numpy_s * 1e3:.2f} ms numpy)")
-
-
-def test_perf_backend_packed_sim_comparison(benchmark, s1423_mapped,
-                                            s1423_words_4096):
-    """bigint vs numpy raw packed simulation (words out, 4096 patterns).
-
-    Like :func:`test_perf_backend_cycle_sim_speedup`, the numerator is
-    the frozen big-int engine; the product bigint time is recorded
-    unguarded as ``bigint_ms``.
-    """
-    from tests.simulation import bigint_reference as reference
-
-    n = 4096
-
-    def run(backend):
-        return simulate_packed(s1423_mapped, s1423_words_4096, n,
-                               backend=backend)
-
-    def run_oracle():
-        return reference.simulate_packed_bigint(s1423_mapped,
-                                                s1423_words_4096, n)
-
-    oracle = run_oracle()
-    assert run("numpy") == run("bigint") == oracle  # also warms caches
-    oracle_s = best_of(3, run_oracle)
-    bigint_s = best_of(3, lambda: run("bigint"))
-    numpy_s = best_of(3, lambda: run("numpy"))
-    words = benchmark(run, "numpy")
-
-    benchmark.extra_info["patterns"] = n
-    benchmark.extra_info["oracle_ms"] = round(oracle_s * 1e3, 3)
-    benchmark.extra_info["bigint_ms"] = round(bigint_s * 1e3, 3)
-    benchmark.extra_info["numpy_ms"] = round(numpy_s * 1e3, 3)
-    benchmark.extra_info["speedup"] = round(oracle_s / numpy_s, 2)
-    assert len(words) > 900
-
-
 #: Enforced row-space vs frozen name-keyed bigint cycle-sim floor (no
 #: override: both sides are pure Python on one core).
 CYCLE_REPLAY_SPEEDUP_FLOOR = 1.5
@@ -201,8 +102,8 @@ def test_perf_bigint_cycle_sim_speedup(benchmark, s5378_mapped,
                                        s5378_words_4096):
     """Product bigint cycle sim vs the frozen name-keyed engine.
 
-    Same workload as :func:`test_perf_backend_cycle_sim_speedup`
-    (s5378 x 4096 cycles, transitions + leakage).  The product engine
+    Workload: s5378 x 4096 cycles, transitions + leakage.  The product
+    engine
     evaluates the circuit's row table with small-int opcodes and prices
     leakage from minterm-split counts (``2^k - 1`` popcounts per gate);
     the oracle fills a name-keyed dict with one ``eval_gate_packed``
@@ -251,7 +152,7 @@ def test_perf_bigint_cycle_sim_speedup(benchmark, s5378_mapped,
         f"oracle vs {replay_s * 1e3:.2f} ms row-space engine)")
 
 
-#: Enforced batched-vs-serial episode replay floor on the numpy engine.
+#: Enforced batched-vs-serial episode replay floor.
 EPISODE_SPEEDUP_FLOOR = float(
     os.environ.get("REPRO_BENCH_EPISODE_FLOOR", "2.0"))
 
@@ -265,11 +166,10 @@ def test_perf_episode_batch_speedup(benchmark, s1423_mapped):
     waveforms with per-vector/cycle/line Python loops plus one scalar
     capture simulation per vector; the batched engine compiles one
     :class:`EpisodePlan` (single packed capture pass + numpy shift
-    tensor) and evaluates the whole replay in one ``uint64``-matrix
-    pass.  Reports are asserted equal (bit-identical by contract) and
-    the speedup is recorded as ``episode_batch_speedup`` and enforced
-    >= 2x on the numpy backend (the regression gate diffs it across
-    runs).
+    tensor) and evaluates the whole replay in one fused big-int pass
+    over the row table.  Reports are asserted equal (bit-identical by
+    contract) and the speedup is recorded as ``episode_batch_speedup``
+    and enforced >= 2x (the regression gate diffs it across runs).
     """
     from repro.power.scanpower import evaluate_scan_power
     from repro.scan.testview import ScanDesign, TestVector
@@ -290,9 +190,9 @@ def test_perf_episode_batch_speedup(benchmark, s1423_mapped):
 
     def run(batch):
         evaluate = evaluate_scan_power if batch else serial_scan_power
-        return evaluate(design, vectors, backend="numpy")
+        return evaluate(design, vectors)
 
-    batched = run(True)  # warms the schedule cache
+    batched = run(True)  # warms the row-table cache
     serial = run(False)
     assert batched == serial
 
@@ -389,10 +289,10 @@ def test_perf_tracing_disabled_overhead(benchmark, s1423_mapped,
     ]
 
     def run():
-        return evaluate_scan_power(design, vectors, backend="numpy")
+        return evaluate_scan_power(design, vectors)
 
     assert not obs_trace.tracing_enabled()
-    reference = run()  # warms the schedule cache
+    reference = run()  # warms the row-table cache
     workload_s = best_of(5, run)
 
     # Exact span count on this workload: swap every module-level
@@ -420,7 +320,7 @@ def test_perf_tracing_disabled_overhead(benchmark, s1423_mapped,
     # representative attrs.
     def span_loop():
         for _ in range(1000):
-            with real_span("bench.overhead", backend="numpy",
+            with real_span("bench.overhead", backend="bigint",
                            cycles=75):
                 pass
 
@@ -445,7 +345,7 @@ def test_perf_tracing_disabled_overhead(benchmark, s1423_mapped,
         f"floor {TRACE_EFFICIENCY_FLOOR}")
 
 
-#: Enforced one-plan-vs-per-batch fault replay floor on the numpy engine.
+#: Enforced one-plan-vs-per-batch fault replay floor.
 FAULT_EPISODE_SPEEDUP_FLOOR = float(
     os.environ.get("REPRO_BENCH_FAULT_EPISODE_FLOOR", "3.0"))
 
@@ -463,9 +363,8 @@ def test_perf_fault_episode_speedup(benchmark, s1423_mapped):
     costs about the same at 1024 bits as at 64, so one wide replay
     beats sixteen narrow ones).  Merged detection words are asserted
     bit-identical, the speedup is recorded as ``fault_episode_speedup``
-    and enforced >= 3x on the numpy backend
-    (``$REPRO_BENCH_FAULT_EPISODE_FLOOR`` overrides; the regression
-    gate diffs the trajectory).
+    and enforced >= 3x (``$REPRO_BENCH_FAULT_EPISODE_FLOOR`` overrides;
+    the regression gate diffs the trajectory).
     """
     from repro.simulation.backends import get_backend
     from repro.simulation.fault_episode import compile_fault_episode_plan
@@ -479,7 +378,7 @@ def test_perf_fault_episode_speedup(benchmark, s1423_mapped):
          for line, word in words.items()}
         for start in range(0, n_total, chunk)
     ]
-    engine = get_backend("numpy")
+    engine = get_backend("bigint")
 
     def per_batch():
         merged: dict = {}
@@ -495,7 +394,7 @@ def test_perf_fault_episode_speedup(benchmark, s1423_mapped):
                                           n_total)
         return engine.fault_simulate_plan(plan, drop=False)
 
-    reference = one_plan()  # warms the schedule + replay tables
+    reference = one_plan()  # warms the row table + replay tables
     merged = per_batch()
     assert merged == dict(reference.detected)
 
@@ -640,7 +539,7 @@ def test_perf_bigint_fault_replay_speedup(benchmark, s1423_mapped):
     The ATPG compaction phase's shape (s1423 collapsed universe x 256
     patterns), replay only: both sides run over one shared bigint good
     machine.  The product replay works on
-    integer rows of the levelized schedule (one mutable word list, a
+    integer rows of the circuit's row table (one mutable word list, a
     min-heap of sink rows, inline opcode evaluation); the oracle keeps
     a per-fault dict overlay, level buckets and one
     ``eval_gate_packed`` call per event.  Results are asserted
@@ -715,7 +614,7 @@ def test_perf_campaign_table1_parallel(benchmark):
     spec = CampaignSpec(
         circuits=("s344", "s382", "s444", "s510", "s641", "s713"),
         base={"observability_samples": 64, "ivc_trials": 8,
-              "ivc_noise_samples": 4, "backend": "numpy"},
+              "ivc_noise_samples": 4},
         name="bench-table1")
 
     serial = run_campaign(spec, jobs=1)

@@ -1,8 +1,8 @@
-"""Scaling-curve bench: time vs gates for every engine (ROADMAP item 3).
+"""Scaling-curve bench: time vs gates (ROADMAP item 3).
 
 Generates synthetic circuits at a ladder of gate budgets with
 :func:`repro.benchgen.generate_scaled`, then times the three
-long-pole operations per engine and size:
+long-pole operations per size on the big-int engine:
 
 * circuit generation (once per size; pins the de-quadraticized
   generator),
@@ -18,17 +18,17 @@ bit-identical to resident by contract, so the curve is the only thing
 that changes.
 
 Output is a pytest-benchmark-compatible JSON (``{"benchmarks": [...]}``,
-one entry per engine x size plus one summary entry per engine) that
-``check_regression.py`` can diff: per-engine ``*_efficiency`` ratios
-(per-gate time at the smallest size over per-gate time at the largest
-— 1.0 is perfectly linear scaling, below 1 is superlinear blowup) are
-guarded keys; the fitted log-log exponents ride along as unguarded
-``extra_info``.
+one ``scaling_bigint_g<N>`` entry per size plus one ``scaling_bigint``
+summary entry) that ``check_regression.py`` can diff: the
+``*_efficiency`` ratios (per-gate time at the smallest size over
+per-gate time at the largest — 1.0 is perfectly linear scaling, below 1
+is superlinear blowup) are guarded keys; the fitted log-log exponents
+ride along as unguarded ``extra_info``.
 
 Usage::
 
     python benchmarks/bench_scaling.py --gates 10000,100000 \
-        --engines bigint,numpy --stream-budget 500000 -o scaling.json
+        --stream-budget 500000 -o scaling.json
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ from repro.simulation.fault_episode import FaultSimSession  # noqa: E402
 from repro.techmap.mapper import technology_map  # noqa: E402
 from repro.utils.rng import make_rng  # noqa: E402
 
-#: Engines swept by default; bigint is capped (see ``--bigint-cap``)
-#: because the reference engine is the quantity being escaped.
-DEFAULT_ENGINES = ("bigint", "numpy")
+#: The engine every rung runs on; it names the records.
+ENGINE = "bigint"
 DEFAULT_GATES = (1_000, 10_000, 100_000)
 
 
@@ -99,9 +98,8 @@ def _sample_faults(circuit, n_sample: int, seed: int):
     return [universe[i] for i in picks]
 
 
-def bench_size(n_gates: int, args: argparse.Namespace,
-               engines: tuple[str, ...]) -> list[dict]:
-    """One ladder rung: generate once, time replay + detection per engine."""
+def bench_size(n_gates: int, args: argparse.Namespace) -> dict:
+    """One ladder rung: generate once, time replay + detection."""
     gen_s, raw = _time_once(
         lambda: generate_scaled(n_gates, seed=args.seed,
                                 n_dffs=args.dffs))
@@ -112,38 +110,32 @@ def bench_size(n_gates: int, args: argparse.Namespace,
     words = random_input_words(circuit, args.patterns,
                                make_rng(args.seed + 1))
 
-    records = []
-    for engine in engines:
-        replay_s, report = _best(args.repeats, lambda: evaluate_scan_power(
-            design, vectors, backend=engine,
-            stream_budget=args.stream_budget))
-        session = FaultSimSession(circuit, engine,
-                                  stream_budget=args.stream_budget)
-        fault_s, result = _best(args.repeats, lambda: session.simulate(
-            faults, words, args.patterns, drop=False))
-        total_s = replay_s + fault_s
-        print(f"  {engine:>7}: replay {replay_s * 1e3:9.1f} ms   "
-              f"fault {fault_s * 1e3:9.1f} ms   "
-              f"({result.n_detected}/{len(faults)} detected)")
-        records.append({
-            "name": f"scaling_{engine}_g{n_gates}",
-            "stats": {"mean": total_s},
-            "extra_info": {
-                "engine": engine,
-                "gates": n_gates,
-                "mapped_gates": len(circuit.combinational_gates()),
-                "patterns": args.patterns,
-                "n_vectors": args.vectors,
-                "n_cycles": report.n_cycles,
-                "faults_sampled": len(faults),
-                "stream_budget": args.stream_budget,
-                "gen_s": round(gen_s, 4),
-                "map_s": round(map_s, 4),
-                "replay_s": round(replay_s, 4),
-                "fault_s": round(fault_s, 4),
-            },
-        })
-    return records
+    replay_s, report = _best(args.repeats, lambda: evaluate_scan_power(
+        design, vectors, stream_budget=args.stream_budget))
+    session = FaultSimSession(circuit, stream_budget=args.stream_budget)
+    fault_s, result = _best(args.repeats, lambda: session.simulate(
+        faults, words, args.patterns, drop=False))
+    print(f"  replay {replay_s * 1e3:9.1f} ms   "
+          f"fault {fault_s * 1e3:9.1f} ms   "
+          f"({result.n_detected}/{len(faults)} detected)")
+    return {
+        "name": f"scaling_{ENGINE}_g{n_gates}",
+        "stats": {"mean": replay_s + fault_s},
+        "extra_info": {
+            "engine": ENGINE,
+            "gates": n_gates,
+            "mapped_gates": len(circuit.combinational_gates()),
+            "patterns": args.patterns,
+            "n_vectors": args.vectors,
+            "n_cycles": report.n_cycles,
+            "faults_sampled": len(faults),
+            "stream_budget": args.stream_budget,
+            "gen_s": round(gen_s, 4),
+            "map_s": round(map_s, 4),
+            "replay_s": round(replay_s, 4),
+            "fault_s": round(fault_s, 4),
+        },
+    }
 
 
 def _fit_exponent(sizes: list[int], times: list[float]) -> float:
@@ -159,16 +151,15 @@ def _fit_exponent(sizes: list[int], times: list[float]) -> float:
                for x, y in zip(xs, ys)) / denom
 
 
-def summarize(engine: str, rungs: list[dict]) -> dict | None:
-    """Per-engine curve summary: guarded efficiencies + fitted exponents."""
-    mine = [r for r in rungs if r["extra_info"]["engine"] == engine]
-    if len(mine) < 2:
+def summarize(rungs: list[dict]) -> dict | None:
+    """Curve summary: guarded efficiencies + fitted exponents."""
+    if len(rungs) < 2:
         return None
-    mine.sort(key=lambda r: r["extra_info"]["gates"])
-    sizes = [r["extra_info"]["gates"] for r in mine]
-    extra: dict = {"engine": engine, "gates_ladder": sizes}
+    rungs = sorted(rungs, key=lambda r: r["extra_info"]["gates"])
+    sizes = [r["extra_info"]["gates"] for r in rungs]
+    extra: dict = {"engine": ENGINE, "gates_ladder": sizes}
     for metric in ("replay_s", "fault_s"):
-        times = [r["extra_info"][metric] for r in mine]
+        times = [r["extra_info"][metric] for r in rungs]
         per_gate = [t / s for t, s in zip(times, sizes)]
         short = metric[:-2]  # "replay" / "fault"
         # Per-gate time at the smallest size over the largest: 1.0 is
@@ -177,7 +168,7 @@ def summarize(engine: str, rungs: list[dict]) -> dict | None:
             per_gate[0] / max(per_gate[-1], 1e-12), 3)
         extra[f"{short}_exponent"] = round(
             _fit_exponent(sizes, times), 3)
-    return {"name": f"scaling_{engine}", "stats": {"mean": 0.0},
+    return {"name": f"scaling_{ENGINE}", "stats": {"mean": 0.0},
             "extra_info": extra}
 
 
@@ -188,13 +179,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="gate-count ladder (default 1e3,1e4,1e5; "
                              "pass 1000000 explicitly for the "
                              "million-gate rung)")
-    parser.add_argument("--engines", default=",".join(DEFAULT_ENGINES),
-                        metavar="E,E,...",
-                        help="engines to sweep (default bigint,numpy)")
-    parser.add_argument("--bigint-cap", type=int, default=20_000,
-                        metavar="N",
-                        help="largest size the bigint reference runs at "
-                             "(default 20000)")
     parser.add_argument("--patterns", type=int, default=256, metavar="N",
                         help="fault-detection pattern count (default 256)")
     parser.add_argument("--vectors", type=int, default=8, metavar="N",
@@ -221,33 +205,22 @@ def main(argv: list[str] | None = None) -> int:
         env = os.environ.get("REPRO_STREAM_BUDGET", "")
         args.stream_budget = int(env) if env else None
 
-    engines = tuple(e for e in args.engines.split(",") if e)
     rungs: list[dict] = []
+    budget = args.stream_budget
     for n_gates in sorted(set(args.gates)):
-        sized = tuple(e for e in engines
-                      if e != "bigint" or n_gates <= args.bigint_cap)
-        if not sized:
-            print(f"{n_gates} gates: skipped (only bigint requested and "
-                  f"size exceeds --bigint-cap {args.bigint_cap})")
-            continue
-        skipped = set(engines) - set(sized)
-        budget = args.stream_budget
         print(f"{n_gates} gates (stream_budget="
-              f"{budget if budget is not None else 'off'}"
-              f"{', skipping ' + ','.join(sorted(skipped)) if skipped else ''})")
-        rungs.extend(bench_size(n_gates, args, sized))
+              f"{budget if budget is not None else 'off'})")
+        rungs.append(bench_size(n_gates, args))
 
     benchmarks = list(rungs)
-    for engine in engines:
-        summary = summarize(engine, rungs)
-        if summary is not None:
-            benchmarks.append(summary)
-            extra = summary["extra_info"]
-            print(f"{engine}: replay exponent "
-                  f"{extra['replay_exponent']:.2f} "
-                  f"(efficiency {extra['replay_efficiency']:.2f}), "
-                  f"fault exponent {extra['fault_exponent']:.2f} "
-                  f"(efficiency {extra['fault_efficiency']:.2f})")
+    summary = summarize(rungs)
+    if summary is not None:
+        benchmarks.append(summary)
+        extra = summary["extra_info"]
+        print(f"replay exponent {extra['replay_exponent']:.2f} "
+              f"(efficiency {extra['replay_efficiency']:.2f}), "
+              f"fault exponent {extra['fault_exponent']:.2f} "
+              f"(efficiency {extra['fault_efficiency']:.2f})")
 
     if args.output is not None:
         args.output.write_text(json.dumps(

@@ -4,9 +4,9 @@ Compares the ``speedup``-style ``extra_info`` entries of a fresh
 pytest-benchmark JSON against the previous run's artifact and fails when
 any recorded speedup dropped by more than the allowed percentage.  Raw
 timings are deliberately *not* compared — shared CI runners are too
-noisy for that — but the bigint/numpy speedup *ratio* is measured on the
-same machine in the same process, so a large drop there is a real
-regression, not noise.
+noisy for that — but a speedup *ratio* (say, the product replay against
+its frozen oracle) is measured on the same machine in the same process,
+so a large drop there is a real regression, not noise.
 
 Usage (exit codes: 0 ok / baseline missing, 1 regression, 2 bad input)::
 

@@ -115,13 +115,10 @@ from repro.simulation import (
     FaultSimSession,
     SequentialSimulator,
     SimState,
-    available_backends,
     compile_episode_plan,
     compile_fault_episode_plan,
     get_backend,
-    register_backend,
     resolve_backend,
-    set_default_backend,
     simulate_comb,
     simulate_comb3,
     simulate_cycles,
@@ -151,8 +148,7 @@ __all__ = [
     "simulate_comb", "simulate_comb3", "simulate_packed",
     "simulate_cycles", "SequentialSimulator",
     # simulation backends
-    "Backend", "SimState", "available_backends", "get_backend",
-    "register_backend", "resolve_backend", "set_default_backend",
+    "Backend", "SimState", "get_backend", "resolve_backend",
     "EpisodePlan", "EpisodeBatchResult", "compile_episode_plan",
     "FaultEpisodePlan", "FaultSimSession", "compile_fault_episode_plan",
     # scan / power

@@ -15,13 +15,11 @@ call it turns the good words into one list that each fault mutates in
 place and restores, with a min-heap of pending sink rows as the event
 queue.
 
-This replay is the only fault-simulation engine: every backend's
+This replay is the only fault-simulation engine:
 :meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`
-runs it over the good words of that backend's own fault-free pass, so
-the backend choice only changes how the good machine is settled.
-Detection words and the ``remaining`` ordering are bit-identical
-across backends; the differential property tests in
-``tests/properties`` enforce this.
+runs it over the good words of the backend's own fault-free pass.
+The differential property tests in ``tests/properties`` pin its
+detection words and ``remaining`` ordering against frozen oracles.
 """
 
 from __future__ import annotations
@@ -277,8 +275,7 @@ def fault_simulate(circuit: Circuit, faults: Sequence[Fault],
     the caller's job: feed ``result.remaining`` to the next call.
 
     ``backend`` selects the engine of the fault-free pass (name,
-    instance or ``None`` for the session default).  Detection words and
-    ``remaining`` ordering are bit-identical across all engines.  A
+    instance or ``None`` for the big-int engine).  A
     fault on a line the circuit does not have, or ``n < 1``, raises
     :class:`~repro.errors.SimulationError`.
     """

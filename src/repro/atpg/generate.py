@@ -172,8 +172,7 @@ def generate_tests(design: ScanDesign,
     """Generate a compacted stuck-at test set for a full-scan design.
 
     ``backend`` selects the packed-simulation engine for every fault
-    simulation.  Results are bit-identical across backends, so the
-    generated test set never depends on it.
+    simulation (``None``: the big-int engine).
 
     All fault simulations run through one persistent
     :class:`~repro.simulation.fault_episode.FaultSimSession` that

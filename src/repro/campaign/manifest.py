@@ -82,6 +82,35 @@ def config_kwargs(config: FlowConfig) -> dict[str, Any]:
 SPEC_KINDS = ("flow", "figure2")
 
 
+#: How spec-field type errors name the JSON types.
+_JSON_TYPES = {str: ("a string", "strings"), int: ("an integer", "integers"),
+               dict: ("an object", "objects")}
+
+
+def _spec_field(payload: dict[str, Any], key: str, default: Any,
+                kind: type, item: type | None = None) -> Any:
+    """``payload[key]`` (``default`` when absent) after a JSON type
+    check: ``kind`` is the field's type, ``item`` that of a list's
+    entries.  A mismatch raises :class:`ConfigError` naming the field
+    and the type it expects."""
+    if key not in payload:
+        return default
+    value = payload[key]
+    valid = isinstance(value, kind)
+    if item is None:
+        expected = _JSON_TYPES[kind][0]
+    else:
+        valid = valid and all(
+            isinstance(entry, item) and not isinstance(entry, bool)
+            for entry in value)
+        expected = f"a list of {_JSON_TYPES[item][1]}"
+    if not valid:
+        raise ConfigError(
+            f"campaign spec field {key!r} must be {expected}, "
+            f"got {value!r}")
+    return value
+
+
 @dataclasses.dataclass(frozen=True)
 class CampaignSpec:
     """Declarative sweep: circuits x seeds x config overrides."""
@@ -191,8 +220,8 @@ class CampaignSpec:
             raise ConfigError(
                 f"unknown campaign spec field(s): "
                 f"{', '.join(sorted(unknown))}")
-        kind = payload.get("kind", "flow")
-        circuits = payload.get("circuits")
+        kind = _spec_field(payload, "kind", "flow", str)
+        circuits = _spec_field(payload, "circuits", None, list, str)
         if circuits is None:
             # figure2 jobs are circuit-free; the axis is just a label.
             if kind == "figure2":
@@ -201,11 +230,11 @@ class CampaignSpec:
                 raise ConfigError("campaign spec is missing 'circuits'")
         return cls(
             circuits=tuple(circuits),
-            seeds=tuple(payload.get("seeds", (1,))),
-            overrides=tuple(dict(o)
-                            for o in payload.get("overrides", ({},))),
-            base=dict(payload.get("base", {})),
-            name=payload.get("name", "campaign"),
+            seeds=tuple(_spec_field(payload, "seeds", (1,), list, int)),
+            overrides=tuple(dict(o) for o in _spec_field(
+                payload, "overrides", ({},), list, dict)),
+            base=dict(_spec_field(payload, "base", {}, dict)),
+            name=_spec_field(payload, "name", "campaign", str),
             kind=kind,
         )
 

@@ -50,7 +50,6 @@ __all__ = ["main"]
 
 def _build_parser() -> argparse.ArgumentParser:
     from repro.campaign.manifest import SPEC_KINDS
-    from repro.simulation.backends import available_backends
 
     parser = argparse.ArgumentParser(
         prog="repro-power",
@@ -58,11 +57,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      "and Static Power in Scan Structures' (DATE 2005)"))
     parser.add_argument("--seed", type=int, default=1,
                         help="master seed for all stochastic steps")
-    parser.add_argument("--backend", choices=available_backends(),
-                        default=None,
-                        help=("simulation backend for all packed "
-                              "simulations (results are bit-identical; "
-                              "default: $REPRO_SIM_BACKEND or bigint)"))
     parser.add_argument("--stream-budget", type=int, default=None,
                         metavar="N",
                         help=("out-of-core streaming budget in uint64 "
@@ -300,12 +294,11 @@ def _main(argv: Sequence[str] | None) -> int:
         set_session_defaults
     try:
         # One unified session install for every runtime knob — all
-        # ``None`` fields defer to the environment/built-in defaults
+        # ``None`` fields defer to the environment
         # (and a flagless invocation resets a leaked session) — then
         # fail fast on a malformed environment default behind any knob
         # the flags left unset.
         set_session_defaults(RuntimeOptions(
-            backend=args.backend,
             stream_budget=args.stream_budget,
             trace=args.trace,
             chaos=args.chaos))
@@ -353,7 +346,7 @@ def _main(argv: Sequence[str] | None) -> int:
         return _run_serve_command(args)
 
     if args.command == "table1":
-        config = FlowConfig(seed=args.seed, backend=args.backend,
+        config = FlowConfig(seed=args.seed,
                             stream_budget=args.stream_budget)
         circuits = args.circuits or None
         run = run_table1(circuits, config, verbose=not args.quiet,
@@ -374,7 +367,6 @@ def _main(argv: Sequence[str] | None) -> int:
     if args.command == "run":
         config = FlowConfig(
             seed=args.seed,
-            backend=args.backend,
             stream_budget=args.stream_budget,
             reorder_inputs=not args.no_reorder,
             use_observability_directive=not args.no_directive)
@@ -627,8 +619,6 @@ def _run_campaign_command(args) -> int:
         return 2
 
     runtime_base = {}
-    if args.backend is not None:
-        runtime_base["backend"] = args.backend
     if args.stream_budget is not None:
         runtime_base["stream_budget"] = args.stream_budget
 

@@ -47,10 +47,6 @@ class FlowConfig:
     atpg:
         Test generation configuration (seed is derived from ``seed`` when
         left at the sentinel -1).
-    backend:
-        Simulation backend name used by the flow's packed simulations
-        (``None`` = session default).  Numerically irrelevant — every
-        backend is bit-identical — so results never depend on it.
     stream_budget:
         Out-of-core streaming budget for the flow's plan evaluations
         (``uint64`` elements of one window's state matrix): a positive
@@ -60,11 +56,10 @@ class FlowConfig:
         paths are bit-identical; only peak memory changes.
     """
 
-    #: Fields that only affect execution speed, never results (every
-    #: backend is bit-identical by contract); excluded from
-    #: :meth:`config_hash` so cache keys are engine-independent.
-    RUNTIME_FIELDS: ClassVar[tuple[str, ...]] = (
-        "backend", "stream_budget")
+    #: Fields that only affect peak memory, never results (streamed and
+    #: resident evaluation are bit-identical by contract); excluded
+    #: from :meth:`config_hash` so cache keys do not depend on them.
+    RUNTIME_FIELDS: ClassVar[tuple[str, ...]] = ("stream_budget",)
 
     seed: int = 0
     observability_samples: int = 512
@@ -76,7 +71,6 @@ class FlowConfig:
     mux_delay_margin_ps: float = 0.0
     include_capture_cycles: bool = True
     atpg: AtpgConfig | None = None
-    backend: str | None = None
     stream_budget: int | None = None
 
     def __post_init__(self) -> None:
@@ -106,8 +100,8 @@ class FlowConfig:
 
         Properties: stable across processes and dict orderings (keys
         are sorted before hashing); excludes the runtime-only engine
-        fields (:attr:`RUNTIME_FIELDS` — backends are bit-identical,
-        so results never depend on them); resolves the ATPG sub-config
+        fields (:attr:`RUNTIME_FIELDS` — results never depend on
+        them); resolves the ATPG sub-config
         through :meth:`atpg_config` so a config with an explicitly
         spelled-out default ATPG hashes equal to one relying on the
         implicit default.  The campaign result cache keys artefacts on

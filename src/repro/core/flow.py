@@ -125,7 +125,7 @@ class ProposedFlow:
         mapped = circuit if is_mapped(circuit) else technology_map(circuit)
         design = ScanDesign.full_scan(mapped)
         test_set = generate_tests(
-            design, config.atpg_config(), backend=config.backend,
+            design, config.atpg_config(),
             stream_budget=config.stream_budget)
 
         addmux = add_mux(mapped, library,
@@ -136,7 +136,7 @@ class ProposedFlow:
             observability = monte_carlo_observability(
                 mapped, config.observability_samples,
                 seed=derive_seed(config.seed, f"obs:{mapped.name}"),
-                library=library, backend=config.backend)
+                library=library)
 
         controlled = set(mapped.inputs) | set(addmux.muxable)
         sources = set(mapped.dff_outputs) - set(addmux.muxable)
@@ -151,8 +151,7 @@ class ProposedFlow:
             n_trials=config.ivc_trials,
             seed=derive_seed(config.seed, f"ivc:{mapped.name}"),
             library=library,
-            noise_lines=sorted(sources), n_noise=config.ivc_noise_samples,
-            backend=config.backend)
+            noise_lines=sorted(sources), n_noise=config.ivc_noise_samples)
         control_values = {**pattern.assignment, **ivc.assignment}
 
         quiescent = simulate_comb3(mapped, control_values)
@@ -188,17 +187,14 @@ class ProposedFlow:
             "traditional": evaluate_scan_power(
                 design, test_set.vectors, policies["traditional"],
                 library, config.include_capture_cycles,
-                backend=config.backend,
                 stream_budget=config.stream_budget),
             "input_control": evaluate_scan_power(
                 design, test_set.vectors, policies["input_control"],
                 library, config.include_capture_cycles,
-                backend=config.backend,
                 stream_budget=config.stream_budget),
             "proposed": evaluate_scan_power(
                 proposed_design, test_set.vectors, policies["proposed"],
                 library, config.include_capture_cycles,
-                backend=config.backend,
                 stream_budget=config.stream_budget),
         }
 

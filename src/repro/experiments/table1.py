@@ -32,7 +32,6 @@ from repro.core.config import FlowConfig
 from repro.core.flow import FlowResult, ProposedFlow
 from repro.experiments.results import PAPER_TABLE1, Table1Row
 from repro.obs.trace import span
-from repro.runtime import resolve
 from repro.utils.tables import format_table
 
 __all__ = ["Table1Run", "run_table1", "DEFAULT_CIRCUITS",
@@ -65,9 +64,6 @@ class Table1Run:
     #: this is the *historical* compute time of the run that produced
     #: the artefact.
     runtime_s: dict[str, float]
-    #: Engine record (the "sim" backend name) — results are
-    #: bit-identical across engines, this documents what produced the run.
-    backends: dict[str, str] = dataclasses.field(default_factory=dict)
     #: Monotonic wall-clock seconds of the whole experiment.
     wall_s: float = 0.0
     #: Aggregate compute seconds of the flows that actually executed
@@ -113,9 +109,6 @@ class Table1Run:
         lines.append("")
         lines.append("Provenance: " + ", ".join(
             f"{name}={src}" for name, src in self.provenance.items()))
-        if self.backends:
-            lines.append("Backends: " + ", ".join(
-                f"{kind}={name}" for kind, name in self.backends.items()))
         return "\n".join(lines)
 
     def timing_summary(self) -> str:
@@ -123,10 +116,6 @@ class Table1Run:
         speedup = self.worker_s / self.wall_s if self.wall_s > 0 else 0.0
         return (f"wall {self.wall_s:.2f}s, worker {self.worker_s:.2f}s "
                 f"({speedup:.2f}x), {self.cache_hits} cached")
-
-
-def _record_backends(config: FlowConfig) -> dict[str, str]:
-    return {"sim": resolve("backend", config.backend)}
 
 
 def run_table1(circuits: Sequence[str] | None = None,
@@ -144,11 +133,10 @@ def run_table1(circuits: Sequence[str] | None = None,
     circuits = list(circuits) if circuits is not None \
         else list(default_table1_circuits())
     config = config or FlowConfig(seed=1)
-    backends = _record_backends(config)
 
     if (jobs or 1) > 1 or cache_dir is not None:
         return _run_table1_campaign(circuits, config, verbose,
-                                    jobs or 1, cache_dir, backends)
+                                    jobs or 1, cache_dir)
 
     flow = ProposedFlow(config)
     rows: list[Table1Row] = []
@@ -178,14 +166,13 @@ def run_table1(circuits: Sequence[str] | None = None,
                 print(f"  [{elapsed:.1f}s]", flush=True)
     return Table1Run(rows=rows, flow_results=results,
                      provenance=provenance, runtime_s=runtime,
-                     backends=backends, wall_s=wall_span.dur_s,
+                     wall_s=wall_span.dur_s,
                      worker_s=sum(runtime.values()))
 
 
 def _run_table1_campaign(circuits: list[str], config: FlowConfig,
                          verbose: bool, jobs: int,
-                         cache_dir: str | None,
-                         backends: dict[str, str]) -> Table1Run:
+                         cache_dir: str | None) -> Table1Run:
     """Campaign path: same rows, computed on the campaign runner."""
     from repro.campaign.cache import ResultCache
     from repro.campaign.manifest import CampaignJob, config_kwargs
@@ -205,7 +192,6 @@ def _run_table1_campaign(circuits: list[str], config: FlowConfig,
         flow_results={},
         provenance={a["circuit"]: a["provenance"] for a in artefacts},
         runtime_s={a["circuit"]: a["elapsed_s"] for a in artefacts},
-        backends=backends,
         wall_s=wall_s,
         worker_s=worker_s,
         cache_hits=sum(1 for r in records if r.source == "cache"),

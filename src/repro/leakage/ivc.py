@@ -74,8 +74,8 @@ def random_fill_search(circuit: Circuit, fixed: Mapping[str, int],
     every trial is scored by its **mean** leakage over ``n_noise``
     independent random states of the noise lines.
 
-    ``backend`` selects the packed-simulation engine (bit-identical
-    across engines; speed only).
+    ``backend`` selects the packed-simulation engine (``None``: the
+    big-int engine).
     """
     library = library or default_library()
     inputs = comb_input_lines(circuit)

@@ -165,7 +165,7 @@ def evaluate_scan_power(design: ScanDesign,
         Chain contents before the first shift (default all zeros).
     backend:
         Simulation backend for the episode replay (name, instance or
-        ``None`` for the session default); affects speed only.
+        ``None`` for the big-int engine).
         Resolved exactly once per call and reused for the capture
         pre-pass and the batch evaluation.
     stream_budget:

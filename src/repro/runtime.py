@@ -1,21 +1,20 @@
 """Runtime options: one knob table, one resolver, one session store.
 
-The runtime knobs — simulation backend, streaming budget, tracing and
-chaos injection — are the rows of :data:`KNOBS` (field, env var, value
-type, built-in default, off value) and the fields of the frozen
-:class:`RuntimeOptions` session record.  Every knob is runtime-only:
-it changes speed, peak memory or observability, never results (all
-engines are bit-identical by contract), so none is part of
+The runtime knobs — streaming budget, tracing and chaos injection —
+are the rows of :data:`KNOBS` (field, env var, value type, off value)
+and the fields of the frozen :class:`RuntimeOptions` session record.
+Every knob is runtime-only: it changes speed, peak memory or
+observability, never results, so none is part of
 :meth:`~repro.core.config.FlowConfig.config_hash`.
 
 :func:`resolve` gives every knob one precedence: explicit argument (a
 per-call argument or ``FlowConfig`` field) > session default
 (:func:`set_session_defaults` / :func:`using`, which the CLI flags
-install) > environment variable (empty = unset) > built-in default.
-A knob's off value pins it off at any level and resolves to ``None``.
-Every level passes the same per-knob check, so a bad value raises
-:class:`~repro.errors.RuntimeOptionError` naming the field, its flag
-and its env var wherever it comes from.
+install) > environment variable (empty = unset); a knob no level
+sets is off.  A knob's off value pins it off at any level and resolves
+to ``None``.  Every level passes the same per-knob check, so a bad
+value raises :class:`~repro.errors.RuntimeOptionError` naming the
+field, its flag and its env var wherever it comes from.
 
 Session defaults are process-global and do **not** cross process
 boundaries (pool workers re-resolve from their own environment).
@@ -45,16 +44,6 @@ __all__ = [
     "set_session_defaults",
     "using",
 ]
-
-
-def _registered_backend(name: str) -> str | None:
-    # Imported on use: the registry imports the engines, and the
-    # neutral records built at import time never get here.
-    from repro.simulation.backends import available_backends
-    if name in available_backends():
-        return None
-    return (f"names an unknown simulation backend {name!r}; "
-            f"available: {', '.join(available_backends())}")
 
 
 def _at_least(low: int) -> Callable[[int], str | None]:
@@ -87,14 +76,12 @@ _TYPE_NAMES = {int: "an int", str: "a str"}
 
 @dataclasses.dataclass(frozen=True)
 class Knob:
-    """One runtime knob.  ``default`` applies when no level sets it
-    (``None``: the caller's own fallback); ``off`` pins it off;
-    ``validate`` returns a problem description or ``None``."""
+    """One runtime knob.  ``off`` pins it off; ``validate`` returns a
+    problem description or ``None``."""
 
     name: str
     env: str
     type: type
-    default: Any = None
     off: Any = None
     validate: Callable[[Any], str | None] = lambda value: None
 
@@ -139,8 +126,6 @@ class Knob:
 
 #: Every runtime knob, keyed by its :class:`RuntimeOptions` field.
 KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
-    Knob("backend", "REPRO_SIM_BACKEND", str, default="bigint",
-         validate=_registered_backend),
     Knob("stream_budget", "REPRO_STREAM_BUDGET", int, off=0,
          validate=_at_least(0)),
     Knob("trace", "REPRO_TRACE", str, off="", validate=_directory),
@@ -152,16 +137,15 @@ KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
 class RuntimeOptions:
     """Session-level runtime knobs, one field per :data:`KNOBS` row.
 
-    Every field defaults to ``None`` — *defer to the environment /
-    built-in default* — so an all-``None`` record is the neutral
-    element and installing it resets the session.  ``trace`` names a
+    Every field defaults to ``None`` — *defer to the environment* — so
+    an all-``None`` record is the neutral element and installing it
+    resets the session.  ``trace`` names a
     span-trace directory (:mod:`repro.obs.trace`); ``chaos`` is a
     fault-injection spec (:mod:`repro.chaos`) whose injected failures
     are survived, so it changes how often the recovery paths run but
     never results.
     """
 
-    backend: str | None = None
     stream_budget: int | None = None
     trace: str | None = None
     chaos: str | None = None
@@ -188,8 +172,8 @@ class RuntimeOptions:
 def check_runtime_fields(options: "RuntimeOptions | FlowConfig") -> None:
     """Validate the knob fields of ``RuntimeOptions`` or ``FlowConfig``.
 
-    Each set field passes its knob's check (type, registered backend
-    name, range, directory path, chaos spec).  Raises
+    Each set field passes its knob's check (type, range, directory
+    path, chaos spec).  Raises
     :class:`~repro.errors.RuntimeOptionError`.
     """
     for knob in KNOBS.values():
@@ -199,12 +183,10 @@ def check_runtime_fields(options: "RuntimeOptions | FlowConfig") -> None:
 
 
 def resolve(name: str, explicit: Any = None) -> Any:
-    """Knob ``name``'s effective value: explicit > session > env >
-    built-in default.
+    """Knob ``name``'s effective value: explicit > session > env.
 
     ``explicit`` is checked like every other level.  The knob's off
-    value resolves to ``None``, as does an unset knob without a
-    built-in default.
+    value resolves to ``None``, as does a knob no level sets.
     """
     knob = KNOBS[name]
     if explicit is not None:
@@ -214,8 +196,6 @@ def resolve(name: str, explicit: Any = None) -> Any:
         value = getattr(_session, name)
         if value is None:
             value = knob.from_env()
-    if value is None:
-        return knob.default
     return None if value == knob.off else value
 
 
@@ -274,7 +254,7 @@ def using(options: RuntimeOptions | None = None,
 
     ::
 
-        with using(backend="numpy", stream_budget=1 << 20):
+        with using(stream_budget=1 << 20):
             run_table1(...)
     """
     previous = _session

@@ -241,8 +241,8 @@ def evaluate_multichain_power(design: MultiChainDesign,
     Semantics mirror the single-chain evaluator; only the schedule
     differs: every vector costs ``max_length`` shift cycles (plus the
     capture cycle), during which each chain walks its own contents.
-    ``backend`` accepts any registered engine; it is resolved exactly
-    once per call and affects speed only.  Evaluation goes through
+    ``backend`` (name, instance or ``None`` for the big-int engine) is
+    resolved exactly once per call.  Evaluation goes through
     ``Backend.simulate_episode_batch``, so a session or
     ``$REPRO_STREAM_BUDGET`` stream budget streams the cycle axis of
     oversized replays.

@@ -3,11 +3,8 @@
 from repro.simulation.backends import (
     Backend,
     SimState,
-    available_backends,
     get_backend,
-    register_backend,
     resolve_backend,
-    set_default_backend,
 )
 from repro.simulation.bitsim import (
     eval_gate_packed,
@@ -29,12 +26,6 @@ from repro.simulation.fault_episode import (
 )
 from repro.simulation.eval3 import imply_from, simulate_comb3
 from repro.simulation.eventsim import EventSimulator
-from repro.simulation.schedule import (
-    GateBatch,
-    LevelizedSchedule,
-    build_schedule,
-    cached_schedule,
-)
 from repro.simulation.seqsim import SequentialSimulator
 from repro.simulation.vcd import render_vcd, write_vcd
 from repro.simulation.values import (
@@ -75,16 +66,9 @@ __all__ = [
     "bit_at",
     "count_transitions",
     "pattern_count",
-    # backends / scheduling
+    # backends
     "Backend",
     "SimState",
-    "available_backends",
     "get_backend",
-    "register_backend",
     "resolve_backend",
-    "set_default_backend",
-    "GateBatch",
-    "LevelizedSchedule",
-    "build_schedule",
-    "cached_schedule",
 ]

@@ -9,10 +9,11 @@ per-gate leakage sums, per-sample boolean views).
 
 The *interchange format* is backend-agnostic: a packed word is a Python
 big-int whose bit ``t`` is the line's value in pattern ``t``, exactly as
-produced by :func:`repro.simulation.bitsim.simulate_packed`.  Every
-backend must return bit-identical words (and IEEE-identical derived
-floats) for the same stimulus, which the differential property tests in
-``tests/properties`` enforce.
+produced by :func:`repro.simulation.bitsim.simulate_packed`.  The one
+shipped engine, :class:`~repro.simulation.backends.bigint.
+BigIntBackend`, is pinned against frozen oracles in ``tests/``; an
+engine passed in as ``backend=`` must return the same words (and
+IEEE-identical derived floats) for the same stimulus.
 """
 
 from __future__ import annotations
@@ -75,8 +76,7 @@ class SimState(abc.ABC):
     """The settled waveforms of one packed simulation.
 
     Concrete states keep the waveforms in whatever layout their backend
-    computes fastest (big-int words, a ``uint64`` matrix, ...) and
-    materialize the derived quantities on demand.
+    computes fastest and materialize the derived quantities on demand.
     """
 
     def __init__(self, circuit: Circuit, n: int):
@@ -104,9 +104,9 @@ class SimState(abc.ABC):
     def leakage_sum(self, library: CellLibrary) -> dict[str, float]:
         """Per-gate-output leakage (nA) summed over all patterns.
 
-        Entry order is topological; every backend must accumulate each
-        gate's sum over the library table's pattern order so the floats
-        agree bit-for-bit across backends.
+        Entry order is topological; each gate's sum accumulates over the
+        library table's pattern order, so the floats are reproducible
+        bit for bit.
         """
 
     def pattern_counts(self) -> dict[str, np.ndarray]:
@@ -149,7 +149,8 @@ class Backend(abc.ABC):
     Attributes
     ----------
     name:
-        Registry key (``"bigint"``, ``"numpy"``, ...).
+        Engine name (``"bigint"``); keys per-engine memos such as a
+        fault plan's good-machine words.
     """
 
     name: str = ""
@@ -196,9 +197,7 @@ class Backend(abc.ABC):
         Otherwise the whole plan is replayed resident by
         :meth:`_episode_batch`.  Its default implementation runs the
         plan's stimulus through :meth:`run` as a single packed
-        simulation (on the numpy engine one ``uint64``-matrix pass over
-        the levelized fused-AND schedule) and derives transitions /
-        leakage sums exactly as
+        simulation and derives transitions / leakage sums exactly as
         :func:`~repro.simulation.cyclesim.simulate_cycles` would.  The
         big-int engine overrides it with one fused pass that prices
         every row as soon as its word settles and frees each word after
@@ -246,7 +245,7 @@ class Backend(abc.ABC):
         The contract mirrors :func:`repro.atpg.faultsim.fault_simulate`:
         ``detected`` maps each detected fault to the packed word of *all*
         detecting patterns, ``remaining`` lists the undetected faults in
-        input order, and both must be bit-identical across backends.
+        input order.
 
         Every engine runs the scalar big-int row-space replay here
         (fault-free pass on this backend, per-fault replay on
@@ -267,8 +266,7 @@ class Backend(abc.ABC):
         pattern set.  The contract is exactly
         :meth:`fault_simulate_batch` on the plan's components —
         detection words record all detecting patterns, ``remaining``
-        follows the plan's fault order, and results are bit-identical
-        across engines.
+        follows the plan's fault order.
 
         The replay is the scalar big-int row-space replay over the
         plan's **memoized** good-machine words (one fault-free pass per

@@ -1,4 +1,4 @@
-"""Reference backend: Python big-int bitwise simulation in row space.
+"""The logic engine: Python big-int bitwise simulation in row space.
 
 The circuit's combinational part is evaluated over the integer rows of
 its memoized :class:`~repro.simulation.schedule.RowTable` (inputs first,
@@ -7,8 +7,7 @@ row order with the small-int opcode evaluator
 :func:`~repro.simulation.schedule.eval_row` — the same table and opcodes
 the scalar fault replay walks.  Leakage is priced from exact per-gate
 minterm counts (:func:`~repro.simulation.values.minterm_counts`,
-``2^k - 1`` popcounts per ``k``-input gate).  This backend defines the
-semantics every other backend must reproduce bit-for-bit.
+``2^k - 1`` popcounts per ``k``-input gate).
 
 A whole-episode replay (:meth:`BigIntBackend.simulate_episode_batch`
 without ``keep_waveforms``) is one fused pass over the same rows: each
@@ -133,7 +132,7 @@ class BigIntState(SimState):
 
 
 class BigIntBackend(Backend):
-    """The big-int reference engine."""
+    """The big-int engine (the one shipped :class:`Backend`)."""
 
     name = "bigint"
 

@@ -6,10 +6,8 @@ This backs fault simulation, Monte-Carlo leakage observability and the
 scan-shift power evaluation.
 
 This module holds the per-gate packed evaluator and the stimulus
-helpers; the public :func:`simulate_packed` dispatches to the selected
-simulation backend (see :mod:`repro.simulation.backends`; ``bigint`` is
-the reference), all of which reproduce the reference results
-bit-for-bit.
+helpers; the public :func:`simulate_packed` dispatches to the
+simulation backend (see :mod:`repro.simulation.backends`).
 """
 
 from __future__ import annotations
@@ -71,9 +69,7 @@ def simulate_packed(circuit: Circuit, input_words: Mapping[str, int],
 
     ``backend`` selects the simulation engine — a backend name, a
     :class:`~repro.simulation.backends.Backend` instance, or ``None`` for
-    the session default (see
-    :func:`repro.simulation.backends.set_default_backend`).  Results are
-    bit-identical across backends.
+    the big-int engine.
     """
     from repro.simulation.backends import resolve_backend
     return resolve_backend(backend).simulate_packed(circuit, input_words, n)

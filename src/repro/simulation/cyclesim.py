@@ -17,8 +17,7 @@ settled states.  This matches the transition-count power model used by the
 paper and its baseline [8].
 
 The heavy lifting (waveform evaluation, popcounts) is delegated to the
-selected simulation backend (:mod:`repro.simulation.backends`); all
-backends return identical numbers.
+simulation backend (:mod:`repro.simulation.backends`).
 """
 
 from __future__ import annotations
@@ -91,8 +90,8 @@ def simulate_cycles(circuit: Circuit, input_waveforms: Mapping[str, int],
         Retain all line waveforms on the result (memory proportional to
         lines x cycles / 8 bytes).
     backend:
-        Simulation backend (name, instance or ``None`` for the session
-        default); numerically irrelevant, only affects speed.
+        Simulation backend (name, instance or ``None`` for the big-int
+        engine).
     """
     library = library or default_library()
     state = resolve_backend(backend).run(circuit, input_waveforms, n_cycles)

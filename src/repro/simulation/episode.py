@@ -5,8 +5,8 @@ test vector, ``L`` shift cycles (the previous response shifts out while
 the next vector shifts in) followed by one capture cycle.  Assembling
 those waveforms with per-vector, per-cycle, per-line Python loops and
 one :func:`~repro.scan.testview.ScanDesign.capture` simulation per
-vector would let a vectorized backend accelerate only the innermost
-simulation step.
+vector would leave the replay dominated by Python loop overhead
+instead of the packed simulation itself.
 
 This module compiles a :class:`~repro.scan.testview.ScanDesign` plus a
 full test set into a single :class:`EpisodePlan`:
@@ -20,8 +20,8 @@ full test set into a single :class:`EpisodePlan`:
   consumers can slice any vector's segment back out.
 
 ``Backend.simulate_episode_batch(plan)`` then evaluates the whole test
-set's replay in a single backend pass (one ``uint64``-matrix pass on the
-numpy engine) and returns an :class:`EpisodeBatchResult`; under a
+set's replay in a single backend pass (on the big-int engine one fused
+pass over the row table) and returns an :class:`EpisodeBatchResult`; under a
 ``stream_budget`` the streaming path (:mod:`repro.simulation.streaming`)
 splits the cycle axis of oversized plans into windows and merges their
 results with integer-exact arithmetic.
@@ -31,7 +31,7 @@ kept as a test oracle (``tests/power/episode_reference.py``): the
 plan's packed words equal the loop-built waveforms bit for bit, so
 transitions, leakage sums and every derived power metric follow.  The
 differential property tests in ``tests/properties`` pin this across
-backends and stream budgets.
+stream budgets.
 """
 
 from __future__ import annotations
@@ -201,8 +201,7 @@ def compile_episode_plan(design: "ScanDesign",
     :class:`~repro.power.scanpower.ShiftPolicy`): constants driven on
     primary inputs / muxed pseudo-inputs while shifting.  The capture
     responses feeding each next episode's shift-out are computed in one
-    packed simulation on ``backend`` (resolved once; a meta backend
-    delegates to its inner engine).
+    packed simulation on ``backend`` (resolved once).
 
     The packed words are bit-identical to the serial per-episode
     builder for every input; the shift protocol itself is generated

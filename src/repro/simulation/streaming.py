@@ -30,13 +30,11 @@ Fault-detection windows are safe in both drop modes because every
 plan call — dropping never changes a single call's words, only which
 faults a *caller* re-submits later.
 
-What a window buys differs per engine.  The numpy engine's resident
-replay materializes the whole ``(lines, cycle words)`` matrix.  The
-big-int engine's resident replay already frees every word after its
-last reader, so it holds only the live cut of lines — but each live
-word still spans every cycle of the plan.  A window bounds that cycle
-axis too, so streaming still caps memory once the live cut over the
-whole episode is too large.
+The big-int engine's resident replay already frees every word after
+its last reader, so it holds only the live cut of lines — but each
+live word still spans every cycle of the plan.  A window bounds that
+cycle axis too, so streaming still caps memory once the live cut over
+the whole episode is too large.
 
 Streaming engages when a budget is configured and the plan's resident
 state matrix would exceed it.  The budget is the ``stream_budget``

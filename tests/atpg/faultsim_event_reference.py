@@ -6,9 +6,9 @@ fault it overlays a dict of faulty words on the good machine, queues
 the combinational sinks of every line whose word differs, and drains
 them in level order with one :func:`eval_gate_packed` call per event.
 
-It is the denominator of the numpy-vs-bigint fault-sim ratio and of
-the bigint replay speedup in ``benchmarks/bench_perf.py``, so keep it
-byte-for-byte as it is: a faster oracle would silently move both gates.
+It is the denominator of the bigint replay speedup in
+``benchmarks/bench_perf.py``, so keep it byte-for-byte as it is: a
+faster oracle would silently move that gate.
 
 * :func:`detect_word` is the per-fault detection word;
 * :func:`scalar_replay` replays a fault list over settled good-machine

@@ -131,6 +131,33 @@ class TestSpecFiles:
         with pytest.raises(ConfigError):
             load_spec(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("fields, expected", [
+        pytest.param(fields, expected, id=json.dumps(fields))
+        for fields, expected in (
+            ({"seeds": 5}, "a list of integers"),
+            ({"seeds": "12"}, "a list of integers"),
+            ({"seeds": [True]}, "a list of integers"),
+            ({"circuits": "s27"}, "a list of strings"),
+            ({"circuits": [27]}, "a list of strings"),
+            ({"overrides": {"ivc_trials": 2}}, "a list of objects"),
+            ({"overrides": [1]}, "a list of objects"),
+            ({"base": [1]}, "an object"),
+            ({"name": 5}, "a string"),
+            ({"kind": ["flow"]}, "a string"),
+        )])
+    def test_wrong_json_type_names_field(self, tmp_path, capsys, fields,
+                                         expected):
+        from repro.cli import main
+        [(field, value)] = fields.items()
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"circuits": ["s27"], **fields}))
+        message = f"campaign spec field '{field}' must be {expected}"
+        with pytest.raises(ConfigError, match=message):
+            load_spec(path)
+        assert main(["campaign", str(path), "--no-cache"]) == 2
+        assert capsys.readouterr().err.strip() == \
+            f"repro-power: error: {message}, got {value!r}"
+
 
 class TestManifest:
     def _record(self, job_id="s27", status="done", source="run"):

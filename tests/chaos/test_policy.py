@@ -105,7 +105,7 @@ class TestResolutionPrecedence:
                     pass
             before = chaos.injection_log()
             # An unrelated session patch must not reset the streams.
-            runtime.set_session_defaults(backend=None)
+            runtime.set_session_defaults(stream_budget=None)
             assert chaos.injection_log() == before
 
 

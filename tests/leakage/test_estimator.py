@@ -124,15 +124,3 @@ class TestPerEpisodeLeakage:
                                   plan.n_cycles, library)
         for i, (start, stop) in enumerate(plan.episode_bounds()):
             assert per_episode[i] == flat[start:stop].mean()
-
-    def test_backends_agree(self, s27_mapped, library):
-        from repro.leakage.estimator import per_episode_leakage
-        from repro.scan.testview import ScanDesign
-        from repro.simulation.episode import compile_episode_plan
-        from tests.conftest import random_vectors
-
-        design = ScanDesign.full_scan(s27_mapped)
-        plan = compile_episode_plan(design, random_vectors(design, 3))
-        reference = per_episode_leakage(plan, library, backend="bigint")
-        got = per_episode_leakage(plan, library, backend="numpy")
-        assert (got == reference).all()

@@ -1,33 +1,33 @@
-"""Differential properties: every backend is bit-identical.
+"""Differential properties: the engine against its frozen oracles.
 
-Random circuits from the benchmark generator are simulated on all
-registered backends; packed waveforms, fault-detection words and
-scan-power metrics must agree exactly (integers bit-for-bit, floats
-IEEE-equal — the backends are required to accumulate in the same order).
+Random circuits from the benchmark generator are simulated on the
+product engine and on frozen test-side oracles: the name-keyed big-int
+good machine and power pricing (``simulation/bigint_reference.py``),
+the cone-ordered fault replay (``atpg/faultsim_reference.py``) and the
+serial per-episode replay (``power/episode_reference.py``).
+Packed waveforms, fault-detection words and power metrics must agree
+exactly (integers bit for bit, floats IEEE-equal).
 """
 
-import pytest
+from atpg import faultsim_reference
 from hypothesis import given, settings, strategies as st
+from power import episode_reference
+from simulation import bigint_reference
 
 from repro.atpg.faults import all_faults
 from repro.atpg.faultsim import fault_simulate
 from repro.benchgen.generator import generate_from_stats
 from repro.benchgen.iscas89 import Iscas89Stats
 from repro.cells.library import default_library
-from repro.leakage.estimator import per_sample_leakage
-from repro.leakage.observability import monte_carlo_observability
+from repro.leakage.estimator import circuit_leakage_na, per_sample_leakage
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.power.scanpower import ShiftPolicy, evaluate_scan_power
 from repro.scan.testview import ScanDesign, TestVector
-from repro.simulation.backends import available_backends, get_backend
-from repro.simulation.bitsim import random_input_words
+from repro.simulation.bitsim import random_input_words, simulate_packed
 from repro.simulation.cyclesim import simulate_cycles
 from repro.techmap.mapper import technology_map
 from repro.utils.rng import make_rng
-
-BACKENDS = sorted(available_backends())
-OTHERS = [name for name in BACKENDS if name != "bigint"]
 
 
 def _random_circuit(seed: int, n_gates: int = 40, mapped: bool = False
@@ -44,12 +44,10 @@ class TestPackedWordsIdentical:
     def test_simulate_packed(self, seed, n_patterns, mapped):
         circuit = _random_circuit(seed, mapped=mapped)
         words = random_input_words(circuit, n_patterns, make_rng(seed))
-        reference = get_backend("bigint").simulate_packed(
+        reference = bigint_reference.simulate_packed_bigint(
             circuit, words, n_patterns)
-        for name in OTHERS:
-            got = get_backend(name).simulate_packed(
-                circuit, words, n_patterns)
-            assert got == reference, name
+        got = simulate_packed(circuit, words, n_patterns)
+        assert list(got.items()) == list(reference.items())
 
     def test_mux_and_const_gates(self):
         circuit = Circuit("muxy")
@@ -63,35 +61,36 @@ class TestPackedWordsIdentical:
         circuit.add_gate("y", GateType.XNOR, ("m1", "m2"))
         circuit.add_output("y")
         words = random_input_words(circuit, 130, make_rng(5))
-        results = [get_backend(name).simulate_packed(circuit, words, 130)
-                   for name in BACKENDS]
-        assert all(r == results[0] for r in results)
+        assert simulate_packed(circuit, words, 130) == \
+            bigint_reference.simulate_packed_bigint(circuit, words, 130)
 
 
 class TestFaultWordsIdentical:
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 128), st.booleans())
     def test_fault_simulate(self, seed, n_patterns, mapped):
-        """Detection words and ``remaining`` ordering are pinned across
-        every registered backend, on mapped (NAND/NOR/INV) and unmapped
-        (mixed-type) circuits."""
+        """Detection words and ``remaining`` ordering equal the frozen
+        cone-ordered replay over the oracle's good machine, on mapped
+        (NAND/NOR/INV) and unmapped (mixed-type) circuits."""
         circuit = _random_circuit(seed, mapped=mapped)
         faults = all_faults(circuit)
         words = random_input_words(circuit, n_patterns, make_rng(seed))
-        reference = fault_simulate(circuit, faults, words, n_patterns,
-                                   backend="bigint")
-        for name in OTHERS:
-            got = fault_simulate(circuit, faults, words, n_patterns,
-                                 backend=name)
-            assert got.detected == reference.detected, name
-            assert list(got.detected) == list(reference.detected), name
-            assert got.remaining == reference.remaining, name
+        good = bigint_reference.simulate_packed_bigint(circuit, words,
+                                                       n_patterns)
+        reference = faultsim_reference.scalar_replay(circuit, faults, good,
+                                                     n_patterns)
+        got = fault_simulate(circuit, faults, words, n_patterns)
+        assert got.detected == reference.detected
+        assert list(got.detected) == list(reference.detected)
+        assert got.remaining == reference.remaining
 
 
 class TestPowerMetricsIdentical:
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 5))
     def test_scan_power_report(self, seed, n_vectors):
+        """Traditional shift on mapped circuits equals the serial
+        per-episode oracle, report for report."""
         circuit = _random_circuit(seed, mapped=True)
         design = ScanDesign.full_scan(circuit)
         gen = make_rng(seed)
@@ -104,16 +103,10 @@ class TestPowerMetricsIdentical:
             for _ in range(n_vectors)
         ]
         policy = ShiftPolicy(name="traditional")
-        reference = evaluate_scan_power(design, vectors, policy,
-                                        backend="bigint")
-        for name in OTHERS:
-            got = evaluate_scan_power(design, vectors, policy,
-                                      backend=name)
-            assert got.n_cycles == reference.n_cycles
-            assert got.total_transitions == reference.total_transitions
-            assert got.dynamic_uw_per_hz == reference.dynamic_uw_per_hz
-            assert got.static_uw == reference.static_uw
-            assert got.mean_leakage_na == reference.mean_leakage_na
+        reference = episode_reference.evaluate_scan_power(design, vectors,
+                                                          policy)
+        got = evaluate_scan_power(design, vectors, policy)
+        assert got == reference
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 10_000), st.integers(2, 100))
@@ -121,15 +114,16 @@ class TestPowerMetricsIdentical:
         circuit = _random_circuit(seed, mapped=True)
         library = default_library()
         words = random_input_words(circuit, n_cycles, make_rng(seed))
-        reference = simulate_cycles(circuit, words, n_cycles, library,
-                                    keep_waveforms=True, backend="bigint")
-        for name in OTHERS:
-            got = simulate_cycles(circuit, words, n_cycles, library,
-                                  keep_waveforms=True, backend=name)
-            assert got.transitions == reference.transitions
-            assert got.waveforms == reference.waveforms
-            assert got.leakage_sum_na == reference.leakage_sum_na
-            assert got.mean_leakage_na == reference.mean_leakage_na
+        waveforms = bigint_reference.simulate_packed_bigint(
+            circuit, words, n_cycles)
+        transitions, leakage = bigint_reference.simulate_cycles(
+            circuit, words, n_cycles, library)
+        got = simulate_cycles(circuit, words, n_cycles, library,
+                              keep_waveforms=True)
+        assert list(got.transitions.items()) == list(transitions.items())
+        assert got.waveforms == waveforms
+        assert list(got.leakage_sum_na.items()) == list(leakage.items())
+        assert got.mean_leakage_na == sum(leakage.values()) / n_cycles
 
 
 class TestLeakageEstimatorsIdentical:
@@ -138,17 +132,12 @@ class TestLeakageEstimatorsIdentical:
     def test_per_sample_leakage(self, seed, n_samples):
         circuit = _random_circuit(seed, mapped=True)
         words = random_input_words(circuit, n_samples, make_rng(seed))
-        reference = per_sample_leakage(circuit, words, n_samples,
-                                       backend="bigint")
-        for name in OTHERS:
-            got = per_sample_leakage(circuit, words, n_samples,
-                                     backend=name)
-            assert (got == reference).all(), name
-
-    @pytest.mark.parametrize("other", OTHERS)
-    def test_monte_carlo_observability(self, other):
-        circuit = _random_circuit(3, mapped=True)
-        reference = monte_carlo_observability(circuit, 64, seed=0,
-                                              backend="bigint")
-        got = monte_carlo_observability(circuit, 64, seed=0, backend=other)
-        assert got == reference
+        good = bigint_reference.simulate_packed_bigint(circuit, words,
+                                                       n_samples)
+        # Per sample, the scalar sum over the same gate order.
+        reference = [
+            circuit_leakage_na(circuit, {line: (word >> t) & 1
+                                         for line, word in good.items()})
+            for t in range(n_samples)]
+        got = per_sample_leakage(circuit, words, n_samples)
+        assert got.tolist() == reference

@@ -3,9 +3,9 @@
 The batched whole-test-set replay must be observationally identical to
 the serial per-episode oracle (``tests/power/episode_reference.py``) —
 packed waveforms bit for bit, transition counts exactly, leakage floats
-IEEE-equal — on every registered backend and on mapped and unmapped
-circuits.  Where the oracle raises (an unmapped design may hold a gate
-wider than any library cell), every engine must raise the same error.
+IEEE-equal — on mapped and unmapped circuits.  Where the oracle raises
+(an unmapped design may hold a gate wider than any library cell), the
+engine must raise the same error.
 
 The big-int engine's fused replay (each row priced as it settles, dead
 words freed) must equal ``run`` + ``state.transitions()`` /
@@ -29,14 +29,12 @@ from repro.power.scanpower import (
     per_cycle_energy_fj,
 )
 from repro.scan.testview import ScanDesign, TestVector
-from repro.simulation.backends import available_backends, get_backend
+from repro.simulation.backends import get_backend
 from repro.simulation.episode import EpisodePlan, compile_episode_plan
 from repro.simulation.schedule import cached_row_table
 from repro.simulation.values import mask
 from repro.techmap.mapper import technology_map
 from repro.utils.rng import make_rng
-
-BACKENDS = sorted(available_backends())
 
 
 def _random_design(seed: int, mapped: bool, n_gates: int = 30
@@ -97,26 +95,24 @@ class TestBatchedEqualsSerial:
         policy = _blocking_policy(design, seed)
         reference = _outcome(mapped, serial.episode_waveforms, design,
                              vectors, policy, include_capture)
-        for name in BACKENDS:
-            batched = _outcome(mapped, episode_waveforms, design, vectors,
-                               policy, include_capture, backend=name)
-            assert batched == reference, name
+        batched = _outcome(mapped, episode_waveforms, design, vectors,
+                           policy, include_capture)
+        assert batched == reference
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 5), st.booleans())
-    # An unmapped design with a 5-input NAND: oracle and engines all
-    # raise the same TimingError.
+    # An unmapped design with a 5-input NAND: oracle and engine raise
+    # the same TimingError.
     @example(38, 1, False)
     def test_power_reports_identical(self, seed, n_vectors, mapped):
         design = _random_design(seed, mapped)
         vectors = _random_vectors(design, n_vectors, seed)
         policy = _blocking_policy(design, seed)
         reference = _outcome(mapped, serial.evaluate_scan_power, design,
-                             vectors, policy, backend="bigint")
-        for name in BACKENDS:
-            batched = _outcome(mapped, evaluate_scan_power, design, vectors,
-                               policy, backend=name)
-            assert batched == reference, name
+                             vectors, policy)
+        batched = _outcome(mapped, evaluate_scan_power, design, vectors,
+                           policy)
+        assert batched == reference
 
     @settings(max_examples=4, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 4))
@@ -124,9 +120,8 @@ class TestBatchedEqualsSerial:
         design = _random_design(seed, mapped=True)
         vectors = _random_vectors(design, n_vectors, seed)
         reference = serial.per_cycle_energy_fj(design, vectors)
-        for name in BACKENDS:
-            batched = per_cycle_energy_fj(design, vectors, backend=name)
-            assert np.array_equal(batched, reference), name
+        batched = per_cycle_energy_fj(design, vectors)
+        assert np.array_equal(batched, reference)
 
 
 def _truncated_plan(plan: EpisodePlan, n: int) -> EpisodePlan:

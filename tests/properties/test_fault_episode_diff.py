@@ -1,22 +1,22 @@
 """Differential properties of the fault x pattern batched replay.
 
 ``Backend.fault_simulate_plan`` must be observationally identical to the
-scalar big-int reference — detection words bit for bit, ``remaining`` in
-exact input order — on every registered backend, in both drop modes and
-on mapped and unmapped circuits.  The generated test sets
-must equal those of the per-batch ATPG oracle
+frozen cone-ordered replay (``tests/atpg/faultsim_reference.py``) —
+detection words bit for bit, ``remaining`` in exact input order — in
+both drop modes and on mapped and unmapped circuits.  The generated
+test sets must equal those of the per-batch ATPG oracle
 (``tests/atpg/compaction_reference.py``) too.
 """
 
-from atpg import compaction_reference
+from atpg import compaction_reference, faultsim_reference
 from hypothesis import given, settings, strategies as st
+from simulation.bigint_reference import simulate_packed_bigint
 
 from repro.atpg.faults import all_faults
-from repro.atpg.faultsim import fault_simulate, scalar_fault_simulate
 from repro.benchgen.generator import generate_from_stats
 from repro.benchgen.iscas89 import Iscas89Stats
 from repro.netlist.circuit import Circuit
-from repro.simulation.backends import available_backends, get_backend
+from repro.simulation.backends import get_backend
 from repro.simulation.bitsim import random_input_words
 from repro.simulation.fault_episode import (
     FaultSimSession,
@@ -25,14 +25,18 @@ from repro.simulation.fault_episode import (
 from repro.techmap.mapper import technology_map
 from repro.utils.rng import make_rng
 
-BACKENDS = sorted(available_backends())
-
 
 def _random_circuit(seed: int, n_gates: int = 40, mapped: bool = False
                     ) -> Circuit:
     circuit = generate_from_stats(
         Iscas89Stats("fedge", 5, 3, 4, n_gates), seed)
     return technology_map(circuit) if mapped else circuit
+
+
+def _oracle(circuit, faults, words, n):
+    """The frozen cone-ordered replay over the frozen good machine."""
+    good = simulate_packed_bigint(circuit, words, n)
+    return faultsim_reference.scalar_replay(circuit, faults, good, n)
 
 
 def _assert_same(got, reference, context) -> None:
@@ -50,34 +54,29 @@ class TestPlanEqualsScalarReference:
         circuit = _random_circuit(seed, mapped=mapped)
         faults = all_faults(circuit)
         words = random_input_words(circuit, n_patterns, make_rng(seed))
-        reference = scalar_fault_simulate(
-            get_backend("bigint"), circuit, faults, words, n_patterns,
-            drop=drop)
-        for name in BACKENDS:
-            plan = compile_fault_episode_plan(circuit, faults, words,
-                                              n_patterns)
-            got = get_backend(name).fault_simulate_plan(plan, drop=drop)
-            _assert_same(got, reference, (name, drop))
+        reference = _oracle(circuit, faults, words, n_patterns)
+        plan = compile_fault_episode_plan(circuit, faults, words,
+                                          n_patterns)
+        got = get_backend("bigint").fault_simulate_plan(plan, drop=drop)
+        _assert_same(got, reference, drop)
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 160), st.booleans(),
            st.booleans())
     def test_session_matches_per_batch_path(self, seed, n_patterns,
                                             mapped, drop):
-        """A planned session equals the engine's per-batch reference
-        (``fault_simulate_batch``) and ``fault_simulate``."""
+        """A planned session and the engine's per-batch path
+        (``fault_simulate_batch``) both equal the frozen replay."""
         circuit = _random_circuit(seed, mapped=mapped, n_gates=30)
         faults = all_faults(circuit)
         words = random_input_words(circuit, n_patterns, make_rng(seed))
-        reference = fault_simulate(circuit, faults, words, n_patterns,
-                                   drop=drop, backend="bigint")
-        for name in ("bigint", "numpy"):
-            session = FaultSimSession(circuit, name)
-            got = session.simulate(faults, words, n_patterns, drop=drop)
-            per_batch = get_backend(name).fault_simulate_batch(
-                circuit, faults, words, n_patterns, drop=drop)
-            _assert_same(got, reference, (name, drop))
-            _assert_same(per_batch, reference, (name, "per-batch", drop))
+        reference = _oracle(circuit, faults, words, n_patterns)
+        session = FaultSimSession(circuit)
+        got = session.simulate(faults, words, n_patterns, drop=drop)
+        per_batch = get_backend("bigint").fault_simulate_batch(
+            circuit, faults, words, n_patterns, drop=drop)
+        _assert_same(got, reference, drop)
+        _assert_same(per_batch, reference, ("per-batch", drop))
 
 
 class TestGeneratedTestSetsIdentical:
@@ -90,12 +89,10 @@ class TestGeneratedTestSetsIdentical:
         circuit = _random_circuit(seed, mapped=mapped, n_gates=25)
         design = ScanDesign.full_scan(circuit)
         config = AtpgConfig(seed=seed, max_random_batches=4)
-        legacy = compaction_reference.generate_tests(design, config,
-                                                     backend="bigint")
-        for name in ("bigint", "numpy"):
-            planned = generate_tests(design, config, backend=name)
-            assert planned.vectors == legacy.vectors, name
-            assert planned.n_detected == legacy.n_detected, name
-            assert planned.n_faults == legacy.n_faults, name
-            assert planned.n_untestable == legacy.n_untestable, name
-            assert planned.n_aborted == legacy.n_aborted, name
+        legacy = compaction_reference.generate_tests(design, config)
+        planned = generate_tests(design, config)
+        assert planned.vectors == legacy.vectors
+        assert planned.n_detected == legacy.n_detected
+        assert planned.n_faults == legacy.n_faults
+        assert planned.n_untestable == legacy.n_untestable
+        assert planned.n_aborted == legacy.n_aborted

@@ -5,8 +5,8 @@ under a ``stream_budget``, partials folded into an accumulator — must
 be observationally identical to the resident path: episode transition
 counts exactly, leakage floats IEEE-equal, kept waveforms bit for bit,
 fault detection words bit for bit with ``remaining`` in exact input
-order.  On every registered backend, in both fault drop modes, under
-adversarially tiny budgets (one window per cycle / per pattern word).
+order.  In both fault drop modes, under adversarially tiny budgets (one
+window per cycle / per pattern word).
 Peak memory must actually stay bounded: the ``tracemalloc`` test pins
 that a streamed pass allocates a fraction of the resident matrix.
 """
@@ -14,17 +14,17 @@ that a streamed pass allocates a fraction of the resident matrix.
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.atpg.faults import all_faults
 from repro.benchgen.generator import generate_from_stats
 from repro.benchgen.iscas89 import Iscas89Stats
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, SimulationError, TimingError
 from repro.netlist.circuit import Circuit
 from repro.power.scanpower import evaluate_scan_power
 from repro.runtime import set_session_defaults
 from repro.scan.testview import ScanDesign, TestVector
-from repro.simulation.backends import available_backends, get_backend
+from repro.simulation.backends import get_backend
 from repro.simulation.bitsim import random_input_words
 from repro.simulation.episode import compile_episode_plan
 from repro.simulation.fault_episode import (
@@ -42,8 +42,6 @@ from repro.simulation.streaming import (
 )
 from repro.techmap.mapper import technology_map
 from repro.utils.rng import make_rng
-
-BACKENDS = sorted(available_backends())
 
 
 @pytest.fixture(autouse=True)
@@ -169,29 +167,37 @@ class TestWindowPlans:
 class TestStreamedEpisodeEqualsResident:
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 5), st.booleans())
+    # An unmapped design with a 5-input NAND has no leakage cell:
+    # resident and streamed replays raise the same TimingError.
+    @example(38, 1, False)
     def test_every_backend_tiny_budgets(self, seed, n_vectors, mapped):
         design = _random_design(seed, mapped)
         vectors = _random_vectors(design, n_vectors, seed)
         plan = compile_episode_plan(design, vectors)
         budgets = (1, plan.state_elements() // max(plan.n_cycles, 1) or 1,
                    64)
-        for name in BACKENDS:
-            engine = get_backend(name)
-            resident = engine.simulate_episode_batch(
-                plan, keep_waveforms=True, stream_budget=0)
+        engine = get_backend("bigint")
+
+        def replay(keep, budget):
+            try:
+                return engine.simulate_episode_batch(
+                    plan, keep_waveforms=keep, stream_budget=budget)
+            except TimingError as exc:
+                if mapped:  # every mapped gate has a library cell
+                    raise
+                return TimingError, str(exc)
+
+        for keep in (True, False):
+            resident = replay(keep, 0)
             for budget in budgets:
-                streamed = engine.simulate_episode_batch(
-                    plan, keep_waveforms=True, stream_budget=budget)
-                assert streamed == resident, (name, budget)
+                assert replay(keep, budget) == resident, (keep, budget)
 
     def test_scan_power_reports_identical(self):
         design = _random_design(3, mapped=True)
         vectors = _random_vectors(design, 4, 3)
         resident = evaluate_scan_power(design, vectors, stream_budget=0)
-        for name in BACKENDS:
-            streamed = evaluate_scan_power(design, vectors, backend=name,
-                                           stream_budget=1)
-            assert streamed == resident, name
+        streamed = evaluate_scan_power(design, vectors, stream_budget=1)
+        assert streamed == resident
 
     def test_env_budget_engages_streaming(self, monkeypatch):
         """$REPRO_STREAM_BUDGET alone must route through the streamer."""
@@ -229,15 +235,13 @@ class TestStreamedFaultsEqualResident:
         plan = compile_fault_episode_plan(circuit, faults, words,
                                           n_patterns)
         budgets = (1, plan.state_elements() // max(plan.n_words, 1) or 1)
-        for name in BACKENDS:
-            engine = get_backend(name)
-            resident = engine.fault_simulate_plan(plan, drop=drop,
-                                                  stream_budget=0)
-            for budget in budgets:
-                streamed = engine.fault_simulate_plan(
-                    plan, drop=drop, stream_budget=budget)
-                _assert_same_faults(streamed, resident,
-                                    (name, drop, budget))
+        engine = get_backend("bigint")
+        resident = engine.fault_simulate_plan(plan, drop=drop,
+                                              stream_budget=0)
+        for budget in budgets:
+            streamed = engine.fault_simulate_plan(
+                plan, drop=drop, stream_budget=budget)
+            _assert_same_faults(streamed, resident, (drop, budget))
 
     @settings(max_examples=4, deadline=None)
     @given(st.integers(0, 10_000), st.booleans())
@@ -247,22 +251,20 @@ class TestStreamedFaultsEqualResident:
         words = random_input_words(circuit, 130, make_rng(seed))
         resident = FaultSimSession(circuit, "bigint").simulate(
             faults, words, 130, drop=drop)
-        for name in ("bigint", "numpy"):
-            session = FaultSimSession(circuit, name, stream_budget=1)
-            got = session.simulate(faults, words, 130, drop=drop)
-            _assert_same_faults(got, resident, (name, drop))
+        session = FaultSimSession(circuit, "bigint", stream_budget=1)
+        got = session.simulate(faults, words, 130, drop=drop)
+        _assert_same_faults(got, resident, drop)
 
 
 class TestPeakMemoryBounded:
     def test_streamed_fault_pass_allocates_a_fraction(self):
         """tracemalloc peak: budget = elements/16 must cut the resident
-        state-matrix allocation by at least 3x (numpy >= 1.11 routes
-        array data through the traced allocator)."""
+        good-machine allocation by at least 3x."""
         circuit = _random_circuit(1, n_gates=400, mapped=True)
         faults = all_faults(circuit)[:40]
         n = 4096
         words = random_input_words(circuit, n, make_rng(1))
-        engine = get_backend("numpy")
+        engine = get_backend("bigint")
 
         def measure(budget):
             plan = compile_fault_episode_plan(circuit, faults, words, n)
@@ -274,7 +276,7 @@ class TestPeakMemoryBounded:
             tracemalloc.stop()
             return peak
 
-        measure(0)  # warm schedule + plan caches outside the trace
+        measure(0)  # warm the row-table cache outside the trace
         resident_peak = measure(0)
         budget = state_elements(len(words), circuit, n) // 16
         streamed_peak = measure(budget)

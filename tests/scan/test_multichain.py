@@ -150,16 +150,10 @@ class TestEpisodeBatchRouting:
         from repro.runtime import using
         vectors = _vectors(toy_multi.global_q_lines, toy_mapped, 4,
                            seed=3)
-        reference = evaluate_multichain_power(toy_multi, vectors,
-                                              backend="bigint")
-        plain = evaluate_multichain_power(toy_multi, vectors,
-                                          backend="numpy")
-        assert plain == reference
-        for backend in ("bigint", "numpy"):
-            with using(stream_budget=4):
-                streamed = evaluate_multichain_power(toy_multi, vectors,
-                                                     backend=backend)
-            assert streamed == reference, backend
+        reference = evaluate_multichain_power(toy_multi, vectors)
+        with using(stream_budget=4):
+            streamed = evaluate_multichain_power(toy_multi, vectors)
+        assert streamed == reference
 
     def test_serial_escape_hatch_matches(self, toy_mapped, toy_multi):
         """The plain cycle-simulation replay (the old serial escape

@@ -7,10 +7,9 @@ oracle: a dict of words filled gate by gate with one
 per-gate leakage priced with one :func:`pattern_count` per leakage-table
 pattern (``k`` ANDs and one popcount each).
 
-It is the denominator of the numpy-vs-bigint cycle-sim and packed-sim
-ratios and of the bigint cycle-replay speedup in
+It is the denominator of the bigint cycle-replay speedup in
 ``benchmarks/bench_perf.py``, so keep it byte-for-byte as it is: a
-faster oracle would silently move those gates.
+faster oracle would silently move that gate.
 
 * :func:`simulate_packed_bigint` is the packed good machine;
 * :func:`transitions`, :func:`leakage_sum` and :func:`pattern_counts`

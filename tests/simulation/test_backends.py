@@ -1,8 +1,8 @@
-"""Backend registry and per-gate packed evaluation semantics.
+"""Backend resolution and per-gate packed evaluation semantics.
 
 ``eval_gate_packed`` is exercised for every :class:`GateType` — including
-the degenerate 0/1-input reductions the variadic types allow — on every
-registered backend, pinned against the scalar reference evaluator.
+the degenerate 0/1-input reductions the variadic types allow — pinned
+against the scalar reference evaluator.
 """
 
 import pytest
@@ -12,12 +12,11 @@ from repro.netlist.gates import GateType, eval_gate
 from repro.simulation import backends
 from repro.simulation.backends import (
     Backend,
-    available_backends,
     get_backend,
-    register_backend,
     resolve_backend,
-    set_default_backend,
+    resolve_fault_backend,
 )
+from repro.simulation.schedule import OPCODES, eval_row
 from repro.simulation.values import bit_at, mask, pack_bits
 from repro.utils.rng import make_rng
 
@@ -40,7 +39,8 @@ ARITIES = {
 
 N_PATTERNS = 77  # deliberately not a multiple of 64
 
-BACKEND_NAMES = sorted(available_backends())
+#: The backend specs the dispatch tests pass: the one engine's name.
+BACKEND_NAMES = ["bigint"]
 
 
 def _random_words(k: int, n: int, seed: int) -> list[int]:
@@ -68,16 +68,18 @@ class TestEvalGatePacked:
 
     @pytest.mark.parametrize(
         "gtype,arity",
-        [(g, a) for g, arities in ARITIES.items() for a in arities],
+        [(g, a) for g, arities in ARITIES.items() for a in arities
+         if g in OPCODES],
         ids=lambda v: str(v))
     def test_backends_agree(self, gtype, arity):
+        """The engine's two packed evaluators agree on every gate row:
+        ``eval_row`` (behind ``run`` and the fault replay) and
+        ``eval_gate_packed``, degenerate arities included."""
         words = _random_words(arity, N_PATTERNS, seed=arity + 17)
-        results = {
-            name: get_backend(name).eval_gate_packed(
-                gtype, words, N_PATTERNS)
-            for name in BACKEND_NAMES
-        }
-        assert len(set(results.values())) == 1, results
+        got = eval_row(OPCODES[gtype], tuple(range(arity)), words,
+                       mask(N_PATTERNS))
+        assert got == get_backend("bigint").eval_gate_packed(
+            gtype, words, N_PATTERNS)
 
     @pytest.mark.parametrize("backend_name", BACKEND_NAMES)
     def test_result_is_masked(self, backend_name):
@@ -92,92 +94,22 @@ class TestEvalGatePacked:
 
 
 class TestRegistry:
-    def test_builtin_backends_present(self):
-        assert "bigint" in available_backends()
-        assert "numpy" in available_backends()
+    """Name lookup without a registry: one engine, one name."""
 
     def test_get_unknown_backend_raises(self):
-        with pytest.raises(SimulationError, match="unknown simulation "
-                                                  "backend"):
-            get_backend("no-such-engine")
-        with pytest.raises(SimulationError, match="unknown simulation "
-                           "backend 'sharded'; available: bigint, numpy"):
-            get_backend("sharded")
+        for name in ("no-such-engine", "numpy", "sharded"):
+            with pytest.raises(SimulationError, match=(
+                    f"unknown simulation backend {name!r}; "
+                    "available: bigint")):
+                get_backend(name)
 
     def test_resolve_accepts_name_instance_and_none(self):
         bigint = get_backend("bigint")
+        assert isinstance(bigint, backends.BigIntBackend)
         assert resolve_backend("bigint") is bigint
         assert resolve_backend(bigint) is bigint
-        assert resolve_backend(None).name in available_backends()
-
-    def test_duplicate_registration_rejected(self):
-        class Dup(backends.BigIntBackend):
-            name = "bigint"
-
-        with pytest.raises(SimulationError, match="already registered"):
-            register_backend(Dup())
-
-    def test_register_and_overwrite_custom_backend(self):
-        class Custom(backends.BigIntBackend):
-            name = "custom-test"
-
-        try:
-            register_backend(Custom())
-            assert "custom-test" in available_backends()
-            register_backend(Custom(), overwrite=True)
-        finally:
-            backends._REGISTRY.pop("custom-test", None)
-
-    def test_unnamed_backend_rejected(self):
-        class NoName(backends.BigIntBackend):
-            name = ""
-
-        with pytest.raises(SimulationError, match="no name"):
-            register_backend(NoName())
-
-    def test_set_default_backend(self):
-        try:
-            set_default_backend("numpy")
-            assert resolve_backend(None).name == "numpy"
-        finally:
-            set_default_backend(None)
-
-    def test_set_default_backend_validates(self):
-        with pytest.raises(SimulationError):
-            set_default_backend("no-such-engine")
-        assert resolve_backend(None).name in available_backends()
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv(backends.DEFAULT_BACKEND_ENV, "numpy")
-        assert backends.default_backend_name() == "numpy"
-        monkeypatch.delenv(backends.DEFAULT_BACKEND_ENV)
-        assert backends.default_backend_name() == "bigint"
-
-
-class TestPopcountFallback:
-    """The byte-LUT popcount used on NumPy < 2.0 installs."""
-
-    def test_fallback_matches_primary(self):
-        import numpy as np
-
-        from repro.simulation.backends import numpy_backend as nb
-        rng = make_rng(9)
-        arr = rng.integers(0, 2**63, size=(7, 9)).astype(np.uint64)
-        assert (nb._popcount_sum_fallback(arr) ==
-                nb._popcount_sum(arr)).all()
-        empty = np.zeros((3, 0), dtype=np.uint64)
-        assert (nb._popcount_sum_fallback(empty) == 0).all()
-
-    def test_backend_bit_identical_under_fallback(self, s27_mapped,
-                                                  library, monkeypatch):
-        from repro.simulation.backends import numpy_backend as nb
-        from repro.simulation.bitsim import random_input_words
-        monkeypatch.setattr(nb, "_popcount_sum", nb._popcount_sum_fallback)
-        words = random_input_words(s27_mapped, 100, make_rng(4))
-        ref = get_backend("bigint").run(s27_mapped, words, 100)
-        got = get_backend("numpy").run(s27_mapped, words, 100)
-        assert got.transitions() == ref.transitions()
-        assert got.leakage_sum(library) == ref.leakage_sum(library)
+        assert resolve_backend(None) is bigint
+        assert resolve_fault_backend(None) is bigint
 
 
 class TestSimulatePackedDispatch:
@@ -202,10 +134,10 @@ class TestSimulatePackedDispatch:
             simulate_packed,
         )
         words = random_input_words(s27_mapped, 100, make_rng(3))
-        results = [simulate_packed(s27_mapped, words, 100, backend=name)
-                   for name in BACKEND_NAMES]
-        assert all(r == results[0] for r in results)
+        engine = get_backend("bigint")
+        results = [simulate_packed(s27_mapped, words, 100, backend=spec)
+                   for spec in ("bigint", engine, None)]
+        assert results[0] == results[1] == results[2]
 
     def test_isinstance_backend_protocol(self):
-        for name in BACKEND_NAMES:
-            assert isinstance(get_backend(name), Backend)
+        assert isinstance(get_backend("bigint"), Backend)

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 from atpg.compaction_reference import greedy_keep_bigint
+from simulation.bigint_reference import simulate_packed_bigint
 
 from repro.atpg.faults import all_faults
 from repro.atpg.faultsim import fault_simulate
 from repro.errors import SimulationError
 from repro.netlist import builders
 from repro.netlist.gates import GateType
-from repro.simulation.backends import get_backend
+from repro.simulation.backends import BigIntBackend, get_backend
 from repro.simulation.bitsim import random_input_words
 from repro.simulation.fault_episode import (
     FaultEpisodePlan,
@@ -53,8 +54,8 @@ class TestToggle:
         words, n = stimulus
         faults = all_faults(mapped)
         monkeypatch.setenv("REPRO_FAULT_PLAN", value)
-        got = FaultSimSession(mapped, "numpy").simulate(faults, words, n)
-        engine = get_backend("numpy")
+        got = FaultSimSession(mapped, "bigint").simulate(faults, words, n)
+        engine = get_backend("bigint")
         if expected:
             want = engine.fault_simulate_plan(
                 compile_fault_episode_plan(mapped, faults, words, n))
@@ -83,10 +84,13 @@ class TestPlan:
         words, n = stimulus
         plan = compile_fault_episode_plan(mapped, all_faults(mapped),
                                           words, n)
-        backend = get_backend("numpy")
+        class Other(BigIntBackend):
+            name = "other"
+
+        backend = get_backend("bigint")
         first = plan.good_words(backend)
         assert plan.good_words(backend) is first
-        other = plan.good_words(get_backend("bigint"))
+        other = plan.good_words(Other())
         assert other is not first
         assert other == first
 
@@ -94,9 +98,8 @@ class TestPlan:
         words, n = stimulus
         plan = compile_fault_episode_plan(mapped, all_faults(mapped),
                                           words, n)
-        got = plan.good_words(get_backend("numpy"))
-        expected = get_backend("bigint").simulate_packed(mapped, words, n)
-        assert got == expected
+        got = plan.good_words(get_backend("bigint"))
+        assert got == simulate_packed_bigint(mapped, words, n)
 
 
 class TestSession:
@@ -105,16 +108,14 @@ class TestSession:
         reference, ``fault_simulate_batch``."""
         words, n = stimulus
         faults = all_faults(mapped)
-        for backend in ("bigint", "numpy"):
-            session = FaultSimSession(mapped, backend)
-            for drop in (True, False):
-                a = session.simulate(faults, words, n, drop=drop)
-                b = get_backend(backend).fault_simulate_batch(
-                    mapped, faults, words, n, drop=drop)
-                assert a.detected == b.detected, (backend, drop)
-                assert list(a.detected) == list(b.detected), \
-                    (backend, drop)
-                assert a.remaining == b.remaining, (backend, drop)
+        session = FaultSimSession(mapped, "bigint")
+        for drop in (True, False):
+            a = session.simulate(faults, words, n, drop=drop)
+            b = get_backend("bigint").fault_simulate_batch(
+                mapped, faults, words, n, drop=drop)
+            assert a.detected == b.detected, drop
+            assert list(a.detected) == list(b.detected), drop
+            assert a.remaining == b.remaining, drop
 
     def test_good_state_reused_across_identical_stimuli(self, mapped,
                                                         stimulus):
@@ -123,8 +124,8 @@ class TestSession:
         words, n = stimulus
         faults = all_faults(mapped)
 
-        class CountingBackend(type(get_backend("numpy"))):
-            name = "numpy"
+        class CountingBackend(BigIntBackend):
+            name = "counting"
             runs = 0
 
             def run(self, circuit, input_words, n):
@@ -136,7 +137,7 @@ class TestSession:
         session.simulate(faults[: len(faults) // 2], words, n, drop=False)
         assert CountingBackend.runs == 1
 
-    @pytest.mark.parametrize("backend", ["bigint", "numpy"])
+    @pytest.mark.parametrize("backend", ["bigint"])
     def test_mutated_circuit_not_served_stale_state(self, backend):
         """A gate replaced between two calls on the same stimulus must
         re-settle the good machine, not reuse the old netlist's."""
@@ -152,7 +153,7 @@ class TestSession:
         assert got.detected == want.detected
 
     def test_state_pool_is_bounded(self, mapped):
-        session = FaultSimSession(mapped, "numpy")
+        session = FaultSimSession(mapped, "bigint")
         faults = all_faults(mapped)[:4]
         rng = make_rng(1)
         for i in range(7):

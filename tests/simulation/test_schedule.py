@@ -1,53 +1,45 @@
-"""Levelized schedule construction and caching."""
-
-import numpy as np
+"""Row-table construction and caching (:mod:`repro.simulation.schedule`)."""
 
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.simulation.eval2 import comb_input_lines
-from repro.simulation.schedule import build_schedule, cached_schedule
+from repro.simulation.schedule import (
+    OPCODES,
+    build_row_table,
+    cached_row_table,
+)
 
 
 class TestBuildSchedule:
     def test_lines_are_inputs_then_topo(self, s27_mapped):
-        schedule = build_schedule(s27_mapped)
+        rows = build_row_table(s27_mapped)
         inputs = tuple(comb_input_lines(s27_mapped))
-        assert schedule.input_lines == inputs
-        assert schedule.lines[:len(inputs)] == inputs
-        assert list(schedule.lines[len(inputs):]) == s27_mapped.topo_order()
-        assert schedule.n_lines == len(schedule.lines)
+        assert rows.n_inputs == len(inputs)
+        assert rows.lines[:len(inputs)] == inputs
+        assert list(rows.lines[len(inputs):]) == s27_mapped.topo_order()
+        assert rows.index == {line: row
+                              for row, line in enumerate(rows.lines)}
 
     def test_covers_every_combinational_gate_once(self, s27_mapped):
-        schedule = build_schedule(s27_mapped)
-        outs = [schedule.lines[i]
-                for batch in schedule.batches for i in batch.outputs]
-        assert sorted(outs) == sorted(s27_mapped.topo_order())
-        assert schedule.n_gates == len(s27_mapped.topo_order())
-        group_outs = [schedule.lines[i]
-                      for group in schedule.type_groups
-                      for i in group.outputs]
-        assert sorted(group_outs) == sorted(outs)
-
-    def test_batches_are_homogeneous_and_level_ordered(self, s27_mapped):
-        schedule = build_schedule(s27_mapped)
-        levels = [batch.level for batch in schedule.batches]
-        assert levels == sorted(levels)
-        for batch in schedule.batches:
-            assert batch.inputs.shape == (batch.arity, len(batch))
-            for g, out_idx in enumerate(batch.outputs):
-                gate = s27_mapped.gates[schedule.lines[out_idx]]
-                assert gate.gtype is batch.gtype
-                assert [schedule.lines[i] for i in batch.inputs[:, g]] == \
-                    list(gate.inputs)
+        rows = build_row_table(s27_mapped)
+        for row, line in enumerate(rows.lines):
+            gate = s27_mapped.gates.get(line)
+            if row < rows.n_inputs:
+                assert rows.ops[row] == -1 and rows.fanin[row] == ()
+                continue
+            assert rows.ops[row] == OPCODES[gate.gtype]
+            assert [rows.lines[src] for src in rows.fanin[row]] == \
+                list(gate.inputs)
+            for src in rows.fanin[row]:
+                assert rows.sinks[src].count(row) == 1
 
     def test_inputs_precede_outputs(self, s27_mapped):
         # topological validity: every fanin row index is strictly smaller
-        # than the gate's own row index.
-        schedule = build_schedule(s27_mapped)
-        for batch in schedule.batches:
-            if batch.arity == 0:
-                continue
-            assert (batch.inputs < batch.outputs[np.newaxis, :]).all()
+        # than the gate's own row index, and every sink row larger.
+        rows = build_row_table(s27_mapped)
+        for row in range(len(rows.lines)):
+            assert all(src < row for src in rows.fanin[row])
+            assert all(sink > row for sink in rows.sinks[row])
 
 
 class TestCachedSchedule:
@@ -58,14 +50,14 @@ class TestCachedSchedule:
         circuit.add_gate("y", GateType.AND, (a, b))
         circuit.add_output("y")
 
-        first = cached_schedule(circuit)
-        assert cached_schedule(circuit) is first
+        first = cached_row_table(circuit)
+        assert cached_row_table(circuit) is first
 
         circuit.add_gate("z", GateType.NOT, ("y",))
-        second = cached_schedule(circuit)
+        second = cached_row_table(circuit)
         assert second is not first
-        assert second.n_gates == first.n_gates + 1
-        assert cached_schedule(circuit) is second
+        assert len(second.lines) == len(first.lines) + 1
+        assert cached_row_table(circuit) is second
 
     def test_version_counter_tracks_mutations(self):
         circuit = Circuit("ver")

@@ -146,8 +146,8 @@ class TestEveryRecordedSpeedupIsGated:
         keys = {key for key in _recorded_ratio_keys(
             (BENCH_DIR / "bench_perf.py").read_text())
             if key.endswith("speedup")}
-        assert {"speedup", "replay_speedup",
-                "cycle_replay_speedup"} <= keys
+        assert {"replay_speedup", "cycle_replay_speedup",
+                "episode_batch_speedup", "fault_episode_speedup"} <= keys
         assert keys <= set(gate.SPEEDUP_KEYS), \
             sorted(keys - set(gate.SPEEDUP_KEYS))
 

@@ -42,8 +42,9 @@ class TestTable1:
         out = capsys.readouterr().out
         assert "Circuit" in out
         assert "s27" in out
-        # one engine record: fault simulation has no engine of its own
-        assert re.search(r"^Backends: sim=\w+$", out, re.MULTILINE)
+        # one engine, so no engine record: provenance ends the render
+        assert "Backends:" not in out
+        assert out.rstrip().splitlines()[-1].startswith("Provenance: ")
 
     def test_csv_format(self, capsys):
         assert main(["--seed", "1", "table1", "s27", "--quiet",
@@ -93,17 +94,13 @@ class TestExperimentsMd:
 
 class TestEngineFlags:
     def test_retired_backend_name_rejected(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["--backend", "sharded", "list"])
-        assert "invalid choice: 'sharded'" in capsys.readouterr().err
-
-    def test_retired_backend_env_is_clean_error(self, capsys,
-                                                monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "sharded")
-        assert main(["list"]) == 2
-        err = capsys.readouterr().err
-        assert "unknown simulation backend 'sharded'; " \
-            "available: bigint, numpy" in err
+        """``--backend`` is gone: argparse rejects it like any unknown
+        flag (exit 2), whatever engine it names."""
+        for name in ("numpy", "bigint"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["--backend", name, "run", "s27"])
+            assert excinfo.value.code == 2
+            assert "repro-power: error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--fault-backend", "numpy"],
                                        ["--shards", "2"]])
@@ -114,6 +111,7 @@ class TestEngineFlags:
         assert flags[0] not in capsys.readouterr().err.split("error:")[0]
 
     def test_retired_env_vars_are_ignored(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "numpy")
         monkeypatch.setenv("REPRO_FAULT_BACKEND", "warp")
         monkeypatch.setenv("REPRO_SIM_SHARDS", "abc")
         assert main(["list"]) == 0
@@ -342,10 +340,10 @@ class TestCampaignFigure2Kind:
         """The autouse conftest fixture must clear the session default
         main() installs, or the suite becomes order-dependent."""
         from repro.runtime import session_defaults
-        assert main(["--backend", "numpy", "list"]) == 0
-        assert session_defaults().backend == "numpy"  # session default
+        assert main(["--stream-budget", "5", "list"]) == 0
+        assert session_defaults().stream_budget == 5  # session default
         assert main(["list"]) == 0  # no flag: main resets the default
-        assert session_defaults().backend is None
+        assert session_defaults().stream_budget is None
 
 
 class TestCampaignGcAge:

@@ -48,3 +48,20 @@ def test_environment_read_only_where_allowed():
         + ", ".join(offenders))
     stale = sorted(module for module in ALLOWED if not reads.get(module))
     assert not stale, f"allow-listed modules no longer read the env: {stale}"
+
+
+#: Environment variables of retired engine knobs: no module may name
+#: them, so setting one changes nothing.
+RETIRED = ("REPRO_SIM_BACKEND", "REPRO_FAULT_BACKEND", "REPRO_SIM_SHARDS",
+           "REPRO_ARRAY_NAMESPACE", "REPRO_EPISODE_BATCH",
+           "REPRO_FAULT_PLAN")
+
+
+def test_retired_engine_variables_are_not_read():
+    from repro.runtime import KNOBS
+
+    named = [f"{path.relative_to(SRC).as_posix()}: {variable}"
+             for path in sorted(SRC.rglob("*.py"))
+             for variable in RETIRED if variable in path.read_text()]
+    assert not named, f"retired variables named in the source: {named}"
+    assert not {knob.env for knob in KNOBS.values()} & set(RETIRED)

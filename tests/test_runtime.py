@@ -24,30 +24,28 @@ class TestRuntimeOptionsValidation:
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            RuntimeOptions().backend = "numpy"
+            RuntimeOptions().stream_budget = 5
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError, match="backend"):
-            RuntimeOptions(backend="nope")
-        with pytest.raises(ConfigError, match="unknown simulation backend "
-                           "'sharded'; available: bigint, numpy"):
-            RuntimeOptions(backend="sharded")
+        with pytest.raises(TypeError, match="backend"):
+            RuntimeOptions(backend="bigint")
+        with pytest.raises(ConfigError, match="unknown runtime option"):
+            RuntimeOptions().replace(backend="bigint")
 
     def test_stream_budget_must_be_non_negative(self):
         with pytest.raises(ConfigError, match="stream_budget"):
             RuntimeOptions(stream_budget=-1)
 
     def test_valid_combination_accepted(self):
-        options = RuntimeOptions(backend="bigint", stream_budget=0,
-                                 trace="")
+        options = RuntimeOptions(stream_budget=0, trace="", chaos="")
         assert options.stream_budget == 0
 
     def test_replace(self):
         options = RuntimeOptions(stream_budget=7)
-        patched = options.replace(backend="numpy")
+        patched = options.replace(chaos="seed=1,queue.write=0.5")
         assert patched.stream_budget == 7
-        assert patched.backend == "numpy"
-        assert options.backend is None  # original untouched
+        assert patched.chaos == "seed=1,queue.write=0.5"
+        assert options.chaos is None  # original untouched
 
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError):
@@ -62,9 +60,9 @@ class TestSessionDefaults:
 
     def test_kwargs_form_patches_current_session(self):
         set_session_defaults(RuntimeOptions(stream_budget=9))
-        set_session_defaults(backend="numpy")
+        set_session_defaults(chaos="seed=1,queue.write=0.5")
         assert session_defaults().stream_budget == 9
-        assert session_defaults().backend == "numpy"
+        assert session_defaults().chaos == "seed=1,queue.write=0.5"
 
     def test_no_args_resets(self):
         set_session_defaults(RuntimeOptions(stream_budget=9))
@@ -84,8 +82,8 @@ class TestSessionDefaults:
         assert session_defaults().stream_budget is None
 
     def test_using_accepts_options_record(self):
-        with using(RuntimeOptions(backend="numpy")):
-            assert session_defaults().backend == "numpy"
+        with using(RuntimeOptions(stream_budget=4)):
+            assert session_defaults().stream_budget == 4
 
     def test_bad_trace_directory_keeps_previous_session(self, tmp_path):
         from repro.obs.trace import resolve_trace
@@ -119,7 +117,6 @@ class TestSessionDefaults:
 #: Per knob: env, session and explicit values (each level differs from
 #: the one below it) and a malformed env value.
 LEVELS = {
-    "backend": ("numpy", "bigint", "numpy", "warp"),
     "stream_budget": ("100", 50, 7, "lots"),
     "trace": ("env", "session", "explicit", "file/sub"),
     "chaos": ("seed=1,queue.write=0.5", "seed=2,cache.read=0.1",
@@ -128,7 +125,7 @@ LEVELS = {
 
 
 class TestPrecedence:
-    """flag > session > env > built-in default, on every knob."""
+    """flag > session > env > off, on every knob."""
 
     def test_stream_budget(self, monkeypatch):
         from repro.simulation.streaming import resolve_stream_budget
@@ -141,17 +138,19 @@ class TestPrecedence:
         assert resolve_stream_budget(0) is None  # 0 = explicit off
 
     def test_backend(self, monkeypatch):
-        from repro.simulation.backends import default_backend_name
-        monkeypatch.delenv("REPRO_SIM_BACKEND", raising=False)
-        assert default_backend_name() == "bigint"
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "numpy")
-        set_session_defaults(backend="bigint")
-        assert default_backend_name() == "bigint"  # session > env
+        """The retired backend knob: no field, and its env var is not
+        read — the engine is the one big-int backend either way."""
+        from repro.simulation.backends import BigIntBackend, resolve_backend
+        assert "backend" not in KNOBS
+        monkeypatch.setenv("REPRO_SIM_BACKEND", "warp")
+        assert isinstance(resolve_backend(None), BigIntBackend)
+        for name in KNOBS:
+            resolve(name)  # a stale variable never fails a knob
 
     @pytest.mark.parametrize("name", list(KNOBS))
     def test_every_knob_resolves_with_one_precedence(self, name,
                                                      monkeypatch, tmp_path):
-        """explicit > session > env > default; empty env = unset; a
+        """explicit > session > env > off; empty env = unset; a
         malformed env value names its variable."""
         knob = KNOBS[name]
         assert name in {f.name for f in dataclasses.fields(RuntimeOptions)}
@@ -162,9 +161,9 @@ class TestPrecedence:
                 str(tmp_path / leaf)
                 for leaf in (env, session, explicit, malformed))
         monkeypatch.delenv(knob.env, raising=False)
-        assert resolve(name) == knob.default
+        assert resolve(name) is None
         monkeypatch.setenv(knob.env, "")
-        assert resolve(name) == knob.default
+        assert resolve(name) is None
         monkeypatch.setenv(knob.env, env)
         assert resolve(name) == knob.type(env)
         with using(**{name: session}):
@@ -179,22 +178,11 @@ class TestPrecedence:
         assert knob.flag in str(excinfo.value)
 
 
-class TestDeprecatedShims:
-    def test_set_default_backend_not_deprecated(self,
-                                                recwarn):
-        from repro.simulation.backends import set_default_backend
-        set_default_backend("numpy")
-        assert session_defaults().backend == "numpy"
-        deprecations = [w for w in recwarn.list
-                        if issubclass(w.category, DeprecationWarning)]
-        assert not deprecations
-
-
 class TestInputErrors:
     """Bad runtime options fail with ConfigError, never a TypeError."""
 
     @pytest.mark.parametrize("name", ["bogus", "episode_batch",
-                                      "fault_plan"])
+                                      "fault_plan", "backend"])
     def test_unknown_field_lists_valid_names(self, name):
         with pytest.raises(ConfigError, match=name) as excinfo:
             set_session_defaults(**{name: 1})
@@ -210,7 +198,7 @@ class TestInputErrors:
         assert session_defaults() == RuntimeOptions()
 
     def test_replace_rejects_unknown_field(self):
-        with pytest.raises(ConfigError, match="valid: backend"):
+        with pytest.raises(ConfigError, match="valid: stream_budget"):
             RuntimeOptions().replace(episode_batch=False)
 
     @pytest.mark.parametrize("field, value", [
