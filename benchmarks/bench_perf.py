@@ -639,7 +639,7 @@ def test_perf_campaign_table1_parallel(benchmark):
 
 
 #: Enforced disabled-chaos efficiency floor: the fault-injection probes
-#: threaded through the queue/cache/service hot paths must be free when
+#: threaded through the cache/pool/service hot paths must be free when
 #: no policy is installed — within ~2% of the same workload's cost.
 CHAOS_EFFICIENCY_FLOOR = float(
     os.environ.get("REPRO_BENCH_CHAOS_EFFICIENCY_FLOOR", "0.98"))

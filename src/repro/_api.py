@@ -32,11 +32,9 @@ from repro.campaign import (
     CampaignSpec,
     ResultCache,
     ServiceServer,
-    WorkQueue,
     load_spec,
     run_campaign,
     run_server,
-    run_worker,
 )
 from repro.cells import (
     CellLibrary,
@@ -177,10 +175,9 @@ __all__ = [
     # runtime options (session defaults for every runtime knob)
     "RuntimeOptions", "session_defaults", "set_session_defaults",
     "using",
-    # campaigns / distributed workers / artifact service
+    # campaigns / artifact service
     "CampaignSpec", "CampaignJob", "CampaignResult", "load_spec",
     "run_campaign", "ResultCache",
-    "WorkQueue", "run_worker",
     "ArtifactService", "ServiceServer", "run_server",
     # chaos engineering (fault injection + retry policies)
     "ChaosPolicy", "RetryPolicy", "retry_call",

@@ -12,13 +12,11 @@ the experiment harnesses (:mod:`repro.experiments`):
   expansion and the per-job status manifest;
 * :mod:`repro.campaign.runner` — the executor tying them together with
   deterministic result ordering regardless of worker count;
-* :mod:`repro.campaign.queue` — the filesystem-backed multi-host work
-  queue (claim-by-rename leases) behind ``repro worker``;
 * :mod:`repro.campaign.service` — the ``repro serve`` HTTP artifact
   API answering experiment queries from the cache.
 
-See README "Campaigns" and "Artifact service & distributed workers"
-for the spec format, resume semantics and the service endpoints.
+See README "Campaigns" and "Artifact service" for the spec format,
+resume semantics and the service endpoints.
 """
 
 from repro.campaign.cache import ResultCache
@@ -32,13 +30,6 @@ from repro.campaign.manifest import (
 from repro.campaign.pool import (
     WorkerPool,
     WorkerPoolError,
-)
-from repro.campaign.queue import (
-    ClaimedJob,
-    QueueDepth,
-    WorkerStats,
-    WorkQueue,
-    run_worker,
 )
 from repro.campaign.runner import (
     FIGURE2_ARTEFACT_KIND,
@@ -64,17 +55,13 @@ __all__ = [
     "CampaignJob",
     "CampaignResult",
     "CampaignSpec",
-    "ClaimedJob",
     "JobRecord",
     "Manifest",
-    "QueueDepth",
     "ResultCache",
     "ServiceMetrics",
     "ServiceServer",
-    "WorkQueue",
     "WorkerPool",
     "WorkerPoolError",
-    "WorkerStats",
     "execute_job",
     "figure2_from_artefact",
     "job_identity",
@@ -82,5 +69,4 @@ __all__ = [
     "run_campaign",
     "run_flow_jobs",
     "run_server",
-    "run_worker",
 ]

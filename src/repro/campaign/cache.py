@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import re
 import tempfile
 import time
 from pathlib import Path
@@ -46,6 +47,9 @@ from repro.obs.trace import span
 from repro.utils.hashing import package_fingerprint, stable_digest
 
 __all__ = ["ResultCache", "CacheStats"]
+
+#: The shape of every :meth:`ResultCache.key` (a SHA-256 hex digest).
+_KEY = re.compile(r"[0-9a-f]{64}")
 
 
 def _cache_counter(outcome: str):
@@ -87,6 +91,11 @@ class ResultCache:
             "code": code_fingerprint if code_fingerprint is not None
             else package_fingerprint(),
         })
+
+    @staticmethod
+    def is_key(key: str) -> bool:
+        """Whether ``key`` has the shape :meth:`key` produces."""
+        return _KEY.fullmatch(key) is not None
 
     def path(self, key: str) -> Path:
         """On-disk location of ``key``'s entry."""
@@ -269,8 +278,7 @@ class ResultCache:
             return []
         return sorted(
             p.stem for p in self.root.glob("*/*.json")
-            if len(p.stem) == 64 and p.parent.name == p.stem[:2]
-            and all(c in "0123456789abcdef" for c in p.stem))
+            if self.is_key(p.stem) and p.parent.name == p.stem[:2])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ResultCache root={str(self.root)!r} {self.stats}>"

@@ -184,8 +184,8 @@ def execute_job(job: CampaignJob, kind: str = FLOW_ARTEFACT_KIND
                 ) -> dict[str, Any]:
     """Execute one campaign job in-process and return its artefact.
 
-    The one entry point the in-process runner, the queue worker and
-    the service's compute-on-miss path share; ``kind`` selects the
+    The one entry point the in-process runner and the service's
+    compute-on-miss path share; ``kind`` selects the
     executor (resolved by module attribute at call time, so tests can
     monkeypatch the underlying worker functions).
     """
@@ -202,9 +202,8 @@ def job_identity(job: CampaignJob, kind: str = FLOW_ARTEFACT_KIND, *,
     """``(config_hash, cache_key)`` of one campaign job.
 
     The canonical key derivation every consumer — the in-process
-    runner, the multi-host queue worker and the artifact service —
-    must share, so a job computed anywhere lands under the same
-    content address.  ``cache_key`` is ``None`` without a ``cache``.
+    runner and the artifact service — must share, so a job computed
+    anywhere lands under the same content address.  ``cache_key`` is ``None`` without a ``cache``.
     ``fingerprints`` memoizes circuit fingerprints per
     ``(circuit, circuit_seed)`` across calls (one netlist load each).
     """

@@ -11,17 +11,16 @@ endpoint                                  answer
 ``GET /table1/<circuit>?seed=&overrides``  the cached Table-I row
 ``GET /flow/<circuit>?seed=&overrides=``   the full flow artefact
 ``GET /figure2``                           the Figure-2 leakage artefact
-``GET /artifact/<cache-key>``              poll a pending computation
+``GET /artifact/<cache-key>``              an artefact by its cache key
 ``GET /healthz``                           liveness probe
-``GET /metrics``                           hit/miss/queue-depth/latency
+``GET /metrics``                           hit/miss/latency counters
 ========================================  ===============================
 
 ``overrides`` is a URL-encoded JSON object of
 :class:`~repro.core.config.FlowConfig` fields patched onto the
 service's base config; the cache key is derived through
 :func:`repro.campaign.runner.job_identity` — the *same* derivation the
-campaign runner and queue workers use, so anything any of them
-computed is a hit here.
+campaign runner uses, so anything a campaign computed is a hit here.
 
 A cache **hit** returns the stored artefact JSON with its content hash
 as a strong ``ETag`` (``If-None-Match`` round-trips as ``304 Not
@@ -29,10 +28,9 @@ Modified``, no body).  A **miss** either computes inline
 (``compute_on_miss=True``; the flow runs on a worker thread via
 ``asyncio.to_thread`` behind a per-key lock, so concurrent requests
 for the same artefact compute once and ``/healthz`` stays responsive)
-or, when the service fronts a :class:`~repro.campaign.queue.WorkQueue`,
-enqueues the job (deduplicated) and answers ``202 Accepted`` with a
-poll URL — any ``repro worker`` draining that queue completes it and
-the next poll is a hit.  With neither, misses are ``404``.
+or is a ``404``.  ``/artifact/<cache-key>`` accepts only the cache's
+64-character lowercase-hex keys; anything else is a ``404`` before
+the file system is touched.
 
 The server is deliberately minimal: ``GET`` only, one request per
 connection (``Connection: close``), JSON everywhere.  It is an
@@ -45,6 +43,7 @@ import asyncio
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import threading
 import time
@@ -54,7 +53,6 @@ from typing import Any
 import repro.chaos as chaos
 from repro.campaign.cache import ResultCache
 from repro.campaign.manifest import CampaignJob
-from repro.campaign.queue import WorkQueue
 from repro.campaign.runner import (
     FIGURE2_ARTEFACT_KIND,
     FLOW_ARTEFACT_KIND,
@@ -77,7 +75,6 @@ _MAX_REQUEST_BYTES = 16 * 1024
 
 _STATUS_PHRASES = {
     200: "OK",
-    202: "Accepted",
     304: "Not Modified",
     400: "Bad Request",
     404: "Not Found",
@@ -102,7 +99,6 @@ class ServiceMetrics:
     misses: int = 0
     not_modified: int = 0
     computed: int = 0
-    enqueued: int = 0
     errors: int = 0
     #: Connections refused with 503 at the ``max_connections`` cap.
     shed: int = 0
@@ -164,11 +160,8 @@ class ArtifactService:
     ----------
     cache:
         The content-addressed artefact cache answering queries.
-    queue:
-        Optional work queue for enqueue-on-miss (202 + poll).
     compute_on_miss:
-        Compute missing artefacts inline (wins over ``queue`` — the
-        queue is then only used for depth metrics).
+        Compute missing artefacts inline (otherwise a miss is ``404``).
     base:
         ``FlowConfig`` kwargs applied under every request's overrides
         (the service-side campaign ``base``).
@@ -179,21 +172,22 @@ class ArtifactService:
         unboundedly (``None`` = uncapped).
     request_timeout_s:
         Per-request handling budget; a request not answered within it
-        gets ``504`` (``None`` = unbounded).
+        gets ``504`` (``None`` = unbounded; otherwise finite).
     """
 
     def __init__(self, cache: ResultCache, *,
-                 queue: WorkQueue | None = None,
                  compute_on_miss: bool = False,
                  base: dict[str, Any] | None = None,
                  max_connections: int | None = None,
                  request_timeout_s: float | None = None):
         if max_connections is not None and max_connections < 1:
             raise ServiceError("max_connections must be >= 1")
-        if request_timeout_s is not None and request_timeout_s <= 0:
-            raise ServiceError("request_timeout_s must be > 0")
+        if request_timeout_s is not None and not (
+                0 < request_timeout_s < math.inf):
+            raise ServiceError(
+                f"request_timeout_s must be a finite number > 0, got "
+                f"{request_timeout_s}")
         self.cache = cache
-        self.queue = queue
         self.compute_on_miss = compute_on_miss
         self.base = dict(base or {})
         self.max_connections = max_connections
@@ -344,7 +338,7 @@ class ArtifactService:
                 if len(segments) != 2:
                     return _Response(400,
                                      {"error": "/artifact/<cache-key>"})
-                return self._poll(segments[1], etag_in)
+                return self._by_key(segments[1], etag_in)
         except ConfigError as exc:
             return _Response(400, {"error": str(exc)})
         except (ReproError, LookupError) as exc:
@@ -361,8 +355,7 @@ class ArtifactService:
 
         A health endpoint that always says ok is a liveness bit, not a
         health check: this one round-trips a probe file through the
-        cache root (and the queue's ``pending/`` when one is
-        attached).  Any failed probe degrades the service to ``503``,
+        cache root.  A failed probe degrades the service to ``503``,
         so a load balancer stops routing to a replica whose volume
         went read-only or vanished.
         """
@@ -375,24 +368,19 @@ class ArtifactService:
             headers={"Retry-After": "1"} if degraded else None)
 
     def _probe_stores(self) -> dict[str, str]:
-        """Write/read/delete one probe file per dependent store."""
-        targets = {"cache": self.cache.root}
-        if self.queue is not None:
-            targets["queue"] = self.queue.root / "pending"
-        checks: dict[str, str] = {}
-        for name, root in targets.items():
-            probe = root / f".healthz-probe-{os.getpid()}"
-            try:
-                root.mkdir(parents=True, exist_ok=True)
-                probe.write_bytes(b"ok")
-                data = probe.read_bytes()
-                probe.unlink()
-                if data != b"ok":
-                    raise OSError("probe read-back mismatch")
-                checks[name] = "ok"
-            except OSError as exc:
-                checks[name] = f"failed: {exc}"
-        return checks
+        """Write/read/delete one probe file in the cache root."""
+        root = self.cache.root
+        probe = root / f".healthz-probe-{os.getpid()}"
+        try:
+            root.mkdir(parents=True, exist_ok=True)
+            probe.write_bytes(b"ok")
+            data = probe.read_bytes()
+            probe.unlink()
+            if data != b"ok":
+                raise OSError("probe read-back mismatch")
+        except OSError as exc:
+            return {"cache": f"failed: {exc}"}
+        return {"cache": "ok"}
 
     def _metrics_response(self, query: dict[str, list[str]],
                           headers: dict[str, str]) -> _Response:
@@ -417,18 +405,16 @@ class ArtifactService:
             "service": self.metrics.snapshot(),
             "cache": dataclasses.asdict(self.cache.stats),
         }
-        if self.queue is not None:
-            payload["queue"] = dataclasses.asdict(self.queue.depth())
         return _Response(200, payload)
 
     def _render_prometheus(self) -> str:
         """Mirror the service state into the process registry and
         render it (the registry also carries the cross-cutting cache
-        and queue counters the rest of the stack increments)."""
+        counters the rest of the stack increments)."""
         reg = get_registry()
         snapshot = self.metrics.snapshot()
         for field in ("requests", "hits", "misses", "not_modified",
-                      "computed", "enqueued", "errors", "shed",
+                      "computed", "errors", "shed",
                       "timeouts"):
             reg.gauge(f"repro_service_{field}",
                       f"Service {field.replace('_', ' ')} "
@@ -443,12 +429,6 @@ class ArtifactService:
                 self.cache.stats).items():
             reg.gauge(f"repro_service_cache_{field}",
                       f"Service-side result-cache {field}.").set(value)
-        if self.queue is not None:
-            depth = dataclasses.asdict(self.queue.depth())
-            for state, count in depth.items():
-                reg.gauge("repro_queue_depth",
-                          "Queue entries per state.",
-                          labels={"state": state}).set(count)
         return reg.render_prometheus()
 
     def _request_job(self, endpoint: str, circuit: str,
@@ -510,18 +490,6 @@ class ArtifactService:
             artefact = await self._compute(job, kind, key)
             return self._artefact_response(endpoint, key, artefact,
                                            etag_in)
-        if self.queue is not None:
-            _name, enqueued = await asyncio.to_thread(
-                self.queue.submit, job, kind)
-            if enqueued:
-                self.metrics.enqueued += 1
-            return _Response(202, {
-                "status": "pending",
-                "key": key,
-                "poll": f"/artifact/{key}",
-                "enqueued": enqueued,
-            }, headers={"Location": f"/artifact/{key}",
-                        "Retry-After": "1"})
         return _Response(404, {
             "error": f"artefact not cached: {job.job_id}",
             "key": key,
@@ -546,17 +514,16 @@ class ArtifactService:
             self.metrics.computed += 1
             return artefact
 
-    def _poll(self, key: str, etag_in: str | None) -> _Response:
-        artefact = self.cache.get(key)
+    def _by_key(self, key: str, etag_in: str | None) -> _Response:
+        """``/artifact/<key>``: only a well-formed key reaches the
+        cache (and so the file system)."""
+        artefact = self.cache.get(key) if self.cache.is_key(key) \
+            else None
         if artefact is not None:
             self.metrics.hits += 1
             return self._artefact_response("artifact", key, artefact,
                                            etag_in)
         self.metrics.misses += 1
-        if self.queue is not None and self.queue.depth().outstanding:
-            return _Response(202, {"status": "pending",
-                                   "poll": f"/artifact/{key}"},
-                             headers={"Retry-After": "1"})
         return _Response(404, {"error": "unknown artifact key",
                                "key": key})
 

@@ -4,17 +4,16 @@
 
 * :mod:`repro.chaos.policy` — seeded fault *injection*: a
   :class:`ChaosPolicy` (per-site rates, one seed, per-site RNG
-  streams) behind named sites threaded through the queue, cache,
-  manifest, pool and service hot paths.  Every primitive is a no-op
+  streams) behind named sites threaded through the cache, manifest,
+  pool and service hot paths.  Every primitive is a no-op
   while no policy is installed (bench-gated, like tracing).
 * :mod:`repro.chaos.retry` — the shared *resilience* helper: capped
   exponential backoff with deterministic jitter and per-site budgets,
-  adopted by the queue's transactional writes, cache I/O and manifest
-  rewrites.
+  adopted by cache writes and manifest rewrites.
 
 The point of keeping them in one package: the injection layer is how
 the retry/respawn/quarantine machinery is *proved* — the chaos
-differential suite runs a multi-worker campaign under aggressive
+differential suite runs a two-worker pool campaign under aggressive
 injection and pins that the surviving cache/manifest artefacts are
 bit-identical to a clean run.
 """

@@ -31,7 +31,7 @@ scopes injection like any other option.
 
 Spec grammar (comma-separated ``key=value``)::
 
-    seed=7,queue.*=0.2,cache.write=0.5,slow_s=0.05,hang_s=2
+    seed=7,cache.*=0.2,pool.task.kill=0.5,slow_s=0.05,hang_s=2
 
 ``seed`` seeds the per-site streams; ``slow_s``/``hang_s`` tune the
 delay kinds; every other key is a site name or ``fnmatch`` pattern
@@ -84,17 +84,12 @@ __all__ = [
 #: :func:`mangle`; ``reset`` is a bare :func:`fires` draw the caller
 #: acts on.
 SITES: dict[str, str] = {
-    "queue.write": "eio",        # any queue-file atomic write
-    "queue.rename": "eio",       # claim-by-rename
-    "queue.heartbeat": "eio",    # lease utime
-    "queue.requeue": "eio",      # expired-lease scavenging rename
     "cache.read": "mangle",      # artefact read corruption
     "cache.write": "mangle",     # torn/corrupt artefact write
     "manifest.write": "eio",     # manifest rewrite
     "pool.task.kill": "kill",    # pool worker dies mid-task
     "pool.task.hang": "hang",    # pool worker wedges mid-task
     "pool.task.slow": "slow",    # pool task straggler
-    "worker.kill": "kill",       # queue worker dies mid-lease
     "service.reset": "reset",    # connection dropped, no response
     "service.slow": "slow",      # slow client/handler
 }
@@ -122,8 +117,9 @@ class ChaosPolicy:
     rates: tuple[tuple[str, float], ...] = ()
     #: Sleep injected by ``slow`` sites (seconds).
     slow_s: float = 0.05
-    #: Sleep injected by ``hang`` sites (seconds; long enough to blow
-    #: a lease TTL, short enough to not wedge a test suite forever).
+    #: Sleep injected by ``hang`` sites (seconds; long enough to read
+    #: as a wedged pool task, short enough to not wedge a test suite
+    #: forever).
     hang_s: float = 30.0
 
     def __post_init__(self) -> None:
@@ -148,7 +144,7 @@ class ChaosPolicy:
         rates: dict[str, float] = {}
         if not spec.strip():
             raise ChaosError(
-                "empty chaos spec (use e.g. 'seed=7,queue.*=0.2'; "
+                "empty chaos spec (use e.g. 'seed=7,cache.*=0.2'; "
                 "an empty string at the option level pins chaos off)")
         for token in spec.split(","):
             token = token.strip()
@@ -250,7 +246,7 @@ def enable(policy: ChaosPolicy | str) -> ChaosPolicy:
 def rescope(scope: str) -> None:
     """Re-derive every per-site stream under ``scope``.
 
-    Forked pool/queue workers inherit the parent's stream *state*
+    Forked pool workers inherit the parent's stream *state*
     copy-on-write, so without rescoping every fresh worker would make
     the identical draw sequence — a fired first draw would then kill
     each respawned worker in turn, deterministically crash-looping the

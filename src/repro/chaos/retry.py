@@ -1,9 +1,9 @@
 """Shared retry helper: capped exponential backoff, deterministic jitter.
 
-The campaign stack's transactional writes (queue files, cache
-artefacts, manifest rewrites) and lease heartbeats all retry transient
-I/O failures through one :func:`retry_call`, so budgets and backoff
-live in one place instead of per-site ``except OSError`` scatter.
+The campaign stack's transactional writes (cache artefacts, manifest
+rewrites) retry transient I/O failures through one :func:`retry_call`,
+so budgets and backoff live in one place instead of per-site
+``except OSError`` scatter.
 
 Backoff for attempt *n* is ``min(cap_s, base_s * 2**(n-1))`` scaled by
 a *deterministic* jitter in ``[0.5, 1.5)`` derived from
@@ -53,7 +53,7 @@ class RetryPolicy:
     #: Exception types worth retrying.
     retry_on: tuple[type[BaseException], ...] = (OSError,)
     #: Exception types that bypass the budget entirely (e.g. a
-    #: heartbeat's ``FileNotFoundError`` means *revoked*, not flaky).
+    #: ``FileNotFoundError`` that means *gone*, not flaky).
     giveup_on: tuple[type[BaseException], ...] = ()
 
     def __post_init__(self) -> None:

@@ -7,12 +7,9 @@ Subcommands:
 * ``run``     — run the full flow on one circuit and print its summary;
 * ``ablation``— run one of the ablation studies (A1-A4);
 * ``campaign``— run a multi-circuit sweep on the campaign layer
-  (persistent worker pool + content-addressed result cache), or
-  enqueue it onto a shared work queue (``--enqueue DIR``);
-* ``worker``  — drain a shared work queue directory (any number of
-  worker processes, on one or many hosts, share one queue);
+  (persistent worker pool + content-addressed result cache);
 * ``serve``   — HTTP artifact API over the result cache (Table-I
-  rows, flow artefacts, Figure 2; ETag caching, enqueue-on-miss);
+  rows, flow artefacts, Figure 2; ETag caching, compute-on-miss);
 * ``list``    — list the available benchmark circuits.
 
 ``table1`` and ``ablation`` accept ``--jobs N`` / ``--cache-dir DIR``
@@ -23,6 +20,7 @@ to the serial path.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections.abc import Sequence
@@ -67,13 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
                               "default: $REPRO_STREAM_BUDGET or off)"))
     parser.add_argument("--trace", metavar="DIR", default=None,
                         help=("record span traces of this invocation "
-                              "as JSONL files under DIR; worker "
+                              "as JSONL files under DIR; pool worker "
                               "processes join the same trace "
                               "(default: $REPRO_TRACE or off; "
                               "'' pins off)"))
     parser.add_argument("--chaos", metavar="SPEC", default=None,
                         help=("seeded fault injection, e.g. "
-                              "'seed=7,queue.*=0.2,cache.write=0.5' "
+                              "'seed=7,pool.task.kill=0.2,cache.write=0.5' "
                               "(site patterns -> firing rates; see "
                               "README 'Failure semantics'; injected "
                               "faults are survived — results stay "
@@ -109,14 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="JSON campaign spec file (see README "
                            "'Campaigns'); omit to use --circuits; the "
                            "literal word 'gc' instead runs cache "
-                           "eviction (with --max-mb); the literal "
-                           "word 'retry-failed' re-queues a work "
-                           "queue's quarantined jobs (pass the queue "
-                           "directory after it)")
-    camp.add_argument("queue_dir", nargs="?", default=None,
-                      metavar="QUEUE_DIR",
-                      help=("with 'retry-failed': the work queue "
-                            "directory whose failed/ jobs to re-queue"))
+                           "eviction (with --max-mb)")
     camp.add_argument("--circuits", nargs="+", default=None,
                       metavar="NAME",
                       help="inline spec: circuits to sweep")
@@ -132,16 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help=("with 'gc': evict cache entries not "
                             "written for N days (combinable with "
                             "--max-mb; age runs first)"))
-    camp.add_argument("--enqueue", metavar="DIR", default=None,
-                      help=("enqueue the expanded spec onto the work "
-                            "queue at DIR instead of running it; "
-                            "drain with 'repro-power worker DIR'"))
-    camp.add_argument("--lease-ttl", type=float, default=None,
-                      metavar="S",
-                      help=("with --enqueue: lease time-to-live in "
-                            "seconds; a claimed job whose worker "
-                            "stops heartbeating for S seconds is "
-                            "re-queued (default: 60)"))
     camp.add_argument("--seeds", nargs="+", type=int, default=None,
                       metavar="SEED",
                       help="inline spec: seeds to sweep (default: --seed)")
@@ -161,48 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="suppress per-job progress output")
     add_campaign_args(camp)
 
-    worker = sub.add_parser(
-        "worker",
-        help="drain a campaign work queue (multi-host capable)")
-    worker.add_argument("queue_dir", metavar="QUEUE_DIR",
-                        help=("work queue directory (created by "
-                              "'campaign --enqueue' or 'serve "
-                              "--queue-dir'); share it between hosts "
-                              "to distribute the drain"))
-    worker.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help=("result cache directory (default: "
-                              ".repro-cache); share it with the other "
-                              "workers and the service"))
-    worker.add_argument("--worker-id", default=None, metavar="ID",
-                        help="worker name recorded in leases/manifest "
-                             "(default: <hostname>-<pid>)")
-    worker.add_argument("--wait", action="store_true",
-                        help=("keep polling for new jobs after the "
-                              "queue drains (long-lived worker behind "
-                              "'serve'; default: exit when empty)"))
-    worker.add_argument("--poll-s", type=float, default=0.5,
-                        metavar="S",
-                        help="idle poll interval in seconds")
-    worker.add_argument("--max-jobs", type=int, default=None,
-                        metavar="N",
-                        help="process at most N jobs, then exit")
-    worker.add_argument("--lease-ttl", type=float, default=None,
-                        metavar="S",
-                        help=("override the queue's lease TTL for "
-                              "this worker's scavenging"))
-    worker.add_argument("--max-attempts", type=int, default=None,
-                        metavar="N",
-                        help=("re-queue a job whose execution raised "
-                              "up to N attempts before quarantining "
-                              "it in failed/ (default: the queue's "
-                              "max_attempts, normally 3)"))
-    worker.add_argument("--manifest", metavar="PATH", default=None,
-                        help=("after draining, assemble the campaign "
-                              "manifest from the queue's records into "
-                              "PATH"))
-    worker.add_argument("--quiet", action="store_true",
-                        help="suppress per-job progress output")
-
     serve = sub.add_parser(
         "serve",
         help="HTTP artifact API over the campaign result cache")
@@ -213,13 +152,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="bind address (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8350,
                        help="TCP port (default: 8350)")
-    serve.add_argument("--queue-dir", metavar="DIR", default=None,
-                       help=("enqueue cache misses onto the work "
-                             "queue at DIR (202 + poll URL; created "
-                             "if missing) instead of answering 404"))
     serve.add_argument("--compute-on-miss", action="store_true",
                        help=("compute missing artefacts inline on a "
-                             "worker thread (wins over --queue-dir)"))
+                             "worker thread (default: a miss is 404)"))
     serve.add_argument("--base", metavar="JSON", default=None,
                        help=("base FlowConfig kwargs (JSON object) "
                              "applied under every request's "
@@ -339,9 +274,6 @@ def _main(argv: Sequence[str] | None) -> int:
     if args.command == "campaign":
         return _run_campaign_command(args)
 
-    if args.command == "worker":
-        return _run_worker_command(args)
-
     if args.command == "serve":
         return _run_serve_command(args)
 
@@ -398,35 +330,6 @@ def _main(argv: Sequence[str] | None) -> int:
     return 2  # pragma: no cover - argparse enforces the choices
 
 
-def _run_campaign_retry_failed(args) -> int:
-    """``repro campaign retry-failed DIR``: re-queue quarantined jobs.
-
-    Every job parked in ``failed/`` (attempt budget exhausted) is
-    moved back to ``pending/`` with its attempt count and failure
-    record cleared, so the next worker drain retries it from scratch
-    — the operator's lever after fixing whatever poisoned the jobs.
-    """
-    from repro.campaign.queue import WorkQueue
-    from repro.errors import QueueError
-
-    if args.queue_dir is None:
-        print("repro-power: error: campaign retry-failed needs the "
-              "work queue directory", file=sys.stderr)
-        return 2
-    try:
-        queue = WorkQueue(args.queue_dir)
-        queue._metadata()  # fail fast on a missing/corrupt queue
-        requeued = queue.retry_failed()
-    except QueueError as exc:
-        print(f"repro-power: error: {exc}", file=sys.stderr)
-        return 2
-    depth = queue.depth()
-    print(f"campaign retry-failed: re-queued {requeued} job(s); "
-          f"queue now {depth.pending} pending / {depth.claimed} "
-          f"claimed / {depth.done} done / {depth.failed} failed")
-    return 0
-
-
 def _run_campaign_gc(args) -> int:
     """``repro campaign gc``: cache eviction by size and/or age."""
     from repro.campaign.cache import ResultCache
@@ -435,7 +338,6 @@ def _run_campaign_gc(args) -> int:
         ("--circuits", args.circuits), ("--seeds", args.seeds),
         ("--kind", args.kind), ("--name", args.name),
         ("--jobs", args.jobs), ("--manifest", args.manifest),
-        ("--enqueue", args.enqueue), ("--lease-ttl", args.lease_ttl),
         ("--no-cache", args.no_cache or None),
         ("--expect-all-cached", args.expect_all_cached or None),
     ) if value is not None]
@@ -447,14 +349,12 @@ def _run_campaign_gc(args) -> int:
         print("repro-power: error: campaign gc needs --max-mb N "
               "and/or --max-age-days N", file=sys.stderr)
         return 2
-    if args.max_mb is not None and args.max_mb < 0:
-        print("repro-power: error: --max-mb must be >= 0",
-              file=sys.stderr)
-        return 2
-    if args.max_age_days is not None and args.max_age_days < 0:
-        print("repro-power: error: --max-age-days must be >= 0",
-              file=sys.stderr)
-        return 2
+    for flag, value in (("--max-mb", args.max_mb),
+                        ("--max-age-days", args.max_age_days)):
+        if value is not None and not 0 <= value < math.inf:
+            print(f"repro-power: error: {flag} must be a finite number "
+                  f">= 0, got {value:g}", file=sys.stderr)
+            return 2
     cache_dir = args.cache_dir or ".repro-cache"
     cache = ResultCache(cache_dir)
     evicted = 0
@@ -477,80 +377,13 @@ def _run_campaign_gc(args) -> int:
     return 0
 
 
-def _run_worker_command(args) -> int:
-    """The ``worker`` subcommand: drain one shared work queue.
-
-    SIGTERM is graceful: the worker finishes (or re-queues) the job it
-    holds, then exits 0 — an orchestrator scaling workers down never
-    loses work (SIGKILL is also safe, via lease expiry, just slower).
-    """
-    import signal
-    import threading
-
-    from repro.campaign.queue import WorkQueue, run_worker
-    from repro.errors import QueueError
-
-    if args.poll_s <= 0:
-        print("repro-power: error: --poll-s must be > 0",
-              file=sys.stderr)
-        return 2
-    if args.max_jobs is not None and args.max_jobs < 1:
-        print("repro-power: error: --max-jobs must be >= 1",
-              file=sys.stderr)
-        return 2
-    if args.max_attempts is not None and args.max_attempts < 1:
-        print("repro-power: error: --max-attempts must be >= 1",
-              file=sys.stderr)
-        return 2
-    stop = threading.Event()
-    previous = signal.signal(signal.SIGTERM,
-                             lambda _signum, _frame: stop.set())
-    cache_dir = args.cache_dir or ".repro-cache"
-    try:
-        stats = run_worker(
-            args.queue_dir, cache_dir,
-            worker_id=args.worker_id,
-            poll_s=args.poll_s,
-            wait=args.wait,
-            max_jobs=args.max_jobs,
-            lease_ttl_s=args.lease_ttl,
-            max_attempts=args.max_attempts,
-            verbose=not args.quiet,
-            should_stop=stop.is_set)
-    except QueueError as exc:
-        print(f"repro-power: error: {exc}", file=sys.stderr)
-        return 2
-    except KeyboardInterrupt:
-        print("repro-power: worker interrupted (claim returned to "
-              "the queue)", file=sys.stderr)
-        return 130
-    finally:
-        signal.signal(signal.SIGTERM, previous)
-    if stop.is_set() and not args.quiet:
-        print("repro-power: worker stopping on SIGTERM (current job "
-              "settled)", file=sys.stderr)
-    queue = WorkQueue(args.queue_dir)
-    depth = queue.depth()
-    print(f"worker {stats.worker_id}: {stats.executed} executed, "
-          f"{stats.cached} from cache, {stats.failed} failed, "
-          f"{stats.requeued} re-queued, {stats.retried} retried in "
-          f"{stats.wall_s:.2f}s; "
-          f"queue now {depth.pending} pending / {depth.claimed} "
-          f"claimed / {depth.done} done / {depth.failed} failed")
-    if args.manifest is not None:
-        queue.write_manifest(args.manifest)
-        print(f"Manifest: {args.manifest}")
-    return 1 if stats.failed else 0
-
-
 def _run_serve_command(args) -> int:
     """The ``serve`` subcommand: blocking HTTP artifact API."""
     import json as _json
 
     from repro.campaign.cache import ResultCache
-    from repro.campaign.queue import WorkQueue
     from repro.campaign.service import ArtifactService, run_server
-    from repro.errors import QueueError, ServiceError
+    from repro.errors import ServiceError
 
     base = {}
     if args.base is not None:
@@ -566,17 +399,9 @@ def _run_serve_command(args) -> int:
         print("repro-power: error: --port must be in 1..65535",
               file=sys.stderr)
         return 2
-    queue = None
-    if args.queue_dir is not None:
-        try:
-            queue = WorkQueue.create(args.queue_dir)
-        except QueueError as exc:
-            print(f"repro-power: error: {exc}", file=sys.stderr)
-            return 2
     try:
         service = ArtifactService(
             ResultCache(args.cache_dir or ".repro-cache"),
-            queue=queue,
             compute_on_miss=args.compute_on_miss,
             base=base,
             max_connections=args.max_connections,
@@ -602,20 +427,9 @@ def _run_campaign_command(args) -> int:
 
     if args.spec == "gc":
         return _run_campaign_gc(args)
-    if args.spec == "retry-failed":
-        return _run_campaign_retry_failed(args)
-    if args.queue_dir is not None:
-        print("repro-power: error: a second positional argument only "
-              "applies to 'campaign retry-failed QUEUE_DIR'",
-              file=sys.stderr)
-        return 2
     if args.max_mb is not None or args.max_age_days is not None:
         print("repro-power: error: --max-mb/--max-age-days only "
               "apply to 'campaign gc'", file=sys.stderr)
-        return 2
-    if args.lease_ttl is not None and args.enqueue is None:
-        print("repro-power: error: --lease-ttl only applies with "
-              "--enqueue", file=sys.stderr)
         return 2
 
     runtime_base = {}
@@ -654,40 +468,6 @@ def _run_campaign_command(args) -> int:
     except ConfigError as exc:
         print(f"repro-power: error: {exc}", file=sys.stderr)
         return 2
-
-    if args.enqueue is not None:
-        from repro.campaign.queue import DEFAULT_LEASE_TTL_S, WorkQueue
-        from repro.errors import QueueError
-        rejected = [flag for flag, value in (
-            ("--jobs", args.jobs), ("--manifest", args.manifest),
-            ("--no-cache", args.no_cache or None),
-            ("--expect-all-cached", args.expect_all_cached or None),
-        ) if value is not None]
-        if rejected:
-            print(f"repro-power: error: --enqueue does not accept "
-                  f"{', '.join(rejected)} (workers own execution; "
-                  f"pass --cache-dir/--manifest to 'repro-power "
-                  f"worker')", file=sys.stderr)
-            return 2
-        if args.lease_ttl is not None and args.lease_ttl <= 0:
-            print("repro-power: error: --lease-ttl must be > 0",
-                  file=sys.stderr)
-            return 2
-        try:
-            queue = WorkQueue(args.enqueue)
-            enqueued = queue.enqueue(
-                spec,
-                lease_ttl_s=args.lease_ttl if args.lease_ttl is not None
-                else DEFAULT_LEASE_TTL_S)
-        except QueueError as exc:
-            print(f"repro-power: error: {exc}", file=sys.stderr)
-            return 2
-        depth = queue.depth()
-        print(f"campaign {spec.name!r}: enqueued {enqueued} job(s) "
-              f"onto {args.enqueue} ({depth.pending} pending, "
-              f"{depth.done} already done); drain with "
-              f"'repro-power worker {args.enqueue}'")
-        return 0
 
     cache_dir = None if args.no_cache else \
         (args.cache_dir or ".repro-cache")

@@ -117,14 +117,6 @@ class ChaosError(ConfigError):
     """
 
 
-class CampaignError(ReproError):
-    """Campaign orchestration failed (queue, worker or artefact layer)."""
-
-
-class QueueError(CampaignError):
-    """The filesystem work queue is missing, corrupt or inconsistent."""
-
-
 class ServiceError(ReproError):
     """The artifact service could not be configured or started."""
 

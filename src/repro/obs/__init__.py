@@ -8,10 +8,9 @@ this package reports into:
   is enabled (``--trace DIR`` / ``$REPRO_TRACE`` /
   ``RuntimeOptions.trace``) every finished span is appended to a
   per-process JSONL file under the trace directory, carrying trace and
-  span IDs that stitch pool workers (campaign jobs) and
-  ``repro-power worker`` processes into one tree.  When
-  tracing is off (the default) a span is two ``time.monotonic()``
-  calls and nothing is written.
+  span IDs that stitch pool workers (campaign jobs) into one tree.
+  When tracing is off (the default) a span is two
+  ``time.monotonic()`` calls and nothing is written.
 
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
   gauges and fixed-bucket histograms with JSON and Prometheus

@@ -5,13 +5,13 @@ instruments keyed by ``(name, labels)``; instruments with the same
 name but different label sets form one *family* sharing a type and a
 help string, exactly as Prometheus models them.  The module-level
 :func:`get_registry` instance is the process-wide default every
-instrumented subsystem (cache, queue, service, shard dispatch) reports
+instrumented subsystem (cache, pool, service, chaos, ATPG) reports
 into; the artifact service's ``/metrics`` endpoint renders it.
 
 Two renderings, same data:
 
 * :meth:`MetricsRegistry.snapshot` — a flat JSON-able dict, label sets
-  folded into the key (``'repro_queue_depth{state="pending"}'``);
+  folded into the key (``'repro_cache_ops_total{outcome="hit"}'``);
   histograms become ``{"count", "sum", "buckets"}`` sub-dicts.
 * :meth:`MetricsRegistry.render_prometheus` — the text exposition
   format (``# HELP`` / ``# TYPE`` lines, ``_bucket{le=...}`` /

@@ -24,7 +24,7 @@ Per-process files mean concurrent writers never interleave.
 Cross-process stitching
 -----------------------
 :func:`propagation_context` captures ``{"trace_id", "parent_span_id",
-"dir"}`` for shipping inside a task payload or queue job record;
+"dir"}`` for shipping inside a pool task payload;
 :func:`activate_context` (or the scoped :func:`using_context`)
 installs it in the receiving process so new root spans parent under
 the shipping span and carry the same trace ID.  Fork workers need no
@@ -32,9 +32,8 @@ payload at all: the trace configuration and the forking thread's open
 span stack are inherited copy-on-write, and an ``os.register_at_fork``
 hook resets the child's output file and drops the parent's unflushed
 buffer so nothing is written twice.  One campaign — fork- or
-spawn-started pool workers and ``repro-power worker`` processes
-included — therefore yields a single stitched tree under one
-directory, summarized by
+spawn-started pool workers included — therefore yields a single
+stitched tree under one directory, summarized by
 :func:`summarize_trace` / ``repro-power trace summarize DIR``.
 
 Span record schema (one JSONL line)::
@@ -221,7 +220,7 @@ class Span:
 class span:
     """Context manager timing one phase (recorded only when enabled).
 
-    ``with span("queue.claim", worker=wid) as sp:`` — ``sp`` is the
+    ``with span("cache.get", key=key[:12]) as sp:`` — ``sp`` is the
     :class:`Span`; ``sp.dur_s`` holds the measured duration after exit
     regardless of whether tracing is on, so instrumented code may use
     it for its own bookkeeping (one clock source).
@@ -415,8 +414,7 @@ def propagation_context() -> dict[str, str | None] | None:
     The receiving process passes it to :func:`activate_context` /
     :func:`using_context`; its new root spans then parent under the
     span open here and join this trace.  The directory travels too
-    (the work queue and shard workers share a filesystem, exactly like
-    the queue directory itself).
+    (pool workers share the parent's filesystem).
     """
     if not _enabled:
         return None
@@ -453,13 +451,13 @@ def activate_context(context: Mapping[str, Any] | None) -> None:
 class using_context:
     """Scoped :func:`activate_context` — restores IDs on exit.
 
-    Long-lived workers (the campaign pool, the queue drain loop) serve
-    payloads from potentially different traces; each task adopts its
-    payload's context only for the duration of its execution.  The
+    Long-lived workers (the campaign pool) serve payloads from
+    potentially different traces; each task adopts its payload's
+    context only for the duration of its execution.  The
     thread's open-span stack is set aside for the scope: the shipped
     ``parent_span_id`` is the authoritative parent here, not whatever
     spans this process inherited across ``fork`` or has open in its
-    own drain loop.
+    own task loop.
     """
 
     __slots__ = ("_context", "_saved", "_saved_stack")

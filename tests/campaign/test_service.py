@@ -9,7 +9,6 @@ import pytest
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.manifest import CampaignSpec
-from repro.campaign.queue import WorkQueue, run_worker
 from repro.campaign.runner import run_campaign
 from repro.campaign.service import (
     ArtifactService,
@@ -112,25 +111,44 @@ class TestDispatch:
         assert json.loads(response.body)["key"]
         assert service.metrics.misses == 1
 
-    def test_cold_miss_with_queue_202_and_dedup(self, tmp_path):
-        queue = WorkQueue.create(tmp_path / "q")
-        service = ArtifactService(ResultCache(tmp_path / "c"),
-                                  queue=queue)
-        response = dispatch(service, "/flow/s27?seed=1")
-        assert response.status == 202
-        payload = json.loads(response.body)
-        assert payload["poll"] == f"/artifact/{payload['key']}"
-        assert payload["enqueued"] is True
-        assert queue.depth().pending == 1
-        again = json.loads(dispatch(service, "/flow/s27?seed=1").body)
-        assert again["enqueued"] is False  # deduplicated
-        assert queue.depth().pending == 1
-        # Poll answers 202 while the job is outstanding.
-        assert dispatch(service, payload["poll"]).status == 202
-
     def test_poll_unknown_key_404(self, tmp_path):
         service = ArtifactService(ResultCache(tmp_path))
         assert dispatch(service, "/artifact/deadbeef").status == 404
+
+    @pytest.mark.parametrize("key", [
+        "ab%00cd",                      # NUL: os.stat would raise
+        "..",                           # parent directory
+        "0" * 63,                       # one digit short
+        "A" * 64,                       # not lowercase hex
+        "0" * 63 + "%00",               # right length, NUL inside
+    ])
+    def test_malformed_key_404_without_touching_the_cache(
+            self, tmp_path, monkeypatch, key):
+        service = ArtifactService(ResultCache(tmp_path))
+
+        def no_lookup(key):  # pragma: no cover - the assertion IS no call
+            raise AssertionError(f"cache consulted for {key!r}")
+
+        monkeypatch.setattr(service.cache, "get", no_lookup)
+        response = dispatch(service, f"/artifact/{key}")
+        assert response.status == 404
+        assert json.loads(response.body)["error"] == \
+            "unknown artifact key"
+        assert service.metrics.errors == 0
+
+    def test_artifact_by_key_hit_and_304(self, tmp_path, monkeypatch):
+        stub_executor(monkeypatch)
+        service = ArtifactService(ResultCache(tmp_path),
+                                  compute_on_miss=True)
+        key = json.loads(dispatch(service, "/table1/s27?seed=5").body)[
+            "key"]
+        first = dispatch(service, f"/artifact/{key}")
+        assert first.status == 200
+        assert json.loads(first.body)["job_id"] == "s27/seed5"
+        etag = first.headers["ETag"]
+        again = dispatch(service, f"/artifact/{key}",
+                         {"if-none-match": etag})
+        assert again.status == 304
 
     def test_compute_on_miss_then_hit(self, tmp_path, monkeypatch):
         calls = []
@@ -182,28 +200,19 @@ class TestDispatch:
         assert plain["key"] != tweaked["key"]
 
     def test_metrics_payload(self, tmp_path):
-        queue = WorkQueue.create(tmp_path / "q")
-        service = ArtifactService(ResultCache(tmp_path / "c"),
-                                  queue=queue)
+        service = ArtifactService(ResultCache(tmp_path))
         dispatch(service, "/flow/s27?seed=1")
         payload = json.loads(dispatch(service, "/metrics").body)
         assert payload["service"]["misses"] == 1
-        assert payload["service"]["enqueued"] == 1
-        assert payload["queue"]["pending"] == 1
         assert payload["cache"]["misses"] >= 1
 
 
 class TestPrometheusMetrics:
     """``/metrics`` content negotiation: JSON default, text on ask."""
 
-    def service_with_queue(self, tmp_path):
-        queue = WorkQueue.create(tmp_path / "q")
-        return ArtifactService(ResultCache(tmp_path / "c"),
-                               queue=queue)
-
     def test_format_param_selects_text_exposition(self, tmp_path):
-        service = self.service_with_queue(tmp_path)
-        dispatch(service, "/flow/s27?seed=1")  # one enqueued miss
+        service = ArtifactService(ResultCache(tmp_path))
+        dispatch(service, "/flow/s27?seed=1")  # one miss
         response = dispatch(service, "/metrics?format=prometheus")
         assert response.status == 200
         assert response.headers["Content-Type"].startswith(
@@ -212,11 +221,9 @@ class TestPrometheusMetrics:
         assert "# HELP repro_service_requests" in text
         assert "# TYPE repro_service_requests gauge" in text
         assert "repro_service_misses 1" in text
-        assert 'repro_queue_depth{state="pending"} 1' in text
-        assert 'repro_queue_depth{state="done"} 0' in text
 
     def test_accept_header_negotiates_text(self, tmp_path):
-        service = self.service_with_queue(tmp_path)
+        service = ArtifactService(ResultCache(tmp_path))
         response = dispatch(service, "/metrics",
                             {"accept": "text/plain"})
         assert response.headers["Content-Type"].startswith(
@@ -228,17 +235,15 @@ class TestPrometheusMetrics:
         assert "service" in json.loads(json_anyway.body)
 
     def test_unknown_format_400(self, tmp_path):
-        service = self.service_with_queue(tmp_path)
+        service = ArtifactService(ResultCache(tmp_path))
         response = dispatch(service, "/metrics?format=bogus")
         assert response.status == 400
         assert "prometheus" in json.loads(response.body)["error"]
 
     def test_json_shape_unchanged_by_default(self, tmp_path):
-        service = self.service_with_queue(tmp_path)
+        service = ArtifactService(ResultCache(tmp_path))
         payload = json.loads(dispatch(service, "/metrics").body)
-        assert set(payload) == {"service", "cache", "queue"}
-        assert set(payload["queue"]) == {"pending", "claimed", "done",
-                                         "failed"}
+        assert set(payload) == {"service", "cache"}
 
 
 class TestServiceSharesCampaignKeys:
@@ -267,9 +272,7 @@ class TestLiveServer:
     @pytest.fixture
     def served(self, tmp_path, monkeypatch):
         stub_executor(monkeypatch)
-        queue = WorkQueue.create(tmp_path / "q")
-        cache = ResultCache(tmp_path / "cache")
-        service = ArtifactService(cache, queue=queue)
+        service = ArtifactService(ResultCache(tmp_path / "cache"))
         with ServiceServer(service) as server:
             yield service, server.port, tmp_path
 
@@ -291,7 +294,7 @@ class TestLiveServer:
         assert status == 200
         payload = json.loads(body)
         assert payload["status"] == "ok"
-        assert payload["checks"] == {"cache": "ok", "queue": "ok"}
+        assert payload["checks"] == {"cache": "ok"}
 
     def test_post_is_405(self, served):
         _, port, _ = served
@@ -303,26 +306,6 @@ class TestLiveServer:
             assert response.getheader("Allow") == "GET"
         finally:
             conn.close()
-
-    def test_miss_enqueue_poll_completes_via_worker(self, served):
-        """miss -> 202 -> worker drains -> poll 200 with stable ETag."""
-        service, port, tmp_path = served
-        status, headers, body = self.get(port, "/flow/s27?seed=5")
-        assert status == 202
-        payload = json.loads(body)
-        assert headers["Location"] == payload["poll"]
-        status, _, _ = self.get(port, payload["poll"])
-        assert status == 202  # still pending
-        stats = run_worker(tmp_path / "q", tmp_path / "cache",
-                           poll_s=0.01)
-        assert stats.executed == 1
-        status, headers, body = self.get(port, payload["poll"])
-        assert status == 200
-        assert json.loads(body)["job_id"] == "s27/seed5"
-        etag = headers["ETag"]
-        status, _, _ = self.get(port, payload["poll"],
-                                {"If-None-Match": etag})
-        assert status == 304
 
     def test_concurrent_requests_single_flight(self, tmp_path,
                                                monkeypatch):
@@ -369,8 +352,7 @@ class TestLiveServer:
         # The snapshot counts *completed* requests (the in-flight
         # /metrics request itself is observed after it is written).
         assert payload["service"]["requests"] >= 1
-        assert payload["service"]["enqueued"] == 1
-        assert payload["queue"]["pending"] == 1
+        assert payload["service"]["misses"] == 1
         assert payload["service"]["latency_max_ms"] > 0
 
     def test_prometheus_over_http(self, served):
@@ -380,7 +362,6 @@ class TestLiveServer:
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
         assert b"# TYPE repro_service_requests gauge" in body
-        assert b'repro_queue_depth{state="pending"}' in body
 
     def test_malformed_request_400(self, served):
         import socket

@@ -1,21 +1,23 @@
 """The chaos differential: an injected campaign converges to the
 exact artefacts of an uninjected one.
 
-Real worker subprocesses drain a real queue while a seeded chaos
-policy (``$REPRO_CHAOS``) kills workers mid-job, injects EIO into
-queue transactions, corrupts cache bytes and slows service clients.
-An external supervisor re-queues expired leases and respawns dead
-workers — after which the cache and manifest must be **bit-identical**
-(modulo wall-clock timings) to a serial, fault-free campaign.
+A two-worker pool campaign runs under a seeded chaos policy that
+kills pool workers mid-task, corrupts cache writes and reads and
+injects EIO into manifest rewrites; the campaign is then re-run (a
+resume) under the same storm, so every cached entry is read back
+through the corrupting site.  The pool supervisor respawns dead
+workers and re-dispatches their tasks, the cache verifies and retries
+its writes and quarantines corrupt reads, and the manifest retries
+its rewrites — after which the cache and manifest must be
+**bit-identical** (modulo wall-clock timings) to a serial, fault-free
+campaign.
 """
 
 import http.client
 import json
 import os
-import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -23,20 +25,27 @@ import pytest
 import repro.chaos as chaos
 from repro.campaign.cache import ResultCache
 from repro.campaign.manifest import CampaignSpec
-from repro.campaign.queue import WorkQueue
 from repro.campaign.runner import run_campaign
 from repro.campaign.service import ArtifactService, ServiceServer
+from repro.obs.metrics import get_registry
 
 SMALL = {"observability_samples": 16, "ivc_trials": 2,
          "ivc_noise_samples": 2}
 
-#: The pinned storm: worker kills, queue EIO, cache corruption, slow
-#: service clients — all from one seed.  Changing any chaos-stream
-#: derivation invalidates this pin on purpose.
-CHAOS_SPEC = ("seed=13,worker.kill=0.4,queue.write=0.2,"
-              "queue.heartbeat=0.2,queue.requeue=0.2,"
-              "cache.write=0.2,cache.read=0.1,"
+#: The pinned storm: pool worker kills, cache corruption, manifest
+#: EIO, slow service clients — all from one seed.  Under seed 537 the
+#: first two pool workers (``repro-pool-0``/``-1``) die on their first
+#: task, so every pool map respawns at least once whatever the
+#: scheduling, and two of the next three replacements survive every
+#: task they can be given, so no map exhausts its respawn budget.
+#: The parent-side sites fire on a fixed draw sequence.  Changing any
+#: chaos-stream derivation invalidates this pin on purpose.
+CHAOS_SPEC = ("seed=537,pool.task.kill=0.4,"
+              "cache.write=0.2,cache.read=0.2,manifest.write=0.2,"
               "service.slow=1,slow_s=0.05")
+
+#: Parent-side sites whose injections the storm must have fired.
+PARENT_SITES = ("cache.write", "cache.read", "manifest.write")
 
 SEEDS = (1, 2, 3)
 
@@ -46,58 +55,13 @@ def small_spec():
                         base=dict(SMALL), name="diff")
 
 
-def spawn_worker(queue_dir, cache_dir, worker_id, chaos_spec):
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env["REPRO_CHAOS"] = chaos_spec
-    return subprocess.Popen(
-        [sys.executable, "-m", "repro", "worker", str(queue_dir),
-         "--cache-dir", str(cache_dir), "--worker-id", worker_id,
-         "--poll-s", "0.05", "--lease-ttl", "0.5", "--quiet"],
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-
-
-def drain_under_chaos(queue_dir, cache_dir, chaos_spec,
-                      workers=2, timeout_s=180):
-    """Supervise ``workers`` chaos-injected processes to completion.
-
-    Returns ``(exit codes seen, respawns)``.  The supervisor is the
-    resilience story from the operator's side: re-queue expired
-    leases, replace dead workers, repeat until the queue drains.
-    """
-    queue = WorkQueue(queue_dir)
-    alive = {}
-    exit_codes = []
-    respawns = 0
-    serial = 0
-    deadline = time.monotonic() + timeout_s
-    try:
-        while time.monotonic() < deadline:
-            for worker_id, proc in list(alive.items()):
-                if proc.poll() is not None:
-                    exit_codes.append(proc.returncode)
-                    del alive[worker_id]
-            depth = queue.depth()
-            if depth.outstanding == 0 and not alive:
-                break
-            queue.requeue_expired()
-            while len(alive) < workers and depth.outstanding > 0:
-                worker_id = f"cw{serial}"
-                serial += 1
-                if serial > workers:
-                    respawns += 1
-                alive[worker_id] = spawn_worker(
-                    queue_dir, cache_dir, worker_id, chaos_spec)
-            time.sleep(0.05)
-    finally:
-        for proc in alive.values():  # pragma: no cover - timeout path
-            proc.send_signal(signal.SIGTERM)
-            try:
-                proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-    return exit_codes, respawns
+def registry_counts():
+    snapshot = get_registry().snapshot()
+    counts = {"respawns": snapshot.get("repro_pool_respawns_total", 0)}
+    for site in PARENT_SITES:
+        counts[site] = snapshot.get(
+            f'repro_chaos_injections_total{{site="{site}"}}', 0)
+    return counts
 
 
 @pytest.fixture(scope="module")
@@ -108,35 +72,44 @@ def differential(tmp_path_factory):
     clean_manifest = root / "clean-manifest.json"
     run_campaign(small_spec(), jobs=1, cache_dir=str(clean_cache),
                  manifest_path=str(clean_manifest))
-    # The storm: concurrent subprocess workers under $REPRO_CHAOS.
-    queue_dir = root / "queue"
+    # The storm: a cold two-worker campaign, then its resume, both
+    # under the same policy.
     chaos_cache = root / "chaos-cache"
-    WorkQueue(queue_dir).enqueue(small_spec(), lease_ttl_s=0.5)
-    exit_codes, respawns = drain_under_chaos(
-        queue_dir, chaos_cache, CHAOS_SPEC)
     chaos_manifest = root / "chaos-manifest.json"
-    WorkQueue(queue_dir).write_manifest(str(chaos_manifest))
-    return {"root": root, "queue_dir": queue_dir,
-            "clean_cache": clean_cache, "chaos_cache": chaos_cache,
+    before = registry_counts()
+    chaos.enable(CHAOS_SPEC)
+    try:
+        results = [run_campaign(small_spec(), jobs=2,
+                                cache_dir=str(chaos_cache),
+                                manifest_path=str(chaos_manifest))
+                   for _ in range(2)]
+    finally:
+        chaos.disable()
+    after = registry_counts()
+    return {"clean_cache": clean_cache, "chaos_cache": chaos_cache,
             "clean_manifest": clean_manifest,
-            "chaos_manifest": chaos_manifest,
-            "exit_codes": exit_codes, "respawns": respawns}
+            "chaos_manifest": chaos_manifest, "results": results,
+            "fired": {name: after[name] - before[name]
+                      for name in after}}
 
 
 class TestConvergence:
     def test_zero_lost_jobs(self, differential):
-        depth = WorkQueue(differential["queue_dir"]).depth()
-        assert depth.done == len(SEEDS)
-        assert depth.outstanding == 0
-        assert depth.failed == 0
+        manifest = json.loads(differential["chaos_manifest"].read_text())
+        assert [job["status"] for job in manifest["jobs"]] == \
+            ["done"] * len(SEEDS)
+        for result in differential["results"]:
+            assert len(result.artefacts) == len(SEEDS)
+            assert all(artefact is not None
+                       for artefact in result.artefacts)
 
     def test_the_faults_were_real(self, differential):
-        """The run actually weathered kills: at least one worker died
-        (exit 137) and was replaced by the supervisor."""
-        killed = [code for code in differential["exit_codes"]
-                  if code == chaos.KILL_EXIT_CODE]
-        assert killed, differential["exit_codes"]
-        assert differential["respawns"] >= len(killed)
+        """The run actually weathered faults: at least one pool worker
+        died and was respawned, and every parent-side site fired."""
+        fired = differential["fired"]
+        assert fired["respawns"] >= 1, fired
+        for site in PARENT_SITES:
+            assert fired[site] >= 1, fired
 
     def test_cache_keys_identical_to_clean_run(self, differential):
         clean = ResultCache(differential["clean_cache"]).entries()
@@ -163,8 +136,9 @@ class TestConvergence:
             for timing in ("wall_s", "phases"):
                 ja.pop(timing, None)
                 jb.pop(timing, None)
-            # a job re-claimed after a kill-after-store completes from
-            # cache; provenance may differ, the artefact cannot
+            # the resume serves intact entries from cache and recomputes
+            # the ones whose read was corrupted; provenance may differ,
+            # the artefact cannot
             ja.pop("source", None)
             jb.pop("source", None)
             assert ja == jb
@@ -172,22 +146,27 @@ class TestConvergence:
     def test_slow_service_clients_get_correct_artefacts(
             self, differential):
         """A service over the chaos-built cache, itself under the
-        service.slow injection, still serves the exact artefact."""
+        storm (slow handling, corrupted cache reads), still serves the
+        exact artefact."""
         # Same base config as the campaign spec, so the service
-        # derives the same cache keys the workers stored under.
+        # derives the same cache keys the campaign stored under; a
+        # read the storm corrupts is recomputed, not a 404.
         service = ArtifactService(
             ResultCache(differential["chaos_cache"]),
-            base=dict(SMALL))
+            compute_on_miss=True, base=dict(SMALL))
         chaos.enable(CHAOS_SPEC)
-        with ServiceServer(service) as server:
-            conn = http.client.HTTPConnection(
-                "127.0.0.1", server.port, timeout=30)
-            try:
-                conn.request("GET", "/flow/s27?seed=1")
-                response = conn.getresponse()
-                status, body = response.status, response.read()
-            finally:
-                conn.close()
+        try:
+            with ServiceServer(service) as server:
+                conn = http.client.HTTPConnection(
+                    "127.0.0.1", server.port, timeout=30)
+                try:
+                    conn.request("GET", "/flow/s27?seed=1")
+                    response = conn.getresponse()
+                    status, body = response.status, response.read()
+                finally:
+                    conn.close()
+        finally:
+            chaos.disable()  # the clean cache is read fault-free
         assert status == 200
         clean = ResultCache(differential["clean_cache"])
         [key] = [k for k in clean.entries()
@@ -209,11 +188,11 @@ class TestInjectionPin:
         "chaos.rescope('pinned-worker')\n"
         "for _ in range(100):\n"
         "    try:\n"
-        "        chaos.point('queue.write')\n"
+        "        chaos.point('manifest.write')\n"
         "    except OSError:\n"
         "        pass\n"
         "    chaos.mangle('cache.read', b'payload')\n"
-        "    chaos.fires('worker.kill')\n"
+        "    chaos.fires('pool.task.kill')\n"
         "print(repr(chaos.injection_log()))\n"
     )
 
@@ -231,4 +210,5 @@ class TestInjectionPin:
         first = self.run_driver()
         second = self.run_driver()
         assert first == second
-        assert "queue.write" in first  # the pin is not vacuous
+        for site in ("manifest.write", "cache.read", "pool.task.kill"):
+            assert site in first  # the pin is not vacuous

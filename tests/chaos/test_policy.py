@@ -18,19 +18,20 @@ from repro.obs.metrics import get_registry
 class TestSpecGrammar:
     def test_parse_sites_knobs_and_patterns(self):
         policy = ChaosPolicy.parse(
-            "seed=7,queue.*=0.2,cache.write=0.5,slow_s=0.01,hang_s=2")
+            "seed=7,pool.task.*=0.2,cache.write=0.5,slow_s=0.01,"
+            "hang_s=2")
         assert policy.seed == 7
-        assert policy.rate("queue.write") == 0.2
-        assert policy.rate("queue.rename") == 0.2
+        assert policy.rate("pool.task.kill") == 0.2
+        assert policy.rate("pool.task.hang") == 0.2
         assert policy.rate("cache.write") == 0.5
         assert policy.rate("cache.read") == 0.0
         assert policy.slow_s == 0.01
         assert policy.hang_s == 2.0
 
     def test_later_entries_override_earlier_per_site(self):
-        policy = ChaosPolicy.parse("queue.*=0.2,queue.write=0.9")
-        assert policy.rate("queue.write") == 0.9
-        assert policy.rate("queue.rename") == 0.2
+        policy = ChaosPolicy.parse("pool.task.*=0.2,pool.task.kill=0.9")
+        assert policy.rate("pool.task.kill") == 0.9
+        assert policy.rate("pool.task.hang") == 0.2
 
     def test_to_spec_round_trips(self):
         policy = ChaosPolicy.parse("seed=3,pool.task.kill=0.25")
@@ -40,8 +41,8 @@ class TestSpecGrammar:
         ("", "empty chaos spec"),
         ("bogus", "expected key=value"),
         ("nosuch.site=0.5", "matches no known site"),
-        ("queue.write=1.5", "must be in [0, 1]"),
-        ("queue.write=lots", "must be a number"),
+        ("manifest.write=1.5", "must be in [0, 1]"),
+        ("manifest.write=lots", "must be a number"),
         ("seed=x", "must be a number"),
     ])
     def test_bad_specs_raise(self, spec, fragment):
@@ -65,42 +66,42 @@ class TestResolutionPrecedence:
         assert not chaos.chaos_enabled()
 
     def test_env_resolves(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "seed=1,queue.write=0.5")
-        assert chaos.resolve_chaos() == "seed=1,queue.write=0.5"
+        monkeypatch.setenv("REPRO_CHAOS", "seed=1,manifest.write=0.5")
+        assert chaos.resolve_chaos() == "seed=1,manifest.write=0.5"
 
     def test_session_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "seed=1,queue.write=0.5")
+        monkeypatch.setenv("REPRO_CHAOS", "seed=1,manifest.write=0.5")
         with runtime.using(chaos="seed=2,cache.read=0.1"):
             assert chaos.resolve_chaos() == "seed=2,cache.read=0.1"
 
     def test_argument_beats_session(self, monkeypatch):
         with runtime.using(chaos="seed=2,cache.read=0.1"):
-            assert chaos.resolve_chaos("seed=3,queue.write=1") == \
-                "seed=3,queue.write=1"
+            assert chaos.resolve_chaos("seed=3,manifest.write=1") == \
+                "seed=3,manifest.write=1"
 
     def test_empty_string_pins_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS", "seed=1,queue.write=0.5")
+        monkeypatch.setenv("REPRO_CHAOS", "seed=1,manifest.write=0.5")
         with runtime.using(chaos=""):
             assert chaos.resolve_chaos() is None
 
     def test_using_scopes_install_and_uninstall(self):
         assert not chaos.chaos_enabled()
-        with runtime.using(chaos="seed=5,queue.write=0.5"):
+        with runtime.using(chaos="seed=5,manifest.write=0.5"):
             assert chaos.chaos_enabled()
             assert chaos.active_policy().seed == 5
         assert not chaos.chaos_enabled()
 
     def test_explicit_enable_survives_session_reset(self):
-        chaos.enable("seed=9,queue.write=0.5")
+        chaos.enable("seed=9,manifest.write=0.5")
         runtime.set_session_defaults(runtime.RuntimeOptions())
         assert chaos.chaos_enabled()
         assert chaos.active_policy().seed == 9
 
     def test_resync_of_unchanged_spec_preserves_streams(self):
-        with runtime.using(chaos="seed=1,queue.write=0.5"):
+        with runtime.using(chaos="seed=1,manifest.write=0.5"):
             for _ in range(20):
                 try:
-                    chaos.point("queue.write")
+                    chaos.point("manifest.write")
                 except OSError:
                     pass
             before = chaos.injection_log()
@@ -114,34 +115,34 @@ class TestDeterminism:
         chaos.enable(spec)
         for _ in range(200):
             try:
-                chaos.point("queue.write")
+                chaos.point("manifest.write")
             except OSError:
                 pass
             chaos.mangle("cache.read", b"payload-bytes")
         return chaos.injection_log()
 
     def test_same_seed_same_injection_sequence(self):
-        spec = "seed=11,queue.write=0.3,cache.read=0.2"
+        spec = "seed=11,manifest.write=0.3,cache.read=0.2"
         assert self.drive(spec) == self.drive(spec)
 
     def test_different_seed_different_sequence(self):
-        a = self.drive("seed=11,queue.write=0.3,cache.read=0.2")
-        b = self.drive("seed=12,queue.write=0.3,cache.read=0.2")
+        a = self.drive("seed=11,manifest.write=0.3,cache.read=0.2")
+        b = self.drive("seed=12,manifest.write=0.3,cache.read=0.2")
         assert a != b
 
     def test_sites_draw_independent_streams(self):
-        log = self.drive("seed=11,queue.write=0.3,cache.read=0.2")
+        log = self.drive("seed=11,manifest.write=0.3,cache.read=0.2")
         sites = {site for site, _action in log}
-        assert sites == {"queue.write", "cache.read"}
+        assert sites == {"manifest.write", "cache.read"}
 
     def test_rescope_is_deterministic_but_decorrelated(self):
         def draws(scope):
-            chaos.enable("seed=4,queue.write=0.5")
+            chaos.enable("seed=4,manifest.write=0.5")
             chaos.rescope(scope)
             fired = []
             for _ in range(64):
                 try:
-                    chaos.point("queue.write")
+                    chaos.point("manifest.write")
                     fired.append(False)
                 except OSError:
                     fired.append(True)
@@ -157,20 +158,20 @@ class TestDeterminism:
 
 class TestPrimitives:
     def test_disabled_primitives_are_noops(self):
-        chaos.point("queue.write")
+        chaos.point("manifest.write")
         assert chaos.mangle("cache.read", b"abc") == b"abc"
         assert chaos.delay("service.slow") == 0.0
         assert not chaos.fires("service.reset")
 
     def test_point_raises_tagged_oserror_at_rate_one(self):
-        chaos.enable("seed=1,queue.write=1")
+        chaos.enable("seed=1,manifest.write=1")
         with pytest.raises(OSError) as excinfo:
-            chaos.point("queue.write")
-        assert "chaos[queue.write]" in str(excinfo.value)
+            chaos.point("manifest.write")
+        assert "chaos[manifest.write]" in str(excinfo.value)
         assert excinfo.value.errno in (errno.EIO, errno.ENOSPC)
 
     def test_unknown_site_raises_even_when_enabled(self):
-        chaos.enable("seed=1,queue.write=1")
+        chaos.enable("seed=1,manifest.write=1")
         with pytest.raises(ChaosError, match="unknown chaos site"):
             chaos.point("not.a.site")
 
@@ -184,27 +185,27 @@ class TestPrimitives:
         assert chaos.delay("service.slow") == 0.125
 
     def test_zero_rate_site_never_fires(self):
-        chaos.enable("seed=1,queue.write=0")
+        chaos.enable("seed=1,manifest.write=0")
         for _ in range(100):
-            chaos.point("queue.write")
+            chaos.point("manifest.write")
         assert chaos.injection_log() == []
 
     def test_fired_injections_counted(self):
-        chaos.enable("seed=1,queue.write=1")
+        chaos.enable("seed=1,manifest.write=1")
         for _ in range(3):
             with pytest.raises(OSError):
-                chaos.point("queue.write")
+                chaos.point("manifest.write")
         metric = get_registry().counter(
             "repro_chaos_injections_total",
             "Chaos faults injected, by site.",
-            labels={"site": "queue.write"})
+            labels={"site": "manifest.write"})
         assert metric.value == 3
 
     def test_kill_site_exits_the_process_with_137(self, tmp_path):
         script = (
             "import repro.chaos as chaos\n"
-            "chaos.enable('seed=1,worker.kill=1')\n"
-            "chaos.point('worker.kill')\n"
+            "chaos.enable('seed=1,pool.task.kill=1')\n"
+            "chaos.point('pool.task.kill')\n"
             "print('unreachable')\n"
         )
         env = dict(os.environ)

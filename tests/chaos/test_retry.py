@@ -23,11 +23,11 @@ class TestBackoff:
         assert raws[3] < 0.06 and raws[4] < 0.06  # capped
 
     def test_jitter_is_deterministic(self):
-        assert backoff_s(DEFAULT_RETRY, 2, "queue.write") == \
-            backoff_s(DEFAULT_RETRY, 2, "queue.write")
+        assert backoff_s(DEFAULT_RETRY, 2, "manifest.write") == \
+            backoff_s(DEFAULT_RETRY, 2, "manifest.write")
 
     def test_jitter_decorrelates_sites_and_attempts(self):
-        a = backoff_s(DEFAULT_RETRY, 2, "queue.write")
+        a = backoff_s(DEFAULT_RETRY, 2, "manifest.write")
         b = backoff_s(DEFAULT_RETRY, 2, "cache.write")
         assert a != b
 

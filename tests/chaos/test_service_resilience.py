@@ -10,7 +10,6 @@ import pytest
 
 import repro.chaos as chaos
 from repro.campaign.cache import ResultCache
-from repro.campaign.queue import WorkQueue
 from repro.campaign.service import ArtifactService, ServiceServer
 from repro.errors import ServiceError
 
@@ -35,6 +34,15 @@ class TestValidation:
     def test_zero_request_timeout_rejected(self, tmp_path):
         with pytest.raises(ServiceError, match="request_timeout_s"):
             ArtifactService(ResultCache(tmp_path), request_timeout_s=0)
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+    def test_non_finite_request_timeout_rejected(self, tmp_path, budget):
+        """A NaN budget would time out every request (``/healthz``
+        included) with a 504; an infinite one is the spelled-out
+        ``None``."""
+        with pytest.raises(ServiceError, match="request_timeout_s"):
+            ArtifactService(ResultCache(tmp_path),
+                            request_timeout_s=budget)
 
 
 class TestShedding:
@@ -107,22 +115,6 @@ class TestActiveHealth:
         assert payload["status"] == "degraded"
         assert payload["checks"]["cache"].startswith("failed")
         assert headers["Retry-After"] == "1"
-
-    def test_degraded_when_queue_store_is_unwritable(self, tmp_path):
-        queue = WorkQueue.create(tmp_path / "q")
-        pending = tmp_path / "q" / "pending"
-        for stray in pending.iterdir():
-            stray.unlink()
-        pending.rmdir()
-        pending.write_text("not a directory")
-        service = ArtifactService(ResultCache(tmp_path / "cache"),
-                                  queue=queue)
-        with ServiceServer(service) as server:
-            status, _, body = get(server.port, "/healthz")
-        assert status == 503
-        payload = json.loads(body)
-        assert payload["checks"]["cache"] == "ok"
-        assert payload["checks"]["queue"].startswith("failed")
 
     def test_probe_leaves_no_residue(self, tmp_path):
         service = ArtifactService(ResultCache(tmp_path / "cache"))

@@ -7,11 +7,8 @@ reported numbers are the *same* clock reads, pinned here by exact
 float equality against the JSONL records.
 """
 
-import time
-
 from repro.campaign.cache import ResultCache
-from repro.campaign.manifest import CampaignJob, CampaignSpec
-from repro.campaign.queue import WorkQueue
+from repro.campaign.manifest import CampaignJob
 from repro.campaign.runner import run_flow_jobs
 from repro.core.config import FlowConfig
 from repro.experiments.table1 import run_table1
@@ -92,28 +89,3 @@ class TestCacheCounters:
         assert cache.get(key) == {"kind": "flow", "row": {}}
         assert count("hit") == 1
         assert cache.stats.hits == 1 and cache.stats.misses == 1
-
-
-class TestQueueCounters:
-    def test_requeue_expired_increments_counter(self, tmp_path):
-        spec = CampaignSpec(circuits=("s27",), seeds=(1,),
-                            base=dict(SMALL), name="lease")
-        queue = WorkQueue(tmp_path / "q", lease_ttl_s=0.05)
-        queue.enqueue(spec, lease_ttl_s=0.05)
-        assert queue.claim("w1") is not None
-        assert queue.requeue_expired() == 0  # lease still fresh
-        snap = get_registry().snapshot()
-        assert snap.get("repro_queue_requeued_total", 0) == 0
-        time.sleep(0.08)
-        assert queue.requeue_expired() == 1
-        snap = get_registry().snapshot()
-        assert snap["repro_queue_requeued_total"] == 1
-
-    def test_submit_digest_ignores_trace_context(self, tmp_path):
-        """The shipped trace ctx must not pollute the dedup digest."""
-        untraced = WorkQueue.create(tmp_path / "q1")
-        name_untraced, _ = untraced.submit(small_job())
-        enable(tmp_path / "trace")
-        traced_q = WorkQueue.create(tmp_path / "q2")
-        name_traced, _ = traced_q.submit(small_job())
-        assert name_traced == name_untraced

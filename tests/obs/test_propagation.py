@@ -1,18 +1,12 @@
-"""Cross-process trace stitching: pool workers and queue workers.
+"""Cross-process trace stitching across campaign pool workers.
 
 The acceptance pins of the observability layer: a multi-process
-campaign and a real ``repro-power worker`` subprocess each produce one
-stitched trace tree — single trace ID, parent/child links across PIDs,
-zero orphan spans.
+campaign produces one stitched trace tree — single trace ID,
+parent/child links across PIDs, zero orphan spans, one JSONL file per
+recording process.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 from repro.campaign.manifest import CampaignSpec
-from repro.campaign.queue import WorkQueue
 from repro.campaign.runner import run_campaign
 from repro.obs.trace import (
     enable,
@@ -62,6 +56,11 @@ class TestPoolPropagation:
                 } <= {task["span"] for task in tasks}
         assert {rec["trace"] for rec in read_spans(tmp_path / "trace")
                 } == {summary.traces[0]}
+        # Every recording process wrote its own per-PID file.
+        pids = {rec["pid"] for rec in read_spans(tmp_path / "trace")}
+        files = {int(p.name.split("-")[1])
+                 for p in (tmp_path / "trace").glob("trace-*.jsonl")}
+        assert pids == files
 
     def test_campaign_run_span_tracks_wall(self, tmp_path):
         enable(tmp_path / "trace")
@@ -72,62 +71,3 @@ class TestPoolPropagation:
         assert run_span["parent"] is None
         # Same monotonic pair: the manifest wall and the span agree.
         assert run_span["dur_s"] == result.wall_s
-
-
-class TestWorkerPropagation:
-    def test_worker_subprocess_joins_enqueue_trace(self, tmp_path):
-        trace_dir = tmp_path / "trace"
-        queue_dir = tmp_path / "q"
-        enable(trace_dir)
-        WorkQueue(queue_dir).enqueue(small_spec(name="queued"))
-        flush()
-
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop("REPRO_TRACE", None)  # ctx rides the job payload only
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "worker", str(queue_dir),
-             "--cache-dir", str(tmp_path / "cache"),
-             "--poll-s", "0.01", "--quiet"],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-
-        summary = summarize_trace(trace_dir)
-        assert summary.orphans == []
-        assert len(summary.traces) == 1
-
-        records = by_name(read_spans(trace_dir))
-        [enqueue] = records["queue.enqueue"]
-        [job] = records["worker.job"]
-        assert job["parent"] == enqueue["span"]
-        assert job["pid"] != enqueue["pid"]  # a real second process
-        assert job["trace"] == enqueue["trace"]
-        assert job["attrs"]["source"] == "run"
-        [execute] = records["job.execute"]
-        assert execute["parent"] == job["span"]
-        assert execute["pid"] == job["pid"]
-
-    def test_claim_span_recorded_in_worker_file(self, tmp_path):
-        """The worker's spans land in its own per-PID JSONL file."""
-        trace_dir = tmp_path / "trace"
-        queue_dir = tmp_path / "q"
-        enable(trace_dir)
-        WorkQueue(queue_dir).enqueue(small_spec(name="files"))
-        flush()
-
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parents[2] / "src")
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop("REPRO_TRACE", None)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "worker", str(queue_dir),
-             "--cache-dir", str(tmp_path / "cache"),
-             "--poll-s", "0.01", "--quiet"],
-            env=env, capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-
-        pids = {rec["pid"] for rec in read_spans(trace_dir)}
-        files = {int(p.name.split("-")[1])
-                 for p in trace_dir.glob("trace-*.jsonl")}
-        assert pids == files and len(files) >= 2

@@ -37,13 +37,12 @@ class TestLazyExports:
 
 
 class TestCampaignServiceFacade:
-    """PR-7 public surface: campaigns, queue, service, runtime."""
+    """Public surface: campaigns, service, runtime."""
 
     def test_campaign_symbols_accessible(self):
         for name in ("CampaignSpec", "CampaignJob", "CampaignResult",
                      "ResultCache", "load_spec", "run_campaign",
-                     "WorkQueue", "run_worker", "ArtifactService",
-                     "ServiceServer", "run_server"):
+                     "ArtifactService", "ServiceServer", "run_server"):
             assert getattr(repro, name) is not None, name
 
     def test_runtime_symbols_accessible(self):

@@ -303,6 +303,21 @@ class TestCampaignGc:
         assert main(["campaign", "gc", "--max-mb", "-1"]) == 2
         assert "--max-mb" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--max-mb", "--max-age-days"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_gc_non_finite_budget_rejected(self, tmp_path, capsys,
+                                           flag, value):
+        """A NaN or infinite budget is a one-line usage error (exit 2),
+        not a traceback or a silent no-op."""
+        cache = self._seed_cache(str(tmp_path))
+        assert main(["campaign", "gc", flag, value,
+                     "--cache-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"repro-power: error: {flag} must be a "
+                                f"finite number >= 0, got {value}\n")
+        assert captured.out == ""
+        assert len(cache.entries()) == 3
+
 
 class TestCampaignFigure2Kind:
     def test_inline_figure2_campaign(self, tmp_path, capsys):
@@ -385,60 +400,41 @@ class TestCampaignGcAge:
         assert "campaign gc" in capsys.readouterr().err
 
 
-class TestEnqueueAndWorker:
-    def test_enqueue_then_worker_drains(self, tmp_path, capsys):
-        queue_dir = str(tmp_path / "q")
-        cache_dir = str(tmp_path / "cache")
-        assert main(["campaign", "--circuits", "s27",
-                     "--enqueue", queue_dir]) == 0
-        out = capsys.readouterr().out
-        assert "enqueued 1 job(s)" in out
-        manifest = str(tmp_path / "m.json")
-        assert main(["worker", queue_dir, "--cache-dir", cache_dir,
-                     "--quiet", "--manifest", manifest]) == 0
-        out = capsys.readouterr().out
-        assert "1 executed" in out
-        assert "1 done" in out
-        import json
-        payload = json.loads(open(manifest).read())
-        assert payload["jobs"][0]["status"] == "done"
+class TestRetiredQueueSurface:
+    """The filesystem work queue is gone: its commands, flags and chaos
+    sites are rejected with one error line, and nothing is created."""
 
-    def test_enqueue_is_idempotent(self, tmp_path, capsys):
-        queue_dir = str(tmp_path / "q")
-        assert main(["campaign", "--circuits", "s27",
-                     "--enqueue", queue_dir]) == 0
-        capsys.readouterr()
-        assert main(["campaign", "--circuits", "s27",
-                     "--enqueue", queue_dir]) == 0
-        assert "enqueued 0 job(s)" in capsys.readouterr().out
+    #: Spelled in parts: the retired site names appear nowhere else in
+    #: the source tree.
+    RETIRED_SITES = [".".join(parts) for parts in (
+        ("queue", "write"), ("queue", "rename"), ("queue", "heartbeat"),
+        ("queue", "requeue"), ("worker", "kill"))]
 
-    def test_enqueue_rejects_execution_flags(self, tmp_path, capsys):
-        assert main(["campaign", "--circuits", "s27",
-                     "--enqueue", str(tmp_path / "q"),
-                     "--jobs", "2"]) == 2
-        assert "--jobs" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        ["worker", "{dir}"],
+        ["campaign", "--circuits", "s27", "--enqueue", "{dir}"],
+        ["campaign", "--circuits", "s27", "--lease-ttl", "5"],
+        ["campaign", "retry-failed", "{dir}"],
+        ["serve", "--queue-dir", "{dir}"],
+    ])
+    def test_retired_commands_rejected(self, tmp_path, capsys, argv):
+        queue_dir = tmp_path / "q"
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(dir=queue_dir) for arg in argv])
+        assert excinfo.value.code == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith("repro-power: error:")
+        assert not queue_dir.exists()
 
-    def test_lease_ttl_requires_enqueue(self, capsys):
-        assert main(["campaign", "--circuits", "s27",
-                     "--lease-ttl", "5"]) == 2
-        assert "--lease-ttl" in capsys.readouterr().err
-
-    def test_bad_lease_ttl_rejected(self, tmp_path, capsys):
-        assert main(["campaign", "--circuits", "s27",
-                     "--enqueue", str(tmp_path / "q"),
-                     "--lease-ttl", "0"]) == 2
-        assert "--lease-ttl" in capsys.readouterr().err
-
-    def test_worker_on_missing_queue_is_clean_error(self, tmp_path,
-                                                    capsys):
-        assert main(["worker", str(tmp_path / "nothere")]) == 2
-        assert "work queue" in capsys.readouterr().err
-
-    def test_worker_validates_flags(self, tmp_path, capsys):
-        assert main(["worker", str(tmp_path), "--poll-s", "0"]) == 2
-        assert "--poll-s" in capsys.readouterr().err
-        assert main(["worker", str(tmp_path), "--max-jobs", "0"]) == 2
-        assert "--max-jobs" in capsys.readouterr().err
+    @pytest.mark.parametrize("site", RETIRED_SITES)
+    def test_retired_chaos_sites_rejected(self, capsys, site):
+        assert main(["--chaos", f"seed=1,{site}=0.2", "list"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-power: error:")
+        assert "matches no known site" in err
+        assert err.count("\n") == 1
 
 
 class TestServeCommand:
@@ -451,6 +447,12 @@ class TestServeCommand:
     def test_serve_validates_port(self, capsys):
         assert main(["serve", "--port", "0"]) == 2
         assert "--port" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "0"])
+    def test_serve_rejects_bad_request_timeout(self, capsys, budget):
+        assert main(["serve", "--request-timeout", budget]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-power: error: request_timeout_s")
 
 
 class TestBrokenPipe:

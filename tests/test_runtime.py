@@ -42,9 +42,9 @@ class TestRuntimeOptionsValidation:
 
     def test_replace(self):
         options = RuntimeOptions(stream_budget=7)
-        patched = options.replace(chaos="seed=1,queue.write=0.5")
+        patched = options.replace(chaos="seed=1,manifest.write=0.5")
         assert patched.stream_budget == 7
-        assert patched.chaos == "seed=1,queue.write=0.5"
+        assert patched.chaos == "seed=1,manifest.write=0.5"
         assert options.chaos is None  # original untouched
 
     def test_replace_revalidates(self):
@@ -60,9 +60,9 @@ class TestSessionDefaults:
 
     def test_kwargs_form_patches_current_session(self):
         set_session_defaults(RuntimeOptions(stream_budget=9))
-        set_session_defaults(chaos="seed=1,queue.write=0.5")
+        set_session_defaults(chaos="seed=1,manifest.write=0.5")
         assert session_defaults().stream_budget == 9
-        assert session_defaults().chaos == "seed=1,queue.write=0.5"
+        assert session_defaults().chaos == "seed=1,manifest.write=0.5"
 
     def test_no_args_resets(self):
         set_session_defaults(RuntimeOptions(stream_budget=9))
@@ -119,8 +119,8 @@ class TestSessionDefaults:
 LEVELS = {
     "stream_budget": ("100", 50, 7, "lots"),
     "trace": ("env", "session", "explicit", "file/sub"),
-    "chaos": ("seed=1,queue.write=0.5", "seed=2,cache.read=0.1",
-              "seed=3,queue.write=1", "queue.write=lots"),
+    "chaos": ("seed=1,manifest.write=0.5", "seed=2,cache.read=0.1",
+              "seed=3,manifest.write=1", "manifest.write=lots"),
 }
 
 
