@@ -11,12 +11,6 @@ long-pole operations per size on the big-int engine:
 * whole-test-set fault detection on a sampled fault universe
   (``FaultSimSession`` over a :class:`FaultEpisodePlan`).
 
-A ``--stream-budget`` (or ``$REPRO_STREAM_BUDGET``) routes the replay
-and detection passes through the out-of-core streaming path, so the
-curve demonstrates bounded-memory scaling; streamed results are
-bit-identical to resident by contract, so the curve is the only thing
-that changes.
-
 Output is a pytest-benchmark-compatible JSON (``{"benchmarks": [...]}``,
 one ``scaling_bigint_g<N>`` entry per size plus one ``scaling_bigint``
 summary entry) that ``check_regression.py`` can diff: the
@@ -28,7 +22,7 @@ ride along as unguarded ``extra_info``.
 Usage::
 
     python benchmarks/bench_scaling.py --gates 10000,100000 \
-        --stream-budget 500000 -o scaling.json
+        -o scaling.json
 """
 
 from __future__ import annotations
@@ -36,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 from pathlib import Path
@@ -111,8 +104,8 @@ def bench_size(n_gates: int, args: argparse.Namespace) -> dict:
                                make_rng(args.seed + 1))
 
     replay_s, report = _best(args.repeats, lambda: evaluate_scan_power(
-        design, vectors, stream_budget=args.stream_budget))
-    session = FaultSimSession(circuit, stream_budget=args.stream_budget)
+        design, vectors))
+    session = FaultSimSession(circuit)
     fault_s, result = _best(args.repeats, lambda: session.simulate(
         faults, words, args.patterns, drop=False))
     print(f"  replay {replay_s * 1e3:9.1f} ms   "
@@ -129,7 +122,6 @@ def bench_size(n_gates: int, args: argparse.Namespace) -> dict:
             "n_vectors": args.vectors,
             "n_cycles": report.n_cycles,
             "faults_sampled": len(faults),
-            "stream_budget": args.stream_budget,
             "gen_s": round(gen_s, 4),
             "map_s": round(map_s, 4),
             "replay_s": round(replay_s, 4),
@@ -189,11 +181,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="flop count (fixed so the episode length "
                              "stays constant and the curve isolates "
                              "gate-count scaling; default 64)")
-    parser.add_argument("--stream-budget", type=int, metavar="N",
-                        default=None,
-                        help="out-of-core streaming budget in uint64 "
-                             "elements (default $REPRO_STREAM_BUDGET, "
-                             "else resident)")
     parser.add_argument("--repeats", type=int, default=1, metavar="N",
                         help="timing repeats, best-of (default 1)")
     parser.add_argument("--seed", type=int, default=1)
@@ -201,15 +188,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="write pytest-benchmark-style JSON here")
     args = parser.parse_args(argv)
 
-    if args.stream_budget is None:
-        env = os.environ.get("REPRO_STREAM_BUDGET", "")
-        args.stream_budget = int(env) if env else None
-
     rungs: list[dict] = []
-    budget = args.stream_budget
     for n_gates in sorted(set(args.gates)):
-        print(f"{n_gates} gates (stream_budget="
-              f"{budget if budget is not None else 'off'})")
+        print(f"{n_gates} gates")
         rungs.append(bench_size(n_gates, args))
 
     benchmarks = list(rungs)

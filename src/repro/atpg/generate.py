@@ -167,8 +167,7 @@ def _vector_to_assignment(design: ScanDesign,
 
 def generate_tests(design: ScanDesign,
                    config: AtpgConfig | None = None,
-                   backend: str | Backend | None = None,
-                   stream_budget: int | None = None) -> TestSet:
+                   backend: str | Backend | None = None) -> TestSet:
     """Generate a compacted stuck-at test set for a full-scan design.
 
     ``backend`` selects the packed-simulation engine for every fault
@@ -177,14 +176,11 @@ def generate_tests(design: ScanDesign,
     All fault simulations run through one persistent
     :class:`~repro.simulation.fault_episode.FaultSimSession` that
     carries good-machine states across the pipeline's batches.
-    ``stream_budget`` bounds the session's planned replays out of core
-    (``None`` = session default / ``$REPRO_STREAM_BUDGET``, ``0`` off);
-    streaming is bit-identical, so the test set never depends on it.
     """
     config = config or AtpgConfig()
     circuit = design.circuit
     universe = collapse_faults(circuit, all_faults(circuit))
-    session = FaultSimSession(circuit, backend, stream_budget=stream_budget)
+    session = FaultSimSession(circuit, backend)
     return _generate_tests(design, config, universe, session)
 
 

@@ -8,8 +8,8 @@ the result can depend on:
   fingerprint` — netlist content, superseding the in-process
   ``Circuit.version`` counter for cross-process keys);
 * the canonical **config hash**
-  (:meth:`repro.core.config.FlowConfig.config_hash` — the runtime-only
-  ``stream_budget`` excluded, so streaming never misses);
+  (:meth:`repro.core.config.FlowConfig.config_hash`; runtime knobs
+  such as tracing and chaos are not config fields, so they never miss);
 * the **code fingerprint** (:func:`repro.utils.hashing.
   package_fingerprint` — any edit to the ``repro`` sources invalidates
   every prior artefact);

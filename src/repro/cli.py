@@ -55,14 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      "and Static Power in Scan Structures' (DATE 2005)"))
     parser.add_argument("--seed", type=int, default=1,
                         help="master seed for all stochastic steps")
-    parser.add_argument("--stream-budget", type=int, default=None,
-                        metavar="N",
-                        help=("out-of-core streaming budget in uint64 "
-                              "elements of one window's state matrix: "
-                              "plans that exceed it evaluate in "
-                              "bounded-memory windows, bit-identical "
-                              "to the resident path (0 = off; "
-                              "default: $REPRO_STREAM_BUDGET or off)"))
     parser.add_argument("--trace", metavar="DIR", default=None,
                         help=("record span traces of this invocation "
                               "as JSONL files under DIR; pool worker "
@@ -233,10 +225,8 @@ def _main(argv: Sequence[str] | None) -> int:
         # (and a flagless invocation resets a leaked session) — then
         # fail fast on a malformed environment default behind any knob
         # the flags left unset.
-        set_session_defaults(RuntimeOptions(
-            stream_budget=args.stream_budget,
-            trace=args.trace,
-            chaos=args.chaos))
+        set_session_defaults(RuntimeOptions(trace=args.trace,
+                                            chaos=args.chaos))
         for name in KNOBS:
             resolve(name)
     except (ConfigError, OSError) as exc:
@@ -278,8 +268,7 @@ def _main(argv: Sequence[str] | None) -> int:
         return _run_serve_command(args)
 
     if args.command == "table1":
-        config = FlowConfig(seed=args.seed,
-                            stream_budget=args.stream_budget)
+        config = FlowConfig(seed=args.seed)
         circuits = args.circuits or None
         run = run_table1(circuits, config, verbose=not args.quiet,
                          jobs=args.jobs, cache_dir=args.cache_dir)
@@ -299,7 +288,6 @@ def _main(argv: Sequence[str] | None) -> int:
     if args.command == "run":
         config = FlowConfig(
             seed=args.seed,
-            stream_budget=args.stream_budget,
             reorder_inputs=not args.no_reorder,
             use_observability_directive=not args.no_directive)
         result = ProposedFlow(config).run(load_circuit(args.circuit,
@@ -432,10 +420,6 @@ def _run_campaign_command(args) -> int:
               "apply to 'campaign gc'", file=sys.stderr)
         return 2
 
-    runtime_base = {}
-    if args.stream_budget is not None:
-        runtime_base["stream_budget"] = args.stream_budget
-
     try:
         if args.spec is not None:
             if args.circuits or args.seeds:
@@ -443,12 +427,11 @@ def _run_campaign_command(args) -> int:
                       "--circuits/--seeds, not both", file=sys.stderr)
                 return 2
             spec = load_spec(args.spec)
-            if runtime_base or args.name is not None \
-                    or args.kind is not None:
+            if args.name is not None or args.kind is not None:
                 spec = CampaignSpec(
                     circuits=spec.circuits, seeds=spec.seeds,
                     overrides=spec.overrides,
-                    base={**spec.base, **runtime_base},
+                    base=spec.base,
                     name=args.name if args.name is not None
                     else spec.name,
                     kind=args.kind if args.kind is not None
@@ -458,7 +441,6 @@ def _run_campaign_command(args) -> int:
                 circuits=tuple(args.circuits) if args.circuits
                 else ("figure2",),
                 seeds=tuple(args.seeds) if args.seeds else (args.seed,),
-                base=runtime_base,
                 name=args.name or "campaign",
                 kind=args.kind or "flow")
         else:

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import numbers
-from typing import ClassVar
 
 from repro.atpg.generate import AtpgConfig
 from repro.cells.library import CellLibrary, default_library
 from repro.errors import ConfigError
-from repro.runtime import check_runtime_fields
 
 __all__ = ["FlowConfig"]
 
@@ -41,25 +40,13 @@ class FlowConfig:
         deterministic structural order).
     mux_delay_margin_ps:
         Extra slack demanded before accepting a MUX (0 = paper's "critical
-        path delay unchanged").
+        path delay unchanged"); finite and >= 0.
     include_capture_cycles:
         Include capture cycles in the power episode.
     atpg:
         Test generation configuration (seed is derived from ``seed`` when
         left at the sentinel -1).
-    stream_budget:
-        Out-of-core streaming budget for the flow's plan evaluations
-        (``uint64`` elements of one window's state matrix): a positive
-        value streams any plan that exceeds it, ``0`` forces streaming
-        off, ``None`` defers to the session /
-        ``$REPRO_STREAM_BUDGET`` default (off).  Streamed and resident
-        paths are bit-identical; only peak memory changes.
     """
-
-    #: Fields that only affect peak memory, never results (streamed and
-    #: resident evaluation are bit-identical by contract); excluded
-    #: from :meth:`config_hash` so cache keys do not depend on them.
-    RUNTIME_FIELDS: ClassVar[tuple[str, ...]] = ("stream_budget",)
 
     seed: int = 0
     observability_samples: int = 512
@@ -71,10 +58,8 @@ class FlowConfig:
     mux_delay_margin_ps: float = 0.0
     include_capture_cycles: bool = True
     atpg: AtpgConfig | None = None
-    stream_budget: int | None = None
 
     def __post_init__(self) -> None:
-        check_runtime_fields(self)
         for name in ("seed", "observability_samples", "ivc_trials",
                      "ivc_noise_samples", "max_backtracks"):
             value = getattr(self, name)
@@ -92,16 +77,15 @@ class FlowConfig:
             raise ConfigError("ivc_noise_samples must be >= 1")
         if self.max_backtracks < 0:
             raise ConfigError("max_backtracks must be >= 0")
-        if self.mux_delay_margin_ps < 0:
-            raise ConfigError("mux_delay_margin_ps must be >= 0")
+        if not 0 <= self.mux_delay_margin_ps < math.inf:  # NaN fails too
+            raise ConfigError("mux_delay_margin_ps must be finite and >= 0, "
+                              f"got {self.mux_delay_margin_ps!r}")
 
     def config_hash(self) -> str:
         """Canonical content hash of the result-relevant configuration.
 
         Properties: stable across processes and dict orderings (keys
-        are sorted before hashing); excludes the runtime-only engine
-        fields (:attr:`RUNTIME_FIELDS` — results never depend on
-        them); resolves the ATPG sub-config
+        are sorted before hashing); resolves the ATPG sub-config
         through :meth:`atpg_config` so a config with an explicitly
         spelled-out default ATPG hashes equal to one relying on the
         implicit default.  The campaign result cache keys artefacts on
@@ -109,8 +93,6 @@ class FlowConfig:
         """
         from repro.utils.hashing import stable_digest
         payload = dataclasses.asdict(self)
-        for field in self.RUNTIME_FIELDS:
-            payload.pop(field)
         payload["atpg"] = dataclasses.asdict(self.atpg_config())
         return stable_digest(payload)
 

@@ -124,9 +124,7 @@ class ProposedFlow:
 
         mapped = circuit if is_mapped(circuit) else technology_map(circuit)
         design = ScanDesign.full_scan(mapped)
-        test_set = generate_tests(
-            design, config.atpg_config(),
-            stream_budget=config.stream_budget)
+        test_set = generate_tests(design, config.atpg_config())
 
         addmux = add_mux(mapped, library,
                          margin_ps=config.mux_delay_margin_ps)
@@ -186,16 +184,13 @@ class ProposedFlow:
         reports = {
             "traditional": evaluate_scan_power(
                 design, test_set.vectors, policies["traditional"],
-                library, config.include_capture_cycles,
-                stream_budget=config.stream_budget),
+                library, config.include_capture_cycles),
             "input_control": evaluate_scan_power(
                 design, test_set.vectors, policies["input_control"],
-                library, config.include_capture_cycles,
-                stream_budget=config.stream_budget),
+                library, config.include_capture_cycles),
             "proposed": evaluate_scan_power(
                 proposed_design, test_set.vectors, policies["proposed"],
-                library, config.include_capture_cycles,
-                stream_budget=config.stream_budget),
+                library, config.include_capture_cycles),
         }
 
         return FlowResult(

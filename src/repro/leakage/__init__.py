@@ -3,7 +3,6 @@
 from repro.leakage.estimator import (
     circuit_leakage_na,
     expected_leakage_na,
-    leakage_from_pattern_counts,
     leakage_power_uw,
     per_episode_leakage,
     per_sample_leakage,
@@ -29,7 +28,6 @@ __all__ = [
     "expected_leakage_na",
     "per_sample_leakage",
     "per_episode_leakage",
-    "leakage_from_pattern_counts",
     "leakage_power_uw",
     "monte_carlo_observability",
     "forced_observability",

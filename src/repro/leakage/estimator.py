@@ -30,7 +30,6 @@ __all__ = [
     "per_sample_leakage",
     "state_sample_leakage",
     "leakage_power_uw",
-    "leakage_from_pattern_counts",
     "per_episode_leakage",
 ]
 
@@ -117,39 +116,6 @@ def state_sample_leakage(state: SimState, circuit: Circuit,
             lut[code] = leak
         totals += lut[index]
     return totals
-
-
-def leakage_from_pattern_counts(circuit: Circuit,
-                                counts: Mapping[str, np.ndarray],
-                                library: CellLibrary | None = None
-                                ) -> dict[str, float]:
-    """Price exact per-gate pattern counts with the leakage tables.
-
-    ``counts`` maps each combinational gate output to its ``int64``
-    pattern-count array (see :meth:`repro.simulation.backends.SimState.
-    pattern_counts`).  Accumulation runs per gate in the leakage
-    table's iteration order — the exact float recipe every backend's
-    ``leakage_sum`` uses — so pricing counts merged across streamed
-    cycle windows reproduces the resident sums bit for bit.
-    Entries come back in topological order, matching the backends'
-    ``leakage_sum`` ordering contract.
-    """
-    library = library or default_library()
-    leakage: dict[str, float] = {}
-    for line in circuit.topo_order():
-        gate = circuit.gates[line]
-        table = library.leakage_table(gate.gtype, len(gate.inputs))
-        gate_counts = counts[line]
-        total = 0.0
-        for pattern, leak_na in table.items():
-            code = 0
-            for pin, bit in enumerate(pattern):
-                code |= bit << pin
-            cycles = int(gate_counts[code])
-            if cycles:
-                total += cycles * leak_na
-        leakage[line] = total
-    return leakage
 
 
 def per_episode_leakage(plan, library: CellLibrary | None = None,

@@ -143,8 +143,7 @@ def evaluate_scan_power(design: ScanDesign,
                         library: CellLibrary | None = None,
                         include_capture: bool = True,
                         initial_state: Sequence[int] | None = None,
-                        backend: str | Backend | None = None,
-                        stream_budget: int | None = None
+                        backend: str | Backend | None = None
                         ) -> ScanPowerReport:
     """Replay a scan test set and measure combinational power.
 
@@ -168,11 +167,6 @@ def evaluate_scan_power(design: ScanDesign,
         ``None`` for the big-int engine).
         Resolved exactly once per call and reused for the capture
         pre-pass and the batch evaluation.
-    stream_budget:
-        Out-of-core streaming budget for the batch evaluation
-        (``uint64`` elements of one window's state matrix); ``None``
-        defers to the session default / ``$REPRO_STREAM_BUDGET``, ``0``
-        forces streaming off.  Bit-identical; only peak memory changes.
     """
     policy = policy or ShiftPolicy()
     library = library or default_library()
@@ -182,8 +176,7 @@ def evaluate_scan_power(design: ScanDesign,
         mux_ties=policy.mux_ties, include_capture=include_capture,
         initial_state=initial_state, backend=engine)
     batch = engine.simulate_episode_batch(plan, library,
-                                          collect_leakage=True,
-                                          stream_budget=stream_budget)
+                                          collect_leakage=True)
     return ScanPowerReport.from_replay(design.circuit, policy.name,
                                        len(vectors), batch, library)
 
@@ -193,16 +186,13 @@ def per_cycle_energy_fj(design: ScanDesign,
                         policy: ShiftPolicy | None = None,
                         library: CellLibrary | None = None,
                         include_capture: bool = True,
-                        backend: str | Backend | None = None,
-                        stream_budget: int | None = None
+                        backend: str | Backend | None = None
                         ) -> np.ndarray:
     """Per-cycle-boundary switching energy profile (peak-power studies).
 
     Memory/time scale with lines x cycles; intended for the smaller
     circuits (ablation benches use it, Table I does not need it).  The
-    backend is resolved once per call; ``stream_budget`` follows
-    :func:`evaluate_scan_power` (the profile itself still materializes
-    every line's waveform).
+    backend is resolved once per call.
     """
     policy = policy or ShiftPolicy()
     library = library or default_library()
@@ -212,8 +202,7 @@ def per_cycle_energy_fj(design: ScanDesign,
         mux_ties=policy.mux_ties, include_capture=include_capture,
         initial_state=None, backend=engine)
     batch = engine.simulate_episode_batch(
-        plan, library, collect_leakage=False, keep_waveforms=True,
-        stream_budget=stream_budget)
+        plan, library, collect_leakage=False, keep_waveforms=True)
     assert batch.waveforms is not None
     return energy_profile_fj(design.circuit, batch.waveforms,
                              batch.n_cycles, library)

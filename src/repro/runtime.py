@@ -1,18 +1,18 @@
 """Runtime options: one knob table, one resolver, one session store.
 
-The runtime knobs — streaming budget, tracing and chaos injection —
-are the rows of :data:`KNOBS` (field, env var, value type, off value)
-and the fields of the frozen :class:`RuntimeOptions` session record.
-Every knob is runtime-only: it changes speed, peak memory or
-observability, never results, so none is part of
+The runtime knobs — tracing and chaos injection — are the rows of
+:data:`KNOBS` (field, env var, validator) and the fields of the frozen
+:class:`RuntimeOptions` session record.  Both are strings.  Every knob
+is runtime-only: it changes observability or how often the recovery
+paths run, never results, so none is a
+:class:`~repro.core.config.FlowConfig` field or part of its
 :meth:`~repro.core.config.FlowConfig.config_hash`.
 
-:func:`resolve` gives every knob one precedence: explicit argument (a
-per-call argument or ``FlowConfig`` field) > session default
-(:func:`set_session_defaults` / :func:`using`, which the CLI flags
-install) > environment variable (empty = unset); a knob no level
-sets is off.  A knob's off value pins it off at any level and resolves
-to ``None``.  Every level passes the same per-knob check, so a bad
+:func:`resolve` gives every knob one precedence: explicit argument >
+session default (:func:`set_session_defaults` / :func:`using`, which
+the CLI flags install) > environment variable (empty = unset); a knob
+no level sets is off.  The empty string pins a knob off at any level
+and resolves to ``None``.  Every level passes the same per-knob check, so a bad
 value raises :class:`~repro.errors.RuntimeOptionError` naming the
 field, its flag and its env var wherever it comes from.
 
@@ -27,28 +27,19 @@ import dataclasses
 import os
 from collections.abc import Callable, Iterator
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, NoReturn
+from typing import Any, NoReturn
 
 from repro.errors import ConfigError, RuntimeOptionError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
-    from repro.core.config import FlowConfig
 
 __all__ = [
     "KNOBS",
     "Knob",
     "RuntimeOptions",
-    "check_runtime_fields",
     "resolve",
     "session_defaults",
     "set_session_defaults",
     "using",
 ]
-
-
-def _at_least(low: int) -> Callable[[int], str | None]:
-    return lambda value: None if value >= low else \
-        f"must be >= {low}, got {value}"
 
 
 def _directory(value: str) -> str | None:
@@ -71,19 +62,14 @@ def _chaos_spec(spec: str) -> str | None:
     return None
 
 
-_TYPE_NAMES = {int: "an int", str: "a str"}
-
-
 @dataclasses.dataclass(frozen=True)
 class Knob:
-    """One runtime knob.  ``off`` pins it off; ``validate`` returns a
-    problem description or ``None``."""
+    """One string-valued runtime knob.  ``""`` pins it off;
+    ``validate`` returns a problem description or ``None``."""
 
     name: str
     env: str
-    type: type
-    off: Any = None
-    validate: Callable[[Any], str | None] = lambda value: None
+    validate: Callable[[str], str | None] = lambda value: None
 
     @property
     def flag(self) -> str:
@@ -96,40 +82,30 @@ class Knob:
 
     def check(self, value: Any) -> None:
         """Raise :class:`RuntimeOptionError` unless ``value`` is valid."""
-        if isinstance(value, bool) or not isinstance(value, self.type):
-            self.fail(f"must be {_TYPE_NAMES[self.type]}, got {value!r}")
-        problem = None if value == self.off else self.validate(value)
+        if not isinstance(value, str):
+            self.fail(f"must be a str, got {value!r}")
+        problem = self.validate(value) if value else None
         if problem is not None:
             self.fail(problem)
 
-    def from_env(self) -> Any:
-        """The environment's value, parsed and checked (``None`` when
-        the variable is unset or empty)."""
+    def from_env(self) -> str | None:
+        """The environment's value, checked (``None`` when the variable
+        is unset or empty)."""
         raw = os.environ.get(self.env, "")
         if not raw:
             return None
-        value: Any = raw
-        if self.type is int:
-            try:
-                value = int(raw)
-            except ValueError:
-                raise RuntimeOptionError(
-                    f"${self.env} must be an integer, got {raw!r} "
-                    f"({self.name}, {self.flag})") from None
         try:
-            self.check(value)
+            self.check(raw)
         except RuntimeOptionError as exc:
             raise RuntimeOptionError(f"${self.env}={raw!r}: {exc}") \
                 from None
-        return value
+        return raw
 
 
 #: Every runtime knob, keyed by its :class:`RuntimeOptions` field.
 KNOBS: dict[str, Knob] = {knob.name: knob for knob in (
-    Knob("stream_budget", "REPRO_STREAM_BUDGET", int, off=0,
-         validate=_at_least(0)),
-    Knob("trace", "REPRO_TRACE", str, off="", validate=_directory),
-    Knob("chaos", "REPRO_CHAOS", str, off="", validate=_chaos_spec),
+    Knob("trace", "REPRO_TRACE", validate=_directory),
+    Knob("chaos", "REPRO_CHAOS", validate=_chaos_spec),
 )}
 
 
@@ -146,14 +122,16 @@ class RuntimeOptions:
     never results.
     """
 
-    stream_budget: int | None = None
     trace: str | None = None
     chaos: str | None = None
 
     def __post_init__(self) -> None:
-        # Validate eagerly, like FlowConfig: a bad session default must
-        # fail at install time, not deep inside a flow or a worker.
-        check_runtime_fields(self)
+        # Validate eagerly: a bad session default must fail at install
+        # time, not deep inside a flow or a worker.
+        for knob in KNOBS.values():
+            value = getattr(self, knob.name)
+            if value is not None:
+                knob.check(value)
 
     def replace(self, **changes) -> "RuntimeOptions":
         """A copy with ``changes`` applied (validated).
@@ -169,24 +147,11 @@ class RuntimeOptions:
         return dataclasses.replace(self, **changes)
 
 
-def check_runtime_fields(options: "RuntimeOptions | FlowConfig") -> None:
-    """Validate the knob fields of ``RuntimeOptions`` or ``FlowConfig``.
-
-    Each set field passes its knob's check (type, range, directory
-    path, chaos spec).  Raises
-    :class:`~repro.errors.RuntimeOptionError`.
-    """
-    for knob in KNOBS.values():
-        value = getattr(options, knob.name, None)
-        if value is not None:
-            knob.check(value)
-
-
 def resolve(name: str, explicit: Any = None) -> Any:
     """Knob ``name``'s effective value: explicit > session > env.
 
-    ``explicit`` is checked like every other level.  The knob's off
-    value resolves to ``None``, as does a knob no level sets.
+    ``explicit`` is checked like every other level.  The empty string
+    (off) resolves to ``None``, as does a knob no level sets.
     """
     knob = KNOBS[name]
     if explicit is not None:
@@ -196,7 +161,7 @@ def resolve(name: str, explicit: Any = None) -> Any:
         value = getattr(_session, name)
         if value is None:
             value = knob.from_env()
-    return None if value == knob.off else value
+    return value or None
 
 
 #: The installed session defaults (all-``None`` = neutral).
@@ -226,7 +191,7 @@ def set_session_defaults(options: RuntimeOptions | None = None,
     ``set_session_defaults(options)`` installs ``options`` wholesale
     (an all-``None`` :class:`RuntimeOptions` — or plain
     ``set_session_defaults()`` — resets the session).  Keyword form
-    ``set_session_defaults(stream_budget=0)`` patches only the
+    ``set_session_defaults(chaos="")`` patches only the
     named fields of the current session.  Mixing both applies the
     kwargs on top of ``options``.  An unknown field name raises
     :class:`~repro.errors.ConfigError`.  The install is atomic: when
@@ -254,7 +219,7 @@ def using(options: RuntimeOptions | None = None,
 
     ::
 
-        with using(stream_budget=1 << 20):
+        with using(trace="traces"):
             run_table1(...)
     """
     previous = _session

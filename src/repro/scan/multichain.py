@@ -242,10 +242,8 @@ def evaluate_multichain_power(design: MultiChainDesign,
     differs: every vector costs ``max_length`` shift cycles (plus the
     capture cycle), during which each chain walks its own contents.
     ``backend`` (name, instance or ``None`` for the big-int engine) is
-    resolved exactly once per call.  Evaluation goes through
-    ``Backend.simulate_episode_batch``, so a session or
-    ``$REPRO_STREAM_BUDGET`` stream budget streams the cycle axis of
-    oversized replays.
+    resolved exactly once per call.  Evaluation is one resident
+    ``Backend.simulate_episode_batch`` replay of the whole test set.
     """
     # Deferred: repro.power.scanpower imports repro.scan.testview, and
     # the repro.scan package imports this module.

@@ -29,7 +29,7 @@ from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.obs.trace import span
-from repro.simulation.values import mask, minterm_counts
+from repro.simulation.values import mask
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.atpg.faults import Fault
@@ -109,27 +109,6 @@ class SimState(abc.ABC):
         bit for bit.
         """
 
-    def pattern_counts(self) -> dict[str, np.ndarray]:
-        """Exact per-gate pattern counts over all simulated patterns.
-
-        Entry ``counts[line][code]`` is the number of patterns on which
-        the gate driving ``line`` sees the input bit-pattern ``code``
-        (pin ``j`` = bit ``j`` of the code), as an ``int64`` array of
-        length ``2**arity``.  Keys are the combinational gate outputs
-        in topological order.  Counts are integers, so they merge
-        exactly across streamed cycle windows; pricing merged counts with
-        the leakage tables reproduces :meth:`leakage_sum` bit for bit
-        (see :func:`repro.leakage.estimator.leakage_from_pattern_counts`).
-        """
-        full = mask(self.n)
-        counts: dict[str, np.ndarray] = {}
-        for line in self.circuit.topo_order():
-            in_words = [self.word(src)
-                        for src in self.circuit.gates[line].inputs]
-            counts[line] = np.array(minterm_counts(in_words, self.n, full),
-                                    dtype=np.int64)
-        return counts
-
     def bools(self, line: str) -> np.ndarray:
         """The line's waveform as a length-``n`` boolean array (cached)."""
         cached = self._bool_cache.get(line)
@@ -181,60 +160,36 @@ class Backend(abc.ABC):
     def simulate_episode_batch(self, plan: "EpisodePlan",
                                library: CellLibrary | None = None,
                                collect_leakage: bool = True,
-                               keep_waveforms: bool = False,
-                               stream_budget: int | None = None
+                               keep_waveforms: bool = False
                                ) -> "EpisodeBatchResult":
         """Evaluate a whole test set's scan replay in one pass.
 
         ``plan`` is a compiled :class:`~repro.simulation.episode.
-        EpisodePlan` (all episodes' cycles packed back to back).  When a
-        ``stream_budget`` resolves (argument > session default >
-        ``$REPRO_STREAM_BUDGET``) and the plan's resident state matrix
-        would exceed it, evaluation streams cycle windows instead of
-        materializing the matrix — out-of-core, bounded peak memory,
-        bit-identical; see :mod:`repro.simulation.streaming`.
-
-        Otherwise the whole plan is replayed resident by
-        :meth:`_episode_batch`.  Its default implementation runs the
-        plan's stimulus through :meth:`run` as a single packed
-        simulation and derives transitions / leakage sums exactly as
+        EpisodePlan` (all episodes' cycles packed back to back).  The
+        whole plan is replayed resident: its stimulus runs through
+        :meth:`run` as a single packed simulation, and transitions /
+        leakage sums are derived exactly as
         :func:`~repro.simulation.cyclesim.simulate_cycles` would.  The
-        big-int engine overrides it with one fused pass that prices
+        big-int engine overrides this with one fused pass that prices
         every row as soon as its word settles and frees each word after
         its last reader, so without ``keep_waveforms`` only the live cut
         of the topological order is resident, not every line.
         """
         from repro.cells.library import default_library
-        from repro.simulation.streaming import (
-            resolve_stream_budget,
-            stream_episode_batch,
-        )
-        budget = resolve_stream_budget(stream_budget)
-        if budget is not None and plan.state_elements() > budget:
-            return stream_episode_batch(self, plan, library,
-                                        collect_leakage, keep_waveforms,
-                                        budget)
+        from repro.simulation.episode import EpisodeBatchResult
         library = library or default_library()
         with span("sim.episode_batch", backend=self.name,
                   cycles=plan.n_cycles):
-            return self._episode_batch(plan, library, collect_leakage,
-                                       keep_waveforms)
-
-    def _episode_batch(self, plan: "EpisodePlan", library: CellLibrary,
-                       collect_leakage: bool, keep_waveforms: bool
-                       ) -> "EpisodeBatchResult":
-        """Resident replay of ``plan``: one :meth:`run` and its state."""
-        from repro.simulation.episode import EpisodeBatchResult
-        state = self.run(plan.circuit, plan.waveforms, plan.n_cycles)
-        return EpisodeBatchResult(
-            n_cycles=plan.n_cycles,
-            transitions=state.transitions(),
-            leakage_sum_na=state.leakage_sum(library)
-            if collect_leakage else {},
-            offsets=plan.offsets,
-            lengths=plan.lengths,
-            waveforms=state.words() if keep_waveforms else None,
-        )
+            state = self.run(plan.circuit, plan.waveforms, plan.n_cycles)
+            return EpisodeBatchResult(
+                n_cycles=plan.n_cycles,
+                transitions=state.transitions(),
+                leakage_sum_na=state.leakage_sum(library)
+                if collect_leakage else {},
+                offsets=plan.offsets,
+                lengths=plan.lengths,
+                waveforms=state.words() if keep_waveforms else None,
+            )
 
     def fault_simulate_batch(self, circuit: Circuit,
                              faults: "Sequence[Fault]",
@@ -256,9 +211,7 @@ class Backend(abc.ABC):
                                      n, drop=drop)
 
     def fault_simulate_plan(self, plan: "FaultEpisodePlan",
-                            drop: bool = True,
-                            stream_budget: int | None = None
-                            ) -> "FaultSimResult":
+                            drop: bool = True) -> "FaultSimResult":
         """Replay a compiled fault x pattern plan in one pass.
 
         ``plan`` is a :class:`~repro.simulation.fault_episode.
@@ -271,21 +224,8 @@ class Backend(abc.ABC):
         The replay is the scalar big-int row-space replay over the
         plan's **memoized** good-machine words (one fault-free pass per
         backend, shared across calls via the plan's state cache).
-
-        When a ``stream_budget`` resolves and the plan's good-machine
-        state would exceed it, evaluation streams word-aligned pattern
-        windows instead of memoizing the full state (both drop modes —
-        within one call dropping cannot change detection words); see
-        :mod:`repro.simulation.streaming`.
         """
         from repro.atpg.faultsim import scalar_replay
-        from repro.simulation.streaming import (
-            resolve_stream_budget,
-            stream_fault_plan,
-        )
-        budget = resolve_stream_budget(stream_budget)
-        if budget is not None and plan.state_elements() > budget:
-            return stream_fault_plan(self, plan, budget)
         with span("sim.fault_plan", backend=self.name,
                   faults=plan.n_faults, patterns=plan.n):
             return scalar_replay(plan.circuit, plan.faults,

@@ -34,6 +34,7 @@ import numpy as np
 from repro.cells.library import CellLibrary
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
+from repro.obs.trace import span
 from repro.simulation.backends.base import (
     Backend,
     SimState,
@@ -147,44 +148,50 @@ class BigIntBackend(Backend):
             values.append(eval_row(op, ins, values, full))
         return BigIntState(circuit, n, rows, values)
 
-    def _episode_batch(self, plan: "EpisodePlan", library: CellLibrary,
-                       collect_leakage: bool, keep_waveforms: bool
-                       ) -> "EpisodeBatchResult":
+    def simulate_episode_batch(self, plan: "EpisodePlan",
+                               library: CellLibrary | None = None,
+                               collect_leakage: bool = True,
+                               keep_waveforms: bool = False
+                               ) -> "EpisodeBatchResult":
         """Fused resident replay: price each row as it settles and drop
         every word after its last reader (see the module doc).  Kept
-        waveforms need every word, so that path stays :meth:`run`."""
+        waveforms need every word, so that path stays the base
+        :meth:`run` replay."""
         if keep_waveforms:
-            return super()._episode_batch(plan, library, collect_leakage,
-                                          keep_waveforms)
+            return super().simulate_episode_batch(
+                plan, library, collect_leakage, keep_waveforms)
+        from repro.cells.library import default_library
         from repro.simulation.episode import EpisodeBatchResult
         n = plan.n_cycles
-        full = require_pattern_mask(n)
-        boundary = full >> 1
-        rows = cached_row_table(plan.circuit)
-        lines, releases = rows.lines, rows.releases
-        first = rows.n_inputs
-        values = [require_input_word(plan.waveforms, line, full, n)
-                  for line in lines[:first]]
-        transitions = {line: _transition_count(word, boundary)
-                       for line, word in zip(lines, values)}
-        # Input words stay alive in the plan either way, so only gate
-        # rows release; a released slot holds the shared small int 0.
-        values.extend([0] * (len(lines) - first))
-        price = _LeakagePricer(library, n).price if collect_leakage \
-            else None
-        leakage: dict[str, float] = {}
-        for row in range(first, len(lines)):
-            op, ins = rows.ops[row], rows.fanin[row]
-            word = values[row] = eval_row(op, ins, values, full)
-            line = lines[row]
-            transitions[line] = _transition_count(word, boundary)
-            if price is not None:
-                leakage[line] = price(op, [values[src] for src in ins])
-            for dead in releases[row]:
-                values[dead] = 0
-        return EpisodeBatchResult(
-            n_cycles=n, transitions=transitions, leakage_sum_na=leakage,
-            offsets=plan.offsets, lengths=plan.lengths)
+        with span("sim.episode_batch", backend=self.name, cycles=n):
+            full = require_pattern_mask(n)
+            boundary = full >> 1
+            rows = cached_row_table(plan.circuit)
+            lines, releases = rows.lines, rows.releases
+            first = rows.n_inputs
+            values = [require_input_word(plan.waveforms, line, full, n)
+                      for line in lines[:first]]
+            transitions = {line: _transition_count(word, boundary)
+                           for line, word in zip(lines, values)}
+            # Input words stay alive in the plan either way, so only
+            # gate rows release; a released slot holds the shared small
+            # int 0.
+            values.extend([0] * (len(lines) - first))
+            price = _LeakagePricer(library or default_library(), n).price \
+                if collect_leakage else None
+            leakage: dict[str, float] = {}
+            for row in range(first, len(lines)):
+                op, ins = rows.ops[row], rows.fanin[row]
+                word = values[row] = eval_row(op, ins, values, full)
+                line = lines[row]
+                transitions[line] = _transition_count(word, boundary)
+                if price is not None:
+                    leakage[line] = price(op, [values[src] for src in ins])
+                for dead in releases[row]:
+                    values[dead] = 0
+            return EpisodeBatchResult(
+                n_cycles=n, transitions=transitions, leakage_sum_na=leakage,
+                offsets=plan.offsets, lengths=plan.lengths)
 
     def eval_gate_packed(self, gtype: GateType, words: Sequence[int],
                          n: int) -> int:

@@ -20,18 +20,16 @@ full test set into a single :class:`EpisodePlan`:
   consumers can slice any vector's segment back out.
 
 ``Backend.simulate_episode_batch(plan)`` then evaluates the whole test
-set's replay in a single backend pass (on the big-int engine one fused
-pass over the row table) and returns an :class:`EpisodeBatchResult`; under a
-``stream_budget`` the streaming path (:mod:`repro.simulation.streaming`)
-splits the cycle axis of oversized plans into windows and merges their
-results with integer-exact arithmetic.
+set's replay in a single resident backend pass (on the big-int engine
+one fused pass over the row table) and returns an
+:class:`EpisodeBatchResult`.
 
 Everything is bit-identical to that serial per-episode loop, which is
 kept as a test oracle (``tests/power/episode_reference.py``): the
 plan's packed words equal the loop-built waveforms bit for bit, so
 transitions, leakage sums and every derived power metric follow.  The
-differential property tests in ``tests/properties`` pin this across
-stream budgets.
+differential property tests in ``tests/properties`` pin this on
+random designs and test sets.
 """
 
 from __future__ import annotations
@@ -129,17 +127,6 @@ class EpisodePlan:
     def n_words(self) -> int:
         """``uint64`` words per packed waveform row."""
         return (self.n_cycles + 63) // 64
-
-    def state_elements(self) -> int:
-        """``uint64`` elements of the plan's resident state matrix.
-
-        The budget currency of the streaming ``stream_budget``: every
-        stimulus line plus every gate output plus the padding row,
-        times the packed word count.
-        """
-        from repro.simulation.streaming import state_elements
-        return state_elements(len(self.waveforms), self.circuit,
-                              self.n_cycles)
 
     def episode_bounds(self) -> list[tuple[int, int]]:
         """``[start, stop)`` cycle range of every episode."""
@@ -259,23 +246,9 @@ def compile_episode_plan(design: "ScanDesign",
     # response still shifting out.  With j = t - 1:
     #   state[p] = vector[length - 1 - j + p]  when j >= p
     #   state[p] = prev[p - j - 1]             when j <  p
-    # Index matrices are (cycle, cell); the shift bits themselves are
-    # materialized one cell column at a time below, keeping the
-    # transient working set O(n_vec x length) instead of the full
-    # (n_vec, length, length) tensor.
-    cycle = np.arange(length)[:, None]
-    position = np.arange(length)[None, :]
-    from_vector = cycle >= position
-    vector_index = np.where(from_vector,
-                            length - 1 - cycle + position, 0)
-    prev_index = np.where(from_vector, 0, position - cycle - 1)
-
-    def shift_column(p: int) -> np.ndarray:
-        """Cell ``p``'s value over every shift cycle: (n_vec, length)."""
-        return np.where(from_vector[:, p][None, :],
-                        scan_matrix[:, vector_index[:, p]],
-                        prev[:, prev_index[:, p]])
-
+    # so cell p's shift cycles read prev[p - 1 .. 0] and then
+    # vector[length - 1 .. p]: two reversed slices, written one cell at
+    # a time so the working set stays O(n_vec x length).
     per_episode = length + (1 if include_capture else 0)
     waveforms: dict[str, int] = {}
     for pi in circuit.inputs:
@@ -292,7 +265,11 @@ def compile_episode_plan(design: "ScanDesign",
     for p, cell in enumerate(chain.cells):
         tie = mux_ties.get(cell.q)
         bits = np.empty((n_vec, per_episode), dtype=np.uint8)
-        bits[:, :length] = tie if tie is not None else shift_column(p)
+        if tie is not None:
+            bits[:, :length] = tie
+        else:
+            bits[:, :p] = prev[:, :p][:, ::-1]
+            bits[:, p:length] = scan_matrix[:, p:][:, ::-1]
         if include_capture:
             bits[:, length] = scan_matrix[:, p]
         waveforms[cell.q] = _pack_word(bits.reshape(-1))

@@ -22,8 +22,8 @@ the good machine.
 Everything is bit-identical to the per-batch reference
 (:meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`):
 detection words, ``remaining`` ordering, coverage statistics and
-compacted test sets never depend on the engine or the stream budget —
-the differential property tests in ``tests/properties`` pin this.
+compacted test sets never depend on the engine — the differential
+property tests in ``tests/properties`` pin this.
 """
 
 from __future__ import annotations
@@ -99,16 +99,6 @@ class FaultEpisodePlan:
         """``uint64`` words per packed waveform row."""
         return (self.n + 63) // 64
 
-    def state_elements(self) -> int:
-        """``uint64`` elements of the good machine's resident state.
-
-        The budget currency of the streaming ``stream_budget``: every
-        combinational input plus every gate output plus the padding
-        row, times the packed word count.
-        """
-        from repro.simulation.streaming import state_elements
-        return state_elements(len(self.input_words), self.circuit, self.n)
-
     def good_words(self, backend: "Backend") -> dict[str, int]:
         """Interchange words of the fault-free simulation on
         ``backend``, memoized by backend name.
@@ -163,21 +153,13 @@ class FaultSimSession:
         Engine of the fault-free pass (name, instance or ``None`` —
         resolved through
         :func:`~repro.simulation.backends.resolve_backend`).
-    stream_budget:
-        Out-of-core streaming budget override (``uint64`` elements of
-        one window's state matrix); ``None`` defers to the session
-        default / ``$REPRO_STREAM_BUDGET``, ``0`` forces streaming off.
-        Resolved once at construction.
     """
 
     def __init__(self, circuit: Circuit,
-                 backend: "str | Backend | None" = None,
-                 stream_budget: int | None = None):
+                 backend: "str | Backend | None" = None):
         from repro.simulation.backends import resolve_backend
-        from repro.simulation.streaming import resolve_stream_budget
         self.circuit = circuit
         self.engine = resolve_backend(backend)
-        self.stream_budget = resolve_stream_budget(stream_budget)
         self._state_pool: \
             "OrderedDict[tuple, dict[str, dict[str, int]]]" = OrderedDict()
 
@@ -222,10 +204,7 @@ class FaultSimSession:
         from repro.atpg.faultsim import check_fault_lines
         check_fault_lines(self.circuit, faults)
         plan = self.compile(faults, input_words, n)
-        # The budget was resolved once at construction; 0 pins it off so
-        # a later session default cannot flip one run mid-flight.
-        return self.engine.fault_simulate_plan(
-            plan, drop=drop, stream_budget=self.stream_budget or 0)
+        return self.engine.fault_simulate_plan(plan, drop=drop)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"<FaultSimSession {self.circuit.name!r} "

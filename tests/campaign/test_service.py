@@ -85,7 +85,7 @@ class TestDispatch:
         TypeError escaping as a 500."""
         from urllib.parse import quote
         service = ArtifactService(ResultCache(tmp_path))
-        for bad in ('{"ivc_trials": "2"}', '{"stream_budget": "x"}',
+        for bad in ('{"ivc_trials": "2"}', '{"mux_delay_margin_ps": "x"}',
                     '{"observability_samples": "9"}'):
             response = dispatch(service,
                                 f"/table1/s27?overrides={quote(bad)}")

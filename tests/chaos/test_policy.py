@@ -106,7 +106,7 @@ class TestResolutionPrecedence:
                     pass
             before = chaos.injection_log()
             # An unrelated session patch must not reset the streams.
-            runtime.set_session_defaults(stream_budget=None)
+            runtime.set_session_defaults(trace=None)
             assert chaos.injection_log() == before
 
 

@@ -24,7 +24,7 @@ def _reset_session_runtime_options():
 
     ``repro.cli.main`` installs process-global session defaults (one
     :class:`repro.runtime.RuntimeOptions`); without this reset a CLI
-    test running e.g. ``--stream-budget 64`` would leak the override
+    test running e.g. ``--chaos SPEC`` would leak the override
     into later tests and make the suite order-dependent.
     """
     yield

@@ -1,5 +1,7 @@
 """Tests for FlowConfig validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.atpg.generate import AtpgConfig
@@ -19,17 +21,19 @@ class TestFlowConfig:
         {"ivc_noise_samples": 0},
         {"max_backtracks": -1},
         {"mux_delay_margin_ps": -5.0},
-        {"stream_budget": -1},
+        {"mux_delay_margin_ps": float("nan")},
         {"observability_samples": 0},
+        {"mux_delay_margin_ps": float("inf")},
+        {"mux_delay_margin_ps": float("-inf")},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             FlowConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        {"stream_budget": "x"},
-        {"stream_budget": 1.0},
-        {"stream_budget": False},
+        {"max_backtracks": "5"},
+        {"ivc_trials": 64.0},
+        {"seed": None},
         {"seed": "1"},
         {"seed": 1.0},
         {"seed": True},
@@ -45,21 +49,6 @@ class TestFlowConfig:
     def test_mistyped_values_rejected(self, kwargs):
         with pytest.raises(ConfigError, match="must be"):
             FlowConfig(**kwargs)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"stream_budget": -5},
-        {"stream_budget": True},
-        {"stream_budget": -1},
-        {"stream_budget": "x"},
-    ])
-    def test_runtime_fields_checked_like_runtime_options(self, kwargs):
-        """Both records run the one shared runtime-field check."""
-        from repro.runtime import RuntimeOptions
-        with pytest.raises(ConfigError) as flow_error:
-            FlowConfig(**kwargs)
-        with pytest.raises(ConfigError) as runtime_error:
-            RuntimeOptions(**kwargs)
-        assert str(flow_error.value) == str(runtime_error.value)
 
     def test_real_margin_accepted(self):
         assert FlowConfig(mux_delay_margin_ps=5).mux_delay_margin_ps == 5
@@ -101,11 +90,15 @@ class TestConfigHash:
             FlowConfig(seed=5).config_hash()
 
     def test_runtime_fields_excluded(self):
-        base = FlowConfig().config_hash()
-        # streaming and tracing never change results -> never
-        # cache-key ingredients
-        assert FlowConfig(stream_budget=0).config_hash() == base
-        assert FlowConfig(stream_budget=1 << 20).config_hash() == base
+        """Runtime knobs (tracing, chaos) never change results, so none
+        is a FlowConfig field and none can reach the cache key; the
+        retired ``stream_budget`` field is gone with its knob."""
+        from repro.runtime import KNOBS
+        fields = {field.name for field in dataclasses.fields(FlowConfig)}
+        assert not fields & set(KNOBS)
+        assert "stream_budget" not in fields
+        with pytest.raises(TypeError, match="stream_budget"):
+            FlowConfig(stream_budget=0)
 
     def test_result_relevant_fields_included(self):
         base = FlowConfig().config_hash()

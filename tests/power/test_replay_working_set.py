@@ -35,11 +35,11 @@ def replay_peak_share(circuit_name: str, n_vectors: int,
         for _ in range(n_vectors)]
     policy = ShiftPolicy()
     report = evaluate_scan_power(design, vectors, policy,
-                                 backend="bigint", stream_budget=0)
+                                 backend="bigint")
     tracemalloc.start()
     try:
         again = evaluate_scan_power(design, vectors, policy,
-                                    backend="bigint", stream_budget=0)
+                                    backend="bigint")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

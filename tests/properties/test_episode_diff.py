@@ -145,8 +145,7 @@ def _state_replay(plan: EpisodePlan, collect_leakage: bool):
 
 def _fused_replay(plan: EpisodePlan, collect_leakage: bool):
     batch = get_backend("bigint").simulate_episode_batch(
-        plan, default_library(), collect_leakage=collect_leakage,
-        stream_budget=0)
+        plan, default_library(), collect_leakage=collect_leakage)
     assert batch.waveforms is None
     assert batch.n_cycles == plan.n_cycles
     return batch.transitions, batch.leakage_sum_na

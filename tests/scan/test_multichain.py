@@ -142,18 +142,8 @@ class TestTestTime:
 
 
 class TestEpisodeBatchRouting:
-    """Multichain evaluation rides ``simulate_episode_batch``: forced
-    cycle-axis streaming windows must be invisible in the report."""
-
-    def test_streamed_windows_match_plain_backends(self, toy_mapped,
-                                                   toy_multi):
-        from repro.runtime import using
-        vectors = _vectors(toy_multi.global_q_lines, toy_mapped, 4,
-                           seed=3)
-        reference = evaluate_multichain_power(toy_multi, vectors)
-        with using(stream_budget=4):
-            streamed = evaluate_multichain_power(toy_multi, vectors)
-        assert streamed == reference
+    """Multichain evaluation rides ``simulate_episode_batch``; its
+    report must equal the plain cycle-simulation replay's."""
 
     def test_serial_escape_hatch_matches(self, toy_mapped, toy_multi):
         """The plain cycle-simulation replay (the old serial escape

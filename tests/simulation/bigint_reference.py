@@ -12,16 +12,14 @@ It is the denominator of the bigint cycle-replay speedup in
 faster oracle would silently move that gate.
 
 * :func:`simulate_packed_bigint` is the packed good machine;
-* :func:`transitions`, :func:`leakage_sum` and :func:`pattern_counts`
-  derive the power quantities from its words;
+* :func:`transitions` and :func:`leakage_sum` derive the power
+  quantities from its words;
 * :func:`simulate_cycles` is the cycle-sim pass the benches time.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-
-import numpy as np
 
 from repro.cells.library import CellLibrary
 from repro.errors import SimulationError
@@ -30,8 +28,8 @@ from repro.simulation.bitsim import eval_gate_packed
 from repro.simulation.eval2 import comb_input_lines
 from repro.simulation.values import count_transitions, mask
 
-__all__ = ["leakage_sum", "pattern_count", "pattern_counts",
-           "simulate_cycles", "simulate_packed_bigint", "transitions"]
+__all__ = ["leakage_sum", "pattern_count", "simulate_cycles",
+           "simulate_packed_bigint", "transitions"]
 
 
 def simulate_packed_bigint(circuit: Circuit,
@@ -90,22 +88,6 @@ def leakage_sum(circuit: Circuit, words: Mapping[str, int], n: int,
                 total += cycles * leak_na
         leakage[line] = total
     return leakage
-
-
-def pattern_counts(circuit: Circuit, words: Mapping[str, int],
-                   n: int) -> dict[str, np.ndarray]:
-    """Exact per-gate pattern counts (pin ``j`` = bit ``j`` of a code)."""
-    counts: dict[str, np.ndarray] = {}
-    for line in circuit.topo_order():
-        gate = circuit.gates[line]
-        arity = len(gate.inputs)
-        in_words = [words[src] for src in gate.inputs]
-        arr = np.empty(1 << arity, dtype=np.int64)
-        for code in range(1 << arity):
-            pattern = tuple((code >> pin) & 1 for pin in range(arity))
-            arr[code] = pattern_count(in_words, pattern, n)
-        counts[line] = arr
-    return counts
 
 
 def simulate_cycles(circuit: Circuit, input_words: Mapping[str, int],

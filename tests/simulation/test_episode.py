@@ -184,16 +184,38 @@ class TestSimulateEpisodeBatch:
         assert result.total_transitions == 0
 
 
-class TestPatternCounts:
-    """Priced pattern counts reproduce the state's leakage sums."""
+class TestCompileWorkingSet:
+    """Shift columns are slices of the vector and response matrices, so
+    compiling a long chain allocates O(n_vec x L) beyond the plan."""
 
-    def test_counts_price_to_leakage_sum(self, s27_mapped, rng, library):
-        from repro.leakage.estimator import leakage_from_pattern_counts
-        from repro.simulation.bitsim import random_input_words
-        n = 130
-        words = random_input_words(s27_mapped, n, rng)
-        state = get_backend("bigint").run(s27_mapped, words, n)
-        priced = leakage_from_pattern_counts(
-            s27_mapped, state.pattern_counts(), library)
-        assert priced == state.leakage_sum(library)
+    def test_long_chain_compile_is_linear(self):
+        import tracemalloc
 
+        from repro.benchgen import generate_scaled
+        from repro.scan.testview import ScanDesign
+        from repro.simulation.schedule import cached_row_table
+        from repro.utils.rng import make_rng
+
+        length, n_vec = 3000, 4
+        circuit = generate_scaled(2 * length, seed=1, n_dffs=length)
+        design = ScanDesign.full_scan(circuit)
+        gen = make_rng(1)
+        vectors = [
+            TestVector(
+                pi_values={pi: int(gen.integers(2))
+                           for pi in circuit.inputs},
+                scan_state=tuple(int(bit) for bit in
+                                 gen.integers(2, size=length)))
+            for _ in range(n_vec)]
+        cached_row_table(circuit)  # the capture pass's memoized table
+        tracemalloc.start()
+        try:
+            plan = compile_episode_plan(design, vectors)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert plan.n_cycles == n_vec * (length + 1)
+        # ``current`` is the plan itself (O(n_vec x L^2) bits, the
+        # output); the transient rest must stay linear in n_vec x L.
+        # (L, L) index matrices would cost 16 L^2 bytes = 144 MB here.
+        assert peak - current < 64 * n_vec * length + (1 << 20)

@@ -65,6 +65,7 @@ class TestCampaignServiceFacade:
                 result.records[0].cache_key) is not None
 
     def test_using_scopes_runtime_options(self):
-        with repro.using(stream_budget=42):
-            assert repro.session_defaults().stream_budget == 42
-        assert repro.session_defaults().stream_budget is None
+        with repro.using(chaos="seed=1,manifest.write=0.5"):
+            assert repro.session_defaults().chaos == \
+                "seed=1,manifest.write=0.5"
+        assert repro.session_defaults().chaos is None

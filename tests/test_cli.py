@@ -103,7 +103,8 @@ class TestEngineFlags:
             assert "repro-power: error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--fault-backend", "numpy"],
-                                       ["--shards", "2"]])
+                                       ["--shards", "2"],
+                                       ["--stream-budget", "64"]])
     def test_retired_flags_rejected(self, capsys, flags):
         with pytest.raises(SystemExit) as excinfo:
             main([*flags, "list"])
@@ -114,6 +115,7 @@ class TestEngineFlags:
         monkeypatch.setenv("REPRO_SIM_BACKEND", "numpy")
         monkeypatch.setenv("REPRO_FAULT_BACKEND", "warp")
         monkeypatch.setenv("REPRO_SIM_SHARDS", "abc")
+        monkeypatch.setenv("REPRO_STREAM_BUDGET", "lots")
         assert main(["list"]) == 0
         assert capsys.readouterr().err == ""
 
@@ -192,6 +194,20 @@ class TestCampaignCommand:
         spec.write_text("{nope")
         assert main(["campaign", str(spec)]) == 2
 
+    def test_non_finite_margin_in_spec_base(self, tmp_path, capsys):
+        """``NaN`` parses as JSON but is no margin: one error line, no
+        job runs and nothing is cached."""
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"circuits": ["s27"], "seeds": [1], '
+                        '"base": {"mux_delay_margin_ps": NaN}}')
+        cache = tmp_path / "cache"
+        assert main(["campaign", str(spec), "--cache-dir", str(cache),
+                     "--quiet"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("repro-power: error: mux_delay_margin_ps "
+                                "must be finite and >= 0, got nan\n")
+        assert not list(cache.rglob("*.json"))
+
     def test_name_overrides_spec_file_name(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text('{"circuits": ["s27"], "base": {"ivc_trials": 2}}')
@@ -261,11 +277,12 @@ class TestFaultPlanFlag:
         assert "REPRO_FAULT_PLAN" not in capsys.readouterr().err
 
     def test_flag_does_not_leak_across_main_calls(self):
-        from repro.simulation.streaming import resolve_stream_budget
-        assert main(["--stream-budget", "64", "list"]) == 0
-        assert resolve_stream_budget(None) == 64  # session default
+        from repro.runtime import resolve
+        spec = "seed=1,manifest.write=0.5"
+        assert main(["--chaos", spec, "list"]) == 0
+        assert resolve("chaos") == spec  # session default
         assert main(["list"]) == 0  # no flag: main resets the default
-        assert resolve_stream_budget(None) is None
+        assert resolve("chaos") is None
 
 
 class TestCampaignGc:
@@ -355,10 +372,11 @@ class TestCampaignFigure2Kind:
         """The autouse conftest fixture must clear the session default
         main() installs, or the suite becomes order-dependent."""
         from repro.runtime import session_defaults
-        assert main(["--stream-budget", "5", "list"]) == 0
-        assert session_defaults().stream_budget == 5  # session default
+        spec = "seed=2,cache.read=0.1"
+        assert main(["--chaos", spec, "list"]) == 0
+        assert session_defaults().chaos == spec  # session default
         assert main(["list"]) == 0  # no flag: main resets the default
-        assert session_defaults().stream_budget is None
+        assert session_defaults().chaos is None
 
 
 class TestCampaignGcAge:

@@ -54,7 +54,7 @@ def test_environment_read_only_where_allowed():
 #: them, so setting one changes nothing.
 RETIRED = ("REPRO_SIM_BACKEND", "REPRO_FAULT_BACKEND", "REPRO_SIM_SHARDS",
            "REPRO_ARRAY_NAMESPACE", "REPRO_EPISODE_BATCH",
-           "REPRO_FAULT_PLAN")
+           "REPRO_FAULT_PLAN", "REPRO_STREAM_BUDGET")
 
 
 def test_retired_engine_variables_are_not_read():

@@ -15,6 +15,10 @@ from repro.runtime import (
     using,
 )
 
+#: Two distinct valid chaos specs.
+SPEC_A = "seed=1,manifest.write=0.5"
+SPEC_B = "seed=2,cache.read=0.1"
+
 
 class TestRuntimeOptionsValidation:
     def test_neutral_record_is_all_none(self):
@@ -24,7 +28,7 @@ class TestRuntimeOptionsValidation:
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            RuntimeOptions().stream_budget = 5
+            RuntimeOptions().trace = "traces"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(TypeError, match="backend"):
@@ -32,58 +36,60 @@ class TestRuntimeOptionsValidation:
         with pytest.raises(ConfigError, match="unknown runtime option"):
             RuntimeOptions().replace(backend="bigint")
 
-    def test_stream_budget_must_be_non_negative(self):
-        with pytest.raises(ConfigError, match="stream_budget"):
-            RuntimeOptions(stream_budget=-1)
+    def test_stream_budget_field_retired(self):
+        """Out-of-core streaming is gone, and with it its knob."""
+        assert "stream_budget" not in KNOBS
+        with pytest.raises(TypeError, match="stream_budget"):
+            RuntimeOptions(stream_budget=1)
 
     def test_valid_combination_accepted(self):
-        options = RuntimeOptions(stream_budget=0, trace="", chaos="")
-        assert options.stream_budget == 0
+        options = RuntimeOptions(trace="", chaos="")
+        assert options.trace == ""
 
     def test_replace(self):
-        options = RuntimeOptions(stream_budget=7)
+        options = RuntimeOptions(trace="")
         patched = options.replace(chaos="seed=1,manifest.write=0.5")
-        assert patched.stream_budget == 7
+        assert patched.trace == ""
         assert patched.chaos == "seed=1,manifest.write=0.5"
         assert options.chaos is None  # original untouched
 
     def test_replace_revalidates(self):
         with pytest.raises(ConfigError):
-            RuntimeOptions().replace(stream_budget=-3)
+            RuntimeOptions().replace(chaos="manifest.write=lots")
 
 
 class TestSessionDefaults:
     def test_install_and_read_back(self):
-        installed = set_session_defaults(RuntimeOptions(stream_budget=9))
+        installed = set_session_defaults(RuntimeOptions(chaos=SPEC_A))
         assert session_defaults() is installed
-        assert session_defaults().stream_budget == 9
+        assert session_defaults().chaos == SPEC_A
 
     def test_kwargs_form_patches_current_session(self):
-        set_session_defaults(RuntimeOptions(stream_budget=9))
-        set_session_defaults(chaos="seed=1,manifest.write=0.5")
-        assert session_defaults().stream_budget == 9
-        assert session_defaults().chaos == "seed=1,manifest.write=0.5"
+        set_session_defaults(RuntimeOptions(chaos=SPEC_A))
+        set_session_defaults(trace="")
+        assert session_defaults().chaos == SPEC_A
+        assert session_defaults().trace == ""
 
     def test_no_args_resets(self):
-        set_session_defaults(RuntimeOptions(stream_budget=9))
+        set_session_defaults(RuntimeOptions(chaos=SPEC_A))
         set_session_defaults()
-        assert session_defaults().stream_budget is None
+        assert session_defaults().chaos is None
 
     def test_using_restores_previous(self):
-        set_session_defaults(RuntimeOptions(stream_budget=1))
-        with using(stream_budget=5):
-            assert session_defaults().stream_budget == 5
-        assert session_defaults().stream_budget == 1
+        set_session_defaults(RuntimeOptions(chaos=SPEC_A))
+        with using(chaos=SPEC_B):
+            assert session_defaults().chaos == SPEC_B
+        assert session_defaults().chaos == SPEC_A
 
     def test_using_restores_on_error(self):
         with pytest.raises(RuntimeError):
-            with using(stream_budget=5):
+            with using(chaos=SPEC_B):
                 raise RuntimeError("boom")
-        assert session_defaults().stream_budget is None
+        assert session_defaults().chaos is None
 
     def test_using_accepts_options_record(self):
-        with using(RuntimeOptions(stream_budget=4)):
-            assert session_defaults().stream_budget == 4
+        with using(RuntimeOptions(chaos=SPEC_B)):
+            assert session_defaults().chaos == SPEC_B
 
     def test_bad_trace_directory_keeps_previous_session(self, tmp_path):
         from repro.obs.trace import resolve_trace
@@ -95,9 +101,9 @@ class TestSessionDefaults:
             set_session_defaults(trace=str(blocker / "sub"))
         assert session_defaults().trace == good
         assert resolve_trace() == good
-        set_session_defaults(stream_budget=5)  # kwargs form still works
+        set_session_defaults(chaos=SPEC_A)  # kwargs form still works
         assert session_defaults() == RuntimeOptions(trace=good,
-                                                    stream_budget=5)
+                                                    chaos=SPEC_A)
 
     def test_failed_sync_rolls_back(self, tmp_path, monkeypatch):
         from repro.obs import trace
@@ -105,11 +111,11 @@ class TestSessionDefaults:
         def unwritable(directory, **kwargs):
             raise PermissionError(f"cannot create {directory}")
 
-        set_session_defaults(stream_budget=3)
+        set_session_defaults(chaos=SPEC_A)
         monkeypatch.setattr(trace, "enable", unwritable)
         with pytest.raises(PermissionError):
             set_session_defaults(trace=str(tmp_path / "traces"))
-        assert session_defaults() == RuntimeOptions(stream_budget=3)
+        assert session_defaults() == RuntimeOptions(chaos=SPEC_A)
         assert trace.resolve_trace() is None
         assert not trace.tracing_enabled()
 
@@ -117,7 +123,6 @@ class TestSessionDefaults:
 #: Per knob: env, session and explicit values (each level differs from
 #: the one below it) and a malformed env value.
 LEVELS = {
-    "stream_budget": ("100", 50, 7, "lots"),
     "trace": ("env", "session", "explicit", "file/sub"),
     "chaos": ("seed=1,manifest.write=0.5", "seed=2,cache.read=0.1",
               "seed=3,manifest.write=1", "manifest.write=lots"),
@@ -128,14 +133,18 @@ class TestPrecedence:
     """flag > session > env > off, on every knob."""
 
     def test_stream_budget(self, monkeypatch):
+        """The retired streaming knob: no field, and its env var is not
+        read — the kept shim resolves to off at every level."""
         from repro.simulation.streaming import resolve_stream_budget
+        assert "stream_budget" not in KNOBS
+        monkeypatch.setenv("REPRO_STREAM_BUDGET", "lots")
         assert resolve_stream_budget(None) is None
-        monkeypatch.setenv("REPRO_STREAM_BUDGET", "100")
-        assert resolve_stream_budget(None) == 100
-        set_session_defaults(stream_budget=50)
-        assert resolve_stream_budget(None) == 50
-        assert resolve_stream_budget(7) == 7
-        assert resolve_stream_budget(0) is None  # 0 = explicit off
+        assert resolve_stream_budget(7) is None
+        with pytest.raises(ConfigError,
+                           match="stream_budget; valid: trace, chaos"):
+            set_session_defaults(stream_budget=50)
+        for name in KNOBS:
+            resolve(name)  # a stale variable never fails a knob
 
     def test_backend(self, monkeypatch):
         """The retired backend knob: no field, and its env var is not
@@ -165,7 +174,7 @@ class TestPrecedence:
         monkeypatch.setenv(knob.env, "")
         assert resolve(name) is None
         monkeypatch.setenv(knob.env, env)
-        assert resolve(name) == knob.type(env)
+        assert resolve(name) == env
         with using(**{name: session}):
             assert resolve(name) == session
             assert resolve(name, explicit) == explicit
@@ -182,7 +191,8 @@ class TestInputErrors:
     """Bad runtime options fail with ConfigError, never a TypeError."""
 
     @pytest.mark.parametrize("name", ["bogus", "episode_batch",
-                                      "fault_plan", "backend"])
+                                      "fault_plan", "backend",
+                                      "stream_budget"])
     def test_unknown_field_lists_valid_names(self, name):
         with pytest.raises(ConfigError, match=name) as excinfo:
             set_session_defaults(**{name: 1})
@@ -198,13 +208,10 @@ class TestInputErrors:
         assert session_defaults() == RuntimeOptions()
 
     def test_replace_rejects_unknown_field(self):
-        with pytest.raises(ConfigError, match="valid: stream_budget"):
+        with pytest.raises(ConfigError, match="valid: trace, chaos"):
             RuntimeOptions().replace(episode_batch=False)
 
     @pytest.mark.parametrize("field, value", [
-        *(pytest.param(field, value, id=f"{value}-{field}")
-          for value in ("3", 2.0, True)
-          for field in ("stream_budget",)),
         pytest.param("trace", 5, id="5-trace"),
         pytest.param("chaos", 7, id="7-chaos"),
     ])
