@@ -105,7 +105,8 @@ def test_perf_bigint_cycle_sim_speedup(benchmark, s5378_mapped,
     Workload: s5378 x 4096 cycles, transitions + leakage.  The product
     engine
     evaluates the circuit's row table with small-int opcodes and prices
-    leakage from minterm-split counts (``2^k - 1`` popcounts per gate);
+    leakage from exact minterm counts (one popcount per row, shared by
+    its readers);
     the oracle fills a name-keyed dict with one ``eval_gate_packed``
     call per gate and runs one ``pattern_count`` per leakage-table
     pattern.  Transitions and leakage floats are asserted bit-identical
@@ -720,3 +721,51 @@ def test_perf_chaos_disabled_overhead(benchmark, tmp_path):
         f"workload ({probes_per_run} probes x {per_probe_s * 1e6:.3f} "
         f"us over {workload_s * 1e3:.2f} ms); "
         f"floor {CHAOS_EFFICIENCY_FLOOR}")
+
+
+#: Enforced per-cell-type caps vs frozen per-line walk floor.
+CAPS_SPEEDUP_FLOOR = 2.0
+
+
+def test_perf_power_pricing(benchmark, s1423_mapped):
+    """Switched-capacitance map vs the frozen per-line walk.
+
+    Workload: the caps map of mapped s1423 (every line).  The product
+    reads each cell type's spec once and walks the fanout lists with a
+    per-gate cap; the oracle (``tests/cells/caps_reference.py``) looks
+    up the library for every driven pin and every driver.  The maps
+    are asserted equal item by item, and the ratio is recorded as
+    ``caps_speedup`` and enforced >= 2x (same process, interleaved
+    rounds).
+    """
+    from repro.cells.capacitance import load_map_ff
+    from tests.cells import caps_reference as reference
+
+    library = default_library()
+    s1423_mapped.topo_order()  # fanout maps built outside the timing
+
+    def run(oracle):
+        if oracle:
+            return reference.load_map_ff(s1423_mapped, library)
+        return load_map_ff(s1423_mapped, library)
+
+    product, frozen = run(False), run(True)
+    assert list(product.items()) == list(frozen.items())
+
+    oracle_s = caps_s = float("inf")
+    for _ in range(5):
+        oracle_s = min(oracle_s, best_of(3, lambda: run(True)))
+        caps_s = min(caps_s, best_of(3, lambda: run(False)))
+    result = benchmark.pedantic(run, args=(False,),
+                                rounds=1, iterations=1, warmup_rounds=0)
+
+    speedup = oracle_s / caps_s
+    benchmark.extra_info["lines"] = len(product)
+    benchmark.extra_info["oracle_ms"] = round(oracle_s * 1e3, 3)
+    benchmark.extra_info["caps_ms"] = round(caps_s * 1e3, 3)
+    benchmark.extra_info["caps_speedup"] = round(speedup, 2)
+    assert list(result.items()) == list(frozen.items())
+    assert speedup >= CAPS_SPEEDUP_FLOOR, (
+        f"caps speedup {speedup:.2f}x below the {CAPS_SPEEDUP_FLOOR}x "
+        f"floor ({oracle_s * 1e3:.2f} ms oracle vs {caps_s * 1e3:.2f} ms "
+        f"per-cell-type map)")

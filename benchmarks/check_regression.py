@@ -31,7 +31,7 @@ SPEEDUP_KEYS = ("speedup", "episode_batch_speedup",
                 "fault_episode_speedup", "replay_speedup",
                 "cycle_replay_speedup", "pool_speedup",
                 "campaign_speedup", "shard_speedup",
-                "scaling_efficiency")
+                "caps_speedup", "scaling_efficiency")
 
 
 def is_guarded_key(key: str) -> bool:

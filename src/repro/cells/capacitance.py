@@ -12,8 +12,9 @@ import weakref
 from collections.abc import Mapping
 from types import MappingProxyType
 
-from repro.cells.library import CellLibrary, default_library
+from repro.cells.library import CellLibrary, CellSpec, default_library
 from repro.netlist.circuit import Circuit
+from repro.netlist.gates import GateType
 
 __all__ = ["line_load_ff", "load_map_ff", "switched_caps_ff"]
 
@@ -43,12 +44,39 @@ def line_load_ff(circuit: Circuit, line: str,
 
 def load_map_ff(circuit: Circuit, library: CellLibrary | None = None,
                 include_internal: bool = True) -> dict[str, float]:
-    """``line -> load capacitance (fF)`` for every line in the circuit."""
+    """``line -> load capacitance (fF)`` for every line in the circuit.
+
+    Equal to :func:`line_load_ff` per line, floats included: each cell
+    type's spec is read once, and every line's components are added in
+    the same order (per fanout pin its pin cap then the wire, then the
+    output load, then the internal cap).
+    """
     library = library or default_library()
-    return {
-        line: line_load_ff(circuit, line, library, include_internal)
-        for line in circuit.lines()
-    }
+    specs: dict[tuple[GateType, int], CellSpec] = {}
+    pin_caps: dict[str, float] = {}
+    internal_caps: dict[str, float] = {}
+    for out, gate in circuit.gates.items():
+        key = (gate.gtype, len(gate.inputs))
+        spec = specs.get(key)
+        if spec is None:
+            spec = specs[key] = library.spec(*key)
+        pin_caps[out] = spec.pin_cap_ff
+        internal_caps[out] = spec.internal_cap_ff
+    wire = library.wire_cap_per_fanout_ff
+    output_load = library.output_load_ff
+    fanout, is_output = circuit.fanout, circuit.is_output
+    caps: dict[str, float] = {}
+    for line in circuit.lines():
+        total = 0.0
+        for sink, _pin in fanout(line):
+            total += pin_caps[sink]
+            total += wire
+        if is_output(line):
+            total += output_load
+        if include_internal and line in internal_caps:
+            total += internal_caps[line]
+        caps[line] = total
+    return caps
 
 
 #: Per circuit: ``(Circuit.version, {library: read-only caps})``.

@@ -101,19 +101,26 @@ def state_sample_leakage(state: SimState, circuit: Circuit,
     """
     n = state.n
     totals = np.zeros(n, dtype=np.float64)
+    # Each line's bits unpacked once (as int64, ready to shift) and
+    # each cell type's LUT built once; gates still add in order.
+    bits: dict[str, np.ndarray] = {}
+    luts: dict[tuple, np.ndarray] = {}
     for gate in circuit.combinational_gates():
-        table = library.leakage_table(gate.gtype, len(gate.inputs))
-        in_bits = [state.bools(src) for src in gate.inputs]
-        # Build the per-sample pattern index, then look leakage up once.
+        key = (gate.gtype, len(gate.inputs))
+        lut = luts.get(key)
+        if lut is None:
+            lut = luts[key] = np.zeros(1 << key[1], dtype=np.float64)
+            for pattern, leak in library.leakage_table(*key).items():
+                code = 0
+                for bit_pos, bit in enumerate(pattern):
+                    code |= bit << bit_pos
+                lut[code] = leak
         index = np.zeros(n, dtype=np.int64)
-        for bit_pos, bits in enumerate(in_bits):
-            index += bits.astype(np.int64) << bit_pos
-        lut = np.zeros(1 << len(in_bits), dtype=np.float64)
-        for pattern, leak in table.items():
-            code = 0
-            for bit_pos, bit in enumerate(pattern):
-                code |= bit << bit_pos
-            lut[code] = leak
+        for bit_pos, src in enumerate(gate.inputs):
+            line_bits = bits.get(src)
+            if line_bits is None:
+                line_bits = bits[src] = state.bools(src).astype(np.int64)
+            index += line_bits << bit_pos
         totals += lut[index]
     return totals
 

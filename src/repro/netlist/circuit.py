@@ -67,6 +67,7 @@ class Circuit:
         self._outputs: list[str] = []
         self._gates: dict[str, Gate] = {}
         self._input_set: set[str] = set()
+        self._output_set: set[str] = set()
         self._dirty = True
         self._version = 0
         self._fingerprint: tuple[int, str] | None = None
@@ -146,7 +147,7 @@ class Circuit:
 
     def is_output(self, line: str) -> bool:
         """True if ``line`` is declared as a primary output."""
-        return line in set(self._outputs)
+        return line in self._output_set
 
     def has_line(self, line: str) -> bool:
         """True if ``line`` exists (as a PI or as a gate output)."""
@@ -200,9 +201,10 @@ class Circuit:
     def add_output(self, name: str) -> str:
         """Declare an existing-or-future line as a primary output."""
         check_name(name)
-        if name in self._outputs:
+        if name in self._output_set:
             raise NetlistError(f"duplicate primary output {name!r}")
         self._outputs.append(name)
+        self._output_set.add(name)
         self._touch()
         return name
 
@@ -258,7 +260,10 @@ class Circuit:
             self._gates[new] = Gate(new, gate.gtype, gate.inputs)
             # preserve iteration order as best we can: dict re-insertion puts
             # the renamed gate last, which is harmless (order is cosmetic).
-        self._outputs = [new if o == old else o for o in self._outputs]
+        if old in self._output_set:
+            self._output_set.remove(old)
+            self._output_set.add(new)
+            self._outputs[self._outputs.index(old)] = new
         for out, gate in list(self._gates.items()):
             if old in gate.inputs:
                 new_inputs = tuple(new if i == old else i
@@ -398,6 +403,7 @@ class Circuit:
         clone._inputs = list(self._inputs)
         clone._input_set = set(self._input_set)
         clone._outputs = list(self._outputs)
+        clone._output_set = set(self._output_set)
         clone._gates = dict(self._gates)
         clone._dirty = True
         return clone

@@ -6,8 +6,9 @@ then gates in topological order): one list of packed words, filled in
 row order with the small-int opcode evaluator
 :func:`~repro.simulation.schedule.eval_row` — the same table and opcodes
 the scalar fault replay walks.  Leakage is priced from exact per-gate
-minterm counts (:func:`~repro.simulation.values.minterm_counts`,
-``2^k - 1`` popcounts per ``k``-input gate).
+minterm counts, derived from one popcount per row: a 1-input gate
+costs no big-int operation, a 2-input gate one AND and one popcount,
+and a wider gate :func:`~repro.simulation.values.minterm_counts`.
 
 A whole-episode replay (:meth:`BigIntBackend.simulate_episode_batch`
 without ``keep_waveforms``) is one fused pass over the same rows: each
@@ -66,7 +67,12 @@ class _LeakagePricer:
     """Per-gate leakage (nA) summed over ``n`` packed patterns.
 
     Each (opcode, arity) prices its minterm counts in the leakage
-    table's pattern order, resolved once per pricer.
+    table's pattern order, resolved once per pricer.  The counts start
+    from every row's popcount, taken once as the row settles (``ones``),
+    and are split by inclusion-exclusion: a 1-input gate needs no
+    big-int operation and a 2-input gate one AND and one popcount;
+    wider gates split with :func:`minterm_counts`.  The counts are
+    exact, so the floats do not depend on how they were derived.
     """
 
     def __init__(self, library: CellLibrary, n: int):
@@ -75,18 +81,30 @@ class _LeakagePricer:
         self._full = mask(n)
         self._orders: dict[tuple[int, int], list[tuple[int, float]]] = {}
 
-    def price(self, op: int, in_words: list[int]) -> float:
-        """Leakage of one gate row from its settled fan-in words."""
-        key = (op, len(in_words))
+    def price(self, op: int, ins: Sequence[int], values: list[int],
+              ones: list[int]) -> float:
+        """Leakage of one gate row from its settled fan-in rows."""
+        key = (op, len(ins))
         order = self._orders.get(key)
         if order is None:
-            table = self._library.leakage_table(GATE_TYPES[op],
-                                                len(in_words))
+            table = self._library.leakage_table(GATE_TYPES[op], len(ins))
             order = self._orders[key] = [
                 (sum(bit << pin for pin, bit in enumerate(pattern)),
                  leak_na)
                 for pattern, leak_na in table.items()]
-        counts = minterm_counts(in_words, self._n, self._full)
+        n = self._n
+        counts: Sequence[int]
+        if len(ins) == 1:
+            high = ones[ins[0]]
+            counts = (n - high, high)
+        elif len(ins) == 2:
+            a, b = ins
+            both = (values[a] & values[b]).bit_count()
+            only_a, only_b = ones[a] - both, ones[b] - both
+            counts = (n - both - only_a - only_b, only_a, only_b, both)
+        else:
+            counts = minterm_counts([values[src] for src in ins], n,
+                                    self._full)
         total = 0.0
         for code, leak_na in order:
             cycles = counts[code]
@@ -123,7 +141,8 @@ class BigIntState(SimState):
         rows, values = self._rows, self._values
         first = rows.n_inputs
         price = _LeakagePricer(library, self.n).price
-        return {line: price(op, [values[src] for src in ins])
+        ones = [word.bit_count() for word in values]
+        return {line: price(op, ins, values, ones)
                 for line, op, ins in zip(rows.lines[first:],
                                          rows.ops[first:],
                                          rows.fanin[first:])}
@@ -175,10 +194,12 @@ class BigIntBackend(Backend):
                            for line, word in zip(lines, values)}
             # Input words stay alive in the plan either way, so only
             # gate rows release; a released slot holds the shared small
-            # int 0.
+            # int 0.  Popcounts are small ints and stay.
             values.extend([0] * (len(lines) - first))
             price = _LeakagePricer(library or default_library(), n).price \
                 if collect_leakage else None
+            ones = [word.bit_count() for word in values] \
+                if collect_leakage else []
             leakage: dict[str, float] = {}
             for row in range(first, len(lines)):
                 op, ins = rows.ops[row], rows.fanin[row]
@@ -186,7 +207,8 @@ class BigIntBackend(Backend):
                 line = lines[row]
                 transitions[line] = _transition_count(word, boundary)
                 if price is not None:
-                    leakage[line] = price(op, [values[src] for src in ins])
+                    ones[row] = word.bit_count()
+                    leakage[line] = price(op, ins, values, ones)
                 for dead in releases[row]:
                     values[dead] = 0
             return EpisodeBatchResult(

@@ -7,9 +7,10 @@ per-cycle waveforms of the combinational inputs over a whole scan episode
 * the waveform of every internal line (packed words, one bit per cycle),
 * per-line transition counts (for dynamic energy, paper eq. 1),
 * per-gate leakage accumulated over all cycles via per-pattern cycle
-  counts (for average static power) — the minterm split of
-  :func:`~repro.simulation.values.minterm_counts` needs ``2^k - 1``
-  popcounts per ``k``-input gate instead of a per-cycle table walk.
+  counts (for average static power) — exact minterm counts from one
+  popcount per line (one AND and one popcount more per 2-input gate,
+  :func:`~repro.simulation.values.minterm_counts` for wider gates)
+  instead of a per-cycle table walk.
 
 Zero-delay (cycle-accurate) semantics: within a cycle the combinational
 logic settles instantly; transitions are counted between consecutive

@@ -123,11 +123,6 @@ class EpisodePlan:
     def n_episodes(self) -> int:
         return len(self.offsets)
 
-    @property
-    def n_words(self) -> int:
-        """``uint64`` words per packed waveform row."""
-        return (self.n_cycles + 63) // 64
-
     def episode_bounds(self) -> list[tuple[int, int]]:
         """``[start, stop)`` cycle range of every episode."""
         return [(start, start + length)

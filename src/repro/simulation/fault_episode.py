@@ -94,11 +94,6 @@ class FaultEpisodePlan:
     def n_faults(self) -> int:
         return len(self.faults)
 
-    @property
-    def n_words(self) -> int:
-        """``uint64`` words per packed waveform row."""
-        return (self.n + 63) // 64
-
     def good_words(self, backend: "Backend") -> dict[str, int]:
         """Interchange words of the fault-free simulation on
         ``backend``, memoized by backend name.

@@ -2,10 +2,20 @@
 
 import pytest
 
+import caps_reference as reference
+from repro.benchgen import generate_circuit
+from repro.benchgen.generator import generate_from_stats
+from repro.benchgen.iscas89 import Iscas89Stats
 from repro.cells.capacitance import line_load_ff, load_map_ff, switched_caps_ff
-from repro.cells.library import default_library
+from repro.cells.library import CellLibrary, default_library
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
+from tests.atpg.gate_mix import sprinkle_gates
+from tests.atpg.generate_podem_pins import (
+    SEED,
+    TESTSET_CIRCUITS,
+    mapped_circuit,
+)
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +82,61 @@ class TestMaps:
     def test_switched_caps_alias(self, lib, s27):
         assert switched_caps_ff(s27, lib) == load_map_ff(
             s27, lib, include_internal=True)
+
+
+def _shared_pin_circuit() -> Circuit:
+    """One line on two pins of a gate, DFF sinks, a PO that also fans
+    out, a PI that is a PO, and MUX2 and CONST cells."""
+    c = Circuit("pins")
+    for name in ("a", "b", "s"):
+        c.add_input(name)
+    c.add_gate("q", GateType.DFF, ("m",))
+    c.add_gate("t0", GateType.CONST0, ())
+    c.add_gate("t1", GateType.CONST1, ())
+    c.add_gate("n1", GateType.NAND, ("a", "a"))
+    c.add_gate("n2", GateType.NOR, ("n1", "b", "n1"))
+    c.add_gate("m", GateType.MUX2, ("s", "n2", "t1"))
+    c.add_gate("x", GateType.XOR, ("q", "t0"))
+    c.add_gate("d", GateType.DFF, ("n1",))
+    c.add_output("n1")
+    c.add_output("x")
+    c.add_output("b")
+    return c
+
+
+def _assert_caps_match(circuit, library):
+    for internal in (True, False):
+        assert list(load_map_ff(circuit, library, internal).items()) == \
+            list(reference.load_map_ff(circuit, library, internal).items())
+    assert list(switched_caps_ff(circuit, library).items()) == \
+        list(reference.load_map_ff(circuit, library).items())
+
+
+class TestAgainstFrozenWalk:
+    """The per-cell-type caps map equals the frozen per-line walk item
+    by item: keys, dict order and floats."""
+
+    def test_s27(self, lib, s27, s27_mapped):
+        _assert_caps_match(s27, lib)
+        _assert_caps_match(s27_mapped, lib)
+
+    @pytest.mark.parametrize("name", TESTSET_CIRCUITS)
+    def test_table1_circuits(self, lib, name):
+        """The six ``table1_cold`` rows, unmapped and mapped."""
+        _assert_caps_match(generate_circuit(name, SEED), lib)
+        _assert_caps_match(mapped_circuit(name), lib)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_netlists(self, seed):
+        circuit = sprinkle_gates(generate_from_stats(
+            Iscas89Stats("mix", 5, 2, 3, 40), seed), seed)
+        _assert_caps_match(circuit, CellLibrary(
+            wire_cap_per_fanout_ff=0.1 * (seed + 1),
+            output_load_ff=1.0 + seed))
+
+    def test_shared_pins_dff_sinks_and_fanout_outputs(self, lib):
+        c = _shared_pin_circuit()
+        _assert_caps_match(c, lib)
+        caps = load_map_ff(c, lib)
+        assert caps["a"] == reference.line_load_ff(c, "a", lib)
+        assert caps["a"] > 2 * lib.wire_cap_per_fanout_ff

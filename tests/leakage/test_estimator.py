@@ -5,15 +5,24 @@ import itertools
 import numpy as np
 import pytest
 
+import sample_leakage_reference as sample_reference
+from repro.benchgen.generator import generate_from_stats
+from repro.benchgen.iscas89 import Iscas89Stats
 from repro.leakage.estimator import (
     circuit_leakage_na,
     expected_leakage_na,
     leakage_power_uw,
     per_sample_leakage,
+    state_sample_leakage,
 )
 from repro.netlist.gates import X
-from repro.simulation.bitsim import pack_input_vectors
+from repro.simulation.backends import get_backend
+from repro.simulation.bitsim import pack_input_vectors, random_input_words
 from repro.simulation.eval2 import comb_input_lines, simulate_comb
+from repro.simulation.values import mask
+from repro.utils.rng import make_rng
+from tests.atpg.gate_mix import sprinkle_gates
+from tests.atpg.generate_podem_pins import TESTSET_CIRCUITS, mapped_circuit
 
 
 class TestLeakagePowerConversion:
@@ -124,3 +133,38 @@ class TestPerEpisodeLeakage:
                                   plan.n_cycles, library)
         for i, (start, stop) in enumerate(plan.episode_bounds()):
             assert per_episode[i] == flat[start:stop].mean()
+
+
+class TestStateSampleLeakageAgainstFrozen:
+    """Per-line unpacking and per-cell-type LUTs leave every array
+    byte-identical to the frozen per-gate pricing."""
+
+    @pytest.mark.parametrize("name", TESTSET_CIRCUITS)
+    def test_table1_circuits(self, name, library):
+        circuit = mapped_circuit(name)
+        for n, seed in ((1, 1), (257, 2)):
+            words = random_input_words(circuit, n, make_rng(seed))
+            _assert_matches_frozen(circuit, words, n, library)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_netlists(self, seed, library):
+        circuit = sprinkle_gates(generate_from_stats(
+            Iscas89Stats("mix", 5, 2, 3, 40), seed), seed)
+        for n in (1, 64, 65):
+            words = random_input_words(circuit, n, make_rng(seed + n))
+            _assert_matches_frozen(circuit, words, n, library)
+
+    def test_constant_stimulus(self, s27_mapped, library):
+        for value in (0, mask(70)):
+            words = dict.fromkeys(comb_input_lines(s27_mapped), value)
+            _assert_matches_frozen(s27_mapped, words, 70, library)
+
+
+def _assert_matches_frozen(circuit, words, n, library):
+    engine = get_backend("bigint")
+    got = state_sample_leakage(engine.run(circuit, words, n), circuit,
+                               library)
+    want = sample_reference.state_sample_leakage(
+        engine.run(circuit, words, n), circuit, library)
+    assert got.dtype == want.dtype and got.shape == want.shape == (n,)
+    assert got.tobytes() == want.tobytes()

@@ -162,6 +162,21 @@ class TestMutation:
         assert "alpha" in c.inputs
         assert c.gates["mid"].inputs == ("alpha", "b")
 
+    def test_rename_and_copy_keep_is_output(self):
+        c = small_circuit()
+        c.add_output("n1")
+        c.rename_line("n2", "out")
+        assert c.is_output("out") and not c.is_output("n2")
+        assert c.outputs == ("out", "n1")
+        clone = c.copy()
+        clone.rename_line("n1", "mid")
+        assert clone.is_output("mid") and not clone.is_output("n1")
+        assert c.is_output("n1") and not c.is_output("mid")
+        clone.add_output("a")
+        assert clone.is_output("a") and not c.is_output("a")
+        with pytest.raises(NetlistError, match="duplicate"):
+            clone.add_output("out")
+
     def test_rename_to_existing_raises(self):
         c = small_circuit()
         with pytest.raises(NetlistError):

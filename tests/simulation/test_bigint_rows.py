@@ -24,11 +24,13 @@ from repro.benchgen.iscas89 import Iscas89Stats
 from repro.cells.capacitance import load_map_ff, switched_caps_ff
 from repro.cells.library import CellLibrary, default_library
 from repro.errors import SimulationError
+from repro.netlist.circuit import Circuit
 from repro.netlist.gates import COMBINATIONAL_TYPES, GateType
 from repro.simulation import schedule
 from repro.simulation.backends import get_backend
 from repro.simulation.bitsim import random_input_words, simulate_packed
 from repro.simulation.cyclesim import simulate_cycles
+from repro.simulation.episode import EpisodePlan
 from repro.simulation.eval2 import comb_input_lines
 from repro.simulation.values import mask, minterm_counts, pattern_count
 from repro.utils.rng import make_rng
@@ -217,6 +219,83 @@ def test_negative_pattern_count_raises(s27_mapped, engine):
     assert set(empty.leakage_sum_na.values()) == {0.0}
     assert set(empty.transitions.values()) == {0}
     assert empty.mean_leakage_na == 0.0
+
+
+def _repeated_fanin_circuit() -> Circuit:
+    """Gates of arity 1-4 (and 0), several reading a line on two or
+    more pins, so the shared-popcount counts meet ``a & a``."""
+    c = Circuit("fanin")
+    for name in ("a", "b", "c", "d"):
+        c.add_input(name)
+    c.add_gate("t1", GateType.CONST1, ())
+    c.add_gate("inv", GateType.NOT, ("a",))
+    c.add_gate("buf", GateType.BUFF, ("inv",))
+    c.add_gate("and_aa", GateType.AND, ("a", "a"))
+    c.add_gate("nor_ab", GateType.NOR, ("a", "b"))
+    c.add_gate("xor_bt", GateType.XOR, ("b", "t1"))
+    c.add_gate("nand_aba", GateType.NAND, ("a", "b", "a"))
+    c.add_gate("or_cdc", GateType.OR, ("c", "d", "inv"))
+    c.add_gate("mux", GateType.MUX2, ("nor_ab", "c", "nor_ab"))
+    c.add_gate("nand4", GateType.NAND, ("a", "b", "c", "d"))
+    c.add_gate("nor4", GateType.NOR, ("d", "and_aa", "d", "mux"))
+    c.add_gate("xnor4", GateType.XNOR, ("inv", "inv", "buf", "c"))
+    for out in ("nand_aba", "or_cdc", "nand4", "nor4", "xnor4",
+                "xor_bt"):
+        c.add_output(out)
+    return c
+
+
+class TestLeakagePricingPins:
+    """The fused episode replay, :meth:`BigIntState.leakage_sum` and the
+    frozen ``pattern_count`` pricing agree item by item, in dict order,
+    on repeated fan-in, one-cycle plans and constant words."""
+
+    @staticmethod
+    def _assert_three_way(circuit, words, n):
+        library = default_library()
+        want = reference.simulate_packed_bigint(circuit, words, n)
+        want_leak = list(reference.leakage_sum(circuit, want, n,
+                                               library).items())
+        want_trans = list(reference.transitions(want, n).items())
+        state = get_backend("bigint").run(circuit, words, n)
+        assert list(state.leakage_sum(library).items()) == want_leak
+        assert list(state.transitions().items()) == want_trans
+        plan = EpisodePlan(circuit=circuit, waveforms=dict(words),
+                           n_cycles=n, offsets=(0,), lengths=(n,))
+        batch = get_backend("bigint").simulate_episode_batch(plan, library)
+        assert list(batch.leakage_sum_na.items()) == want_leak
+        assert list(batch.transitions.items()) == want_trans
+        assert [value.hex() for _, value in want_leak] == \
+            [value.hex() for value in batch.leakage_sum_na.values()]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_repeated_fanin_random_words(self, n):
+        circuit = _repeated_fanin_circuit()
+        for seed in range(3):
+            words = random_input_words(circuit, n, make_rng(seed + n))
+            self._assert_three_way(circuit, words, n)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_all_zero_and_all_one_words(self, n):
+        circuit = _repeated_fanin_circuit()
+        lines = comb_input_lines(circuit)
+        for words in (dict.fromkeys(lines, 0), dict.fromkeys(lines, mask(n)),
+                      {line: mask(n) * (i % 2)
+                       for i, line in enumerate(lines)}):
+            self._assert_three_way(circuit, words, n)
+
+    @pytest.mark.parametrize("seed", GATE_MIX_SEEDS[:4])
+    def test_one_cycle_plans(self, seed):
+        circuit = _gate_mix(seed)
+        for code in range(4):
+            words = random_input_words(circuit, 1, make_rng(seed * 4 + code))
+            self._assert_three_way(circuit, words, 1)
+
+    def test_table1_circuits(self):
+        for name in PODEM_CIRCUITS:
+            circuit = mapped_circuit(name)
+            words = random_input_words(circuit, 200, make_rng(7))
+            self._assert_three_way(circuit, words, 200)
 
 
 def test_minterm_split_popcounts():

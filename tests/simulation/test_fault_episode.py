@@ -73,7 +73,6 @@ class TestPlan:
         plan = compile_fault_episode_plan(mapped, faults, words, n)
         assert plan.n_faults == len(faults)
         assert plan.n == n
-        assert plan.n_words == (n + 63) // 64
         assert plan.faults == tuple(faults)
 
     def test_rejects_empty_pattern_set(self, mapped):
