@@ -123,7 +123,7 @@ def test_perf_bigint_cycle_sim_speedup(benchmark, s5378_mapped,
             return reference.simulate_cycles(s5378_mapped,
                                              s5378_words_4096, n, library)
         result = simulate_cycles(s5378_mapped, s5378_words_4096, n,
-                                 library, backend="bigint")
+                                 library)
         return result.transitions, result.leakage_sum_na
 
     product = run(False)  # also warms the row table
@@ -321,7 +321,7 @@ def test_perf_tracing_disabled_overhead(benchmark, s1423_mapped,
     # representative attrs.
     def span_loop():
         for _ in range(1000):
-            with real_span("bench.overhead", backend="bigint",
+            with real_span("bench.overhead", patterns=64,
                            cycles=75):
                 pass
 
@@ -356,10 +356,10 @@ def test_perf_fault_episode_speedup(benchmark, s1423_mapped):
 
     The Table-I / coverage-evaluation shape: the collapsed fault
     universe against a 1024-pattern test set.  The per-batch loop
-    drives 16 independent 64-pattern ``fault_simulate_batch`` calls
-    (each re-simulating the good machine and replaying every fault) and
-    OR-merges the detection words; the planned path packs the whole
-    fault x pattern matrix into one :class:`FaultEpisodePlan` and
+    drives 16 independent 64-pattern ``fault_simulate`` calls (each
+    re-simulating the good machine and replaying every fault) and
+    OR-merges the detection words; the planned path hands the whole
+    fault x pattern matrix to a fresh :class:`FaultSimSession` and
     replays it once over one settled good state (a big-int event
     costs about the same at 1024 bits as at 64, so one wide replay
     beats sixteen narrow ones).  Merged detection words are asserted
@@ -367,8 +367,8 @@ def test_perf_fault_episode_speedup(benchmark, s1423_mapped):
     and enforced >= 3x (``$REPRO_BENCH_FAULT_EPISODE_FLOOR`` overrides;
     the regression gate diffs the trajectory).
     """
-    from repro.simulation.backends import get_backend
-    from repro.simulation.fault_episode import compile_fault_episode_plan
+    from repro.atpg.faultsim import fault_simulate
+    from repro.simulation.fault_episode import FaultSimSession
     from repro.simulation.values import mask
 
     universe = collapse_faults(s1423_mapped, all_faults(s1423_mapped))
@@ -379,21 +379,19 @@ def test_perf_fault_episode_speedup(benchmark, s1423_mapped):
          for line, word in words.items()}
         for start in range(0, n_total, chunk)
     ]
-    engine = get_backend("bigint")
 
     def per_batch():
         merged: dict = {}
         for i, batch in enumerate(chunk_words):
-            result = engine.fault_simulate_batch(
+            result = fault_simulate(
                 s1423_mapped, universe, batch, chunk, drop=False)
             for fault, word in result.detected.items():
                 merged[fault] = merged.get(fault, 0) | (word << i * chunk)
         return merged
 
     def one_plan():
-        plan = compile_fault_episode_plan(s1423_mapped, universe, words,
-                                          n_total)
-        return engine.fault_simulate_plan(plan, drop=False)
+        return FaultSimSession(s1423_mapped).simulate(
+            universe, words, n_total, drop=False)
 
     reference = one_plan()  # warms the row table + replay tables
     merged = per_batch()
@@ -555,7 +553,7 @@ def test_perf_bigint_fault_replay_speedup(benchmark, s1423_mapped):
     universe = collapse_faults(s1423_mapped, all_faults(s1423_mapped))
     n = 256
     words = random_input_words(s1423_mapped, n, make_rng(1))
-    good = simulate_packed(s1423_mapped, words, n, backend="bigint")
+    good = simulate_packed(s1423_mapped, words, n)
 
     def run(oracle):
         replay = event_replay if oracle else scalar_replay

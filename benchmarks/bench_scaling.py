@@ -9,7 +9,7 @@ long-pole operations per size on the big-int engine:
 * whole-test-set power replay (``evaluate_scan_power`` over a compiled
   :class:`EpisodePlan`),
 * whole-test-set fault detection on a sampled fault universe
-  (``FaultSimSession`` over a :class:`FaultEpisodePlan`).
+  (one ``FaultSimSession`` call over the whole pattern set).
 
 Output is a pytest-benchmark-compatible JSON (``{"benchmarks": [...]}``,
 one ``scaling_bigint_g<N>`` entry per size plus one ``scaling_bigint``

@@ -106,20 +106,14 @@ from repro.scan import (
     reorder_vectors,
 )
 from repro.simulation import (
-    Backend,
     EpisodeBatchResult,
     EpisodePlan,
-    FaultEpisodePlan,
     FaultSimSession,
-    SequentialSimulator,
-    SimState,
     compile_episode_plan,
-    compile_fault_episode_plan,
-    get_backend,
-    resolve_backend,
     simulate_comb,
     simulate_comb3,
     simulate_cycles,
+    simulate_episode_batch,
     simulate_packed,
 )
 from repro.spice import (
@@ -144,11 +138,10 @@ __all__ = [
     "technology_map", "equivalence_check",
     "LibraryDelay", "UnitDelay", "run_sta", "critical_path",
     "simulate_comb", "simulate_comb3", "simulate_packed",
-    "simulate_cycles", "SequentialSimulator",
-    # simulation backends
-    "Backend", "SimState", "get_backend", "resolve_backend",
+    "simulate_cycles",
+    # scan replay and fault sessions
     "EpisodePlan", "EpisodeBatchResult", "compile_episode_plan",
-    "FaultEpisodePlan", "FaultSimSession", "compile_fault_episode_plan",
+    "simulate_episode_batch", "FaultSimSession",
     # scan / power
     "ScanCell", "ScanChain", "ScanDesign", "TestVector",
     "MuxPlan", "insert_muxes",

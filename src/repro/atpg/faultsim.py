@@ -15,11 +15,12 @@ call it turns the good words into one list that each fault mutates in
 place and restores, with a min-heap of pending sink rows as the event
 queue.
 
-This replay is the only fault-simulation engine:
-:meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`
-runs it over the good words of the backend's own fault-free pass.
-The differential property tests in ``tests/properties`` pin its
-detection words and ``remaining`` ordering against frozen oracles.
+This replay is the only fault-simulation engine: :func:`fault_simulate`
+runs it over one fault-free :func:`~repro.simulation.bitsim.
+simulate_packed` pass, and a :class:`~repro.simulation.fault_episode.
+FaultSimSession` over good words it keeps across calls.  The
+differential property tests in ``tests/properties`` pin its detection
+words and ``remaining`` ordering against frozen oracles.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from collections.abc import Collection, Mapping, Sequence
 from repro.atpg.faults import Fault, observable_lines
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
-from repro.simulation.backends import Backend, resolve_backend
+from repro.simulation.bitsim import simulate_packed
 from repro.simulation.schedule import (
     OP_BUFF,
     OP_CONST1,
@@ -46,8 +47,8 @@ from repro.simulation.schedule import (
 )
 from repro.simulation.values import mask
 
-__all__ = ["FaultSimResult", "check_fault_lines", "detect_word",
-           "fault_simulate", "scalar_fault_simulate", "scalar_replay"]
+__all__ = ["FaultSimResult", "check_fault_lines", "check_pattern_count",
+           "detect_word", "fault_simulate", "scalar_replay"]
 
 
 @dataclasses.dataclass
@@ -76,7 +77,7 @@ class FaultSimResult:
 
 def check_fault_lines(circuit: Circuit, faults: Sequence[Fault]) -> None:
     """Raise :class:`~repro.errors.SimulationError` for a fault on a line
-    ``circuit`` does not have (every engine rejects it the same way)."""
+    ``circuit`` does not have."""
     for fault in faults:
         if not circuit.has_line(fault.line):
             raise SimulationError(
@@ -102,7 +103,8 @@ def _observable_rows(circuit: Circuit, rows: RowTable) -> tuple[bool, ...]:
     return cached[1]
 
 
-def _check_pattern_count(n: int) -> None:
+def check_pattern_count(n: int) -> None:
+    """Raise :class:`~repro.errors.SimulationError` unless ``n >= 1``."""
     if n < 1:
         raise SimulationError(
             f"fault simulation needs n >= 1 patterns, got {n}")
@@ -123,7 +125,7 @@ def _replay(rows: RowTable, faults: Sequence[Fault],
     fault is done, so ``values`` is the good machine again for the
     next fault.
     """
-    _check_pattern_count(n)
+    check_pattern_count(n)
     base = []
     for line in rows.lines:
         try:
@@ -223,11 +225,9 @@ def scalar_replay(circuit: Circuit, faults: Sequence[Fault],
                   good: Mapping[str, int], n: int) -> FaultSimResult:
     """Scalar row-space replay over an already-settled good machine.
 
-    ``good`` holds the fault-free interchange words of every line
-    (whichever backend produced them — words are backend-agnostic).
-    This is the shared core of :func:`scalar_fault_simulate` and of the
-    plan-based reference path
-    (:meth:`~repro.simulation.backends.base.Backend.fault_simulate_plan`),
+    ``good`` holds the fault-free words of every line.  This is the
+    shared core of :func:`fault_simulate` and of
+    :meth:`~repro.simulation.fault_episode.FaultSimSession.simulate`,
     which reuses one good machine across many calls instead of
     re-simulating it per batch.
     """
@@ -244,43 +244,21 @@ def scalar_replay(circuit: Circuit, faults: Sequence[Fault],
     return FaultSimResult(detected=detected, remaining=remaining)
 
 
-def scalar_fault_simulate(backend: Backend, circuit: Circuit,
-                          faults: Sequence[Fault],
-                          input_words: Mapping[str, int], n: int,
-                          drop: bool = True) -> FaultSimResult:
-    """Reference fault simulation: scalar big-int row-space replay.
-
-    ``backend`` supplies the fault-free pass; the per-fault replay works
-    on interchange words, so detection words are bit-identical no matter
-    which backend computed the good machine.  Every backend's
-    :meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`
-    runs it.
-    """
-    good = backend.simulate_packed(circuit, input_words, n)
-    return scalar_replay(circuit, faults, good, n)
-
-
 def fault_simulate(circuit: Circuit, faults: Sequence[Fault],
                    input_words: Mapping[str, int], n: int,
-                   drop: bool = True,
-                   backend: str | Backend | None = None
-                   ) -> FaultSimResult:
+                   drop: bool = True) -> FaultSimResult:
     """Simulate ``faults`` against ``n`` packed patterns.
 
     ``remaining`` always holds exactly the undetected faults, in input
-    order.  ``drop=True`` (default) lets an engine stop refining a fault
-    once it is detected; the detection word still records *all* detecting
-    patterns of this batch (which reverse-order compaction exploits), so
-    the result does not depend on ``drop``.  Dropping *across* batches is
-    the caller's job: feed ``result.remaining`` to the next call.
+    order.  The detection word records *all* detecting patterns of this
+    batch (which reverse-order compaction exploits), so the result does
+    not depend on ``drop``.  Dropping *across* batches is the caller's
+    job: feed ``result.remaining`` to the next call.
 
-    ``backend`` selects the engine of the fault-free pass (name,
-    instance or ``None`` for the big-int engine).  A
-    fault on a line the circuit does not have, or ``n < 1``, raises
+    A fault on a line the circuit does not have, or ``n < 1``, raises
     :class:`~repro.errors.SimulationError`.
     """
-    engine = resolve_backend(backend)
-    _check_pattern_count(n)
+    check_pattern_count(n)
     check_fault_lines(circuit, faults)
-    return engine.fault_simulate_batch(circuit, faults, input_words, n,
-                                       drop=drop)
+    return scalar_replay(circuit, faults,
+                         simulate_packed(circuit, input_words, n), n)

@@ -58,7 +58,6 @@ from repro.atpg.sat import REDUNDANT, TESTABLE, RedundancyProver
 from repro.errors import AtpgError, ConfigError
 from repro.obs.metrics import get_registry
 from repro.scan.testview import ScanDesign, TestVector
-from repro.simulation.backends import Backend
 from repro.simulation.bitsim import pack_input_vectors, random_input_words
 from repro.simulation.eval2 import comb_input_lines
 from repro.simulation.fault_episode import FaultSimSession
@@ -166,12 +165,8 @@ def _vector_to_assignment(design: ScanDesign,
 
 
 def generate_tests(design: ScanDesign,
-                   config: AtpgConfig | None = None,
-                   backend: str | Backend | None = None) -> TestSet:
+                   config: AtpgConfig | None = None) -> TestSet:
     """Generate a compacted stuck-at test set for a full-scan design.
-
-    ``backend`` selects the packed-simulation engine for every fault
-    simulation (``None``: the big-int engine).
 
     All fault simulations run through one persistent
     :class:`~repro.simulation.fault_episode.FaultSimSession` that
@@ -180,7 +175,7 @@ def generate_tests(design: ScanDesign,
     config = config or AtpgConfig()
     circuit = design.circuit
     universe = collapse_faults(circuit, all_faults(circuit))
-    session = FaultSimSession(circuit, backend)
+    session = FaultSimSession(circuit)
     return _generate_tests(design, config, universe, session)
 
 

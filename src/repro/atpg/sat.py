@@ -378,7 +378,7 @@ class RedundancyProver:
         words = simulate_packed(
             circuit, random_input_words(circuit, CONSTANT_PATTERNS,
                                         make_rng(_CONSTANT_SEED)),
-            CONSTANT_PATTERNS, backend="bigint")
+            CONSTANT_PATTERNS)
         full = (1 << CONSTANT_PATTERNS) - 1
         for li in self.engine.topo_idx:
             word = words[names[li]]

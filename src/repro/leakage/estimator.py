@@ -21,7 +21,7 @@ import numpy as np
 from repro.cells.library import CellLibrary, default_library
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import X
-from repro.simulation.backends import Backend, SimState, resolve_backend
+from repro.simulation.backends import BigIntState, simulate_state
 from repro.simulation.values import unpack_bool_array
 
 __all__ = [
@@ -91,12 +91,12 @@ def _word_to_bool_array(word: int, n: int) -> np.ndarray:
     return unpack_bool_array(word, n)
 
 
-def state_sample_leakage(state: SimState, circuit: Circuit,
+def state_sample_leakage(state: BigIntState, circuit: Circuit,
                          library: CellLibrary) -> np.ndarray:
     """Per-sample total leakage (nA) from an existing simulation state.
 
     The vectorized LUT pricing behind :func:`per_sample_leakage`, usable
-    on any backend's :class:`~repro.simulation.backends.SimState` without
+    on a settled :class:`~repro.simulation.backends.BigIntState` without
     re-simulating.
     """
     n = state.n
@@ -125,8 +125,7 @@ def state_sample_leakage(state: SimState, circuit: Circuit,
     return totals
 
 
-def per_episode_leakage(plan, library: CellLibrary | None = None,
-                        backend: str | Backend | None = None
+def per_episode_leakage(plan, library: CellLibrary | None = None
                         ) -> np.ndarray:
     """Mean leakage (nA) of every episode, sliced from one batch.
 
@@ -136,15 +135,14 @@ def per_episode_leakage(plan, library: CellLibrary | None = None,
     plan's offsets — no per-episode re-simulation.
     """
     leaks = per_sample_leakage(plan.circuit, plan.waveforms,
-                               plan.n_cycles, library, backend=backend)
+                               plan.n_cycles, library)
     return np.array([leaks[start:stop].mean()
                      for start, stop in plan.episode_bounds()],
                     dtype=np.float64)
 
 
 def per_sample_leakage(circuit: Circuit, input_words: Mapping[str, int],
-                       n: int, library: CellLibrary | None = None,
-                       backend: str | Backend | None = None
+                       n: int, library: CellLibrary | None = None
                        ) -> np.ndarray:
     """Per-sample total leakage (nA) for ``n`` packed input samples.
 
@@ -153,5 +151,5 @@ def per_sample_leakage(circuit: Circuit, input_words: Mapping[str, int],
     per-cycle leakage profiles.
     """
     library = library or default_library()
-    state = resolve_backend(backend).run(circuit, input_words, n)
+    state = simulate_state(circuit, input_words, n)
     return state_sample_leakage(state, circuit, library)

@@ -23,7 +23,6 @@ from repro.cells.library import CellLibrary, default_library
 from repro.errors import ConfigError
 from repro.leakage.estimator import per_sample_leakage
 from repro.netlist.circuit import Circuit
-from repro.simulation.backends import Backend
 from repro.simulation.eval2 import comb_input_lines
 from repro.simulation.values import mask
 from repro.utils.rng import make_rng
@@ -60,8 +59,7 @@ def random_fill_search(circuit: Circuit, fixed: Mapping[str, int],
                        seed: int | np.random.Generator | None = 0,
                        library: CellLibrary | None = None,
                        noise_lines: Sequence[str] = (),
-                       n_noise: int = 1,
-                       backend: str | Backend | None = None) -> IvcResult:
+                       n_noise: int = 1) -> IvcResult:
     """Random search for the lowest-leakage completion of ``free_lines``.
 
     ``fixed`` assigns the already-decided combinational inputs; every
@@ -73,9 +71,6 @@ def random_fill_search(circuit: Circuit, fixed: Mapping[str, int],
     chosen completion (the non-multiplexed pseudo-inputs during shift):
     every trial is scored by its **mean** leakage over ``n_noise``
     independent random states of the noise lines.
-
-    ``backend`` selects the packed-simulation engine (``None``: the
-    big-int engine).
     """
     library = library or default_library()
     inputs = comb_input_lines(circuit)
@@ -102,8 +97,7 @@ def random_fill_search(circuit: Circuit, fixed: Mapping[str, int],
         words[line] = int.from_bytes(rng.bytes(n_bytes), "little") & full
 
     if not free_lines:
-        leaks = per_sample_leakage(circuit, words, n_samples, library,
-                                   backend=backend)
+        leaks = per_sample_leakage(circuit, words, n_samples, library)
         return IvcResult(assignment={},
                          leakage_na=float(leaks.mean()),
                          trials=0)
@@ -122,8 +116,7 @@ def random_fill_search(circuit: Circuit, fixed: Mapping[str, int],
         free_words[line] = word
         words[line] = word
 
-    leaks = per_sample_leakage(circuit, words, n_samples, library,
-                               backend=backend)
+    leaks = per_sample_leakage(circuit, words, n_samples, library)
     per_trial = leaks.reshape(n_trials, n_noise).mean(axis=1)
     best = int(np.argmin(per_trial))
     assignment = {
@@ -137,8 +130,7 @@ def random_fill_search(circuit: Circuit, fixed: Mapping[str, int],
 def greedy_bit_improvement(circuit: Circuit, fixed: Mapping[str, int],
                            start: Mapping[str, int],
                            max_rounds: int = 4,
-                           library: CellLibrary | None = None,
-                           backend: str | Backend | None = None
+                           library: CellLibrary | None = None
                            ) -> IvcResult:
     """Coordinate-descent refinement of a completion.
 
@@ -158,8 +150,7 @@ def greedy_bit_improvement(circuit: Circuit, fixed: Mapping[str, int],
             base = full if current[line] else 0
             # Sample 0 is the incumbent; sample i+1 flips line i.
             words[line] = base ^ (1 << (i + 1))
-        leaks = per_sample_leakage(circuit, words, n, library,
-                                   backend=backend)
+        leaks = per_sample_leakage(circuit, words, n, library)
         trials += n
         best = int(np.argmin(leaks))
         if best == 0:
@@ -170,6 +161,5 @@ def greedy_bit_improvement(circuit: Circuit, fixed: Mapping[str, int],
     words = _packed_fixed_words(fixed, n)
     for line, value in current.items():
         words[line] = mask(1) if value else 0
-    leak = per_sample_leakage(circuit, words, 1, library,
-                              backend=backend)[0]
+    leak = per_sample_leakage(circuit, words, 1, library)[0]
     return IvcResult(dict(current), float(leak), trials)

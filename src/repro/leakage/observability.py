@@ -36,7 +36,7 @@ import numpy as np
 from repro.cells.library import CellLibrary, default_library
 from repro.leakage.estimator import per_sample_leakage, state_sample_leakage
 from repro.netlist.circuit import Circuit
-from repro.simulation.backends import Backend, resolve_backend
+from repro.simulation.backends import simulate_state
 from repro.simulation.bitsim import random_input_words
 from repro.simulation.eval2 import comb_input_lines
 from repro.utils.rng import make_rng
@@ -46,8 +46,7 @@ __all__ = ["monte_carlo_observability", "forced_observability"]
 
 def monte_carlo_observability(circuit: Circuit, n_samples: int = 512,
                               seed: int | np.random.Generator | None = 0,
-                              library: CellLibrary | None = None,
-                              backend: str | Backend | None = None
+                              library: CellLibrary | None = None
                               ) -> dict[str, float]:
     """Leakage observability for **every** line, by conditional means.
 
@@ -58,7 +57,7 @@ def monte_carlo_observability(circuit: Circuit, n_samples: int = 512,
     library = library or default_library()
     rng = make_rng(seed)
     input_words = random_input_words(circuit, n_samples, rng)
-    state = resolve_backend(backend).run(circuit, input_words, n_samples)
+    state = simulate_state(circuit, input_words, n_samples)
     totals = state_sample_leakage(state, circuit, library)
 
     observability: dict[str, float] = {}
@@ -78,8 +77,7 @@ def forced_observability(circuit: Circuit,
                          lines: Sequence[str] | None = None,
                          n_samples: int = 256,
                          seed: int | np.random.Generator | None = 0,
-                         library: CellLibrary | None = None,
-                         backend: str | Backend | None = None
+                         library: CellLibrary | None = None
                          ) -> dict[str, float]:
     """Forcing-semantics observability for controllable input lines.
 
@@ -110,8 +108,8 @@ def forced_observability(circuit: Circuit,
         words_zero = dict(base_words)
         words_zero[line] = 0
         leak_one = per_sample_leakage(
-            circuit, words_one, n_samples, library, backend).mean()
+            circuit, words_one, n_samples, library).mean()
         leak_zero = per_sample_leakage(
-            circuit, words_zero, n_samples, library, backend).mean()
+            circuit, words_zero, n_samples, library).mean()
         observability[line] = float(leak_one - leak_zero)
     return observability

@@ -5,7 +5,7 @@ A *span* is one timed phase: a name, monotonic start/duration, a
 ID of its parent (or ``None`` for a root), the recording PID/thread
 and free-form attributes.  Instrumented code wraps phases in::
 
-    with span("sim.episode_batch", backend="bigint") as sp:
+    with span("sim.episode_batch", cycles=n) as sp:
         ...                      # sp.elapsed_s() mid-flight
     sp.dur_s                     # measured duration, always available
 

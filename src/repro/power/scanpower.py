@@ -34,12 +34,13 @@ from repro.power.dynamic import (
     switching_energy_fj,
 )
 from repro.scan.testview import ScanDesign, TestVector
-from repro.simulation.backends import Backend, resolve_backend
-from repro.simulation.episode import compile_episode_plan
+from repro.simulation.episode import (
+    compile_episode_plan,
+    simulate_episode_batch,
+)
 
 if TYPE_CHECKING:
     from repro.simulation.cyclesim import CycleSimResult
-    from repro.simulation.episode import EpisodeBatchResult
 
 __all__ = ["ShiftPolicy", "ScanPowerReport", "evaluate_scan_power",
            "per_cycle_energy_fj", "energy_profile_fj", "episode_waveforms"]
@@ -83,7 +84,7 @@ class ScanPowerReport:
     @classmethod
     def from_replay(cls, circuit: Circuit, policy_name: str,
                     n_vectors: int,
-                    replay: "EpisodeBatchResult | CycleSimResult",
+                    replay: "CycleSimResult",
                     library: CellLibrary) -> "ScanPowerReport":
         """Price one replay's transitions and mean leakage (eq. 1, 5)."""
         energy_fj = switching_energy_fj(circuit, replay.transitions,
@@ -115,25 +116,19 @@ class ScanPowerReport:
 def episode_waveforms(design: ScanDesign, vectors: Sequence[TestVector],
                       policy: ShiftPolicy | None = None,
                       include_capture: bool = True,
-                      initial_state: Sequence[int] | None = None,
-                      backend: str | Backend | None = None
+                      initial_state: Sequence[int] | None = None
                       ) -> tuple[dict[str, int], int]:
     """Public wrapper over the episode waveform builder.
 
     Returns ``(per-line packed waveforms, n_cycles)`` for the whole scan
     episode — useful for custom analyses (spectra, peak windows, VCD-ish
     dumps) on top of the same shift semantics the evaluator uses.
-
-    ``backend`` selects the engine for the batched compiler's capture
-    pre-pass and is **resolved exactly once per call**, never
-    re-resolved per vector — the resolve-once convention every public
-    entry point follows.
     """
     policy = policy or ShiftPolicy()
     plan = compile_episode_plan(
         design, vectors, pi_values=policy.pi_values,
         mux_ties=policy.mux_ties, include_capture=include_capture,
-        initial_state=initial_state, backend=resolve_backend(backend))
+        initial_state=initial_state)
     return plan.waveforms, plan.n_cycles
 
 
@@ -142,8 +137,7 @@ def evaluate_scan_power(design: ScanDesign,
                         policy: ShiftPolicy | None = None,
                         library: CellLibrary | None = None,
                         include_capture: bool = True,
-                        initial_state: Sequence[int] | None = None,
-                        backend: str | Backend | None = None
+                        initial_state: Sequence[int] | None = None
                         ) -> ScanPowerReport:
     """Replay a scan test set and measure combinational power.
 
@@ -162,21 +156,14 @@ def evaluate_scan_power(design: ScanDesign,
         them).
     initial_state:
         Chain contents before the first shift (default all zeros).
-    backend:
-        Simulation backend for the episode replay (name, instance or
-        ``None`` for the big-int engine).
-        Resolved exactly once per call and reused for the capture
-        pre-pass and the batch evaluation.
     """
     policy = policy or ShiftPolicy()
     library = library or default_library()
-    engine = resolve_backend(backend)
     plan = compile_episode_plan(
         design, vectors, pi_values=policy.pi_values,
         mux_ties=policy.mux_ties, include_capture=include_capture,
-        initial_state=initial_state, backend=engine)
-    batch = engine.simulate_episode_batch(plan, library,
-                                          collect_leakage=True)
+        initial_state=initial_state)
+    batch = simulate_episode_batch(plan, library, collect_leakage=True)
     return ScanPowerReport.from_replay(design.circuit, policy.name,
                                        len(vectors), batch, library)
 
@@ -185,23 +172,20 @@ def per_cycle_energy_fj(design: ScanDesign,
                         vectors: Sequence[TestVector],
                         policy: ShiftPolicy | None = None,
                         library: CellLibrary | None = None,
-                        include_capture: bool = True,
-                        backend: str | Backend | None = None
+                        include_capture: bool = True
                         ) -> np.ndarray:
     """Per-cycle-boundary switching energy profile (peak-power studies).
 
     Memory/time scale with lines x cycles; intended for the smaller
-    circuits (ablation benches use it, Table I does not need it).  The
-    backend is resolved once per call.
+    circuits (ablation benches use it, Table I does not need it).
     """
     policy = policy or ShiftPolicy()
     library = library or default_library()
-    engine = resolve_backend(backend)
     plan = compile_episode_plan(
         design, vectors, pi_values=policy.pi_values,
         mux_ties=policy.mux_ties, include_capture=include_capture,
-        initial_state=None, backend=engine)
-    batch = engine.simulate_episode_batch(
+        initial_state=None)
+    batch = simulate_episode_batch(
         plan, library, collect_leakage=False, keep_waveforms=True)
     assert batch.waveforms is not None
     return energy_profile_fj(design.circuit, batch.waveforms,

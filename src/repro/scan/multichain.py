@@ -29,8 +29,11 @@ from repro.errors import ScanError
 from repro.netlist.circuit import Circuit
 from repro.scan.chain import ScanCell, ScanChain
 from repro.scan.testview import ScanDesign, TestVector
-from repro.simulation.backends import Backend, resolve_backend
-from repro.simulation.episode import EpisodePlan, check_pi_values
+from repro.simulation.episode import (
+    EpisodePlan,
+    check_pi_values,
+    simulate_episode_batch,
+)
 from repro.simulation.eval2 import simulate_comb
 from repro.simulation.values import pack_bits
 
@@ -233,17 +236,16 @@ def evaluate_multichain_power(design: MultiChainDesign,
                               vectors: Sequence[TestVector],
                               policy: ShiftPolicy | None = None,
                               library: CellLibrary | None = None,
-                              include_capture: bool = True,
-                              backend: str | Backend | None = None
+                              include_capture: bool = True
                               ) -> ScanPowerReport:
     """Replay a scan test set with all chains shifting in parallel.
 
     Semantics mirror the single-chain evaluator; only the schedule
     differs: every vector costs ``max_length`` shift cycles (plus the
     capture cycle), during which each chain walks its own contents.
-    ``backend`` (name, instance or ``None`` for the big-int engine) is
-    resolved exactly once per call.  Evaluation is one resident
-    ``Backend.simulate_episode_batch`` replay of the whole test set.
+    Evaluation is one resident
+    :func:`~repro.simulation.episode.simulate_episode_batch` replay of
+    the whole test set.
     """
     # Deferred: repro.power.scanpower imports repro.scan.testview, and
     # the repro.scan package imports this module.
@@ -251,7 +253,6 @@ def evaluate_multichain_power(design: MultiChainDesign,
 
     policy = policy or ShiftPolicy()
     library = library or default_library()
-    engine = resolve_backend(backend)
     waveforms, n_cycles = multichain_waveforms(design, vectors, policy,
                                                include_capture)
     per_episode = design.max_length + (1 if include_capture else 0)
@@ -259,8 +260,7 @@ def evaluate_multichain_power(design: MultiChainDesign,
         circuit=design.circuit, waveforms=waveforms, n_cycles=n_cycles,
         offsets=tuple(range(0, n_cycles, per_episode)),
         lengths=(per_episode,) * len(vectors))
-    result = engine.simulate_episode_batch(plan, library,
-                                           collect_leakage=True)
+    result = simulate_episode_batch(plan, library, collect_leakage=True)
     return ScanPowerReport.from_replay(
         design.circuit, f"{policy.name}@{design.n_chains}chains",
         len(vectors), result, library)

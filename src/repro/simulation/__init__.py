@@ -1,11 +1,5 @@
-"""Logic simulation: 2-valued, 3-valued, bit-parallel and event-driven."""
+"""Logic simulation: 2-valued, 3-valued and bit-parallel."""
 
-from repro.simulation.backends import (
-    Backend,
-    SimState,
-    get_backend,
-    resolve_backend,
-)
 from repro.simulation.bitsim import (
     eval_gate_packed,
     pack_input_vectors,
@@ -17,17 +11,11 @@ from repro.simulation.episode import (
     EpisodeBatchResult,
     EpisodePlan,
     compile_episode_plan,
+    simulate_episode_batch,
 )
 from repro.simulation.eval2 import comb_input_lines, simulate_comb
-from repro.simulation.fault_episode import (
-    FaultEpisodePlan,
-    FaultSimSession,
-    compile_fault_episode_plan,
-)
+from repro.simulation.fault_episode import FaultSimSession
 from repro.simulation.eval3 import imply_from, simulate_comb3
-from repro.simulation.eventsim import EventSimulator
-from repro.simulation.seqsim import SequentialSimulator
-from repro.simulation.vcd import render_vcd, write_vcd
 from repro.simulation.values import (
     bit_at,
     count_transitions,
@@ -52,13 +40,8 @@ __all__ = [
     "EpisodePlan",
     "EpisodeBatchResult",
     "compile_episode_plan",
-    "FaultEpisodePlan",
+    "simulate_episode_batch",
     "FaultSimSession",
-    "compile_fault_episode_plan",
-    "EventSimulator",
-    "SequentialSimulator",
-    "render_vcd",
-    "write_vcd",
     "mask",
     "pack_bits",
     "unpack_bits",
@@ -66,9 +49,4 @@ __all__ = [
     "bit_at",
     "count_transitions",
     "pattern_count",
-    # backends
-    "Backend",
-    "SimState",
-    "get_backend",
-    "resolve_backend",
 ]

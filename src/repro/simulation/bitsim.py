@@ -6,8 +6,8 @@ This backs fault simulation, Monte-Carlo leakage observability and the
 scan-shift power evaluation.
 
 This module holds the per-gate packed evaluator and the stimulus
-helpers; the public :func:`simulate_packed` dispatches to the
-simulation backend (see :mod:`repro.simulation.backends`).
+helpers; the public :func:`simulate_packed` runs the logic engine
+(:mod:`repro.simulation.backends`).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
+from repro.simulation.backends import simulate_state
 from repro.simulation.eval2 import comb_input_lines
 from repro.simulation.values import mask, pack_bits
 
@@ -59,20 +60,14 @@ def eval_gate_packed(gtype: GateType, words: Sequence[int],
 
 
 def simulate_packed(circuit: Circuit, input_words: Mapping[str, int],
-                    n: int, backend: object | None = None
-                    ) -> dict[str, int]:
+                    n: int) -> dict[str, int]:
     """Simulate ``n`` packed patterns; returns a word for every line.
 
     ``input_words`` must assign a word to every combinational input
     (primary inputs and DFF outputs); bits above position ``n-1`` must be
     zero (checked cheaply via the mask).
-
-    ``backend`` selects the simulation engine — a backend name, a
-    :class:`~repro.simulation.backends.Backend` instance, or ``None`` for
-    the big-int engine.
     """
-    from repro.simulation.backends import resolve_backend
-    return resolve_backend(backend).simulate_packed(circuit, input_words, n)
+    return simulate_state(circuit, input_words, n).words()
 
 
 def pack_input_vectors(circuit: Circuit,

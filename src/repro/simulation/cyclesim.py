@@ -17,8 +17,8 @@ logic settles instantly; transitions are counted between consecutive
 settled states.  This matches the transition-count power model used by the
 paper and its baseline [8].
 
-The heavy lifting (waveform evaluation, popcounts) is delegated to the
-simulation backend (:mod:`repro.simulation.backends`).
+The replay itself is the logic engine's one fused pass
+(:func:`repro.simulation.backends.replay`).
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from __future__ import annotations
 import dataclasses
 from collections.abc import Mapping
 
-from repro.cells.library import CellLibrary, default_library
+from repro.cells.library import CellLibrary
 from repro.netlist.circuit import Circuit
-from repro.simulation.backends import Backend, resolve_backend
+from repro.simulation.backends import replay
 
 __all__ = ["CycleSimResult", "simulate_cycles"]
 
@@ -71,8 +71,7 @@ class CycleSimResult:
 def simulate_cycles(circuit: Circuit, input_waveforms: Mapping[str, int],
                     n_cycles: int, library: CellLibrary | None = None,
                     collect_leakage: bool = True,
-                    keep_waveforms: bool = False,
-                    backend: str | Backend | None = None) -> CycleSimResult:
+                    keep_waveforms: bool = False) -> CycleSimResult:
     """Simulate ``n_cycles`` consecutive combinational states.
 
     Parameters
@@ -90,21 +89,9 @@ def simulate_cycles(circuit: Circuit, input_waveforms: Mapping[str, int],
     keep_waveforms:
         Retain all line waveforms on the result (memory proportional to
         lines x cycles / 8 bytes).
-    backend:
-        Simulation backend (name, instance or ``None`` for the big-int
-        engine).
     """
-    library = library or default_library()
-    state = resolve_backend(backend).run(circuit, input_waveforms, n_cycles)
-
-    transitions = state.transitions()
-    leakage_sum: dict[str, float] = {}
-    if collect_leakage:
-        leakage_sum = state.leakage_sum(library)
-
-    return CycleSimResult(
-        n_cycles=n_cycles,
-        transitions=transitions,
-        leakage_sum_na=leakage_sum,
-        waveforms=state.words() if keep_waveforms else None,
-    )
+    transitions, leakage_sum, waveforms = replay(
+        circuit, input_waveforms, n_cycles, library, collect_leakage,
+        keep_waveforms)
+    return CycleSimResult(n_cycles=n_cycles, transitions=transitions,
+                          leakage_sum_na=leakage_sum, waveforms=waveforms)

@@ -19,9 +19,9 @@ full test set into a single :class:`EpisodePlan`:
   one interchange word, episode-major, with per-episode offsets so
   consumers can slice any vector's segment back out.
 
-``Backend.simulate_episode_batch(plan)`` then evaluates the whole test
-set's replay in a single resident backend pass (on the big-int engine
-one fused pass over the row table) and returns an
+:func:`simulate_episode_batch` then evaluates the whole test set's
+replay in the logic engine's one fused pass over the row table
+(:func:`repro.simulation.backends.replay`) and returns an
 :class:`EpisodeBatchResult`.
 
 Everything is bit-identical to that serial per-episode loop, which is
@@ -40,19 +40,22 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.cells.library import CellLibrary
 from repro.errors import ScanError
 from repro.netlist.circuit import Circuit
-from repro.obs.trace import traced
+from repro.obs.trace import span, traced
+from repro.simulation.backends import replay, simulate_state
+from repro.simulation.cyclesim import CycleSimResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from repro.scan.testview import ScanDesign, TestVector
-    from repro.simulation.backends import Backend
 
 __all__ = [
     "EpisodePlan",
     "EpisodeBatchResult",
     "check_pi_values",
     "compile_episode_plan",
+    "simulate_episode_batch",
 ]
 
 
@@ -130,32 +133,31 @@ class EpisodePlan:
 
 
 @dataclasses.dataclass
-class EpisodeBatchResult:
-    """Outcome of one batched episode simulation.
+class EpisodeBatchResult(CycleSimResult):
+    """A :class:`~repro.simulation.cyclesim.CycleSimResult` of a whole
+    test set's replay plus the episode geometry, so consumers can slice
+    per-vector segments out of the batch."""
 
-    Mirrors :class:`~repro.simulation.cyclesim.CycleSimResult` (same
-    accounting, same float semantics) plus the episode geometry so
-    consumers can slice per-vector segments out of the batch.
-    """
+    offsets: tuple[int, ...] = ()
+    lengths: tuple[int, ...] = ()
 
-    n_cycles: int
-    transitions: dict[str, int]
-    leakage_sum_na: dict[str, float]
-    offsets: tuple[int, ...]
-    lengths: tuple[int, ...]
-    waveforms: dict[str, int] | None = None
 
-    @property
-    def total_transitions(self) -> int:
-        """Sum of transitions over all lines."""
-        return sum(self.transitions.values())
-
-    @property
-    def mean_leakage_na(self) -> float:
-        """Average total leakage current (nA) over all cycles."""
-        if self.n_cycles == 0:
-            return 0.0
-        return sum(self.leakage_sum_na.values()) / self.n_cycles
+def simulate_episode_batch(plan: EpisodePlan,
+                           library: CellLibrary | None = None,
+                           collect_leakage: bool = True,
+                           keep_waveforms: bool = False
+                           ) -> EpisodeBatchResult:
+    """Replay a compiled plan (all episodes' cycles back to back) in
+    one resident pass; accounting as in
+    :func:`~repro.simulation.cyclesim.simulate_cycles`."""
+    with span("sim.episode_batch", cycles=plan.n_cycles):
+        transitions, leakage_sum, waveforms = replay(
+            plan.circuit, plan.waveforms, plan.n_cycles, library,
+            collect_leakage, keep_waveforms)
+    return EpisodeBatchResult(
+        n_cycles=plan.n_cycles, transitions=transitions,
+        leakage_sum_na=leakage_sum, waveforms=waveforms,
+        offsets=plan.offsets, lengths=plan.lengths)
 
 
 def _pack_word(bits: np.ndarray) -> int:
@@ -174,8 +176,7 @@ def compile_episode_plan(design: "ScanDesign",
                          pi_values: Mapping[str, int] | None = None,
                          mux_ties: Mapping[str, int] | None = None,
                          include_capture: bool = True,
-                         initial_state: Sequence[int] | None = None,
-                         backend: "str | Backend | None" = None
+                         initial_state: Sequence[int] | None = None
                          ) -> EpisodePlan:
     """Compile a design + test set into one :class:`EpisodePlan`.
 
@@ -183,15 +184,13 @@ def compile_episode_plan(design: "ScanDesign",
     :class:`~repro.power.scanpower.ShiftPolicy`): constants driven on
     primary inputs / muxed pseudo-inputs while shifting.  The capture
     responses feeding each next episode's shift-out are computed in one
-    packed simulation on ``backend`` (resolved once).
+    packed simulation.
 
     The packed words are bit-identical to the serial per-episode
     builder for every input; the shift protocol itself is generated
     from the chain's index mapping, whose "last state equals the
     vector" invariant holds by construction.
     """
-    from repro.simulation.backends import resolve_backend
-
     circuit = design.circuit
     chain = design.chain
     if not vectors:
@@ -225,14 +224,13 @@ def compile_episode_plan(design: "ScanDesign",
     prev = np.empty((n_vec, length), dtype=np.uint8)
     prev[0] = state0
     if n_vec > 1:
-        engine = resolve_backend(backend)
         capture_words = {
             pi: _pack_word(_bit_column([v.pi_values[pi] for v in vectors]))
             for pi in circuit.inputs
         }
         for position, q_line in enumerate(chain.q_lines):
             capture_words[q_line] = _pack_word(scan_matrix[:, position])
-        state = engine.run(circuit, capture_words, n_vec)
+        state = simulate_state(circuit, capture_words, n_vec)
         for position, d_line in enumerate(chain.d_lines):
             prev[1:, position] = state.bools(d_line)[:-1]
 

@@ -3,7 +3,7 @@
 A :class:`RowTable` flattens a circuit's combinational part into integer
 rows: combinational inputs first, then gate outputs in topological
 order, each gate row carrying a small-int opcode and its fan-in rows.
-The big-int good machine (:mod:`repro.simulation.backends.bigint`)
+The big-int good machine (:mod:`repro.simulation.backends`)
 evaluates the rows in order with :func:`eval_row`; the scalar fault
 replay (:mod:`repro.atpg.faultsim`) walks their sink rows.
 

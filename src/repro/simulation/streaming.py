@@ -1,10 +1,10 @@
 """Retired out-of-core streaming: the ``resolve_stream_budget`` shim.
 
-Episode and fault plans are always replayed resident
-(:meth:`~repro.simulation.backends.base.Backend.simulate_episode_batch`,
-:meth:`~repro.simulation.backends.base.Backend.fault_simulate_plan`);
-the cycle- and pattern-window streaming path and its ``stream_budget``
-knob are gone.
+Episode replays and fault sessions always run resident
+(:func:`~repro.simulation.episode.simulate_episode_batch`,
+:class:`~repro.simulation.fault_episode.FaultSimSession`); the cycle-
+and pattern-window streaming path and its ``stream_budget`` knob are
+gone.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ once and stores a per-line delay, so STA itself is a pure traversal.
 
 from __future__ import annotations
 
-from repro.cells.capacitance import line_load_ff
+from repro.cells.capacitance import load_map_ff
 from repro.cells.library import CellLibrary, default_library
 from repro.netlist.circuit import Circuit
 
@@ -68,12 +68,11 @@ class LibraryDelay(DelayModel):
         super().__init__(circuit)
         library = library or default_library()
         self.library = library
+        loads = load_map_ff(circuit, library, include_internal=False)
         for line in circuit.topo_order():
             gate = circuit.gates[line]
-            load = line_load_ff(circuit, line, library,
-                                include_internal=False)
             self._delays[line] = library.delay_ps(
-                gate.gtype, len(gate.inputs), load)
+                gate.gtype, len(gate.inputs), loads[line])
         clk_to_q = library.spec(
             circuit.dff_gates[0].gtype, 1).intrinsic_delay_ps \
             if circuit.dff_gates else 0.0

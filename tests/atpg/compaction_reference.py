@@ -7,7 +7,7 @@ coverage off the compaction matrix.  This module keeps the original
 path verbatim as a test-side oracle:
 
 * :class:`BatchSession` sends every call to the per-batch reference,
-  :meth:`~repro.simulation.backends.base.Backend.fault_simulate_batch`;
+  :func:`~repro.atpg.faultsim.fault_simulate`;
 * :func:`greedy_keep_bigint` is the reverse greedy pass as big-int
   column scans;
 * :func:`generate_tests` shares the random and deterministic phases
@@ -23,7 +23,11 @@ from collections.abc import Mapping, Sequence
 
 from repro.atpg.collapse import collapse_faults
 from repro.atpg.faults import Fault, all_faults
-from repro.atpg.faultsim import FaultSimResult, check_fault_lines
+from repro.atpg.faultsim import (
+    FaultSimResult,
+    check_fault_lines,
+    fault_simulate,
+)
 from repro.atpg.generate import (
     AtpgConfig,
     TestSet,
@@ -32,7 +36,6 @@ from repro.atpg.generate import (
 )
 from repro.netlist.circuit import Circuit
 from repro.scan.testview import ScanDesign, TestVector
-from repro.simulation.backends import Backend, resolve_fault_backend
 from repro.simulation.bitsim import pack_input_vectors
 
 __all__ = ["BatchSession", "greedy_keep_bigint", "generate_tests"]
@@ -43,14 +46,12 @@ class BatchSession:
 
     Same ``simulate`` contract as
     :class:`~repro.simulation.fault_episode.FaultSimSession`; every call
-    is one independent ``fault_simulate_batch``.  ``drops`` records the
+    is one independent ``fault_simulate``.  ``drops`` records the
     ``drop`` flag of each call.
     """
 
-    def __init__(self, circuit: Circuit,
-                 backend: str | Backend | None = None):
+    def __init__(self, circuit: Circuit):
         self.circuit = circuit
-        self.engine = resolve_fault_backend(backend)
         self.drops: list[bool] = []
 
     def simulate(self, faults: Sequence[Fault],
@@ -58,7 +59,7 @@ class BatchSession:
                  drop: bool = True) -> FaultSimResult:
         check_fault_lines(self.circuit, faults)
         self.drops.append(drop)
-        return self.engine.fault_simulate_batch(
+        return fault_simulate(
             self.circuit, faults, input_words, n, drop=drop)
 
 
@@ -92,17 +93,15 @@ def _reverse_compact(design: ScanDesign, universe: list[Fault],
 
 def generate_tests(design: ScanDesign,
                    config: AtpgConfig | None = None,
-                   backend: str | Backend | None = None,
                    session: BatchSession | None = None) -> TestSet:
     """Reference :func:`repro.atpg.generate.generate_tests`.
 
-    ``backend`` is the fault-simulation engine; pass ``session`` instead
-    to inspect the calls afterwards.
+    Pass ``session`` to inspect the calls afterwards.
     """
     config = config or AtpgConfig()
     circuit = design.circuit
     universe = collapse_faults(circuit, all_faults(circuit))
-    session = session or BatchSession(circuit, backend)
+    session = session or BatchSession(circuit)
     kept_vectors, untestable, aborted = _generate_vectors(
         design, config, universe, session)
 

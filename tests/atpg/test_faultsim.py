@@ -9,6 +9,7 @@ from repro.netlist.circuit import Circuit
 from repro.netlist.gates import GateType
 from repro.simulation.bitsim import pack_input_vectors, simulate_packed
 from repro.simulation.eval2 import comb_input_lines, simulate_comb
+from repro.simulation.fault_episode import FaultSimSession
 
 
 def two_gate() -> Circuit:
@@ -144,17 +145,15 @@ class TestUnknownFaultLine:
     @pytest.mark.parametrize("engine", ["bigint", "session-bigint"])
     def test_every_engine_raises_simulation_error(self, s27, engine):
         from repro.errors import SimulationError
-        from repro.simulation.fault_episode import FaultSimSession
 
         faults = all_faults(s27)[:3] + [Fault("zz", 0)]
         words, n = pack_input_vectors(
             s27, [{line: 0 for line in comb_input_lines(s27)}])
         with pytest.raises(SimulationError, match="'zz'"):
             if engine.startswith("session-"):
-                session = FaultSimSession(s27, engine.split("-")[1])
-                session.simulate(faults, words, n)
+                FaultSimSession(s27).simulate(faults, words, n)
             else:
-                fault_simulate(s27, faults, words, n, backend=engine)
+                fault_simulate(s27, faults, words, n)
 
     def test_detect_word_raises_simulation_error(self, s27):
         from repro.errors import SimulationError
@@ -174,10 +173,12 @@ def test_bad_pattern_count_and_good_map_raise(s27, engine):
     faults = all_faults(s27)
     words, n = pack_input_vectors(
         s27, [{line: 1 for line in comb_input_lines(s27)}] * 8)
-    good = simulate_packed(s27, words, n, backend=engine)
+    good = simulate_packed(s27, words, n)
     for bad_n in (0, -1):
         with pytest.raises(SimulationError, match=f"got {bad_n}"):
-            fault_simulate(s27, faults, words, bad_n, backend=engine)
+            fault_simulate(s27, faults, words, bad_n)
+        with pytest.raises(SimulationError, match=f"got {bad_n}"):
+            FaultSimSession(s27).simulate(faults, words, bad_n)
         with pytest.raises(SimulationError, match=f"got {bad_n}"):
             detect_word(s27, faults[0], good, bad_n)
         with pytest.raises(SimulationError, match=f"got {bad_n}"):

@@ -13,12 +13,12 @@ import numpy as np
 
 from repro.cells.library import CellLibrary
 from repro.netlist.circuit import Circuit
-from repro.simulation.backends import SimState
+from repro.simulation.backends import BigIntState
 
 __all__ = ["state_sample_leakage"]
 
 
-def state_sample_leakage(state: SimState, circuit: Circuit,
+def state_sample_leakage(state: BigIntState, circuit: Circuit,
                          library: CellLibrary) -> np.ndarray:
     """Per-sample total leakage (nA) from an existing simulation state."""
     n = state.n

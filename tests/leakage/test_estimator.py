@@ -16,7 +16,7 @@ from repro.leakage.estimator import (
     state_sample_leakage,
 )
 from repro.netlist.gates import X
-from repro.simulation.backends import get_backend
+from repro.simulation.backends import simulate_state
 from repro.simulation.bitsim import pack_input_vectors, random_input_words
 from repro.simulation.eval2 import comb_input_lines, simulate_comb
 from repro.simulation.values import mask
@@ -161,10 +161,9 @@ class TestStateSampleLeakageAgainstFrozen:
 
 
 def _assert_matches_frozen(circuit, words, n, library):
-    engine = get_backend("bigint")
-    got = state_sample_leakage(engine.run(circuit, words, n), circuit,
+    got = state_sample_leakage(simulate_state(circuit, words, n), circuit,
                                library)
     want = sample_reference.state_sample_leakage(
-        engine.run(circuit, words, n), circuit, library)
+        simulate_state(circuit, words, n), circuit, library)
     assert got.dtype == want.dtype and got.shape == want.shape == (n,)
     assert got.tobytes() == want.tobytes()

@@ -13,7 +13,7 @@ obviously correct.
   and price the result exactly like the product entry points;
 * :func:`evaluate_multichain_power` replays the multi-chain waveforms
   with the plain cycle simulation instead of
-  ``Backend.simulate_episode_batch``.
+  :func:`~repro.simulation.episode.simulate_episode_batch`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.power.scanpower import (
 )
 from repro.scan.multichain import MultiChainDesign, multichain_waveforms
 from repro.scan.testview import ScanDesign, TestVector
-from repro.simulation.backends import Backend, resolve_backend
 from repro.simulation.cyclesim import simulate_cycles
 from repro.simulation.values import pack_bits
 
@@ -102,8 +101,7 @@ def evaluate_scan_power(design: ScanDesign,
                         policy: ShiftPolicy | None = None,
                         library: CellLibrary | None = None,
                         include_capture: bool = True,
-                        initial_state: Sequence[int] | None = None,
-                        backend: str | Backend | None = None
+                        initial_state: Sequence[int] | None = None
                         ) -> ScanPowerReport:
     """Serial replay of :func:`repro.power.scanpower.evaluate_scan_power`."""
     policy = policy or ShiftPolicy()
@@ -111,8 +109,7 @@ def evaluate_scan_power(design: ScanDesign,
     waveforms, n_cycles = episode_waveforms(
         design, vectors, policy, include_capture, initial_state)
     result = simulate_cycles(design.circuit, waveforms, n_cycles, library,
-                             collect_leakage=True,
-                             backend=resolve_backend(backend))
+                             collect_leakage=True)
     return ScanPowerReport.from_replay(design.circuit, policy.name,
                                        len(vectors), result, library)
 
@@ -121,16 +118,14 @@ def per_cycle_energy_fj(design: ScanDesign,
                         vectors: Sequence[TestVector],
                         policy: ShiftPolicy | None = None,
                         library: CellLibrary | None = None,
-                        include_capture: bool = True,
-                        backend: str | Backend | None = None
+                        include_capture: bool = True
                         ) -> np.ndarray:
     """Serial replay of :func:`repro.power.scanpower.per_cycle_energy_fj`."""
     library = library or default_library()
     waveforms, n_cycles = episode_waveforms(
         design, vectors, policy, include_capture, None)
     sim = simulate_cycles(design.circuit, waveforms, n_cycles, library,
-                          collect_leakage=False, keep_waveforms=True,
-                          backend=resolve_backend(backend))
+                          collect_leakage=False, keep_waveforms=True)
     assert sim.waveforms is not None
     return energy_profile_fj(design.circuit, sim.waveforms, n_cycles,
                              library)
@@ -140,8 +135,7 @@ def evaluate_multichain_power(design: MultiChainDesign,
                               vectors: Sequence[TestVector],
                               policy: ShiftPolicy | None = None,
                               library: CellLibrary | None = None,
-                              include_capture: bool = True,
-                              backend: str | Backend | None = None
+                              include_capture: bool = True
                               ) -> ScanPowerReport:
     """Plain cycle-simulation replay of
     :func:`repro.scan.multichain.evaluate_multichain_power`."""
@@ -150,8 +144,7 @@ def evaluate_multichain_power(design: MultiChainDesign,
     waveforms, n_cycles = multichain_waveforms(design, vectors, policy,
                                                include_capture)
     result = simulate_cycles(design.circuit, waveforms, n_cycles, library,
-                             collect_leakage=True,
-                             backend=resolve_backend(backend))
+                             collect_leakage=True)
     return ScanPowerReport.from_replay(
         design.circuit, f"{policy.name}@{design.n_chains}chains",
         len(vectors), result, library)

@@ -34,12 +34,10 @@ def replay_peak_share(circuit_name: str, n_vectors: int,
                              for _ in range(design.chain.length)))
         for _ in range(n_vectors)]
     policy = ShiftPolicy()
-    report = evaluate_scan_power(design, vectors, policy,
-                                 backend="bigint")
+    report = evaluate_scan_power(design, vectors, policy)
     tracemalloc.start()
     try:
-        again = evaluate_scan_power(design, vectors, policy,
-                                    backend="bigint")
+        again = evaluate_scan_power(design, vectors, policy)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

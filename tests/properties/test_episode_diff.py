@@ -7,8 +7,8 @@ IEEE-equal — on mapped and unmapped circuits.  Where the oracle raises
 (an unmapped design may hold a gate wider than any library cell), the
 engine must raise the same error.
 
-The big-int engine's fused replay (each row priced as it settles, dead
-words freed) must equal ``run`` + ``state.transitions()`` /
+The engine's fused replay (each row priced as it settles, dead words
+freed) must equal ``simulate_state`` + ``state.transitions()`` /
 ``state.leakage_sum()`` on the same plan: key order, integer counts and
 the bits of every leakage float.
 """
@@ -29,8 +29,12 @@ from repro.power.scanpower import (
     per_cycle_energy_fj,
 )
 from repro.scan.testview import ScanDesign, TestVector
-from repro.simulation.backends import get_backend
-from repro.simulation.episode import EpisodePlan, compile_episode_plan
+from repro.simulation.backends import simulate_state
+from repro.simulation.episode import (
+    EpisodePlan,
+    compile_episode_plan,
+    simulate_episode_batch,
+)
 from repro.simulation.schedule import cached_row_table
 from repro.simulation.values import mask
 from repro.techmap.mapper import technology_map
@@ -122,6 +126,8 @@ class TestBatchedEqualsSerial:
         reference = serial.per_cycle_energy_fj(design, vectors)
         batched = per_cycle_energy_fj(design, vectors)
         assert np.array_equal(batched, reference)
+        assert batched.dtype == reference.dtype
+        assert batched.tobytes() == reference.tobytes()
 
 
 def _truncated_plan(plan: EpisodePlan, n: int) -> EpisodePlan:
@@ -134,9 +140,8 @@ def _truncated_plan(plan: EpisodePlan, n: int) -> EpisodePlan:
 
 
 def _state_replay(plan: EpisodePlan, collect_leakage: bool):
-    """``run`` + state pricing on ``plan``: the unfused semantics."""
-    state = get_backend("bigint").run(plan.circuit, plan.waveforms,
-                                      plan.n_cycles)
+    """A settled state's pricing on ``plan``: the unfused semantics."""
+    state = simulate_state(plan.circuit, plan.waveforms, plan.n_cycles)
     transitions = state.transitions()
     leakage = state.leakage_sum(default_library()) \
         if collect_leakage else {}
@@ -144,8 +149,8 @@ def _state_replay(plan: EpisodePlan, collect_leakage: bool):
 
 
 def _fused_replay(plan: EpisodePlan, collect_leakage: bool):
-    batch = get_backend("bigint").simulate_episode_batch(
-        plan, default_library(), collect_leakage=collect_leakage)
+    batch = simulate_episode_batch(plan, default_library(),
+                                   collect_leakage=collect_leakage)
     assert batch.waveforms is None
     assert batch.n_cycles == plan.n_cycles
     return batch.transitions, batch.leakage_sum_na
@@ -172,7 +177,7 @@ class TestFusedReplayEqualsState:
         policy = _blocking_policy(design, seed)
         plan = compile_episode_plan(
             design, vectors, pi_values=policy.pi_values,
-            mux_ties=policy.mux_ties, backend="bigint")
+            mux_ties=policy.mux_ties)
         rows = cached_row_table(plan.circuit)
         # Every full-scan design has gate rows read by no gate (its
         # primary outputs and flop D lines): released where they settle.

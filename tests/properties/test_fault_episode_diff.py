@@ -1,6 +1,7 @@
 """Differential properties of the fault x pattern batched replay.
 
-``Backend.fault_simulate_plan`` must be observationally identical to the
+``FaultSimSession.simulate`` and ``fault_simulate`` must be
+observationally identical to the
 frozen cone-ordered replay (``tests/atpg/faultsim_reference.py``) —
 detection words bit for bit, ``remaining`` in exact input order — in
 both drop modes and on mapped and unmapped circuits.  The generated
@@ -13,15 +14,12 @@ from hypothesis import given, settings, strategies as st
 from simulation.bigint_reference import simulate_packed_bigint
 
 from repro.atpg.faults import all_faults
+from repro.atpg.faultsim import fault_simulate
 from repro.benchgen.generator import generate_from_stats
 from repro.benchgen.iscas89 import Iscas89Stats
 from repro.netlist.circuit import Circuit
-from repro.simulation.backends import get_backend
 from repro.simulation.bitsim import random_input_words
-from repro.simulation.fault_episode import (
-    FaultSimSession,
-    compile_fault_episode_plan,
-)
+from repro.simulation.fault_episode import FaultSimSession
 from repro.techmap.mapper import technology_map
 from repro.utils.rng import make_rng
 
@@ -55,9 +53,8 @@ class TestPlanEqualsScalarReference:
         faults = all_faults(circuit)
         words = random_input_words(circuit, n_patterns, make_rng(seed))
         reference = _oracle(circuit, faults, words, n_patterns)
-        plan = compile_fault_episode_plan(circuit, faults, words,
-                                          n_patterns)
-        got = get_backend("bigint").fault_simulate_plan(plan, drop=drop)
+        got = FaultSimSession(circuit).simulate(faults, words, n_patterns,
+                                                drop=drop)
         _assert_same(got, reference, drop)
 
     @settings(max_examples=6, deadline=None)
@@ -65,16 +62,16 @@ class TestPlanEqualsScalarReference:
            st.booleans())
     def test_session_matches_per_batch_path(self, seed, n_patterns,
                                             mapped, drop):
-        """A planned session and the engine's per-batch path
-        (``fault_simulate_batch``) both equal the frozen replay."""
+        """A session and the per-batch path (``fault_simulate``) both
+        equal the frozen replay."""
         circuit = _random_circuit(seed, mapped=mapped, n_gates=30)
         faults = all_faults(circuit)
         words = random_input_words(circuit, n_patterns, make_rng(seed))
         reference = _oracle(circuit, faults, words, n_patterns)
         session = FaultSimSession(circuit)
         got = session.simulate(faults, words, n_patterns, drop=drop)
-        per_batch = get_backend("bigint").fault_simulate_batch(
-            circuit, faults, words, n_patterns, drop=drop)
+        per_batch = fault_simulate(circuit, faults, words, n_patterns,
+                                   drop=drop)
         _assert_same(got, reference, drop)
         _assert_same(per_batch, reference, ("per-batch", drop))
 

@@ -1,6 +1,6 @@
 """Differential tests: row-space big-int engine vs the frozen oracle.
 
-The ``bigint`` backend evaluates a circuit over the integer rows of its
+The ``bigint`` engine evaluates a circuit over the integer rows of its
 memoized :class:`~repro.simulation.schedule.RowTable` and prices leakage
 from minterm-split counts.  Its words, transition counts and leakage
 floats must equal those of the name-keyed engine frozen in
@@ -27,10 +27,10 @@ from repro.errors import SimulationError
 from repro.netlist.circuit import Circuit
 from repro.netlist.gates import COMBINATIONAL_TYPES, GateType
 from repro.simulation import schedule
-from repro.simulation.backends import get_backend
+from repro.simulation.backends import simulate_state
 from repro.simulation.bitsim import random_input_words, simulate_packed
 from repro.simulation.cyclesim import simulate_cycles
-from repro.simulation.episode import EpisodePlan
+from repro.simulation.episode import EpisodePlan, simulate_episode_batch
 from repro.simulation.eval2 import comb_input_lines
 from repro.simulation.values import mask, minterm_counts, pattern_count
 from repro.utils.rng import make_rng
@@ -47,7 +47,7 @@ SIZES = (1, 2, 63, 64, 65, 4096)
 def _assert_matches_oracle(circuit, words, n, library=None):
     """Every product quantity equals the oracle's, in the same order."""
     library = library or default_library()
-    state = get_backend("bigint").run(circuit, words, n)
+    state = simulate_state(circuit, words, n)
     want = reference.simulate_packed_bigint(circuit, words, n)
     assert list(state.words().items()) == list(want.items())
     assert list(state.lines()) == list(want)
@@ -159,20 +159,20 @@ class TestDerivedData:
         circuit = _every_kind()
         faults = all_faults(circuit)
         words = random_input_words(circuit, 8, make_rng(6))
-        good = simulate_packed(circuit, words, 8, backend="bigint")
+        good = simulate_packed(circuit, words, 8)
         scalar_replay(circuit, faults, good, 8)
-        simulate_cycles(circuit, words, 8, backend="bigint")
+        simulate_cycles(circuit, words, 8)
         assert builds == [circuit.version]
 
         circuit.replace_gate("k_buf", GateType.NOT, ("k_or",))
-        good = simulate_packed(circuit, words, 8, backend="bigint")
+        good = simulate_packed(circuit, words, 8)
         scalar_replay(circuit, faults, good, 8)
         assert builds == [builds[0], circuit.version]
 
     def test_row_table_does_not_keep_the_circuit_alive(self):
         circuit = _every_kind()
         simulate_packed(circuit, random_input_words(
-            circuit, 4, make_rng(7)), 4, backend="bigint")
+            circuit, 4, make_rng(7)), 4)
         switched_caps_ff(circuit)
         ref = weakref.ref(circuit)
         del circuit
@@ -202,19 +202,14 @@ class TestDerivedData:
 
 @pytest.mark.parametrize("engine", ["bigint"])
 def test_negative_pattern_count_raises(s27_mapped, engine):
-    """``n = -1`` is a :class:`SimulationError` on the engine (passed
-    by name), never a bare ``ValueError``; ``n = 0`` is an empty
+    """``n = -1`` is a :class:`SimulationError` on every engine entry
+    point, never a bare ``ValueError``; ``n = 0`` is an empty
     simulation."""
-    backend = get_backend(engine)
     words = dict.fromkeys(comb_input_lines(s27_mapped), 0)
-    for call in (lambda: backend.run(s27_mapped, words, -1),
-                 lambda: simulate_packed(s27_mapped, words, -1,
-                                         backend=engine),
-                 lambda: simulate_cycles(s27_mapped, words, -1,
-                                         backend=engine)):
+    for call in (simulate_state, simulate_packed, simulate_cycles):
         with pytest.raises(SimulationError, match="got -1"):
-            call()
-    empty = simulate_cycles(s27_mapped, words, 0, backend=engine)
+            call(s27_mapped, words, -1)
+    empty = simulate_cycles(s27_mapped, words, 0)
     assert empty.n_cycles == 0
     assert set(empty.leakage_sum_na.values()) == {0.0}
     assert set(empty.transitions.values()) == {0}
@@ -257,12 +252,12 @@ class TestLeakagePricingPins:
         want_leak = list(reference.leakage_sum(circuit, want, n,
                                                library).items())
         want_trans = list(reference.transitions(want, n).items())
-        state = get_backend("bigint").run(circuit, words, n)
+        state = simulate_state(circuit, words, n)
         assert list(state.leakage_sum(library).items()) == want_leak
         assert list(state.transitions().items()) == want_trans
         plan = EpisodePlan(circuit=circuit, waveforms=dict(words),
                            n_cycles=n, offsets=(0,), lengths=(n,))
-        batch = get_backend("bigint").simulate_episode_batch(plan, library)
+        batch = simulate_episode_batch(plan, library)
         assert list(batch.leakage_sum_na.items()) == want_leak
         assert list(batch.transitions.items()) == want_trans
         assert [value.hex() for _, value in want_leak] == \
@@ -321,3 +316,38 @@ def test_minterm_split_popcounts():
         words = [Counting(w) for w in (0b1011, 0b0110, 0b1100, 0b0101)[:k]]
         minterm_counts(words, 4)
         assert Counting.calls == (1 << k) - 1
+
+
+class TestMergedReplay:
+    """``simulate_cycles`` is the engine's one fused replay: with kept
+    waveforms it releases nothing and returns every word, and its
+    words, transitions and leakage floats equal the frozen oracle's in
+    dict order."""
+
+    @staticmethod
+    def _assert_replay_matches(circuit, words, n):
+        library = default_library()
+        want = reference.simulate_packed_bigint(circuit, words, n)
+        want_trans, want_leak = reference.simulate_cycles(circuit, words,
+                                                          n, library)
+        for collect_leakage in (True, False):
+            got = simulate_cycles(circuit, words, n, library,
+                                  collect_leakage=collect_leakage,
+                                  keep_waveforms=True)
+            assert list(got.waveforms.items()) == list(want.items())
+            assert list(got.transitions.items()) == \
+                list(want_trans.items())
+            assert [(line, value.hex())
+                    for line, value in got.leakage_sum_na.items()] == \
+                [(line, value.hex()) for line, value in want_leak.items()
+                 if collect_leakage]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", (0, 1, 2, 65))
+    def test_random_circuits(self, seed, n):
+        circuit = generate_from_stats(
+            Iscas89Stats("merged", 4, 2, 3, 30), seed)
+        for candidate in (circuit, sprinkle_gates(circuit, seed),
+                          _repeated_fanin_circuit()):
+            words = random_input_words(candidate, n, make_rng(seed + n))
+            self._assert_replay_matches(candidate, words, n)

@@ -9,11 +9,11 @@ from power.episode_reference import (
 from repro.errors import ScanError
 from repro.power.scanpower import ShiftPolicy, evaluate_scan_power
 from repro.scan.testview import TestVector
-from repro.simulation.backends import get_backend
 from repro.simulation.episode import (
     EpisodeBatchResult,
     compile_episode_plan,
     episode_batching_enabled,
+    simulate_episode_batch,
 )
 
 
@@ -152,10 +152,9 @@ class TestSimulateEpisodeBatch:
         from repro.simulation.cyclesim import simulate_cycles
         vectors = make_vectors(s27_design, 6)
         plan = compile_episode_plan(s27_design, vectors)
-        batch = get_backend("bigint").simulate_episode_batch(plan, library)
+        batch = simulate_episode_batch(plan, library)
         reference = simulate_cycles(s27_design.circuit, plan.waveforms,
-                                    plan.n_cycles, library,
-                                    backend="bigint")
+                                    plan.n_cycles, library)
         assert batch.transitions == reference.transitions
         assert batch.leakage_sum_na == reference.leakage_sum_na
         assert batch.mean_leakage_na == reference.mean_leakage_na
@@ -163,7 +162,7 @@ class TestSimulateEpisodeBatch:
 
     def test_keep_waveforms(self, s27_design, make_vectors):
         plan = compile_episode_plan(s27_design, make_vectors(s27_design, 2))
-        batch = get_backend("bigint").simulate_episode_batch(
+        batch = simulate_episode_batch(
             plan, keep_waveforms=True)
         assert batch.waveforms is not None
         for line, word in plan.waveforms.items():
@@ -171,7 +170,7 @@ class TestSimulateEpisodeBatch:
 
     def test_skip_leakage(self, s27_design, make_vectors):
         plan = compile_episode_plan(s27_design, make_vectors(s27_design, 2))
-        batch = get_backend("bigint").simulate_episode_batch(
+        batch = simulate_episode_batch(
             plan, collect_leakage=False)
         assert batch.leakage_sum_na == {}
         assert batch.mean_leakage_na == 0.0

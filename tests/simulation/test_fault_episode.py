@@ -1,4 +1,4 @@
-"""Unit tests for the fault x pattern batched replay subsystem."""
+"""Unit tests for the fault-simulation session."""
 
 import numpy as np
 import pytest
@@ -10,12 +10,10 @@ from repro.atpg.faultsim import fault_simulate
 from repro.errors import SimulationError
 from repro.netlist import builders
 from repro.netlist.gates import GateType
-from repro.simulation.backends import BigIntBackend, get_backend
+from repro.simulation import fault_episode
 from repro.simulation.bitsim import random_input_words
 from repro.simulation.fault_episode import (
-    FaultEpisodePlan,
     FaultSimSession,
-    compile_fault_episode_plan,
     fault_planning_enabled,
 )
 from repro.techmap.mapper import technology_map
@@ -31,6 +29,26 @@ def mapped():
 def stimulus(mapped):
     n = 130  # three uint64 words, ragged tail
     return random_input_words(mapped, n, make_rng(9)), n
+
+
+@pytest.fixture
+def good_passes(monkeypatch):
+    """Count the session's good-machine passes."""
+    passes = []
+    settle = fault_episode.simulate_packed
+
+    def counting(circuit, input_words, n):
+        passes.append(circuit.version)
+        return settle(circuit, input_words, n)
+
+    monkeypatch.setattr(fault_episode, "simulate_packed", counting)
+    return passes
+
+
+def _assert_same(got, want, context=None) -> None:
+    assert got.detected == want.detected, context
+    assert list(got.detected) == list(want.detected), context
+    assert got.remaining == want.remaining, context
 
 
 class TestToggle:
@@ -49,110 +67,74 @@ class TestToggle:
                         expected):
         """No spelling of the retired ``$REPRO_FAULT_PLAN`` changes the
         result: it equals that of the path the value used to select
-        (``expected``: the planned replay if true, the per-batch
-        reference ``fault_simulate_batch`` if false)."""
+        (``expected``: a session if true, one ``fault_simulate`` call
+        if false)."""
         words, n = stimulus
         faults = all_faults(mapped)
         monkeypatch.setenv("REPRO_FAULT_PLAN", value)
-        got = FaultSimSession(mapped, "bigint").simulate(faults, words, n)
-        engine = get_backend("bigint")
+        got = FaultSimSession(mapped).simulate(faults, words, n)
+        monkeypatch.delenv("REPRO_FAULT_PLAN")
         if expected:
-            want = engine.fault_simulate_plan(
-                compile_fault_episode_plan(mapped, faults, words, n))
+            want = FaultSimSession(mapped).simulate(faults, words, n)
         else:
-            want = engine.fault_simulate_batch(mapped, faults, words, n)
-        assert got.detected == want.detected
-        assert list(got.detected) == list(want.detected)
-        assert got.remaining == want.remaining
+            want = fault_simulate(mapped, faults, words, n)
+        _assert_same(got, want)
 
 
 class TestPlan:
-    def test_geometry(self, mapped, stimulus):
-        words, n = stimulus
-        faults = all_faults(mapped)
-        plan = compile_fault_episode_plan(mapped, faults, words, n)
-        assert plan.n_faults == len(faults)
-        assert plan.n == n
-        assert plan.faults == tuple(faults)
-
-    def test_rejects_empty_pattern_set(self, mapped):
+    def test_rejects_empty_pattern_set(self, mapped, good_passes):
         with pytest.raises(SimulationError, match=">= 1 pattern"):
-            FaultEpisodePlan(mapped, (), {}, 0)
-
-    def test_good_words_memoized_per_backend(self, mapped, stimulus):
-        words, n = stimulus
-        plan = compile_fault_episode_plan(mapped, all_faults(mapped),
-                                          words, n)
-        class Other(BigIntBackend):
-            name = "other"
-
-        backend = get_backend("bigint")
-        first = plan.good_words(backend)
-        assert plan.good_words(backend) is first
-        other = plan.good_words(Other())
-        assert other is not first
-        assert other == first
+            FaultSimSession(mapped).simulate((), {}, 0)
+        assert good_passes == []
 
     def test_good_words_match_backend(self, mapped, stimulus):
         words, n = stimulus
-        plan = compile_fault_episode_plan(mapped, all_faults(mapped),
-                                          words, n)
-        got = plan.good_words(get_backend("bigint"))
+        got = FaultSimSession(mapped).good_words(words, n)
         assert got == simulate_packed_bigint(mapped, words, n)
 
 
 class TestSession:
     def test_plan_and_legacy_paths_identical(self, mapped, stimulus):
-        """The planned session equals the engine's per-batch
-        reference, ``fault_simulate_batch``."""
+        """A session equals one ``fault_simulate`` call per batch."""
         words, n = stimulus
         faults = all_faults(mapped)
-        session = FaultSimSession(mapped, "bigint")
+        session = FaultSimSession(mapped)
         for drop in (True, False):
             a = session.simulate(faults, words, n, drop=drop)
-            b = get_backend("bigint").fault_simulate_batch(
-                mapped, faults, words, n, drop=drop)
-            assert a.detected == b.detected, drop
-            assert list(a.detected) == list(b.detected), drop
-            assert a.remaining == b.remaining, drop
+            b = fault_simulate(mapped, faults, words, n, drop=drop)
+            _assert_same(a, b, drop)
 
-    def test_good_state_reused_across_identical_stimuli(self, mapped,
-                                                        stimulus):
-        """Two plan-path calls on the same stimulus must settle the good
-        machine once (the session's state pool hits)."""
+    def test_good_state_reused_across_identical_stimuli(
+            self, mapped, stimulus, good_passes):
+        """Two calls on the same stimulus must settle the good machine
+        once (the session's state pool hits)."""
         words, n = stimulus
         faults = all_faults(mapped)
-
-        class CountingBackend(BigIntBackend):
-            name = "counting"
-            runs = 0
-
-            def run(self, circuit, input_words, n):
-                CountingBackend.runs += 1
-                return super().run(circuit, input_words, n)
-
-        session = FaultSimSession(mapped, CountingBackend())
+        session = FaultSimSession(mapped)
         session.simulate(faults, words, n, drop=True)
         session.simulate(faults[: len(faults) // 2], words, n, drop=False)
-        assert CountingBackend.runs == 1
+        assert len(good_passes) == 1
 
-    @pytest.mark.parametrize("backend", ["bigint"])
-    def test_mutated_circuit_not_served_stale_state(self, backend):
+    @pytest.mark.parametrize("engine", ["bigint"])
+    def test_mutated_circuit_not_served_stale_state(self, engine,
+                                                    good_passes):
         """A gate replaced between two calls on the same stimulus must
         re-settle the good machine, not reuse the old netlist's."""
         circuit = builders.s27()
         words = random_input_words(circuit, 64, make_rng(0))
         faults = all_faults(circuit)
-        session = FaultSimSession(circuit, backend)
+        session = FaultSimSession(circuit)
         session.simulate(faults, words, 64, drop=False)
+        before = circuit.version
         circuit.replace_gate("G13", GateType.NAND,
                              circuit.gates["G13"].inputs)
         got = session.simulate(faults, words, 64, drop=False)
+        assert good_passes == [before, circuit.version] != [before] * 2
         want = fault_simulate(circuit, faults, words, 64, drop=False)
         assert got.detected == want.detected
 
     def test_state_pool_is_bounded(self, mapped):
-        session = FaultSimSession(mapped, "bigint")
+        session = FaultSimSession(mapped)
         faults = all_faults(mapped)[:4]
         rng = make_rng(1)
         for i in range(7):

@@ -148,11 +148,16 @@ class TestPrecedence:
 
     def test_backend(self, monkeypatch):
         """The retired backend knob: no field, and its env var is not
-        read — the engine is the one big-int backend either way."""
-        from repro.simulation.backends import BigIntBackend, resolve_backend
+        read — the benchmark harness's shims name the one big-int
+        engine either way."""
+        from repro.simulation.backends import (
+            resolve_backend,
+            resolve_fault_backend,
+        )
         assert "backend" not in KNOBS
         monkeypatch.setenv("REPRO_SIM_BACKEND", "warp")
-        assert isinstance(resolve_backend(None), BigIntBackend)
+        assert resolve_backend(None).name == "bigint"
+        assert resolve_fault_backend(None).name == "bigint"
         for name in KNOBS:
             resolve(name)  # a stale variable never fails a knob
 

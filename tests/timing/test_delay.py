@@ -1,6 +1,11 @@
 """Tests for the delay models."""
 
 import pytest
+from atpg.generate_podem_pins import (
+    TESTSET_CIRCUITS,
+    mapped_circuit,
+)
+from cells import caps_reference
 
 from repro.cells.capacitance import line_load_ff
 from repro.cells.library import default_library
@@ -29,6 +34,19 @@ class TestLibraryDelay:
                                 include_internal=False)
             expected = library.delay_ps(gate.gtype, len(gate.inputs), load)
             assert model.delay_of(line) == pytest.approx(expected)
+
+    @pytest.mark.parametrize("name", ("s27",) + TESTSET_CIRCUITS)
+    def test_delays_equal_frozen_walk(self, name, library):
+        """Every delay is IEEE-equal to one priced from the frozen
+        per-line load walk (``tests/cells/caps_reference.py``)."""
+        circuit = mapped_circuit(name)
+        model = LibraryDelay(circuit, library)
+        for line in circuit.topo_order():
+            gate = circuit.gates[line]
+            load = caps_reference.line_load_ff(circuit, line, library,
+                                               include_internal=False)
+            expected = library.delay_ps(gate.gtype, len(gate.inputs), load)
+            assert model.delay_of(line).hex() == expected.hex(), line
 
     def test_flop_outputs_launch_at_clk_to_q(self, s27_mapped, library):
         model = LibraryDelay(s27_mapped, library)
